@@ -18,6 +18,7 @@ import numpy as np
 from .docmodel import FieldSchema, ValidationError
 
 CHECKPOINT_MAGIC = b"FFRG1"
+HEADER_BYTES = len(CHECKPOINT_MAGIC) + 32 + 20  # magic, schema digest, five dims
 
 
 @dataclass
@@ -110,40 +111,119 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(params: ModelParams, features: np.ndarray, branch: int) -> np.ndarray:
-    """(M, N+1) softmax probability rows for one branch."""
+def trunk_activations(
+    params: ModelParams, features: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(M, hidden) shared trunk rows relu(x @ trunk.w + trunk.b), into out if given."""
     if features.ndim != 2 or features.shape[1] != params.d_in:
         raise ValidationError(
             f"feature matrix has width {features.shape[-1]}, model expects {params.d_in}"
         )
+    t = params.tensors
+    h = np.matmul(features, t["trunk.w"], out=out)
+    h += t["trunk.b"]
+    return np.maximum(h, 0.0, out=h)
+
+
+def _head(
+    params: ModelParams, h: np.ndarray, branch: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """One branch over trunk rows: (its hidden-layer rows or None, probabilities)."""
+    t = params.tensors
+    if branch == 1:
+        return None, _softmax(h @ t["branch1.out.w"] + t["branch1.out.b"])
+    h2 = _relu(h @ t[f"branch{branch}.hid.w"] + t[f"branch{branch}.hid.b"])
+    return h2, _softmax(h2 @ t[f"branch{branch}.out.w"] + t[f"branch{branch}.out.b"])
+
+
+def branch_probs(params: ModelParams, activations: np.ndarray, branch: int) -> np.ndarray:
+    """(M, N+1) softmax probability rows for one branch over trunk activations."""
     if not 1 <= branch <= params.n_branches:
         raise ValidationError(f"branch {branch} out of range 1..{params.n_branches}")
-    t = params.tensors
-    h = _relu(features @ t["trunk.w"] + t["trunk.b"])
-    if branch == 1:
-        logits = h @ t["branch1.out.w"] + t["branch1.out.b"]
-    else:
-        h2 = _relu(h @ t[f"branch{branch}.hid.w"] + t[f"branch{branch}.hid.b"])
-        logits = h2 @ t[f"branch{branch}.out.w"] + t[f"branch{branch}.out.b"]
-    return _softmax(logits)
+    return _head(params, activations, branch)[1]
+
+
+def forward(params: ModelParams, features: np.ndarray, branch: int) -> np.ndarray:
+    """(M, N+1) softmax probability rows for one branch."""
+    return branch_probs(params, trunk_activations(params, features), branch)
+
+
+# OpenBLAS sends a matmul whose M*N*K is at most this to a small-matrix
+# kernel that rounds differently from its blocked kernel, so trunk rows
+# computed in a batch this small differ by about an ulp from the same rows
+# computed in a larger one (at 552x64: batches of 28 words or fewer).
+SMALL_MATMUL = 1_000_000
+
+
+class TrunkCache:
+    """Frozen-trunk activations of a whole corpus, gathered per batch.
+
+    The rows are filled in corpus-order blocks of at least block_docs
+    documents, each grown until its matmul clears the small-kernel cutoff,
+    so every row is bit-equal to the same row of any batch whose own trunk
+    pass is not small.
+    """
+
+    def __init__(self, params: ModelParams, features: Sequence[np.ndarray], block_docs: int):
+        self._per_row = params.d_in * params.hidden
+        offsets = np.zeros(len(features) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([f.shape[0] for f in features])
+        n = len(features)
+        rows = np.empty((int(offsets[-1]), params.hidden), dtype=np.float64)
+        lo = 0
+        while lo < n:
+            hi = min(lo + block_docs, n)
+            while hi < n and self._small(offsets[hi] - offsets[lo]):
+                hi += 1
+            if self._small(offsets[n] - offsets[hi]):
+                hi = n  # a small remainder joins this block
+            block = np.concatenate(features[lo:hi], axis=0)
+            trunk_activations(params, block, out=rows[offsets[lo] : offsets[hi]])
+            lo = hi
+        self.rows = rows
+        self.offsets = offsets
+
+    def _small(self, n_rows: int) -> bool:
+        return n_rows * self._per_row <= SMALL_MATMUL
+
+    def batch(self, docs: Sequence[int]) -> np.ndarray | None:
+        """The documents' rows in batch order, or None for a batch whose own
+        trunk pass takes the small kernel and so must be recomputed."""
+        spans = [(self.offsets[i], self.offsets[i + 1]) for i in docs]
+        if self._small(sum(hi - lo for lo, hi in spans)):
+            return None
+        return np.concatenate([self.rows[lo:hi] for lo, hi in spans], axis=0)
 
 
 def branch_loss_and_grad(
     params: ModelParams,
-    features: np.ndarray,
+    features: np.ndarray | None,
     targets: Sequence[tuple[float, np.ndarray]],
     branch: int,
     train_trunk: bool,
+    *,
+    activations: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted sum of mean cross-entropies for one branch, with gradients.
 
     targets is a list of (weight, labels) pairs where labels is an int
     array of classes in 0..N; the loss is sum_j weight_j * meanCE(s_branch,
     labels_j).  Gradients cover the branch tensors, plus the trunk when
-    train_trunk is set.
+    train_trunk is set.  Precomputed trunk activations of the frozen trunk
+    replace the trunk pass over features, which may then be None.
     """
     t = params.tensors
-    m = features.shape[0]
+    if activations is None:
+        h = trunk_activations(params, features)
+    elif train_trunk:
+        raise ValidationError("a trained trunk cannot take precomputed activations")
+    elif activations.ndim != 2 or activations.shape[1] != params.hidden:
+        raise ValidationError(
+            f"activations have shape {activations.shape}, model expects width {params.hidden}"
+        )
+    else:
+        h = activations
+    m = h.shape[0]
     if m == 0:
         raise ValidationError("cannot take a loss over zero words")
     n_out = params.n_classes
@@ -151,15 +231,7 @@ def branch_loss_and_grad(
         if y.shape != (m,) or y.min() < 0 or y.max() >= n_out:
             raise ValidationError("label vector shape or class range invalid")
 
-    a1 = features @ t["trunk.w"] + t["trunk.b"]
-    h = _relu(a1)
-    if branch == 1:
-        logits = h @ t["branch1.out.w"] + t["branch1.out.b"]
-    else:
-        a2 = h @ t[f"branch{branch}.hid.w"] + t[f"branch{branch}.hid.b"]
-        h2 = _relu(a2)
-        logits = h2 @ t[f"branch{branch}.out.w"] + t[f"branch{branch}.out.b"]
-    probs = _softmax(logits)
+    h2, probs = _head(params, h, branch)
 
     loss = 0.0
     dlogits = np.zeros_like(probs)
@@ -171,21 +243,22 @@ def branch_loss_and_grad(
         contrib[rows, y] -= 1.0
         dlogits += (weight / m) * contrib
 
+    # relu(a) > 0 exactly where a > 0, so the activations double as masks
     grads: dict[str, np.ndarray] = {}
     if branch == 1:
         grads["branch1.out.w"] = h.T @ dlogits
         grads["branch1.out.b"] = dlogits.sum(axis=0)
-        dh = dlogits @ t["branch1.out.w"].T
+        upstream, w_up = dlogits, t["branch1.out.w"]
     else:
         grads[f"branch{branch}.out.w"] = h2.T @ dlogits
         grads[f"branch{branch}.out.b"] = dlogits.sum(axis=0)
         dh2 = dlogits @ t[f"branch{branch}.out.w"].T
-        da2 = dh2 * (a2 > 0.0)
+        da2 = dh2 * (h2 > 0.0)
         grads[f"branch{branch}.hid.w"] = h.T @ da2
         grads[f"branch{branch}.hid.b"] = da2.sum(axis=0)
-        dh = da2 @ t[f"branch{branch}.hid.w"].T
+        upstream, w_up = da2, t[f"branch{branch}.hid.w"]
     if train_trunk:
-        da1 = dh * (a1 > 0.0)
+        da1 = (upstream @ w_up.T) * (h > 0.0)
         grads["trunk.w"] = features.T @ da1
         grads["trunk.b"] = da1.sum(axis=0)
     return loss, grads
@@ -258,8 +331,13 @@ def save_model(path: str, params: ModelParams) -> None:
 def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    # a file cut inside the magic is reported as truncated below
+    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC[: len(blob)]:
         raise ValidationError(f"{path}: not a model checkpoint (bad magic)")
+    if len(blob) < HEADER_BYTES:
+        raise ValidationError(
+            f"{path}: truncated checkpoint ({len(blob)} bytes, header needs {HEADER_BYTES})"
+        )
     off = len(CHECKPOINT_MAGIC)
     digest = blob[off : off + 32]
     off += 32
@@ -272,6 +350,8 @@ def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
     for key in tensor_keys(n_branches):
         shape = shapes[key]
         count = int(np.prod(shape))
+        if off + count * 8 > len(blob):
+            raise ValidationError(f"{path}: truncated checkpoint (tensor {key} is cut short)")
         block = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         off += count * 8
         tensors[key] = block.reshape(shape).astype(np.float64)

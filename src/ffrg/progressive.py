@@ -24,10 +24,13 @@ from .grouping import GroupingConfig, group_words
 from .model import (
     AdamState,
     ModelParams,
+    TrunkCache,
     adam_step,
     branch_loss_and_grad,
+    branch_probs,
     forward,
     init_params,
+    trunk_activations,
 )
 from .parallel import ordered_map
 
@@ -82,11 +85,6 @@ def loss_terms(n_branches: int, beta: float) -> list[tuple[int, int, float]]:
     return terms
 
 
-def total_loss(branch_losses: dict[tuple[int, int], float], n_branches: int, beta: float) -> float:
-    """Aggregate loss given per-(branch, source) cross-entropies."""
-    return sum(w * branch_losses[(k, j)] for k, j, w in loss_terms(n_branches, beta))
-
-
 def labels_to_arrays(docs: Sequence[Document], labels: LabelSet) -> list[np.ndarray]:
     arrays = []
     for doc in docs:
@@ -123,27 +121,24 @@ def refine_labels(
     n_fields: int,
     threshold: float,
     provenance: str,
+    orders: Sequence[list[int]] | None = None,
 ) -> LabelSet:
+    """One anchor per field per document; orders are the documents' reading
+    orders, computed here when not given."""
     labels = LabelSet(provenance)
-    for doc, probs in zip(docs, probs_per_doc):
+    if orders is None:
+        orders = [reading_order(doc) for doc in docs]
+    for doc, probs, order in zip(docs, probs_per_doc, orders):
         labels.add_document(doc.doc_id)
-        anchors = _select_anchors(probs, reading_order(doc), n_fields, threshold)
+        anchors = _select_anchors(probs, order, n_fields, threshold)
         for f, wid in anchors.items():
             labels.set_label(doc.doc_id, wid, f)
     return labels
 
 
-def _branch_terms(
-    branch: int, beta: float, y_by_source: dict[int, list[np.ndarray]]
-) -> list[tuple[float, int]]:
+def _branch_terms(branch: int, beta: float) -> list[tuple[float, int]]:
     """(weight, source) pairs for one branch's share of the aggregate loss."""
-    if branch == 1:
-        return [(1.0, 0)]
-    terms: list[tuple[float, int]] = []
-    for j in range(1, branch):
-        terms.append((1.0, j))
-        terms.append((beta, 0))
-    return terms
+    return [(w, j) for k, j, w in loss_terms(branch, beta) if k == branch]
 
 
 def train(
@@ -154,16 +149,21 @@ def train(
     features: Sequence[np.ndarray] | None = None,
     threads: int | None = None,
 ) -> TrainResult:
-    """Stage-wise training; deterministic for a fixed config and seed."""
+    """Stage-wise training; deterministic for a fixed config and seed.
+
+    With two-step training the trunk is frozen after stage 1, so stages
+    2..K run on its activations, computed once for the whole corpus.
+    """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
     for doc in docs:
         if not rule_labels.covers(doc.doc_id):
             raise ValidationError(f"labels do not cover document {doc.doc_id}")
+    n_fields = schema.n_fields
+    rule_labels.validate(docs, n_fields)
     if features is None:
         features = featurize_corpus(docs, threads)
 
-    n_fields = schema.n_fields
     params = init_params(
         FEATURE_DIM,
         n_fields,
@@ -177,19 +177,18 @@ def train(
     trainable = [i for i in range(len(docs)) if len(docs[i].words) > 0]
     if not trainable:
         raise ValidationError("corpus has no words to train on")
+    orders = [reading_order(doc) for doc in docs]
 
     refined: dict[int, LabelSet] = {}
     stage_losses: list[list[float]] = []
+    cache: TrunkCache | None = None
 
     def run_stage(stage: int) -> None:
         # Per-stage work: which branches get gradient updates, on what terms.
         if stage == 1 or not cfg.two_step:
-            specs = [
-                (b, _branch_terms(b, cfg.beta, y_by_source), True)
-                for b in range(1, stage + 1)
-            ]
+            specs = [(b, _branch_terms(b, cfg.beta), True) for b in range(1, stage + 1)]
         else:
-            specs = [(stage, _branch_terms(stage, cfg.beta, y_by_source), False)]
+            specs = [(stage, _branch_terms(stage, cfg.beta), False)]
         epochs = cfg.epochs_step1 if stage == 1 else cfg.epochs_step2
         shuffle_rng = np.random.default_rng([cfg.seed, 1, stage])
         state = AdamState()
@@ -199,7 +198,10 @@ def train(
             batch_losses: list[float] = []
             for start in range(0, len(perm), cfg.batch_docs):
                 batch = [trainable[i] for i in perm[start : start + cfg.batch_docs]]
-                x = np.concatenate([features[i] for i in batch], axis=0)
+                h = cache.batch(batch) if cache is not None else None
+                x = None
+                if h is None:
+                    x = np.concatenate([features[i] for i in batch], axis=0)
                 y_cat = {
                     src: np.concatenate([arrays[i] for i in batch])
                     for src, arrays in y_by_source.items()
@@ -208,7 +210,9 @@ def train(
                 grads: dict[str, np.ndarray] = {}
                 for branch, terms, train_trunk in specs:
                     targets = [(w, y_cat[src]) for w, src in terms]
-                    l, g = branch_loss_and_grad(params, x, targets, branch, train_trunk)
+                    l, g = branch_loss_and_grad(
+                        params, x, targets, branch, train_trunk, activations=h
+                    )
                     loss += l
                     for key, val in g.items():
                         grads[key] = grads[key] + val if key in grads else val
@@ -219,6 +223,8 @@ def train(
 
     for stage in range(1, cfg.n_branches + 1):
         if stage >= 2:
+            if cfg.two_step and cache is None:
+                cache = TrunkCache(params, features, cfg.batch_docs)
             # one-shot refinement from the previous branch over the train set
             probs = ordered_map(
                 lambda i: forward(params, features[i], stage - 1),
@@ -227,27 +233,29 @@ def train(
             )
             labelset = refine_labels(
                 docs, probs, n_fields, cfg.refine_threshold,
-                f"refined@branch_{stage - 1}",
+                f"refined@branch_{stage - 1}", orders=orders,
             )
             refined[stage - 1] = labelset
             y_by_source[stage - 1] = labels_to_arrays(docs, labelset)
         run_stage(stage)
+    cache = None  # frees the activations before the final refinement
 
     final_probs = ordered_map(
         lambda i: forward(params, features[i], cfg.n_branches), range(len(docs)), threads
     )
     refined[cfg.n_branches] = refine_labels(
         docs, final_probs, n_fields, cfg.refine_threshold,
-        f"refined@branch_{cfg.n_branches}",
+        f"refined@branch_{cfg.n_branches}", orders=orders,
     )
     return TrainResult(params, refined, stage_losses)
 
 
 def ensemble_predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Mean of the branch probability rows; rows still sum to one."""
-    acc = forward(params, features, 1)
+    h = trunk_activations(params, features)
+    acc = branch_probs(params, h, 1)
     for k in range(2, params.n_branches + 1):
-        acc = acc + forward(params, features, k)
+        acc = acc + branch_probs(params, h, k)
     return acc / params.n_branches
 
 

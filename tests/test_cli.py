@@ -157,6 +157,37 @@ def test_extract_overlay_and_svg(trained_dir, synth_dir, tmp_path):
     assert svgs[0].read_text().startswith("<svg")
 
 
+def test_train_rejects_label_for_missing_word(synth_dir, tmp_path, capsys, caplog):
+    labels = tmp_path / "labels.jsonl"
+    assert run("bootstrap", "--docs", str(synth_dir / "docs.jsonl"), "--out", str(labels)) == 0
+    rows = [json.loads(line) for line in labels.read_text().splitlines()]
+    rows[0]["labels"].append([999, 1])
+    labels.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code = run(
+        "train", "--docs", str(synth_dir / "docs.jsonl"), "--labels", str(labels),
+        "--out", str(tmp_path / "model.ffrg"), "--branches", "1",
+        "--epochs-step1", "1", "--hidden", "8",
+    )
+    assert code in (1, 2)
+    assert "missing word 999" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "model.ffrg").exists()
+
+
+def test_extract_rejects_truncated_model(trained_dir, synth_dir, tmp_path, capsys, caplog):
+    blob = (trained_dir / "model.ffrg").read_bytes()
+    for size in (40, len(blob) - 3):
+        cut = tmp_path / f"cut{size}.ffrg"
+        cut.write_bytes(blob[:size])
+        code = run(
+            "extract", "--model", str(cut), "--docs", str(synth_dir / "docs.jsonl"),
+            "--out", str(tmp_path / "v.jsonl"),
+        )
+        assert code in (1, 2)
+        assert f"{cut}: truncated checkpoint" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_model_schema_guard(trained_dir, synth_dir, tmp_path):
     # a schema with fewer fields cannot serve a checkpoint trained on seven
     schema_path = tmp_path / "schema.json"

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from ffrg.docmodel import ValidationError, default_invoice_schema
+from ffrg.features import FEATURE_DIM, featurize_corpus
 from ffrg.model import (
     AdamState,
     CHECKPOINT_MAGIC,
+    HEADER_BYTES,
+    TrunkCache,
     adam_step,
     branch_loss_and_grad,
     forward,
@@ -22,7 +25,9 @@ from ffrg.model import (
     save_model,
     tensor_keys,
     tensor_shapes,
+    trunk_activations,
 )
+from ffrg.synth import generate, preset_config
 
 DIGEST = default_invoice_schema().digest()
 
@@ -116,6 +121,58 @@ def test_loss_rejects_bad_labels(rng):
         branch_loss_and_grad(params, x, [(1.0, np.array([0, 1, 4]))], 1, True)
     with pytest.raises(ValidationError):
         branch_loss_and_grad(params, np.zeros((0, 10)), [], 1, True)
+
+
+def test_precomputed_activations_reject_a_trained_trunk(rng):
+    params = small_params()
+    x = rng.normal(size=(4, 10))
+    y = rng.integers(0, 4, size=4)
+    h = trunk_activations(params, x)
+    with pytest.raises(ValidationError):
+        branch_loss_and_grad(params, x, [(1.0, y)], 2, True, activations=h)
+    with pytest.raises(ValidationError):
+        branch_loss_and_grad(params, None, [(1.0, y)], 2, False, activations=h[:, :5])
+
+
+def test_cached_trunk_step_is_bit_identical(schema):
+    # a real batch of noisy-bench documents, gathered out of corpus order
+    docs, _, _ = generate(preset_config("noisy-bench", 24, seed=5), schema)
+    feats = featurize_corpus(docs)
+    params = init_params(FEATURE_DIM, schema.n_fields, 3, schema.digest(), seed=5)
+    cache = TrunkCache(params, feats, 8)
+    assert cache.rows.shape == (sum(f.shape[0] for f in feats), params.hidden)
+    rng = np.random.default_rng(5)
+    for batch in ([17, 3, 9, 22, 0, 11, 6, 14], [23, 1, 5, 12, 19, 8, 2, 20]):
+        x = np.concatenate([feats[i] for i in batch], axis=0)
+        h = cache.batch(batch)
+        assert h is not None
+        targets = [
+            (w, rng.integers(0, params.n_classes, size=x.shape[0])) for w in (1.0, 0.5)
+        ]
+        for branch in (1, 2, 3):
+            want_loss, want = branch_loss_and_grad(params, x, targets, branch, False)
+            loss, got = branch_loss_and_grad(
+                params, None, targets, branch, False, activations=h
+            )
+            assert loss == want_loss
+            assert sorted(got) == sorted(want)
+            for key in want:
+                assert np.array_equal(got[key], want[key])
+
+
+def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
+    # one-word documents: every block must grow past the small-kernel cutoff
+    # (28 rows at 552x64), and the short tail joins the last block
+    docs, _, _ = generate(preset_config("clean", 3, seed=1), schema)
+    feats = [f[:1] for f in featurize_corpus(docs)] * 40
+    params = init_params(FEATURE_DIM, schema.n_fields, 2, schema.digest(), seed=1)
+    cache = TrunkCache(params, feats, 8)
+    assert list(cache.offsets) == list(range(121))
+    whole = trunk_activations(params, np.concatenate(feats, axis=0))
+    assert np.array_equal(cache.rows, whole)
+    # a batch that small must take its own trunk pass
+    assert cache.batch(range(28)) is None
+    assert np.array_equal(cache.batch(range(29)), whole[:29])
 
 
 def numeric_gradient(params, x, targets, branch, train_trunk, key, idx, h=1e-6):
@@ -232,3 +289,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(ValidationError):
         load_model(trailing)
     assert blob[:5] == CHECKPOINT_MAGIC
+
+
+def test_checkpoint_rejects_truncation_at_every_offset(tmp_path):
+    params = small_params()
+    path = tmp_path / "model.ffrg"
+    save_model(str(path), params)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ffrg"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValidationError, match="truncated") as exc:
+            load_model(str(cut))
+        assert str(cut) in str(exc.value)
+    assert len(blob) > HEADER_BYTES
