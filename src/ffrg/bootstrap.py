@@ -18,22 +18,22 @@ from typing import Sequence
 
 from .datatypes import type_of
 from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField
-from .grouping import GroupingConfig, group_words
+from .grouping import group_words
 from .parallel import ordered_map
 from .similarity import string_distance
 
 HALF_PI = math.pi / 2.0
+MU_D = 0.0  # distance kernel peaks at the key itself
+ZONE_ABOVE = 4.0  # neighbor zone, in candidate heights
+ZONE_BELOW = 1.0
 
 
 @dataclass(frozen=True)
 class RuleParams:
     sigma_d: float = 0.5
     sigma_a: float = 0.5
-    mu_d: float = 0.0  # distance kernel peaks at the key itself
     alpha: float = 4.0
     theta_v: float = 0.1
-    zone_above: float = 4.0  # in candidate heights
-    zone_below: float = 1.0
 
     def __post_init__(self):
         if self.sigma_d <= 0 or self.sigma_a <= 0:
@@ -96,23 +96,21 @@ def geometric_score(key: Phrase, value: Phrase, p: RuleParams) -> float:
     angle_term = max(
         _gaussian(angle, 0.0, p.sigma_a), _gaussian(angle, HALF_PI, p.sigma_a)
     )
-    return _gaussian(dist, p.mu_d, p.sigma_d) + p.alpha * angle_term
+    return _gaussian(dist, MU_D, p.sigma_d) + p.alpha * angle_term
 
 
 def value_score(key: Phrase, key_s: float, candidate: Phrase, p: RuleParams) -> float:
     return key_s * geometric_score(key, candidate, p)
 
 
-def in_neighbor_zone(key: Phrase, candidate: Phrase, p: RuleParams | None = None) -> bool:
+def in_neighbor_zone(key: Phrase, candidate: Phrase) -> bool:
     """Key center must sit left of the candidate's right edge and within a
-    band from zone_above candidate-heights above to zone_below below."""
-    if p is None:
-        p = RuleParams()
+    band from ZONE_ABOVE candidate-heights above to ZONE_BELOW below."""
     h = candidate.box.height
     kx, ky = key.box.center
     return (
         0.0 <= kx <= candidate.box.x1
-        and candidate.box.y0 - p.zone_above * h <= ky <= candidate.box.y1 + p.zone_below * h
+        and candidate.box.y0 - ZONE_ABOVE * h <= ky <= candidate.box.y1 + ZONE_BELOW * h
     )
 
 
@@ -136,7 +134,7 @@ def extract_field(
             continue
         if not (type_of(ph.text) & field.allowed_types):
             continue
-        if not in_neighbor_zone(key, ph, p):
+        if not in_neighbor_zone(key, ph):
             continue
         s = value_score(key, key_s, ph, p)
         if best is None or s > best_score:
@@ -177,10 +175,9 @@ def extract_document(
     doc: Document,
     schema: FieldSchema,
     p: RuleParams | None = None,
-    grouping: GroupingConfig | None = None,
 ) -> list[FieldExtraction]:
     """Per-field extractions for one document, cross-field conflicts resolved."""
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc, grouping)
+    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
     extractions = [extract_field(doc, phrases, f, p) for f in schema.fields]
     return resolve_conflicts(extractions)
 
@@ -189,7 +186,6 @@ def bootstrap_corpus(
     docs: Sequence[Document],
     schema: FieldSchema,
     p: RuleParams | None = None,
-    grouping: GroupingConfig | None = None,
     threads: int | None = None,
 ) -> tuple[LabelSet, dict[str, dict[str, str]]]:
     """Label the corpus and collect rule-extracted values in one pass.
@@ -199,7 +195,7 @@ def bootstrap_corpus(
     rule-only baseline.
     """
     results = ordered_map(
-        lambda d: (d, extract_document(d, schema, p, grouping)), docs, threads
+        lambda d: (d, extract_document(d, schema, p)), docs, threads
     )
     labels = LabelSet("bootstrap")
     values: dict[str, dict[str, str]] = {}
@@ -214,13 +210,3 @@ def bootstrap_corpus(
             fields[schema.field_by_id(e.field_id).name] = e.value_phrase.text
         values[doc.doc_id] = fields
     return labels, values
-
-
-def bootstrap_labels(
-    docs: Sequence[Document],
-    schema: FieldSchema,
-    p: RuleParams | None = None,
-    grouping: GroupingConfig | None = None,
-    threads: int | None = None,
-) -> LabelSet:
-    return bootstrap_corpus(docs, schema, p, grouping, threads)[0]

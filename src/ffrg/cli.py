@@ -6,7 +6,7 @@ pipeline command additionally prints its evaluation report to standard
 output).  Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 Every subcommand accepts --config pointing at a JSON object whose keys
 mirror the long flag names (underscored); explicit flags win, and
-unknown config keys are rejected.
+unknown config keys and values not of the flag's type are rejected.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from typing import Any, Callable
 
 from . import bootstrap as bs
@@ -68,6 +69,19 @@ def _load_config(path: str | None, allowed: set[str]) -> dict[str, Any]:
     return cfg
 
 
+def _config_value(path: str, key: str, value: Any, type_: type) -> Any:
+    """A config value as its flag would parse it: of the flag's type, with a
+    JSON integer accepted where a float is expected."""
+    if type_ is float and type(value) is int:
+        value = float(value)
+    if type(value) is not type_:
+        raise dm.ValidationError(
+            f"config file {path}: key {key!r} must be {type_.__name__}, "
+            f"got {json.dumps(value)}"
+        )
+    return value
+
+
 def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
     """Flag > config file > built-in default, per option."""
     raw = vars(args)
@@ -77,7 +91,7 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
         if raw.get(key) is not None:
             out[key] = raw[key]
         elif key in cfg:
-            out[key] = cfg[key]
+            out[key] = _config_value(raw["config"], key, cfg[key], _option_type(key, default))
         else:
             out[key] = default
     return out
@@ -86,7 +100,7 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
 def _require(opts: dict[str, Any], *keys: str) -> None:
     for k in keys:
         if opts[k] is None:
-            raise dm.ValidationError(f"missing required option --{k.replace('_', '-')}")
+            raise dm.ValidationError(f"missing required option {_flag(k)}")
 
 
 def _read_schema_opt(opts: dict[str, Any]) -> dm.FieldSchema:
@@ -177,24 +191,19 @@ def _cmd_bootstrap(opts: dict[str, Any]) -> int:
     return 0
 
 
+def _train_config(opts: dict[str, Any]) -> TrainConfig:
+    """TrainConfig from a command's options; TrainConfig's own defaults fill
+    the fields the command has no option for."""
+    shared = {f.name: opts[f.name] for f in fields(TrainConfig) if f.name in opts}
+    return TrainConfig(n_branches=opts["branches"], two_step=not opts["single_step"], **shared)
+
+
 def _cmd_train(opts: dict[str, Any]) -> int:
     _require(opts, "docs", "labels", "out")
     schema = _read_schema_opt(opts)
     docs = dm.read_documents(opts["docs"])
     labels = dm.read_labels(opts["labels"])
-    cfg = TrainConfig(
-        n_branches=opts["branches"],
-        beta=opts["beta"],
-        refine_threshold=opts["refine_threshold"],
-        epochs_step1=opts["epochs_step1"],
-        epochs_step2=opts["epochs_step2"],
-        seed=opts["seed"],
-        lr=opts["lr"],
-        batch_docs=opts["batch_docs"],
-        hidden=opts["hidden"],
-        branch_hidden=opts["branch_hidden"],
-        two_step=not opts["single_step"],
-    )
+    cfg = _train_config(opts)
     result = train(docs, labels, schema, cfg, threads=opts["threads"])
     save_model(opts["out"], result.params)
     if opts["refined_out"]:
@@ -352,11 +361,7 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
         noise["word_precision"], noise["word_recall"],
     )
 
-    tcfg = TrainConfig(
-        n_branches=opts["branches"], beta=opts["beta"], seed=opts["seed"],
-        epochs_step1=opts["epochs_step1"], epochs_step2=opts["epochs_step2"],
-        lr=opts["lr"], two_step=not opts["single_step"],
-    )
+    tcfg = _train_config(opts)
     features = featurize_corpus(docs, opts["threads"])
     result = train(docs, labels, schema, tcfg, features, threads=opts["threads"])
     save_model(p("model.ffrg"), result.params)
@@ -374,134 +379,65 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
 
 # --- argument wiring ---------------------------------------------------------
 
-# Per-subcommand option defaults; None means "must be provided by flag or
-# config".  Keys double as the allowed config-file vocabulary.
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "synth": dict(preset=None, n=100, seed=0, schema=None, out_docs=None,
-                  out_gold=None, out_truth=None, threads=None),
-    "group": dict(in_docs=None, out=None, eps_scale=0.8, threads=None),
-    "bootstrap": dict(docs=None, schema=None, out=None, values=None,
-                      theta_v=0.1, alpha=4.0, sigma_d=0.5, sigma_a=0.5,
-                      threads=None),
-    "train": dict(docs=None, labels=None, schema=None, out=None, branches=3,
-                  beta=1.0, refine_threshold=0.1, epochs_step1=2,
-                  epochs_step2=2, seed=0, lr=1e-3, batch_docs=8, hidden=64,
-                  branch_hidden=64, single_step=False, refined_out=None,
-                  threads=None),
-    "extract": dict(model=None, docs=None, schema=None, out=None,
-                    threshold=0.1, overlay=None, svg=None, threads=None),
-    "eval": dict(pred=None, gold=None, schema=None, report=None,
-                 per_field=False, threads=None),
-    "inspect": dict(pred=None, gold=None, schema=None, out=None, docs=None,
-                    overlay=None, svg=None, threads=None),
-    "pipeline": dict(preset="clean", n=100, seed=0, schema=None,
-                     workdir="ffrg-pipeline", branches=3, beta=1.0,
-                     epochs_step1=2, epochs_step2=2, lr=1e-3,
-                     single_step=False, threads=None),
+# One row per subcommand: runner, help line and option defaults.  A default
+# of None means "must be provided by flag or config" or "off".  The keys are
+# the config-file vocabulary; each key is also a flag (see _flag), typed by
+# its default (see _option_type).
+_COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]] = {
+    "synth": (_cmd_synth, "generate a synthetic corpus with gold annotations",
+              dict(threads=None, preset=None, n=100, seed=0, schema=None,
+                   out_docs=None, out_gold=None, out_truth=None)),
+    "group": (_cmd_group, "attach density-grouped phrases to documents",
+              dict(in_docs=None, out=None, eps_scale=0.8)),
+    "bootstrap": (_cmd_bootstrap, "mine rule-based pseudo-labels and values",
+                  dict(threads=None, docs=None, schema=None, out=None, values=None,
+                       theta_v=0.1, alpha=4.0, sigma_d=0.5, sigma_a=0.5)),
+    "train": (_cmd_train, "train the multi-branch token classifier",
+              dict(threads=None, docs=None, labels=None, schema=None, out=None,
+                   branches=3, beta=1.0, refine_threshold=0.1, epochs_step1=2,
+                   epochs_step2=2, seed=0, lr=1e-3, batch_docs=8, hidden=64,
+                   branch_hidden=64, single_step=False, refined_out=None)),
+    "extract": (_cmd_extract, "extract field values with a trained model",
+                dict(threads=None, model=None, docs=None, schema=None, out=None,
+                     threshold=0.1, overlay=None, svg=None)),
+    "eval": (_cmd_eval, "exact-match evaluation against gold annotations",
+             dict(pred=None, gold=None, schema=None, report=None, per_field=False)),
+    "inspect": (_cmd_inspect, "per-field outcome report and optional SVG overlays",
+                dict(pred=None, gold=None, schema=None, out=None, docs=None,
+                     overlay=None, svg=None)),
+    "pipeline": (_cmd_pipeline, "synth + bootstrap + train + extract + eval",
+                 dict(threads=None, preset="clean", n=100, seed=0, schema=None,
+                      workdir="ffrg-pipeline", branches=3, beta=1.0,
+                      epochs_step1=2, epochs_step2=2, lr=1e-3, single_step=False)),
 }
 
-_RUNNERS: dict[str, Callable[[dict[str, Any]], int]] = {
-    "synth": _cmd_synth,
-    "group": _cmd_group,
-    "bootstrap": _cmd_bootstrap,
-    "train": _cmd_train,
-    "extract": _cmd_extract,
-    "eval": _cmd_eval,
-    "inspect": _cmd_inspect,
-    "pipeline": _cmd_pipeline,
-}
+
+def _flag(key: str) -> str:
+    return "--in" if key == "in_docs" else "--" + key.replace("_", "-")
+
+
+def _option_type(key: str, default: Any) -> type:
+    if key == "threads":
+        return int  # None defers to FFRG_THREADS
+    return str if default is None else type(default)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ffrg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    for name, (_, help_, defaults) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--threads", type=int, help="worker threads (env FFRG_THREADS)")
-        return sp
-
-    sp = add("synth", "generate a synthetic corpus with gold annotations")
-    sp.add_argument("--preset", choices=sorted(PRESETS))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--schema")
-    sp.add_argument("--out-docs")
-    sp.add_argument("--out-gold")
-    sp.add_argument("--out-truth")
-
-    sp = add("group", "attach density-grouped phrases to documents")
-    sp.add_argument("--in", dest="in_docs")
-    sp.add_argument("--out")
-    sp.add_argument("--eps-scale", type=float)
-
-    sp = add("bootstrap", "mine rule-based pseudo-labels and values")
-    sp.add_argument("--docs")
-    sp.add_argument("--schema")
-    sp.add_argument("--out")
-    sp.add_argument("--values")
-    sp.add_argument("--theta-v", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--sigma-d", type=float)
-    sp.add_argument("--sigma-a", type=float)
-
-    sp = add("train", "train the multi-branch token classifier")
-    sp.add_argument("--docs")
-    sp.add_argument("--labels")
-    sp.add_argument("--schema")
-    sp.add_argument("--out")
-    sp.add_argument("--branches", type=int)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--refine-threshold", type=float)
-    sp.add_argument("--epochs-step1", type=int)
-    sp.add_argument("--epochs-step2", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--batch-docs", type=int)
-    sp.add_argument("--hidden", type=int)
-    sp.add_argument("--branch-hidden", type=int)
-    sp.add_argument("--single-step", action="store_true", default=None)
-    sp.add_argument("--refined-out")
-
-    sp = add("extract", "extract field values with a trained model")
-    sp.add_argument("--model")
-    sp.add_argument("--docs")
-    sp.add_argument("--schema")
-    sp.add_argument("--out")
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--overlay")
-    sp.add_argument("--svg")
-
-    sp = add("eval", "exact-match evaluation against gold annotations")
-    sp.add_argument("--pred")
-    sp.add_argument("--gold")
-    sp.add_argument("--schema")
-    sp.add_argument("--report")
-    sp.add_argument("--per-field", action="store_true", default=None)
-
-    sp = add("inspect", "per-field outcome report and optional SVG overlays")
-    sp.add_argument("--pred")
-    sp.add_argument("--gold")
-    sp.add_argument("--schema")
-    sp.add_argument("--out")
-    sp.add_argument("--docs")
-    sp.add_argument("--overlay")
-    sp.add_argument("--svg")
-
-    sp = add("pipeline", "synth + bootstrap + train + extract + eval")
-    sp.add_argument("--preset", choices=sorted(PRESETS))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--schema")
-    sp.add_argument("--workdir")
-    sp.add_argument("--branches", type=int)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--epochs-step1", type=int)
-    sp.add_argument("--epochs-step2", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--single-step", action="store_true", default=None)
-
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                # default None, not False, so that a config file can set it
+                sp.add_argument(_flag(key), dest=key, action="store_true", default=None)
+            else:
+                sp.add_argument(
+                    _flag(key), dest=key, type=_option_type(key, default),
+                    choices=sorted(PRESETS) if key == "preset" else None,
+                    help="worker threads (env FFRG_THREADS)" if key == "threads" else None,
+                )
     return parser
 
 
@@ -515,10 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        opts = _resolve(args, _DEFAULTS[args.command])
+        run, _, defaults = _COMMANDS[args.command]
+        opts = _resolve(args, defaults)
         if opts.get("threads") is not None:
             resolve_threads(opts["threads"])  # validate early
-        return _RUNNERS[args.command](opts)
+        return run(opts)
     except dm.ValidationError as e:
         log.error("%s", e)
         return 1

@@ -66,14 +66,6 @@ class BBox:
             max(self.y1, other.y1),
         )
 
-    def contains(self, other: "BBox") -> bool:
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and self.x1 >= other.x1
-            and self.y1 >= other.y1
-        )
-
     def as_list(self) -> list[float]:
         return [self.x0, self.y0, self.x1, self.y1]
 
@@ -217,6 +209,10 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
         raw_words = raw["words"]
     except KeyError as e:
         raise ParseError(f"{where}: missing document key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{where}: page dimensions must be integers: {e}") from e
+    if not isinstance(raw_words, list):
+        raise ParseError(f"{where}: words of {doc_id} must be a list")
     if page_w <= 0 or page_h <= 0:
         raise ValidationError(f"{where}: document {doc_id}: page dimensions must be positive")
 
@@ -249,13 +245,33 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
         words.append(Word(idx, text, bbox))
 
     doc = Document(doc_id, page_w, page_h, tuple(words))
-    if "phrases" in raw and raw["phrases"] is not None:
-        order = reading_order(doc)
-        phrases = tuple(
-            make_phrase(doc, p["word_ids"], order) for p in raw["phrases"]
-        )
-        doc = Document(doc_id, page_w, page_h, tuple(words), phrases)
+    if raw.get("phrases") is not None:
+        try:
+            phrases = _parse_phrases(doc, raw["phrases"])
+            doc = Document(doc_id, page_w, page_h, tuple(words), phrases)
+        except ValidationError as e:
+            raise type(e)(f"{where}: {e}") from e
     return doc
+
+
+def _parse_phrases(doc: Document, raw_phrases) -> tuple[Phrase, ...]:
+    """Phrases from their wire form; word ids are checked before make_phrase
+    looks them up."""
+    if not isinstance(raw_phrases, list):
+        raise ParseError(f"phrases of {doc.doc_id} must be a list")
+    order = reading_order(doc)
+    phrases = []
+    for k, p in enumerate(raw_phrases):
+        ids = p.get("word_ids") if isinstance(p, dict) else None
+        if not isinstance(ids, list) or not ids or not all(type(w) is int for w in ids):
+            raise ParseError(
+                f"phrase {k} of {doc.doc_id} needs a non-empty list of integer word_ids"
+            )
+        for wid in ids:
+            if not 0 <= wid < len(doc.words):
+                raise ValidationError(f"phrase {k} of {doc.doc_id} references missing word {wid}")
+        phrases.append(make_phrase(doc, ids, order))
+    return tuple(phrases)
 
 
 def serialize_document(doc: Document) -> str:
@@ -276,10 +292,17 @@ def serialize_document(doc: Document) -> str:
 
 def read_documents(path: str) -> list[Document]:
     docs = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for n, line in enumerate(f, start=1):
             if line.strip():
-                docs.append(parse_document(line, line_number=n))
+                doc = parse_document(line, line_number=n)
+                if doc.doc_id in first_line:
+                    raise ValidationError(
+                        f"line {n}: doc_id {doc.doc_id!r} repeats line {first_line[doc.doc_id]}"
+                    )
+                first_line[doc.doc_id] = n
+                docs.append(doc)
     return docs
 
 
@@ -493,13 +516,18 @@ def read_labels(path: str) -> LabelSet:
                 doc_id = str(rec["doc_id"])
                 pairs = rec["labels"]
                 provenance = str(rec["provenance"])
-            except (json.JSONDecodeError, KeyError) as e:
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ParseError(f"labels line {n}: {e}") from e
             if labels is None:
                 labels = LabelSet(provenance)
             labels.add_document(doc_id)
-            for wid, cls in pairs:
-                labels.set_label(doc_id, int(wid), int(cls))
+            try:
+                for wid, cls in pairs:
+                    labels.set_label(doc_id, int(wid), int(cls))
+            except (TypeError, ValueError) as e:
+                raise ParseError(f"labels line {n}: labels must be [word, class] pairs: {e}") from e
+            except ValidationError as e:
+                raise ValidationError(f"labels line {n}: {e}") from e
     return labels if labels is not None else LabelSet("empty")
 
 
@@ -527,7 +555,7 @@ def read_annotations(path: str) -> dict[str, dict[str, str]]:
                 rec = json.loads(line)
                 doc_id = str(rec["doc_id"])
                 fields = {str(k): str(v) for k, v in rec["fields"].items()}
-            except (json.JSONDecodeError, KeyError, AttributeError) as e:
+            except (json.JSONDecodeError, KeyError, AttributeError, TypeError) as e:
                 raise ParseError(f"annotations line {n}: {e}") from e
             out[doc_id] = fields
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .docmodel import FieldSchema, ValidationError
 
@@ -28,15 +28,15 @@ class FieldMetrics:
     precision: float
     recall: float
     f1: float
-    tp: int | None = None
-    fp: int | None = None
-    fn: int | None = None
+    tp: int
+    fp: int
+    fn: int
 
     def to_json_dict(self) -> dict:
-        out: dict = {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-        if self.tp is not None:
-            out.update(tp=self.tp, fp=self.fp, fn=self.fn)
-        return out
+        return {
+            "precision": self.precision, "recall": self.recall, "f1": self.f1,
+            "tp": self.tp, "fp": self.fp, "fn": self.fn,
+        }
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,10 @@ class EvalReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    runs: int = 1
 
     def to_json_dict(self) -> dict:
         return {
-            "runs": self.runs,
+            "runs": 1,  # kept so that report.json keeps its shape
             "macro_precision": self.macro_precision,
             "macro_recall": self.macro_recall,
             "macro_f1": self.macro_f1,
@@ -116,33 +115,7 @@ def score(predictions: Annotations, annotations: Annotations, schema: FieldSchem
         macro_f = sum(fields[n].f1 for n in included) / len(included)
     else:
         macro_p = macro_r = macro_f = 0.0
-    return EvalReport(fields, macro_p, macro_r, macro_f, runs=1)
-
-
-def aggregate_runs(reports: Sequence[EvalReport]) -> EvalReport:
-    """Mean of each metric across runs; counts do not aggregate."""
-    if not reports:
-        raise ValidationError("cannot aggregate zero reports")
-    names: list[str] = []
-    for rep in reports:
-        for n in rep.fields:
-            if n not in names:
-                names.append(n)
-    fields: dict[str, FieldMetrics] = {}
-    for n in names:
-        present = [rep.fields[n] for rep in reports if n in rep.fields]
-        fields[n] = FieldMetrics(
-            sum(fm.precision for fm in present) / len(present),
-            sum(fm.recall for fm in present) / len(present),
-            sum(fm.f1 for fm in present) / len(present),
-        )
-    return EvalReport(
-        fields,
-        sum(r.macro_precision for r in reports) / len(reports),
-        sum(r.macro_recall for r in reports) / len(reports),
-        sum(r.macro_f1 for r in reports) / len(reports),
-        runs=sum(r.runs for r in reports),
-    )
+    return EvalReport(fields, macro_p, macro_r, macro_f)
 
 
 def write_report(path: str, report: EvalReport) -> None:

@@ -1,12 +1,9 @@
 """Phrase construction: density grouping of words into multi-word units.
 
-Words are clustered with a DBSCAN region-growing pass over a box distance
-that is cheap to compute and anisotropic: vertical center offset is
-penalized so that grouping mostly chains words along a line.  With
-min_pts=1 every word is a core point, so clusters are exactly the
-connected components of the eps-neighborhood graph; the region-growing
-form is kept because it is the shape the algorithm takes when min_pts is
-raised.
+Phrases are the connected components of the graph that links two words
+when their box distance is at most eps.  The distance is cheap to compute
+and anisotropic: vertical center offset is penalized so that grouping
+mostly chains words along a line.
 """
 
 from __future__ import annotations
@@ -18,19 +15,21 @@ from dataclasses import dataclass
 from .docmodel import Document, Phrase, Word, make_phrase, reading_order
 
 
+# weight of the vertical center offset against the horizontal gap
+VERTICAL_PENALTY = 3.0
+
+
 @dataclass(frozen=True)
 class GroupingConfig:
     # eps is this fraction of the median word height in the document
     eps_scale: float = 0.8
-    vertical_penalty: float = 3.0
-    min_pts: int = 1
 
     def __post_init__(self):
-        if self.eps_scale <= 0 or self.vertical_penalty <= 0 or self.min_pts < 1:
-            raise ValueError("grouping parameters must be positive")
+        if self.eps_scale <= 0:
+            raise ValueError("eps_scale must be positive")
 
 
-def word_distance(a: Word, b: Word, vertical_penalty: float = 3.0) -> float:
+def word_distance(a: Word, b: Word) -> float:
     """Horizontal gap between boxes combined with penalized center offset.
 
     The gap is zero when the x-projections overlap, so stacked words are
@@ -42,7 +41,7 @@ def word_distance(a: Word, b: Word, vertical_penalty: float = 3.0) -> float:
     dyc = abs(
         (a.box.y0 + a.box.y1) / 2.0 - (b.box.y0 + b.box.y1) / 2.0
     )
-    return math.hypot(gap, vertical_penalty * dyc)
+    return math.hypot(gap, VERTICAL_PENALTY * dyc)
 
 
 def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
@@ -58,46 +57,26 @@ def group_words(doc: Document, config: GroupingConfig | None = None) -> tuple[Ph
         config = GroupingConfig()
     words = sorted(doc.words, key=lambda w: w.id)
     n = len(words)
-    if n == 0:
-        return ()
     eps = neighborhood_eps(doc, config)
+    parent = list(range(n))
 
-    def neighbors(i: int) -> list[int]:
-        wi = words[i]
-        return [
-            j
-            for j in range(n)
-            if word_distance(wi, words[j], config.vertical_penalty) <= eps
-        ]
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    UNSEEN, NOISE = -2, -1
-    assignment = [UNSEEN] * n
-    cluster = 0
     for i in range(n):
-        if assignment[i] != UNSEEN:
-            continue
-        seeds = neighbors(i)
-        if len(seeds) < config.min_pts:
-            assignment[i] = NOISE
-            continue
-        assignment[i] = cluster
-        queue = [j for j in seeds if j != i]
-        while queue:
-            j = queue.pop()
-            if assignment[j] == NOISE:
-                assignment[j] = cluster  # border point adopted by this cluster
-            if assignment[j] != UNSEEN:
-                continue
-            assignment[j] = cluster
-            expansion = neighbors(j)
-            if len(expansion) >= config.min_pts:
-                queue.extend(k for k in expansion if assignment[k] == UNSEEN)
-        cluster += 1
+        wi = words[i]
+        for j in range(i + 1, n):
+            if word_distance(wi, words[j]) <= eps:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
 
     members: dict[int, list[int]] = {}
-    for i, c in enumerate(assignment):
-        key = c if c != NOISE else -(i + 1)  # noise words become singleton phrases
-        members.setdefault(key, []).append(words[i].id)
+    for i in range(n):
+        members.setdefault(find(i), []).append(words[i].id)
 
     order = reading_order(doc)
     rank = {wid: r for r, wid in enumerate(order)}

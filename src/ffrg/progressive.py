@@ -20,7 +20,7 @@ import numpy as np
 
 from .docmodel import Document, FieldSchema, LabelSet, ValidationError, reading_order
 from .features import FEATURE_DIM, featurize_corpus
-from .grouping import GroupingConfig, group_words
+from .grouping import group_words
 from .model import (
     AdamState,
     ModelParams,
@@ -265,7 +265,6 @@ def extract_values(
     features: np.ndarray,
     schema: FieldSchema,
     threshold: float = 0.1,
-    grouping: GroupingConfig | None = None,
 ) -> dict[str, str]:
     """Field values for one document from the ensemble scores.
 
@@ -279,7 +278,7 @@ def extract_values(
     anchors = _select_anchors(probs, order, schema.n_fields, threshold)
     if not anchors:
         return {}
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc, grouping)
+    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
     argmax = probs.argmax(axis=1)
     by_word = {wid: ph for ph in phrases for wid in ph.word_ids}
     words = {w.id: w for w in doc.words}

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ffrg.cli import field_status, main
+from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
 from ffrg.docmodel import read_annotations, read_documents, read_labels
+from ffrg.synth import PRESETS
 
 
 def run(*argv):
@@ -276,3 +277,74 @@ def test_malformed_config_rejected(tmp_path):
         "--out-gold", str(tmp_path / "g.jsonl"),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("cfg", [{"n": "3"}, {"n": None}, {"threads": "2"}, {"seed": True}])
+def test_config_value_of_the_wrong_type_rejected(tmp_path, cfg, capsys, caplog):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(
+        "synth", "--config", str(path),
+        "--out-docs", str(tmp_path / "d.jsonl"), "--out-gold", str(tmp_path / "g.jsonl"),
+    )
+    assert code == 1
+    (key,) = cfg
+    assert f"key {key!r} must be int" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# A value of each option type, as JSON and as typed on the command line; the
+# float sample is a JSON integer, which must resolve to the float its flag gives.
+_SAMPLES = {int: (3, "3"), float: (2, "2"), str: ("x", "x"), bool: (True, None)}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(c, k) for c, (_, _, defaults) in _COMMANDS.items() for k in defaults],
+)
+def test_config_key_and_flag_resolve_alike(tmp_path, command, key):
+    defaults = _COMMANDS[command][2]
+    as_json, as_text = _SAMPLES[_option_type(key, defaults[key])]
+    if key == "preset":
+        as_json = as_text = sorted(PRESETS)[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: as_json}))
+    argv = [command, _flag(key)] + ([as_text] if as_text is not None else [])
+    by_flag = _resolve(build_parser().parse_args(argv), defaults)[key]
+    by_config = _resolve(build_parser().parse_args([command, "--config", str(cfg)]), defaults)[key]
+    assert by_flag == by_config
+    assert type(by_flag) is type(by_config)
+
+
+# --- malformed input rows -----------------------------------------------------
+
+_DOC = {"doc_id": "d", "page_width": 100, "page_height": 100,
+        "words": [{"text": "a", "box": [0.1, 0.1, 0.2, 0.2]}]}
+
+
+@pytest.mark.parametrize(
+    "reader,row",
+    [
+        ("docs", {**_DOC, "words": 5}),
+        ("docs", {**_DOC, "page_width": None}),
+        ("docs", {**_DOC, "phrases": [{"word_ids": [0, 1]}]}),
+        ("docs", {**_DOC, "phrases": [5]}),
+        ("labels", {"doc_id": "d", "labels": 5, "provenance": "bootstrap"}),
+        ("annotations", 5),
+    ],
+)
+def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys, caplog):
+    good_docs = tmp_path / "good.jsonl"
+    good_docs.write_text(json.dumps(_DOC) + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(row) + "\n")
+    argv = {
+        "docs": ["bootstrap", "--docs", str(bad), "--out", str(tmp_path / "l.jsonl")],
+        "labels": ["train", "--docs", str(good_docs), "--labels", str(bad),
+                   "--out", str(tmp_path / "m.ffrg")],
+        "annotations": ["eval", "--pred", str(bad), "--gold", str(bad),
+                        "--report", str(tmp_path / "r.json")],
+    }[reader]
+    assert run(*argv) == 1
+    assert "line 1" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err

@@ -19,6 +19,7 @@ from ffrg.docmodel import (
     default_invoice_schema,
     make_phrase,
     parse_document,
+    read_documents,
     read_labels,
     reading_order,
     schema_from_json_dict,
@@ -36,13 +37,10 @@ def test_box_accessors():
     assert b.center == (pytest.approx(0.2), pytest.approx(0.4))
 
 
-def test_box_union_and_contains():
+def test_box_union():
     a = BBox(0.1, 0.1, 0.2, 0.2)
     b = BBox(0.15, 0.05, 0.3, 0.18)
-    u = a.union(b)
-    assert u == BBox(0.1, 0.05, 0.3, 0.2)
-    assert u.contains(a) and u.contains(b)
-    assert not a.contains(b)
+    assert a.union(b) == BBox(0.1, 0.05, 0.3, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -163,6 +161,15 @@ def test_parse_keeps_unit_boxes():
 def test_parse_rejects_malformed_records(line, err):
     with pytest.raises(err):
         parse_document(line, line_number=3)
+
+
+def test_read_documents_rejects_a_repeated_doc_id(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    first = _record([{"text": "a", "box": [0.1, 0.1, 0.2, 0.2]}])
+    other = first.replace('"d1"', '"d2"')
+    path.write_text("\n".join([first, other, "", first]) + "\n")
+    with pytest.raises(ValidationError, match=r"line 4: doc_id 'd1' repeats line 1"):
+        read_documents(str(path))
 
 
 def test_document_round_trip_with_phrases():

@@ -3,13 +3,7 @@
 import pytest
 
 from ffrg.docmodel import ValidationError
-from ffrg.evaluation import (
-    EvalReport,
-    FieldMetrics,
-    aggregate_runs,
-    normalize_value,
-    score,
-)
+from ffrg.evaluation import normalize_value, score
 
 
 def test_normalization_folds_unicode_and_spaces():
@@ -90,28 +84,6 @@ def test_zero_over_zero_is_zero(schema):
     rep = score({}, {}, schema)
     assert rep.macro_f1 == 0.0
     assert all(fm.f1 == 0.0 for fm in rep.fields.values())
-
-
-def test_aggregate_means_metrics_and_sums_runs():
-    r1 = EvalReport({"f": FieldMetrics(1.0, 0.5, 2 / 3)}, 1.0, 0.5, 2 / 3)
-    r2 = EvalReport({"f": FieldMetrics(0.5, 0.5, 0.5)}, 0.5, 0.5, 0.5)
-    agg = aggregate_runs([r1, r2])
-    assert agg.runs == 2
-    assert agg.macro_precision == pytest.approx(0.75)
-    assert agg.fields["f"].f1 == pytest.approx((2 / 3 + 0.5) / 2)
-    assert agg.fields["f"].tp is None  # counts do not aggregate
-
-
-def test_aggregate_single_report_is_identity():
-    r1 = EvalReport({"f": FieldMetrics(1.0, 1.0, 1.0)}, 1.0, 1.0, 1.0)
-    agg = aggregate_runs([r1])
-    assert agg.macro_f1 == 1.0
-    assert agg.runs == 1
-
-
-def test_aggregate_rejects_empty_input():
-    with pytest.raises(ValidationError):
-        aggregate_runs([])
 
 
 def test_report_json_shape(schema):

@@ -1,8 +1,7 @@
 """Phrase grouping against a union-find oracle and hand-built layouts.
 
-With min_pts=1 the clusters must equal the connected components of the
-eps-neighborhood graph, so an independent union-find over all pairs is
-an exact oracle for the region-growing implementation.
+Phrases must equal the connected components of the eps-neighborhood
+graph, so an independent union-find over all pairs is an exact oracle.
 """
 
 import numpy as np
@@ -42,9 +41,6 @@ def test_distance_combines_gap_and_penalized_offset():
     a, b = doc.words
     # gap 0.04, center offset 0.01 scaled by 3: hypot(0.04, 0.03) = 0.05
     assert word_distance(a, b) == pytest.approx(0.05)
-    assert word_distance(a, b, vertical_penalty=1.0) == pytest.approx(
-        np.hypot(0.04, 0.01)
-    )
 
 
 def test_distance_is_symmetric():
@@ -96,9 +92,7 @@ def test_grouping_config_rejects_nonpositive_values():
     with pytest.raises(ValueError):
         GroupingConfig(eps_scale=0.0)
     with pytest.raises(ValueError):
-        GroupingConfig(vertical_penalty=-1.0)
-    with pytest.raises(ValueError):
-        GroupingConfig(min_pts=0)
+        GroupingConfig(eps_scale=-1.0)
 
 
 def test_group_document_attaches_every_word_once():
@@ -126,7 +120,7 @@ def _components_by_union_find(doc, cfg):
 
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
-            if word_distance(words[i], words[j], cfg.vertical_penalty) <= eps:
+            if word_distance(words[i], words[j]) <= eps:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
