@@ -308,11 +308,7 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
         if not opts["docs"]:
             raise dm.ValidationError("--svg requires --docs for word geometry")
         docs = dm.read_documents(opts["docs"])
-        overlay: dict[str, dict[int, int]] = {}
-        if opts["overlay"]:
-            for n, line in dm.iter_jsonl(opts["overlay"]):
-                row = json.loads(line)
-                overlay[row["doc_id"]] = {int(w): int(c) for w, c in row["predictions"]}
+        overlay = dm.read_overlay(opts["overlay"]) if opts["overlay"] else {}
         os.makedirs(opts["svg"], exist_ok=True)
         for doc in docs:
             statuses: dict[int, str] = {}

@@ -27,6 +27,47 @@ class ParseError(ValidationError):
     """Input could not be decoded at all."""
 
 
+def _json_object(text: str, where: str) -> dict:
+    """One JSON object; ParseError naming where it came from otherwise."""
+    try:
+        raw = json.loads(text)
+    except ValueError as e:  # malformed JSON or an integer too long to read
+        raise ParseError(f"{where}: malformed JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: record must be a JSON object")
+    return raw
+
+
+def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]]:
+    """(location, doc_id, values under keys) for each non-blank line of a
+    JSONL file of objects with a unique doc_id."""
+    seen: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for n, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            where = f"{kind} line {n}"
+            rec = _json_object(line, where)
+            try:
+                doc_id, *values = (rec[k] for k in ("doc_id", *keys))
+            except KeyError as e:
+                raise ParseError(f"{where}: missing key {e}") from e
+            doc_id = str(doc_id)
+            if doc_id in seen:
+                raise ValidationError(f"{where}: doc_id {doc_id!r} repeats line {seen[doc_id]}")
+            seen[doc_id] = n
+            yield where, doc_id, values
+
+
+def _word_classes(pairs, where: str) -> list[list[int]]:
+    """[word, class] integer pairs, as JSON holds them."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and [type(v) for v in p] == [int, int] for p in pairs
+    ):
+        raise ParseError(f"{where}: expected a list of [word, class] integer pairs")
+    return pairs
+
+
 @dataclass(frozen=True)
 class BBox:
     x0: float
@@ -107,9 +148,9 @@ class Document:
     def __post_init__(self):
         if self.page_width <= 0 or self.page_height <= 0:
             raise ValidationError(f"document {self.doc_id}: page dimensions must be positive")
-        ids = sorted(w.id for w in self.words)
-        if ids != list(range(len(self.words))):
-            raise ValidationError(f"document {self.doc_id}: word ids are not dense 0..M-1")
+        for i, w in enumerate(self.words):
+            if w.id != i:
+                raise ValidationError(f"document {self.doc_id}: word at index {i} has id {w.id}")
         if self.phrases is not None:
             seen: set[int] = set()
             for ph in self.phrases:
@@ -124,11 +165,26 @@ class Document:
                         )
                     seen.add(wid)
 
-    def word_by_id(self, wid: int) -> Word:
-        for w in self.words:
-            if w.id == wid:
-                return w
-        raise KeyError(wid)
+
+def _components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with the given edges;
+    each component in index order, components ordered by smallest member."""
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    return list(members.values())
 
 
 def reading_order(doc: Document) -> list[int]:
@@ -139,52 +195,32 @@ def reading_order(doc: Document) -> list[int]:
     relation, ordered by top y (then leftmost x, then smallest id), and
     words within a line are ordered by x0 (then id).
     """
-    words = sorted(doc.words, key=lambda w: w.id)
+    words = doc.words
     n = len(words)
-    parent = list(range(n))
+    yc = [(w.box.y0 + w.box.y1) / 2.0 for w in words]
+    half = [0.5 * w.box.height for w in words]
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def same_line():
+        for i in range(n):
+            yc_i, half_i = yc[i], half[i]
+            for j in range(i + 1, n):
+                if abs(yc_i - yc[j]) <= (half_i if half_i < half[j] else half[j]):
+                    yield i, j
 
-    for i in range(n):
-        wi = words[i]
-        yc_i = (wi.box.y0 + wi.box.y1) / 2.0
-        for j in range(i + 1, n):
-            wj = words[j]
-            yc_j = (wj.box.y0 + wj.box.y1) / 2.0
-            if abs(yc_i - yc_j) <= 0.5 * min(wi.box.height, wj.box.height):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    lines: dict[int, list[Word]] = {}
-    for i in range(n):
-        lines.setdefault(find(i), []).append(words[i])
-    ordered_lines = sorted(
-        lines.values(),
-        key=lambda ws: (
-            min(w.box.y0 for w in ws),
-            min(w.box.x0 for w in ws),
-            min(w.id for w in ws),
-        ),
+    # components and their members come in index order and both sorts are
+    # stable, so ties go to the smaller id
+    lines = sorted(
+        _components(n, same_line()),
+        key=lambda line: (min(words[i].box.y0 for i in line), min(words[i].box.x0 for i in line)),
     )
-    out: list[int] = []
-    for line in ordered_lines:
-        out.extend(w.id for w in sorted(line, key=lambda w: (w.box.x0, w.id)))
-    return out
+    return [i for line in lines for i in sorted(line, key=lambda i: words[i].box.x0)]
 
 
-def make_phrase(doc: Document, word_ids: Iterable[int], order: list[int] | None = None) -> Phrase:
-    """Build a phrase from member word ids, ordering members by reading order."""
-    ids = list(word_ids)
-    if order is None:
-        order = reading_order(doc)
+def make_phrase(doc: Document, word_ids: Iterable[int], order: list[int]) -> Phrase:
+    """Build a phrase from member word ids, ordered by the given reading order."""
     rank = {wid: r for r, wid in enumerate(order)}
-    ids.sort(key=lambda wid: rank[wid])
-    members = [doc.word_by_id(wid) for wid in ids]
+    ids = sorted(word_ids, key=lambda wid: rank[wid])
+    members = [doc.words[wid] for wid in ids]
     box = members[0].box
     for w in members[1:]:
         box = box.union(w.box)
@@ -196,21 +232,18 @@ def make_phrase(doc: Document, word_ids: Iterable[int], order: list[int] | None 
 def parse_document(line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record; boxes auto-normalize from pixels."""
     where = f"line {line_number}" if line_number is not None else "input"
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{where}: malformed JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: document record must be a JSON object")
+    raw = _json_object(line, where)
     try:
         doc_id = str(raw["doc_id"])
         page_w = int(raw["page_width"])
         page_h = int(raw["page_height"])
         raw_words = raw["words"]
+        # boxes scale by these; a page past the float range cannot
+        scale_w, scale_h = float(page_w), float(page_h)
     except KeyError as e:
         raise ParseError(f"{where}: missing document key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"{where}: page dimensions must be integers: {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"{where}: page dimensions must be finite integers: {e}") from e
     if not isinstance(raw_words, list):
         raise ParseError(f"{where}: words of {doc_id} must be a list")
     if page_w <= 0 or page_h <= 0:
@@ -222,7 +255,7 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
         try:
             text = str(rw["text"]).strip()
             box = [float(v) for v in rw["box"]]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{where}: word {idx} of {doc_id} is malformed: {e}") from e
         if len(box) != 4:
             raise ParseError(f"{where}: word {idx} of {doc_id} box must have 4 coordinates")
@@ -235,13 +268,11 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
     words = []
     for idx, (text, b) in enumerate(zip(texts, boxes)):
         if pixel_input:
-            b = [b[0] / page_w, b[1] / page_h, b[2] / page_w, b[3] / page_h]
+            b = [b[0] / scale_w, b[1] / scale_h, b[2] / scale_w, b[3] / scale_h]
         try:
             bbox = BBox(*b)
         except ValidationError as e:
-            raise ValidationError(
-                f"{where}: word {idx} ({text!r}) of {doc_id}: {e}"
-            ) from e
+            raise ValidationError(f"{where}: word {idx} ({text!r}) of {doc_id}: {e}") from e
         words.append(Word(idx, text, bbox))
 
     doc = Document(doc_id, page_w, page_h, tuple(words))
@@ -280,10 +311,7 @@ def serialize_document(doc: Document) -> str:
         "doc_id": doc.doc_id,
         "page_width": doc.page_width,
         "page_height": doc.page_height,
-        "words": [
-            {"text": w.text, "box": w.box.as_list()}
-            for w in sorted(doc.words, key=lambda w: w.id)
-        ],
+        "words": [{"text": w.text, "box": w.box.as_list()} for w in doc.words],
     }
     if doc.phrases is not None:
         rec["phrases"] = [{"word_ids": list(p.word_ids)} for p in doc.phrases]
@@ -397,18 +425,19 @@ def schema_from_json_dict(raw: dict) -> FieldSchema:
             )
             for f in raw["fields"]
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed schema: {e}") from e
     return FieldSchema(fields)
 
 
 def read_schema(path: str) -> FieldSchema:
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"schema file {path}: malformed JSON: {e}") from e
-    return schema_from_json_dict(raw)
+        where = f"schema file {path}"
+        raw = _json_object(f.read(), where)
+    try:
+        return schema_from_json_dict(raw)
+    except ValidationError as e:
+        raise type(e)(f"{where}: {e}") from e
 
 
 def write_schema(path: str, schema: FieldSchema) -> None:
@@ -506,28 +535,22 @@ class LabelSet:
 
 
 def read_labels(path: str) -> LabelSet:
-    labels = None
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                doc_id = str(rec["doc_id"])
-                pairs = rec["labels"]
-                provenance = str(rec["provenance"])
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ParseError(f"labels line {n}: {e}") from e
-            if labels is None:
-                labels = LabelSet(provenance)
-            labels.add_document(doc_id)
-            try:
-                for wid, cls in pairs:
-                    labels.set_label(doc_id, int(wid), int(cls))
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"labels line {n}: labels must be [word, class] pairs: {e}") from e
-            except ValidationError as e:
-                raise ValidationError(f"labels line {n}: {e}") from e
+    labels, first = None, ""
+    for where, doc_id, (pairs, provenance) in _records(path, "labels", "labels", "provenance"):
+        provenance = str(provenance)
+        if labels is None:
+            labels, first = LabelSet(provenance), where
+        elif provenance != labels.provenance:
+            raise ValidationError(
+                f"{where}: provenance {provenance!r} differs from {first}'s {labels.provenance!r}"
+            )
+        labels.add_document(doc_id)
+        pairs = _word_classes(pairs, where)
+        try:
+            for wid, cls in pairs:
+                labels.set_label(doc_id, wid, cls)
+        except ValidationError as e:
+            raise ValidationError(f"{where}: {e}") from e
     return labels if labels is not None else LabelSet("empty")
 
 
@@ -547,17 +570,10 @@ def write_labels(path: str, labels: LabelSet) -> None:
 
 def read_annotations(path: str) -> dict[str, dict[str, str]]:
     out: dict[str, dict[str, str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                doc_id = str(rec["doc_id"])
-                fields = {str(k): str(v) for k, v in rec["fields"].items()}
-            except (json.JSONDecodeError, KeyError, AttributeError, TypeError) as e:
-                raise ParseError(f"annotations line {n}: {e}") from e
-            out[doc_id] = fields
+    for where, doc_id, (fields,) in _records(path, "annotations", "fields"):
+        if not isinstance(fields, dict):
+            raise ParseError(f"{where}: fields must be a JSON object")
+        out[doc_id] = {k: str(v) for k, v in fields.items()}
     return out
 
 
@@ -568,8 +584,9 @@ def write_annotations(path: str, annotations: dict[str, dict[str, str]]) -> None
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def iter_jsonl(path: str) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if line.strip():
-                yield n, line
+def read_overlay(path: str) -> dict[str, dict[int, int]]:
+    """Per-document predicted word classes from an `extract --overlay` file."""
+    return {
+        doc_id: dict(_word_classes(pairs, where))
+        for where, doc_id, (pairs,) in _records(path, "overlay", "predictions")
+    }

@@ -70,15 +70,14 @@ def _flag_block(text: str) -> np.ndarray:
 
 def featurize(doc: Document) -> np.ndarray:
     """(M, 552) float64 feature matrix, row i for word id i."""
-    words = sorted(doc.words, key=lambda w: w.id)
-    m = len(words)
+    m = len(doc.words)
     out = np.zeros((m, FEATURE_DIM), dtype=np.float64)
     if m == 0:
         return out
 
     base = np.zeros((m, BASE_DIM), dtype=np.float64)
     centers = np.zeros((m, 2), dtype=np.float64)
-    for i, w in enumerate(words):
+    for i, w in enumerate(doc.words):
         base[i, :TRIGRAM_DIM] = _trigram_block(w.text)
         base[i, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = _flag_block(w.text)
         cx, cy = w.box.center

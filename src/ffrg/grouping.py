@@ -12,7 +12,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .docmodel import Document, Phrase, Word, make_phrase, reading_order
+from .docmodel import Document, Phrase, Word, _components, make_phrase, reading_order
 
 
 # weight of the vertical center offset against the horizontal gap
@@ -55,33 +55,22 @@ def group_words(doc: Document, config: GroupingConfig | None = None) -> tuple[Ph
     """Cluster words into phrases; returns phrases in reading order."""
     if config is None:
         config = GroupingConfig()
-    words = sorted(doc.words, key=lambda w: w.id)
+    words = doc.words
     n = len(words)
     eps = neighborhood_eps(doc, config)
-    parent = list(range(n))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        wi = words[i]
-        for j in range(i + 1, n):
-            if word_distance(wi, words[j]) <= eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(words[i].id)
+    def near():
+        for i in range(n):
+            wi = words[i]
+            for j in range(i + 1, n):
+                if word_distance(wi, words[j]) <= eps:
+                    yield i, j
 
     order = reading_order(doc)
     rank = {wid: r for r, wid in enumerate(order)}
-    phrases = [make_phrase(doc, ids, order) for ids in members.values()]
-    phrases.sort(key=lambda p: min(rank[wid] for wid in p.word_ids))
+    phrases = [make_phrase(doc, ids, order) for ids in _components(n, near())]
+    # a phrase lists its words in reading order, so its first word ranks lowest
+    phrases.sort(key=lambda p: rank[p.word_ids[0]])
     return tuple(phrases)
 
 

@@ -121,13 +121,10 @@ def refine_labels(
     n_fields: int,
     threshold: float,
     provenance: str,
-    orders: Sequence[list[int]] | None = None,
+    orders: Sequence[list[int]],
 ) -> LabelSet:
-    """One anchor per field per document; orders are the documents' reading
-    orders, computed here when not given."""
+    """One anchor per field per document; orders are their reading orders."""
     labels = LabelSet(provenance)
-    if orders is None:
-        orders = [reading_order(doc) for doc in docs]
     for doc, probs, order in zip(docs, probs_per_doc, orders):
         labels.add_document(doc.doc_id)
         anchors = _select_anchors(probs, order, n_fields, threshold)
@@ -281,12 +278,11 @@ def extract_values(
     phrases = doc.phrases if doc.phrases is not None else group_words(doc)
     argmax = probs.argmax(axis=1)
     by_word = {wid: ph for ph in phrases for wid in ph.word_ids}
-    words = {w.id: w for w in doc.words}
     out: dict[str, str] = {}
     for f, anchor in sorted(anchors.items()):
         ph = by_word.get(anchor)
         if ph is None:
-            out[schema.field_by_id(f).name] = words[anchor].text
+            out[schema.field_by_id(f).name] = doc.words[anchor].text
             continue
         pos = ph.word_ids.index(anchor)
         lo = pos
@@ -296,7 +292,7 @@ def extract_values(
         while hi + 1 < len(ph.word_ids) and argmax[ph.word_ids[hi + 1]] == f:
             hi += 1
         run = ph.word_ids[lo : hi + 1]
-        out[schema.field_by_id(f).name] = " ".join(words[wid].text for wid in run)
+        out[schema.field_by_id(f).name] = " ".join(doc.words[wid].text for wid in run)
     return out
 
 

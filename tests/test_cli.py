@@ -237,6 +237,22 @@ def test_inspect_writes_outcomes(synth_dir, tmp_path):
     assert any(r["doc_id"] == doc_id and r["field"] == some_field for r in rows)
 
 
+def test_inspect_colors_overlay_predictions(synth_dir, tmp_path):
+    doc_id = read_documents(str(synth_dir / "docs.jsonl"))[0].doc_id
+    overlay = tmp_path / "overlay.jsonl"
+    overlay.write_text(json.dumps({"doc_id": doc_id, "predictions": [[0, 1]]}) + "\n")
+    gold = str(synth_dir / "gold.jsonl")
+    svgs = []
+    for extra in ([], ["--overlay", str(overlay)]):
+        svg = tmp_path / f"svg{len(extra)}"
+        assert run(
+            "inspect", "--pred", gold, "--gold", gold, "--out", str(tmp_path / "o.jsonl"),
+            "--docs", str(synth_dir / "docs.jsonl"), "--svg", str(svg), *extra,
+        ) == 0
+        svgs.append((svg / f"{doc_id}.svg").read_text())
+    assert svgs[0] != svgs[1]  # word 0 takes field 1's color
+
+
 # --- config files -------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):
@@ -331,11 +347,26 @@ _DOC = {"doc_id": "d", "page_width": 100, "page_height": 100,
         ("docs", {**_DOC, "phrases": [5]}),
         ("labels", {"doc_id": "d", "labels": 5, "provenance": "bootstrap"}),
         ("annotations", 5),
+        # numbers past what an int or float conversion takes
+        ("docs", {**_DOC, "page_width": float("inf")}),
+        ("docs", {**_DOC, "words": [{"text": "a", "box": [0, 0, 10**400, 1]}]}),
+        ("labels", {"doc_id": "d", "labels": [[float("inf"), 1]], "provenance": "bootstrap"}),
+        ("schema", {"fields": [{"field_id": float("inf"), "name": "f", "keys": ["k"],
+                                "allowed_types": ["number"]}]}),
+        ("overlay", {"doc_id": "d"}),
+        ("overlay", {"predictions": []}),
+        ("overlay", {"doc_id": "d", "predictions": 5}),
+        ("overlay", {"doc_id": "d", "predictions": [[0]]}),
+        ("overlay", {"doc_id": "d", "predictions": [["0", 1]]}),
+        ("overlay", {"doc_id": "d", "predictions": [[float("inf"), 1]]}),
+        ("overlay", [1]),
     ],
 )
 def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys, caplog):
     good_docs = tmp_path / "good.jsonl"
     good_docs.write_text(json.dumps(_DOC) + "\n")
+    good_values = tmp_path / "values.jsonl"
+    good_values.write_text(json.dumps({"doc_id": "d", "fields": {}}) + "\n")
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(row) + "\n")
     argv = {
@@ -344,7 +375,12 @@ def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys
                    "--out", str(tmp_path / "m.ffrg")],
         "annotations": ["eval", "--pred", str(bad), "--gold", str(bad),
                         "--report", str(tmp_path / "r.json")],
+        "schema": ["bootstrap", "--docs", str(good_docs), "--schema", str(bad),
+                   "--out", str(tmp_path / "l.jsonl")],
+        "overlay": ["inspect", "--pred", str(good_values), "--gold", str(good_values),
+                    "--out", str(tmp_path / "o.jsonl"), "--docs", str(good_docs),
+                    "--svg", str(tmp_path / "svg"), "--overlay", str(bad)],
     }[reader]
     assert run(*argv) == 1
-    assert "line 1" in caplog.text
+    assert (f"schema file {bad}" if reader == "schema" else "line 1") in caplog.text
     assert "Traceback" not in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_doc
@@ -19,6 +20,7 @@ from ffrg.docmodel import (
     default_invoice_schema,
     make_phrase,
     parse_document,
+    read_annotations,
     read_documents,
     read_labels,
     reading_order,
@@ -81,6 +83,12 @@ def test_document_requires_dense_word_ids():
         Document("d", 100, 100, (Word(1, "a", box),))
 
 
+def test_document_requires_word_i_to_have_id_i():
+    box = BBox(0, 0, 0.1, 0.1)
+    with pytest.raises(ValidationError, match="word at index 0 has id 1"):
+        Document("d", 100, 100, (Word(1, "a", box), Word(0, "b", box)))
+
+
 def test_document_rejects_phrase_sharing_a_word():
     doc = make_doc([("a", 0.0, 0.0, 0.1, 0.02), ("b", 0.2, 0.0, 0.3, 0.02)])
     p1 = Phrase((0,), "a", doc.words[0].box)
@@ -116,6 +124,53 @@ def test_reading_order_lines_close_transitively():
     assert reading_order(doc) == [0, 1, 2]
 
 
+def _reading_order_by_closure(doc):
+    """Lines as a fixed point of smallest-label propagation over every
+    ordered pair, then the documented line and word sort."""
+    words = doc.words
+    yc = {w.id: (w.box.y0 + w.box.y1) / 2.0 for w in words}
+    label = {w.id: w.id for w in words}
+    changed = True
+    while changed:
+        changed = False
+        for a in words:
+            for b in words:
+                near = abs(yc[a.id] - yc[b.id]) <= 0.5 * min(a.box.height, b.box.height)
+                if near and label[b.id] < label[a.id]:
+                    label[a.id] = label[b.id]
+                    changed = True
+    lines = {}
+    for w in words:
+        lines.setdefault(label[w.id], []).append(w)
+    ordered = sorted(
+        lines.values(),
+        key=lambda ws: (min(w.box.y0 for w in ws), min(w.box.x0 for w in ws),
+                        min(w.id for w in ws)),
+    )
+    return [w.id for line in ordered for w in sorted(line, key=lambda w: (w.box.x0, w.id))]
+
+
+def _lined_doc(rng, doc_id):
+    """Words on or around a few baselines, so lines chain, and lines as
+    well as words tie on their top and left edges."""
+    rows = rng.uniform(0.05, 0.9, size=int(rng.integers(1, 6)))
+    entries = []
+    for _ in range(int(rng.integers(1, 41))):
+        h = float(rng.uniform(0.01, 0.03))
+        jitter = float(rng.normal(0.0, 0.008)) if rng.random() < 0.5 else 0.0
+        y0 = min(max(float(rng.choice(rows)) + jitter, 0.0), 1.0 - h)
+        x0 = round(float(rng.uniform(0.0, 0.9)), 1)
+        entries.append(("w", x0, y0, x0 + float(rng.uniform(0.01, 0.1)), y0 + h))
+    return make_doc(entries, doc_id=doc_id)
+
+
+def test_reading_order_matches_closure_oracle_on_random_documents():
+    rng = np.random.default_rng(404)
+    for trial in range(200):
+        doc = _lined_doc(rng, f"lines-{trial}")
+        assert reading_order(doc) == _reading_order_by_closure(doc), doc.doc_id
+
+
 def test_make_phrase_orders_members_and_unions_boxes():
     doc = make_doc(
         [
@@ -123,7 +178,7 @@ def test_make_phrase_orders_members_and_unions_boxes():
             ("hello", 0.10, 0.10, 0.20, 0.12),
         ]
     )
-    ph = make_phrase(doc, [0, 1])
+    ph = make_phrase(doc, [0, 1], reading_order(doc))
     assert ph.word_ids == (1, 0)
     assert ph.text == "hello world"
     assert ph.box == BBox(0.10, 0.10, 0.40, 0.12)
@@ -178,7 +233,7 @@ def test_document_round_trip_with_phrases():
     )
     doc = Document(
         doc.doc_id, doc.page_width, doc.page_height, doc.words,
-        (make_phrase(doc, [0, 1]),),
+        (make_phrase(doc, [0, 1], reading_order(doc)),),
     )
     again = parse_document(serialize_document(doc))
     assert again == doc
@@ -264,6 +319,43 @@ def test_labelset_validate_checks_ranges():
     high.set_label("d1", 0, 9)
     with pytest.raises(ValidationError):
         high.validate([doc], n_fields=7)
+
+
+def _jsonl(tmp_path, rows):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return str(path)
+
+
+def test_read_labels_rejects_a_repeated_doc_id(tmp_path):
+    rows = [
+        {"doc_id": "d", "labels": [[0, 1]], "provenance": "bootstrap"},
+        {"doc_id": "e", "labels": [], "provenance": "bootstrap"},
+        {"doc_id": "d", "labels": [[1, 2]], "provenance": "bootstrap"},
+    ]
+    with pytest.raises(ValidationError, match=r"labels line 3: doc_id 'd' repeats line 1"):
+        read_labels(_jsonl(tmp_path, rows))
+
+
+def test_read_labels_rejects_a_second_provenance(tmp_path):
+    rows = [
+        {"doc_id": "d", "labels": [[0, 1]], "provenance": "bootstrap"},
+        {"doc_id": "e", "labels": [[1, 2]], "provenance": "truth"},
+    ]
+    with pytest.raises(
+        ValidationError,
+        match=r"labels line 2: provenance 'truth' differs from labels line 1's 'bootstrap'",
+    ):
+        read_labels(_jsonl(tmp_path, rows))
+
+
+def test_read_annotations_rejects_a_repeated_doc_id(tmp_path):
+    rows = [
+        {"doc_id": "d", "fields": {"total_amount": "1.00"}},
+        {"doc_id": "d", "fields": {"total_amount": "2.00"}},
+    ]
+    with pytest.raises(ValidationError, match=r"annotations line 2: doc_id 'd' repeats line 1"):
+        read_annotations(_jsonl(tmp_path, rows))
 
 
 def test_labels_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_doc
 from ffrg.bootstrap import bootstrap_corpus
-from ffrg.docmodel import Phrase, ValidationError, default_invoice_schema
+from ffrg.docmodel import Phrase, ValidationError, default_invoice_schema, reading_order
 from ffrg.grouping import group_document
 from ffrg.model import forward, tensor_keys
 from ffrg.progressive import (
@@ -77,20 +77,24 @@ def test_refinement_keeps_single_document_max():
     probs = _probs(
         [[0.95, 0.05], [0.40, 0.60], [0.70, 0.30]]
     )  # classes: background, field 1
-    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {1: 1}
 
 
 def test_refinement_requires_threshold_strictly():
     doc = _three_word_doc()
     at = _probs([[0.9, 0.1], [0.92, 0.08], [0.95, 0.05]])
-    labels = refine_labels([doc], [at], n_fields=1, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [at], n_fields=1, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {}
     above = _probs([[0.89, 0.11], [0.92, 0.08], [0.95, 0.05]])
-    labels = refine_labels([doc], [above], n_fields=1, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [above], n_fields=1, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {}  # argmax of word 0 is background
     winning = _probs([[0.45, 0.55], [0.92, 0.08], [0.95, 0.05]])
-    labels = refine_labels([doc], [winning], n_fields=1, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [winning], n_fields=1, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {0: 1}
 
 
@@ -98,14 +102,16 @@ def test_refinement_argmax_gates_the_max_word():
     doc = _three_word_doc()
     # word 1 holds the field max 0.4 but its argmax is background
     probs = _probs([[0.9, 0.1], [0.6, 0.4], [0.8, 0.2]])
-    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {}
 
 
 def test_refinement_tie_goes_to_reading_order():
     doc = _three_word_doc()
     probs = _probs([[0.4, 0.6], [0.4, 0.6], [0.9, 0.1]])
-    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {0: 1}
 
 
@@ -114,7 +120,8 @@ def test_refinement_labels_one_word_per_field():
     probs = _probs(
         [[0.10, 0.70, 0.20], [0.15, 0.20, 0.65], [0.80, 0.10, 0.10]]
     )
-    labels = refine_labels([doc], [probs], n_fields=2, threshold=0.1, provenance="r")
+    labels = refine_labels([doc], [probs], n_fields=2, threshold=0.1, provenance="r",
+                           orders=[reading_order(doc)])
     assert labels.positives("toy") == {0: 1, 1: 2}
     assert labels.provenance == "r"
 
