@@ -12,20 +12,27 @@ as a standalone rule extractor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datatypes import type_of
+from .datatypes import DataType, type_of
 from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField
 from .grouping import group_words
 from .parallel import ordered_map
-from .similarity import string_distance
+from .similarity import (
+    JW_BOOST_THRESHOLD,
+    JW_MAX_PREFIX,
+    JW_PREFIX_SCALE,
+    string_distance,
+)
 
 HALF_PI = math.pi / 2.0
 MU_D = 0.0  # distance kernel peaks at the key itself
 ZONE_ABOVE = 4.0  # neighbor zone, in candidate heights
 ZONE_BELOW = 1.0
+BOUND_SLACK = 1e-9  # a key bound this far below the best exact score still counts
 
 
 @dataclass(frozen=True)
@@ -62,17 +69,87 @@ def key_score(phrase: Phrase, field: SchemaField) -> float:
     return 1.0 - min(string_distance(phrase.text, k) for k in field.keys)
 
 
-def localize_key(
-    phrases: Sequence[Phrase], field: SchemaField
-) -> tuple[Phrase | None, float]:
-    """Argmax of key_score; ties go to the earlier phrase in reading order."""
-    best: Phrase | None = None
-    best_score = 0.0
+@functools.lru_cache(maxsize=16)
+def _key_masks(key_lists: tuple[tuple[str, ...], ...]):
+    """Per key list, each key's (count mask, length), and the mask layout:
+    a slot per character of the keys, as wide as its largest count in a key."""
+    width: dict[str, int] = {}
+    for keys in key_lists:
+        for k in keys:
+            for ch in set(k):
+                width[ch] = max(width.get(ch, 0), k.count(ch))
+    layout, shift = {}, 0
+    for ch, w in sorted(width.items()):
+        layout[ch] = (shift, w)
+        shift += w
+    masks = tuple(tuple((_count_mask(k, layout), len(k)) for k in keys) for keys in key_lists)
+    return masks, layout
+
+
+def _count_mask(text: str, layout: dict[str, tuple[int, int]]) -> int:
+    """A character held n times sets the low min(n, width) bits of its slot,
+    so the popcount of two masks' AND is the overlap of the texts' character
+    multisets (over the characters the layout knows)."""
+    mask = 0
+    for ch in layout.keys() & set(text):
+        shift, width = layout[ch]
+        mask |= ((1 << min(text.count(ch), width)) - 1) << shift
+    return mask
+
+
+def key_bounds(
+    phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]
+) -> list[list[float]]:
+    """Upper bounds on key_score: per key list, one bound per phrase.
+
+    Jaro matches pair equal characters, so their count m is at most c, the
+    overlap of the two character multisets, and Jaro is at most
+    (c/len_p + c/len_k + 1)/3 (0 when c is 0).  A bound above the boost
+    threshold takes the largest Winkler boost, four prefix characters.
+    Keys are lowercase and trimmed; each phrase text is normalized once.
+    """
+    masks, layout = _key_masks(tuple(key_lists))
+    max_boost = JW_MAX_PREFIX * JW_PREFIX_SCALE
+    out: list[list[float]] = [[] for _ in masks]
     for ph in phrases:
-        s = key_score(ph, field)
-        if best is None or s > best_score:
-            best, best_score = ph, s
-    return best, best_score
+        text = ph.text.strip().lower()
+        mask, len_p = _count_mask(text, layout), len(text)
+        for keys, column in zip(masks, out):
+            best = 0.0
+            for key_mask, len_k in keys:
+                c = (mask & key_mask).bit_count()
+                if c:
+                    jaro = (c / len_p + c / len_k + 1.0) / 3.0
+                    if jaro > JW_BOOST_THRESHOLD:
+                        jaro += max_boost * (1.0 - jaro)
+                    if jaro > best:
+                        best = jaro
+            column.append(best)
+    return out
+
+
+def localize_key(
+    phrases: Sequence[Phrase], field: SchemaField, bound: Sequence[float] | None = None
+) -> tuple[Phrase | None, float]:
+    """Argmax of key_score; ties go to the earlier phrase in reading order.
+
+    `bound` is the field's entry of key_bounds (computed here when absent).
+    Phrases are scored exactly in descending order of their bound, ties in
+    reading order, until a bound falls below the best exact score; the
+    slack absorbs the rounding of the bound's different expression.
+    """
+    if bound is None:
+        (bound,) = key_bounds(phrases, [field.keys])
+    best_i: int | None = None
+    best_score = 0.0
+    # the sort is stable, so equal bounds stay in reading order
+    for i in sorted(range(len(phrases)), key=lambda i: -bound[i]):
+        if best_i is not None and bound[i] + BOUND_SLACK < best_score:
+            break
+        s = key_score(phrases[i], field)
+        if best_i is None or s > best_score or (s == best_score and i < best_i):
+            best_i, best_score = i, s
+    return (None, 0.0) if best_i is None else (phrases[best_i], best_score)
 
 
 def _gaussian(x: float, mu: float, sigma: float) -> float:
@@ -119,20 +196,30 @@ def extract_field(
     phrases: Sequence[Phrase],
     field: SchemaField,
     p: RuleParams | None = None,
+    *,
+    types: Sequence[frozenset[DataType]] | None = None,
+    bound: Sequence[float] | None = None,
 ) -> FieldExtraction:
-    """Locate the field's key, then the best typed candidate near it."""
+    """Locate the field's key, then the best typed candidate near it.
+
+    `types` (type_of per phrase) and `bound` (the field's entry of
+    key_bounds) are facts about the document's phrases that extract_document
+    works out once for all fields; they are computed here when absent.
+    """
     if p is None:
         p = RuleParams()
-    key, key_s = localize_key(phrases, field)
+    key, key_s = localize_key(phrases, field, bound)
     if key is None:
         return FieldExtraction(field.field_id, None, None, 0.0, None)
+    if types is None:
+        types = [type_of(ph.text) for ph in phrases]
 
     best: Phrase | None = None
     best_score = 0.0
-    for ph in phrases:
-        if ph == key:
+    for ph, ph_types in zip(phrases, types):
+        if ph is key:
             continue
-        if not (type_of(ph.text) & field.allowed_types):
+        if not (ph_types & field.allowed_types):
             continue
         if not in_neighbor_zone(key, ph):
             continue
@@ -178,7 +265,12 @@ def extract_document(
 ) -> list[FieldExtraction]:
     """Per-field extractions for one document, cross-field conflicts resolved."""
     phrases = doc.phrases if doc.phrases is not None else group_words(doc)
-    extractions = [extract_field(doc, phrases, f, p) for f in schema.fields]
+    types = [type_of(ph.text) for ph in phrases]
+    bounds = key_bounds(phrases, [f.keys for f in schema.fields])
+    extractions = [
+        extract_field(doc, phrases, f, p, types=types, bound=bound)
+        for f, bound in zip(schema.fields, bounds)
+    ]
     return resolve_conflicts(extractions)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import fields
@@ -57,7 +58,7 @@ def _load_config(path: str | None, allowed: set[str]) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as f:
         try:
             cfg = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # malformed JSON, bad UTF-8 or an integer too long to read
             raise dm.ParseError(f"config file {path}: malformed JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise dm.ValidationError(f"config file {path}: top level must be an object")
@@ -71,13 +72,13 @@ def _load_config(path: str | None, allowed: set[str]) -> dict[str, Any]:
 
 def _config_value(path: str, key: str, value: Any, type_: type) -> Any:
     """A config value as its flag would parse it: of the flag's type, with a
-    JSON integer accepted where a float is expected."""
-    if type_ is float and type(value) is int:
+    JSON integer accepted where a float is expected, and floats finite."""
+    if type_ is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
-    if type(value) is not type_:
+    if type(value) is not type_ or (type_ is float and not math.isfinite(value)):
+        kind = "a finite float" if type_ is float else type_.__name__
         raise dm.ValidationError(
-            f"config file {path}: key {key!r} must be {type_.__name__}, "
-            f"got {json.dumps(value)}"
+            f"config file {path}: key {key!r} must be {kind}, got {json.dumps(value)}"
         )
     return value
 

@@ -252,15 +252,23 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
     boxes: list[list[float]] = []
     texts: list[str] = []
     for idx, rw in enumerate(raw_words):
+        word = f"{where}: word {idx} of {doc_id}"
+        if not isinstance(rw, dict) or "text" not in rw or "box" not in rw:
+            raise ParseError(f"{word} must be an object with text and box")
+        text, box = rw["text"], rw["box"]
+        if not isinstance(text, str):
+            raise ParseError(f"{word}: text must be a string")
+        # bool is an int subclass, so the exact types are checked
+        if not (isinstance(box, list) and len(box) == 4
+                and all(type(v) in (int, float) for v in box)):
+            raise ParseError(f"{word}: box must be an array of 4 numbers")
         try:
-            text = str(rw["text"]).strip()
-            box = [float(v) for v in rw["box"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"{where}: word {idx} of {doc_id} is malformed: {e}") from e
-        if len(box) != 4:
-            raise ParseError(f"{where}: word {idx} of {doc_id} box must have 4 coordinates")
+            box = [float(v) for v in box]
+        except OverflowError as e:
+            raise ParseError(f"{word} is malformed: {e}") from e
+        text = text.strip()
         if not text:
-            raise ValidationError(f"{where}: word {idx} of {doc_id} has empty text")
+            raise ValidationError(f"{word} has empty text")
         texts.append(text)
         boxes.append(box)
 
@@ -573,7 +581,10 @@ def read_annotations(path: str) -> dict[str, dict[str, str]]:
     for where, doc_id, (fields,) in _records(path, "annotations", "fields"):
         if not isinstance(fields, dict):
             raise ParseError(f"{where}: fields must be a JSON object")
-        out[doc_id] = {k: str(v) for k, v in fields.items()}
+        for name, value in fields.items():
+            if not isinstance(value, str):
+                raise ParseError(f"{where}: value of field {name!r} must be a string")
+        out[doc_id] = dict(fields)
     return out
 
 

@@ -51,8 +51,13 @@ def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
     return config.eps_scale * statistics.median(heights)
 
 
-def group_words(doc: Document, config: GroupingConfig | None = None) -> tuple[Phrase, ...]:
-    """Cluster words into phrases; returns phrases in reading order."""
+def group_words(
+    doc: Document, config: GroupingConfig | None = None, *, order: list[int] | None = None
+) -> tuple[Phrase, ...]:
+    """Cluster words into phrases; returns phrases in reading order.
+
+    `order` is the document's reading order when the caller already has it.
+    """
     if config is None:
         config = GroupingConfig()
     words = doc.words
@@ -66,7 +71,8 @@ def group_words(doc: Document, config: GroupingConfig | None = None) -> tuple[Ph
                 if word_distance(wi, words[j]) <= eps:
                     yield i, j
 
-    order = reading_order(doc)
+    if order is None:
+        order = reading_order(doc)
     rank = {wid: r for r, wid in enumerate(order)}
     phrases = [make_phrase(doc, ids, order) for ids in _components(n, near())]
     # a phrase lists its words in reading order, so its first word ranks lowest

@@ -9,6 +9,7 @@ in docs/checkpoint.md.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -345,16 +346,26 @@ def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
     off += 20
     if schema is not None and digest != schema.digest():
         raise ValidationError(f"{path}: checkpoint was trained against a different schema")
+    if n_branches < 1:
+        raise ValidationError(f"{path}: checkpoint has no branches")
+    # the header fixes the file size; checking it first keeps a corrupt
+    # dimension from allocating its tensors
+    sizes = {
+        key: math.prod(shape)
+        for key, shape in tensor_shapes(d_in, hidden, branch_hidden, n_fields, 2).items()
+    }
+    first = sum(sizes[key] for key in tensor_keys(1))
+    weights = first + (n_branches - 1) * (sum(sizes.values()) - first)
+    if off + weights * 8 > len(blob):
+        raise ValidationError(f"{path}: truncated checkpoint (weight blocks are cut short)")
+    if off + weights * 8 < len(blob):
+        raise ValidationError(f"{path}: trailing bytes after weight blocks")
     shapes = tensor_shapes(d_in, hidden, branch_hidden, n_fields, n_branches)
     tensors: dict[str, np.ndarray] = {}
     for key in tensor_keys(n_branches):
         shape = shapes[key]
-        count = int(np.prod(shape))
-        if off + count * 8 > len(blob):
-            raise ValidationError(f"{path}: truncated checkpoint (tensor {key} is cut short)")
+        count = math.prod(shape)
         block = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         off += count * 8
         tensors[key] = block.reshape(shape).astype(np.float64)
-    if off != len(blob):
-        raise ValidationError(f"{path}: trailing bytes after weight blocks")
     return ModelParams(d_in, hidden, branch_hidden, n_fields, n_branches, tensors, digest)

@@ -275,7 +275,7 @@ def extract_values(
     anchors = _select_anchors(probs, order, schema.n_fields, threshold)
     if not anchors:
         return {}
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
+    phrases = doc.phrases if doc.phrases is not None else group_words(doc, order=order)
     argmax = probs.argmax(axis=1)
     by_word = {wid: ph for ph in phrases for wid in ph.word_ids}
     out: dict[str, str] = {}

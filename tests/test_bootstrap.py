@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc
+from ffrg import bootstrap, datatypes, similarity
 from ffrg.bootstrap import (
     FieldExtraction,
     RuleParams,
@@ -13,6 +16,7 @@ from ffrg.bootstrap import (
     extract_field,
     geometric_score,
     in_neighbor_zone,
+    key_bounds,
     key_score,
     localize_key,
     resolve_conflicts,
@@ -20,7 +24,9 @@ from ffrg.bootstrap import (
 )
 from ffrg.datatypes import DataType
 from ffrg.docmodel import BBox, Phrase, SchemaField
-from ffrg.grouping import group_document
+from ffrg.grouping import group_document, group_words
+from ffrg.similarity import jaro_winkler
+from ffrg.synth import generate, preset_config
 
 
 def ph(text, cx, cy, ids=(0,), half=0.02):
@@ -57,6 +63,86 @@ def test_localize_key_tie_prefers_earlier_phrase():
 
 def test_localize_key_empty_input():
     assert localize_key([], MONEY_FIELD) == (None, 0.0)
+
+
+# The pruned search against an exhaustive scan.  Texts come from a small
+# pool, so duplicates (exact ties) are common; the pool holds keys, near
+# misses, texts sharing no character with any key, non-ASCII text and, after
+# decoration, mixed case and padding.
+_KEY_LISTS = [
+    ("total", "invoice total"),
+    ("invoice number", "invoice #", "invoice no."),
+    ("tax",),
+    ("straße", "größe"),
+]
+_FIELDS = [
+    SchemaField(i + 1, f"f{i}", keys, frozenset({DataType.NUMBER}))
+    for i, keys in enumerate(_KEY_LISTS)
+]
+_POOL = [
+    "total", "totl", "Total Due", "invoice", "invoice no", "invoice #", "inv #",
+    "tax", "taxes", "xat", "qqq", "123", "$12.00", "zz9", "straße", "STRASSE",
+    "größe", "grosse", "İnvoice", "totál", "Ŧotal", "",
+]
+_text = st.builds(
+    lambda base, pad, upper: pad + (base.upper() if upper else base) + pad,
+    st.one_of(st.sampled_from(_POOL), st.text(alphabet="taoxinvé ß#İ1", max_size=8)),
+    st.sampled_from(["", " ", "  "]),
+    st.booleans(),
+)
+
+
+def _exhaustive_first_max(phrases, field):
+    """Reading-order scan keeping the first phrase of maximal key score."""
+    best_i, best = None, 0.0
+    for i, p in enumerate(phrases):
+        s = 1.0 - min(1.0 - jaro_winkler(p.text.strip().lower(), k) for k in field.keys)
+        if best_i is None or s > best:
+            best_i, best = i, s
+    return best_i, best
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_text, min_size=1, max_size=10), st.sampled_from(_FIELDS))
+def test_localize_key_equals_exhaustive_first_max(texts, field):
+    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
+    best, s = localize_key(phrases, field)
+    want_i, want = _exhaustive_first_max(phrases, field)
+    assert best is phrases[want_i]
+    assert s.hex() == want.hex()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_text, max_size=10))
+def test_key_bounds_never_below_key_score(texts):
+    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
+    bounds = key_bounds(phrases, _KEY_LISTS)
+    assert [len(b) for b in bounds] == [len(phrases)] * len(_FIELDS)
+    for field, bound in zip(_FIELDS, bounds):
+        for p, b in zip(phrases, bound):
+            # one rounding of 1 - (1 - jw) is all the exact score may gain
+            assert b + 1e-12 >= key_score(p, field)
+
+
+def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
+    (doc,), _, _ = generate(preset_config("noisy-bench", 1, 0), schema)
+    phrases = group_words(doc)
+    calls = {"type_of": 0, "jaro": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bootstrap, "type_of", counted("type_of", datatypes.type_of))
+    monkeypatch.setattr(
+        similarity, "jaro_similarity", counted("jaro", similarity.jaro_similarity)
+    )
+    extract_document(doc, schema)
+    n_keys = sum(len(f.keys) for f in schema.fields)
+    assert calls["type_of"] == len(phrases)
+    assert 0 < calls["jaro"] < len(phrases) * n_keys
 
 
 # --- geometric scoring ------------------------------------------------------

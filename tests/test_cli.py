@@ -309,6 +309,23 @@ def test_config_value_of_the_wrong_type_rejected(tmp_path, cfg, capsys, caplog):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"n": ' + "9" * 5000 + "}", "malformed JSON"),
+        ('{"beta": Infinity}', "key 'beta' must be a finite float, got Infinity"),
+        ('{"lr": NaN}', "key 'lr' must be a finite float, got NaN"),
+        ('{"lr": 1' + "0" * 400 + "}", "key 'lr' must be a finite float"),
+    ],
+)
+def test_unreadable_config_values_name_the_file(tmp_path, text, message, capsys, caplog):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run("pipeline", "--config", str(path)) == 1
+    assert f"config file {path}: {message}" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # A value of each option type, as JSON and as typed on the command line; the
 # float sample is a JSON integer, which must resolve to the float its flag gives.
 _SAMPLES = {int: (3, "3"), float: (2, "2"), str: ("x", "x"), bool: (True, None)}

@@ -218,6 +218,29 @@ def test_parse_rejects_malformed_records(line, err):
         parse_document(line, line_number=3)
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ({"text": "a", "box": "1234"}, "box must be an array of 4 numbers"),
+        ({"text": "a", "box": [0, 0, True, 0.1]}, "box must be an array of 4 numbers"),
+        ({"text": "a", "box": [0, 0, "0.1", 0.1]}, "box must be an array of 4 numbers"),
+        ({"text": {"x": 1}, "box": [0, 0, 0.1, 0.1]}, "text must be a string"),
+        ({"text": 12, "box": [0, 0, 0.1, 0.1]}, "text must be a string"),
+        ("a", "must be an object with text and box"),
+    ],
+)
+def test_parse_rejects_words_of_the_wrong_kind(word, message):
+    with pytest.raises(ParseError, match=f"line 3: word 0 of d1:? {message}"):
+        parse_document(_record([word]), line_number=3)
+
+
+@pytest.mark.parametrize("value", [None, 12, {"a": 1}, ["x"]])
+def test_read_annotations_rejects_non_string_values(tmp_path, value):
+    rows = [{"doc_id": "d", "fields": {"total_amount": value}}]
+    with pytest.raises(ParseError, match="annotations line 1: value of field 'total_amount'"):
+        read_annotations(_jsonl(tmp_path, rows))
+
+
 def test_read_documents_rejects_a_repeated_doc_id(tmp_path):
     path = tmp_path / "docs.jsonl"
     first = _record([{"text": "a", "box": [0.1, 0.1, 0.2, 0.2]}])

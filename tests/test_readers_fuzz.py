@@ -1,9 +1,11 @@
-"""Fuzzed JSON readers: given any JSON value in any slot, including
+"""Fuzzed readers: given any JSON value in any slot, including
 infinities, integers too large for a float and integers too long for
 Python to read, a reader fails only with ParseError or ValidationError
-(ParseError is a ValidationError)."""
+(ParseError is a ValidationError), and what it accepts it does not coerce.
+The checkpoint reader gets random bytes, truncations and byte flips."""
 
 import contextlib
+import functools
 import json
 import os
 import tempfile
@@ -11,13 +13,16 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffrg import cli
 from ffrg.docmodel import (
     ValidationError,
+    default_invoice_schema,
     parse_document,
     read_annotations,
     read_labels,
     schema_from_json_dict,
 )
+from ffrg.model import HEADER_BYTES, ModelParams, init_params, load_model, save_model
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -55,7 +60,12 @@ def _record(required, optional=None):
 
 _word = _record({
     "text": _slot(st.sampled_from(["a", "Total", "12.00", " "])),
-    "box": _slot(st.lists(_slot(st.floats(0, 1200)), min_size=4, max_size=4)),
+    "box": st.one_of(
+        _slot(st.lists(_slot(st.floats(0, 1200)), min_size=4, max_size=4)),
+        # a string of four digits or four booleans must not pass as a box
+        st.text(alphabet="0123456789", min_size=4, max_size=4),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+    ),
 })
 _document = _record(
     {
@@ -69,6 +79,13 @@ _document = _record(
         max_size=3,
     ))},
 )
+# a well-formed page whose only faults can be in its words
+_page = st.fixed_dictionaries({
+    "doc_id": st.just("d"),
+    "page_width": st.just(1000),
+    "page_height": st.just(1000),
+    "words": st.lists(_word, min_size=1, max_size=3),
+})
 _doc_id = _slot(st.sampled_from(["d", "e"]))
 _label_row = _record({
     "doc_id": _doc_id,
@@ -80,7 +97,8 @@ _label_row = _record({
 _annotation_row = _record({
     "doc_id": _doc_id,
     "fields": _slot(st.dictionaries(
-        st.sampled_from(["total_amount", "inv_date"]), _slot(st.text(max_size=6)),
+        st.sampled_from(["total_amount", "inv_date"]),
+        st.one_of(_slot(st.text(max_size=6)), st.none(), st.integers()),
     )),
 })
 _schema = _record({
@@ -108,10 +126,15 @@ def _read_rows(reader, rows):
 
 
 @FUZZ
-@given(_document)
+@given(st.one_of(_document, _page))
 def test_parse_document_fails_only_with_typed_errors(record):
-    with contextlib.suppress(ValidationError):
-        parse_document(_dumps(record), line_number=1)
+    try:
+        doc = parse_document(_dumps(record), line_number=1)
+    except ValidationError:
+        return
+    for raw, word in zip(record["words"], doc.words):
+        assert type(raw["text"]) is str and word.text == raw["text"].strip()
+        assert all(type(v) in (int, float) for v in raw["box"])
 
 
 @FUZZ
@@ -124,8 +147,12 @@ def test_read_labels_fails_only_with_typed_errors(rows):
 @FUZZ
 @given(st.lists(_annotation_row, min_size=1, max_size=3))
 def test_read_annotations_fails_only_with_typed_errors(rows):
-    with contextlib.suppress(ValidationError):
-        _read_rows(read_annotations, rows)
+    try:
+        annotations = _read_rows(read_annotations, rows)
+    except ValidationError:
+        return
+    for row in rows:
+        assert annotations[str(row["doc_id"])] == row["fields"]
 
 
 # schema_from_json_dict reads no file, so it affords more examples
@@ -134,3 +161,88 @@ def test_read_annotations_fails_only_with_typed_errors(rows):
 def test_schema_from_json_dict_fails_only_with_typed_errors(raw):
     with contextlib.suppress(ValidationError):
         schema_from_json_dict(raw)
+
+
+# --- checkpoints ---------------------------------------------------------------
+
+@functools.cache
+def _checkpoint() -> bytes:
+    """A small valid checkpoint: 2 branches over 6 inputs."""
+    params = init_params(
+        6, 2, 2, default_invoice_schema().digest(), hidden=3, branch_hidden=2, seed=0
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ffrg")
+        save_model(path, params)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def _truncated(size: int) -> bytes:
+    return _checkpoint()[:size]
+
+
+def _flipped(position: int, mask: int) -> bytes:
+    blob = bytearray(_checkpoint())
+    blob[position % len(blob)] ^= mask
+    return bytes(blob)
+
+
+_checkpoint_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.integers(0, 400).map(_truncated),
+    st.builds(_flipped, st.integers(0, 10**6), st.integers(1, 255)),
+    st.builds(_flipped, st.integers(0, HEADER_BYTES - 1), st.integers(1, 255)),
+)
+
+
+@FUZZ
+@given(_checkpoint_bytes)
+def test_load_model_fails_only_with_validation_error(blob):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ffrg")
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            params = load_model(path)
+        except ValidationError as e:
+            assert path in str(e)
+            return
+    assert isinstance(params, ModelParams)
+    assert len(blob) == len(_checkpoint())
+
+
+# --- config files --------------------------------------------------------------
+
+_VALID = {int: st.integers(1, 5), float: st.floats(0, 2), str: st.text(max_size=4),
+          bool: st.booleans()}
+
+
+def _config_for(command: str):
+    defaults = cli._COMMANDS[command][2]
+    options = {key: _slot(_VALID[cli._option_type(key, d)]) for key, d in defaults.items()}
+    return st.tuples(
+        st.just(command),
+        st.one_of(st.fixed_dictionaries({}, optional=options), _any_json),
+    )
+
+
+@FUZZ
+@given(st.sampled_from(sorted(cli._COMMANDS)).flatmap(_config_for))
+def test_config_reader_fails_only_with_typed_errors(command_and_config):
+    command, config = command_and_config
+    defaults = cli._COMMANDS[command][2]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(_dumps(config))
+        args = cli.build_parser().parse_args([command, "--config", path])
+        try:
+            opts = cli._resolve(args, defaults)
+        except ValidationError as e:
+            assert path in str(e)
+            return
+    for key, default in defaults.items():
+        value = opts[key]
+        assert value is None or type(value) is cli._option_type(key, default)
+        assert value == config.get(key, default)
