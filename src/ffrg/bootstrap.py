@@ -43,6 +43,8 @@ class RuleParams:
     theta_v: float = 0.1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma_d, self.sigma_a, self.alpha, self.theta_v))):
+            raise ValueError("rule parameters must be finite")
         if self.sigma_d <= 0 or self.sigma_a <= 0:
             raise ValueError("kernel widths must be positive")
         if self.theta_v < 0 or self.alpha < 0:

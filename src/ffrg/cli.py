@@ -419,6 +419,18 @@ def _option_type(key: str, default: Any) -> type:
     return str if default is None else type(default)
 
 
+def _finite_float(text: str) -> float:
+    """A float flag's value; nan, infinities and literals past the float
+    range are refused, as config files refuse them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ffrg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -430,8 +442,9 @@ def build_parser() -> _Parser:
                 # default None, not False, so that a config file can set it
                 sp.add_argument(_flag(key), dest=key, action="store_true", default=None)
             else:
+                type_ = _option_type(key, default)
                 sp.add_argument(
-                    _flag(key), dest=key, type=_option_type(key, default),
+                    _flag(key), dest=key, type=_finite_float if type_ is float else type_,
                     choices=sorted(PRESETS) if key == "preset" else None,
                     help="worker threads (env FFRG_THREADS)" if key == "threads" else None,
                 )

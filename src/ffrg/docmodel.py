@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -52,7 +53,8 @@ def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]
                 doc_id, *values = (rec[k] for k in ("doc_id", *keys))
             except KeyError as e:
                 raise ParseError(f"{where}: missing key {e}") from e
-            doc_id = str(doc_id)
+            if not isinstance(doc_id, str):
+                raise ParseError(f"{where}: doc_id must be a string")
             if doc_id in seen:
                 raise ValidationError(f"{where}: doc_id {doc_id!r} repeats line {seen[doc_id]}")
             seen[doc_id] = n
@@ -187,13 +189,31 @@ def _components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(members.values())
 
 
+# Relative and absolute widening of a y-window's reach, so that rounding in
+# the centre arithmetic never leaves out a pair the exact test would link.
+_REACH_SLACK = 1e-9
+
+
+def _near_in_y(yc: list[float], reach: list[float]) -> Iterator[tuple[int, int]]:
+    """Each pair of indices i, j with yc[i] <= yc[j] <= yc[i] + reach[i]
+    (reach slightly widened), once: a window over the centres sorted by y."""
+    by_y = sorted(range(len(yc)), key=yc.__getitem__)
+    ys = [yc[i] for i in by_y]
+    for k, i in enumerate(by_y):
+        top = ys[k] + reach[i] * (1.0 + _REACH_SLACK) + _REACH_SLACK
+        for j in by_y[k + 1 : bisect_right(ys, top, k + 1)]:
+            yield i, j
+
+
 def reading_order(doc: Document) -> list[int]:
     """Return word ids sorted into reading order.
 
     Two words share a line iff their vertical center offset is at most half
     the smaller word height; lines are the transitive closure of that
     relation, ordered by top y (then leftmost x, then smallest id), and
-    words within a line are ordered by x0 (then id).
+    words within a line are ordered by x0 (then id).  A pair can share a
+    line only if the upper centre's half height reaches the lower centre,
+    so only those pairs are tested.
     """
     words = doc.words
     n = len(words)
@@ -201,14 +221,12 @@ def reading_order(doc: Document) -> list[int]:
     half = [0.5 * w.box.height for w in words]
 
     def same_line():
-        for i in range(n):
-            yc_i, half_i = yc[i], half[i]
-            for j in range(i + 1, n):
-                if abs(yc_i - yc[j]) <= (half_i if half_i < half[j] else half[j]):
-                    yield i, j
+        for i, j in _near_in_y(yc, half):
+            if abs(yc[i] - yc[j]) <= (half[i] if half[i] < half[j] else half[j]):
+                yield i, j
 
-    # components and their members come in index order and both sorts are
-    # stable, so ties go to the smaller id
+    # components and their members come in index order whatever the order
+    # of the links, and both sorts are stable, so ties go to the smaller id
     lines = sorted(
         _components(n, same_line()),
         key=lambda line: (min(words[i].box.y0 for i in line), min(words[i].box.x0 for i in line)),
@@ -216,10 +234,9 @@ def reading_order(doc: Document) -> list[int]:
     return [i for line in lines for i in sorted(line, key=lambda i: words[i].box.x0)]
 
 
-def make_phrase(doc: Document, word_ids: Iterable[int], order: list[int]) -> Phrase:
-    """Build a phrase from member word ids, ordered by the given reading order."""
-    rank = {wid: r for r, wid in enumerate(order)}
-    ids = sorted(word_ids, key=lambda wid: rank[wid])
+def make_phrase(doc: Document, word_ids: Iterable[int], rank: dict[int, int]) -> Phrase:
+    """Build a phrase from member word ids, ordered by their reading-order rank."""
+    ids = sorted(word_ids, key=rank.__getitem__)
     members = [doc.words[wid] for wid in ids]
     box = members[0].box
     for w in members[1:]:
@@ -234,15 +251,19 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
     where = f"line {line_number}" if line_number is not None else "input"
     raw = _json_object(line, where)
     try:
-        doc_id = str(raw["doc_id"])
-        page_w = int(raw["page_width"])
-        page_h = int(raw["page_height"])
-        raw_words = raw["words"]
-        # boxes scale by these; a page past the float range cannot
-        scale_w, scale_h = float(page_w), float(page_h)
+        doc_id, page_w, page_h, raw_words = (
+            raw[k] for k in ("doc_id", "page_width", "page_height", "words"))
     except KeyError as e:
         raise ParseError(f"{where}: missing document key {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:
+    if not isinstance(doc_id, str):
+        raise ParseError(f"{where}: doc_id must be a string")
+    # bool is an int subclass, so the exact types are checked
+    if type(page_w) is not int or type(page_h) is not int:
+        raise ParseError(f"{where}: page dimensions of {doc_id} must be integers")
+    try:
+        # boxes scale by these; a page past the float range cannot
+        scale_w, scale_h = float(page_w), float(page_h)
+    except OverflowError as e:
         raise ParseError(f"{where}: page dimensions must be finite integers: {e}") from e
     if not isinstance(raw_words, list):
         raise ParseError(f"{where}: words of {doc_id} must be a list")
@@ -298,7 +319,7 @@ def _parse_phrases(doc: Document, raw_phrases) -> tuple[Phrase, ...]:
     looks them up."""
     if not isinstance(raw_phrases, list):
         raise ParseError(f"phrases of {doc.doc_id} must be a list")
-    order = reading_order(doc)
+    rank = {wid: r for r, wid in enumerate(reading_order(doc))}
     phrases = []
     for k, p in enumerate(raw_phrases):
         ids = p.get("word_ids") if isinstance(p, dict) else None
@@ -309,7 +330,7 @@ def _parse_phrases(doc: Document, raw_phrases) -> tuple[Phrase, ...]:
         for wid in ids:
             if not 0 <= wid < len(doc.words):
                 raise ValidationError(f"phrase {k} of {doc.doc_id} references missing word {wid}")
-        phrases.append(make_phrase(doc, ids, order))
+        phrases.append(make_phrase(doc, ids, rank))
     return tuple(phrases)
 
 

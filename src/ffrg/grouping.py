@@ -12,7 +12,9 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .docmodel import Document, Phrase, Word, _components, make_phrase, reading_order
+from .docmodel import (
+    Document, Phrase, Word, _components, _near_in_y, make_phrase, reading_order,
+)
 
 
 # weight of the vertical center offset against the horizontal gap
@@ -25,8 +27,8 @@ class GroupingConfig:
     eps_scale: float = 0.8
 
     def __post_init__(self):
-        if self.eps_scale <= 0:
-            raise ValueError("eps_scale must be positive")
+        if not 0 < self.eps_scale < math.inf:
+            raise ValueError("eps_scale must be positive and finite")
 
 
 def word_distance(a: Word, b: Word) -> float:
@@ -61,20 +63,19 @@ def group_words(
     if config is None:
         config = GroupingConfig()
     words = doc.words
-    n = len(words)
     eps = neighborhood_eps(doc, config)
+    yc = [(w.box.y0 + w.box.y1) / 2.0 for w in words]
 
     def near():
-        for i in range(n):
-            wi = words[i]
-            for j in range(i + 1, n):
-                if word_distance(wi, words[j]) <= eps:
-                    yield i, j
+        # a pair within eps is within eps / VERTICAL_PENALTY in centre y
+        for i, j in _near_in_y(yc, [eps / VERTICAL_PENALTY] * len(words)):
+            if word_distance(words[i], words[j]) <= eps:
+                yield i, j
 
     if order is None:
         order = reading_order(doc)
     rank = {wid: r for r, wid in enumerate(order)}
-    phrases = [make_phrase(doc, ids, order) for ids in _components(n, near())]
+    phrases = [make_phrase(doc, ids, rank) for ids in _components(len(words), near())]
     # a phrase lists its words in reading order, so its first word ranks lowest
     phrases.sort(key=lambda p: rank[p.word_ids[0]])
     return tuple(phrases)

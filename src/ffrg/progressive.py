@@ -13,6 +13,7 @@ contiguous argmax run inside the anchor's phrase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_branches < 1:
             raise ValidationError("need at least one branch")
+        for name in ("beta", "refine_threshold", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.beta < 0:
             raise ValidationError("beta must be non-negative")
         if not 0.0 <= self.refine_threshold <= 1.0:

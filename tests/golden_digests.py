@@ -1,0 +1,135 @@
+"""Golden digests: sha256 of the geometry, rule and pipeline outputs on
+fixed inputs, and the numpy/BLAS build they were computed on.
+
+`compute()` rebuilds every input from fixed seeds and returns the mapping
+that `scripts/record_golden.py` writes to `tests/golden/digests.json` and
+that `test_golden.py` compares against it.  The pipeline's floats depend
+on the BLAS kernels, so a digest is only comparable on the build it was
+recorded on.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+
+from ffrg import bootstrap as bs
+from ffrg import docmodel as dm
+from ffrg import evaluation as ev
+from ffrg import features as ft
+from ffrg import grouping
+from ffrg import model as md
+from ffrg import progressive as pg
+from ffrg import synth
+
+PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "digests.json")
+
+PAGE_SIZES = (50, 100, 200, 400, 800)
+SEED = 0
+# K=3 pipelines at lr 3e-3, small enough for tier-1: (preset, documents,
+# epochs of step 1, epochs of steps 2..K, two-step).  "clean17" ends each
+# epoch on a one-document batch, whose trunk pass takes OpenBLAS's small
+# kernel and so must not be read from the trunk cache.
+PIPELINES = {
+    "noisy": ("noisy-bench", 60, 2, 3, True),
+    "noisy-single-step": ("noisy-bench", 60, 2, 3, False),
+    "clean17": ("clean", 17, 2, 10, True),
+}
+
+
+def build() -> dict[str, str]:
+    """The numpy version and BLAS library the digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _file_sha(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def dense_pages() -> list[dm.Document]:
+    """One page of each size, tiled from consecutive noisy-bench documents:
+    tile t sits in cell t of a near-square grid, scaled into the cell, and
+    the last tile keeps only a prefix of its words."""
+    pool, _, _ = synth.generate(
+        synth.preset_config("noisy-bench", 80, SEED), dm.default_invoice_schema(), threads=1
+    )
+    pool.reverse()
+    pages = []
+    for size in PAGE_SIZES:
+        tiles = [pool.pop()]
+        while sum(len(t.words) for t in tiles) < size:
+            tiles.append(pool.pop())
+        cols = math.ceil(math.sqrt(len(tiles)))
+        rows = math.ceil(len(tiles) / cols)
+        words: list[dm.Word] = []
+        for t, tile in enumerate(tiles):
+            col, row = t % cols, t // cols
+            for w in tile.words[: size - len(words)]:
+                b = w.box
+                box = dm.BBox((col + b.x0) / cols, (row + b.y0) / rows,
+                              (col + b.x1) / cols, (row + b.y1) / rows)
+                words.append(dm.Word(len(words), w.text, box))
+        pages.append(dm.Document(f"dense-w{size}", synth.PAGE_W, synth.PAGE_H, tuple(words)))
+    return pages
+
+
+def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
+    """Reading order, phrases, and the rule labels and values of one page."""
+    order = dm.reading_order(page)
+    phrases = grouping.group_words(page, order=order)
+    labels, values = bs.bootstrap_corpus([page], schema, threads=1)
+    return _sha(json.dumps({
+        "order": order,
+        "phrases": [[list(p.word_ids), p.text, p.box.as_list()] for p in phrases],
+        "labels": sorted(labels.positives(page.doc_id).items()),
+        "values": values,
+    }, sort_keys=True))
+
+
+def pipeline_digests(workdir: str, preset: str, n_docs: int, epochs_step1: int,
+                     epochs_step2: int, two_step: bool) -> dict[str, str]:
+    """The artifacts of `ffrg pipeline` after synthesis, and each stage's
+    refined label set."""
+    schema = dm.default_invoice_schema()
+    p = lambda name: os.path.join(workdir, name)
+    docs, gold, _ = synth.generate(synth.preset_config(preset, n_docs, SEED), schema, threads=1)
+    labels, rule_values = bs.bootstrap_corpus(docs, schema, threads=1)
+    dm.write_labels(p("labels.jsonl"), labels)
+    dm.write_annotations(p("rule_values.jsonl"), rule_values)
+    cfg = pg.TrainConfig(
+        n_branches=3, seed=SEED, lr=3e-3, epochs_step1=epochs_step1,
+        epochs_step2=epochs_step2, two_step=two_step,
+    )
+    features = ft.featurize_corpus(docs, 1)
+    result = pg.train(docs, labels, schema, cfg, features, threads=1)
+    md.save_model(p("model.ffrg"), result.params)
+    for k, refined in sorted(result.refined.items()):
+        dm.write_labels(p(f"refined{k}.jsonl"), refined)
+    values = pg.extract_corpus(result.params, docs, schema, features, threads=1)
+    dm.write_annotations(p("values.jsonl"), values)
+    ev.write_report(p("report.json"), ev.score(values, gold, schema))
+    return {name: _file_sha(p(name)) for name in sorted(os.listdir(workdir))}
+
+
+def compute() -> dict:
+    schema = dm.default_invoice_schema()
+    digests = {
+        f"dense.w{len(page.words)}": page_digest(page, schema) for page in dense_pages()
+    }
+    for run, config in PIPELINES.items():
+        with tempfile.TemporaryDirectory() as workdir:
+            digests.update(
+                (f"{run}.{name}", sha) for name, sha in pipeline_digests(workdir, *config).items()
+            )
+    return {"build": build(), "digests": digests}

@@ -195,6 +195,13 @@ def test_rule_params_validate():
         RuleParams(theta_v=-0.1)
 
 
+@pytest.mark.parametrize("name", ["sigma_d", "sigma_a", "alpha", "theta_v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rule_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        RuleParams(**{name: value})
+
+
 # --- neighbor zone ----------------------------------------------------------
 
 def test_zone_spans_left_and_four_heights_up_one_down():

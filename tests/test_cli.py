@@ -50,6 +50,31 @@ def test_invalid_thread_count_is_a_validation_error(tmp_path):
     assert code == 1
 
 
+_FLOAT_OPTIONS = [
+    (command, key)
+    for command, (_, _, defaults) in _COMMANDS.items()
+    for key, default in defaults.items()
+    if _option_type(key, default) is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command,key", _FLOAT_OPTIONS)
+def test_non_finite_float_flag_is_a_usage_error(command, key, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, f"{_flag(key)}={value}")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"invalid finite float value: {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_finite_float_flags_still_parse():
+    args = build_parser().parse_args(["pipeline", "--lr", "3e-3", "--beta=-0.0"])
+    assert (args.lr, args.beta) == (3e-3, 0.0)
+    assert len(_FLOAT_OPTIONS) == 11
+
+
 # --- synth / group / bootstrap round trip ------------------------------------
 
 @pytest.fixture(scope="module")

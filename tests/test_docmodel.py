@@ -171,6 +171,76 @@ def test_reading_order_matches_closure_oracle_on_random_documents():
         assert reading_order(doc) == _reading_order_by_closure(doc), doc.doc_id
 
 
+def _large_lined_doc(rng, n_words, doc_id):
+    """A page of n_words on about n_words / 10 jittered baselines."""
+    rows = rng.uniform(0.0, 0.97, size=n_words // 10)
+    entries = []
+    for _ in range(n_words):
+        h = float(rng.uniform(0.004, 0.02))
+        jitter = float(rng.normal(0.0, 0.004)) if rng.random() < 0.5 else 0.0
+        y0 = min(max(float(rng.choice(rows)) + jitter, 0.0), 1.0 - h)
+        x0 = round(float(rng.uniform(0.0, 0.9)), 2)
+        entries.append(("w", x0, y0, x0 + float(rng.uniform(0.01, 0.1)), y0 + h))
+    return make_doc(entries, doc_id=doc_id)
+
+
+def test_reading_order_matches_closure_oracle_on_large_pages():
+    rng = np.random.default_rng(405)
+    for n_words in (200, 400, 800):
+        doc = _large_lined_doc(rng, n_words, f"lines-{n_words}")
+        assert reading_order(doc) == _reading_order_by_closure(doc), doc.doc_id
+
+
+def test_pair_offset_by_exactly_their_half_height_shares_a_line():
+    # dyadic boxes: centres 1/32 apart, exactly the half height of both
+    doc = make_doc(
+        [
+            ("b", 0.10, 0.28125, 0.20, 0.34375),
+            ("a", 0.30, 0.25000, 0.40, 0.31250),
+            ("c", 0.05, 0.3125 + 2.0 ** -20, 0.08, 0.375 + 2.0 ** -20),
+        ]
+    )
+    # one line puts the lower word b first; on a line of its own, c follows
+    assert reading_order(doc) == [0, 1, 2]
+    assert reading_order(doc) == _reading_order_by_closure(doc)
+
+
+@pytest.mark.parametrize("short_above", [True, False])
+def test_pair_offset_by_exactly_the_smaller_half_height_shares_a_line(short_above):
+    # half heights 1/32 and 1/16, centres 1/32 apart, the short word above
+    # or below; "side" shares a line with the short word only, and the tall
+    # word stands where a line of its own would be read in another order
+    short_yc, tall_yc = (0.28125, 0.3125) if short_above else (0.3125, 0.28125)
+    side_yc = short_yc - 1 / 64 if short_above else short_yc + 1 / 64
+    tall_x = 0.10 if short_above else 0.70
+    doc = make_doc(
+        [
+            ("short", 0.50, short_yc - 1 / 32, 0.60, short_yc + 1 / 32),
+            ("tall", tall_x, tall_yc - 1 / 16, tall_x + 0.1, tall_yc + 1 / 16),
+            ("side", 0.30, side_yc - 1 / 32, 0.40, side_yc + 1 / 32),
+        ]
+    )
+    assert reading_order(doc) == ([1, 2, 0] if short_above else [2, 0, 1])  # one line
+    assert reading_order(doc) == _reading_order_by_closure(doc)
+
+
+def test_words_tied_on_centre_y_share_a_line():
+    # a row of words on one centre, and rows exactly one half height above
+    # and below it, listed out of order so that ties in y meet the window
+    entries = []
+    for k, y0 in enumerate((0.5, 0.46875, 0.53125) * 4):
+        x0 = 0.05 + 0.07 * ((5 * k) % 12)
+        entries.append((f"w{k}", x0, y0, x0 + 0.05, y0 + 0.0625))
+    doc = make_doc(entries)
+    order = reading_order(doc)
+    assert order == _reading_order_by_closure(doc)
+    assert sorted(order, key=lambda i: doc.words[i].box.x0) == order  # one line
+
+
+def _rank(doc):
+    return {wid: r for r, wid in enumerate(reading_order(doc))}
+
+
 def test_make_phrase_orders_members_and_unions_boxes():
     doc = make_doc(
         [
@@ -178,7 +248,7 @@ def test_make_phrase_orders_members_and_unions_boxes():
             ("hello", 0.10, 0.10, 0.20, 0.12),
         ]
     )
-    ph = make_phrase(doc, [0, 1], reading_order(doc))
+    ph = make_phrase(doc, [0, 1], _rank(doc))
     assert ph.word_ids == (1, 0)
     assert ph.text == "hello world"
     assert ph.box == BBox(0.10, 0.10, 0.40, 0.12)
@@ -234,6 +304,31 @@ def test_parse_rejects_words_of_the_wrong_kind(word, message):
         parse_document(_record([word]), line_number=3)
 
 
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        ({"doc_id": None}, "doc_id must be a string"),
+        ({"doc_id": {"a": 1}}, "doc_id must be a string"),
+        ({"doc_id": 7}, "doc_id must be a string"),
+        ({"page_width": 10.9}, "page dimensions of d1 must be integers"),
+        ({"page_width": 1000.0}, "page dimensions of d1 must be integers"),
+        ({"page_height": True}, "page dimensions of d1 must be integers"),
+        ({"page_height": "1000"}, "page dimensions of d1 must be integers"),
+    ],
+)
+def test_parse_rejects_header_values_of_the_wrong_kind(header, message):
+    record = {**json.loads(_record([{"text": "a", "box": [0, 0, 0.1, 0.1]}])), **header}
+    with pytest.raises(ParseError, match=f"line 3: {message}"):
+        parse_document(json.dumps(record), line_number=3)
+
+
+@pytest.mark.parametrize("reader", [read_labels, read_annotations])
+def test_rows_with_a_non_string_doc_id_are_rejected(tmp_path, reader):
+    rows = [{"doc_id": None, "labels": [], "provenance": "bootstrap", "fields": {}}]
+    with pytest.raises(ParseError, match="line 1: doc_id must be a string"):
+        reader(_jsonl(tmp_path, rows))
+
+
 @pytest.mark.parametrize("value", [None, 12, {"a": 1}, ["x"]])
 def test_read_annotations_rejects_non_string_values(tmp_path, value):
     rows = [{"doc_id": "d", "fields": {"total_amount": value}}]
@@ -256,7 +351,7 @@ def test_document_round_trip_with_phrases():
     )
     doc = Document(
         doc.doc_id, doc.page_width, doc.page_height, doc.words,
-        (make_phrase(doc, [0, 1], reading_order(doc)),),
+        (make_phrase(doc, [0, 1], _rank(doc)),),
     )
     again = parse_document(serialize_document(doc))
     assert again == doc

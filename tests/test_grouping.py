@@ -95,6 +95,9 @@ def test_grouping_config_rejects_nonpositive_values():
         GroupingConfig(eps_scale=0.0)
     with pytest.raises(ValueError):
         GroupingConfig(eps_scale=-1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GroupingConfig(eps_scale=value)
 
 
 def test_group_document_attaches_every_word_once():
@@ -161,3 +164,64 @@ def test_a_given_reading_order_is_used_not_recomputed(monkeypatch):
 
     monkeypatch.setattr(grouping, "reading_order", recomputed)
     assert group_words(doc, order=order) == expected
+
+
+# --- the centre-y window: boundary pairs and large pages ---------------------
+
+def test_pair_offset_by_exactly_the_window_reach_groups():
+    # heights 1/16 and eps_scale 3/4 make eps = 3/64 and its reach in
+    # centre y, eps / VERTICAL_PENALTY = 1/64, exact; c sits just past b's
+    cfg = GroupingConfig(eps_scale=0.75)
+    doc = make_doc(
+        [
+            ("b", 0.10, 0.265625, 0.20, 0.328125),
+            ("c", 0.10, 0.28125 + 2.0 ** -20, 0.20, 0.34375 + 2.0 ** -20),
+            ("a", 0.10, 0.250000, 0.20, 0.312500),
+        ]
+    )
+    a, b = doc.words[2], doc.words[0]
+    assert grouping.VERTICAL_PENALTY * (b.box.center[1] - a.box.center[1]) == 0.046875
+    assert word_distance(a, b) == neighborhood_eps(doc, cfg) == 0.046875
+    assert {p.word_ids for p in group_words(doc, cfg)} == {(0, 2), (1,)}
+    assert {frozenset(p.word_ids) for p in group_words(doc, cfg)} == (
+        _components_by_union_find(doc, cfg))
+
+
+def test_pair_within_eps_only_after_rounding_groups():
+    # near the top of the page, 3 * offset rounds down to eps although the
+    # offset exceeds eps / VERTICAL_PENALTY as computed: the window's slack
+    # must keep this pair
+    doc = make_doc(
+        [
+            ("a", 0.1, 3.9791599697781565e-05, 0.2, 0.009991199111221361),
+            ("b", 0.1, 0.002693500269437403, 0.2, 0.012644907780960984),
+        ]
+    )
+    eps = neighborhood_eps(doc, GroupingConfig())
+    a, b = doc.words
+    assert b.box.center[1] - a.box.center[1] > eps / grouping.VERTICAL_PENALTY
+    assert word_distance(a, b) <= eps
+    assert [p.word_ids for p in group_words(doc)] == [(0, 1)]
+
+
+def test_words_tied_on_centre_y_group_along_the_row():
+    # four rows: two share one centre, the others lie exactly one reach
+    # (1/64) above and below; x positions repeat so pairs also tie in x
+    cfg = GroupingConfig(eps_scale=0.75)
+    entries = []
+    for k, y0 in enumerate((0.5, 0.484375, 0.5, 0.515625) * 3):
+        x0 = (0.1, 0.4, 0.7)[k % 3]
+        entries.append((f"w{k}", x0, y0, x0 + 0.05, y0 + 0.0625))
+    doc = make_doc(entries)
+    got = {frozenset(p.word_ids) for p in group_words(doc, cfg)}
+    assert got == _components_by_union_find(doc, cfg)
+    assert len(got) == 3  # one stack per x position
+
+
+def test_matches_union_find_oracle_on_large_pages():
+    rng = np.random.default_rng(2025)
+    cfg = GroupingConfig()
+    for n_words in (200, 400, 800):
+        doc = random_doc(rng, n_words, doc_id=f"large-{n_words}")
+        got = {frozenset(p.word_ids) for p in group_words(doc, cfg)}
+        assert got == _components_by_union_find(doc, cfg), doc.doc_id

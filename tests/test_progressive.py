@@ -216,6 +216,13 @@ def test_config_validation():
         TrainConfig(epochs_step1=0)
 
 
+@pytest.mark.parametrize("name", ["beta", "refine_threshold", "lr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
 # --- inference --------------------------------------------------------------
 
 def test_ensemble_is_the_branch_mean(rng):

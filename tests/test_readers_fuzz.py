@@ -67,11 +67,13 @@ _word = _record({
         st.lists(st.booleans(), min_size=4, max_size=4),
     ),
 })
+# header slots also see the values a lenient reader would coerce: null or
+# an object for doc_id, and a float or a boolean for a page size
 _document = _record(
     {
-        "doc_id": _slot(st.text(max_size=4)),
-        "page_width": _slot(st.integers(1, 2000)),
-        "page_height": _slot(st.integers(1, 2000)),
+        "doc_id": _slot(st.one_of(st.text(max_size=4), st.none(), st.integers())),
+        "page_width": _slot(st.one_of(st.integers(1, 2000), st.floats(1, 2000), st.booleans())),
+        "page_height": _slot(st.one_of(st.integers(1, 2000), st.floats(1, 2000), st.booleans())),
         "words": _slot(st.lists(_word, max_size=4)),
     },
     {"phrases": _slot(st.lists(
@@ -132,6 +134,9 @@ def test_parse_document_fails_only_with_typed_errors(record):
         doc = parse_document(_dumps(record), line_number=1)
     except ValidationError:
         return
+    assert type(record["doc_id"]) is str and doc.doc_id == record["doc_id"]
+    for size in ("page_width", "page_height"):
+        assert type(record[size]) is int and getattr(doc, size) == record[size]
     for raw, word in zip(record["words"], doc.words):
         assert type(raw["text"]) is str and word.text == raw["text"].strip()
         assert all(type(v) in (int, float) for v in raw["box"])
@@ -140,8 +145,11 @@ def test_parse_document_fails_only_with_typed_errors(record):
 @FUZZ
 @given(st.lists(_label_row, min_size=1, max_size=3))
 def test_read_labels_fails_only_with_typed_errors(rows):
-    with contextlib.suppress(ValidationError):
-        _read_rows(read_labels, rows)
+    try:
+        labels = _read_rows(read_labels, rows)
+    except ValidationError:
+        return
+    assert labels.doc_ids() == sorted(row["doc_id"] for row in rows)
 
 
 @FUZZ
@@ -152,7 +160,7 @@ def test_read_annotations_fails_only_with_typed_errors(rows):
     except ValidationError:
         return
     for row in rows:
-        assert annotations[str(row["doc_id"])] == row["fields"]
+        assert type(row["doc_id"]) is str and annotations[row["doc_id"]] == row["fields"]
 
 
 # schema_from_json_dict reads no file, so it affords more examples
