@@ -272,6 +272,8 @@ def extract_values(
     The refinement rule picks one anchor word per field; the value is the
     maximal contiguous argmax run around the anchor inside its phrase.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
     if len(doc.words) == 0:
         return {}
     probs = ensemble_predict(params, features)
@@ -308,6 +310,8 @@ def extract_corpus(
     threshold: float = 0.1,
     threads: int | None = None,
 ) -> dict[str, dict[str, str]]:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
     if features is None:
         features = featurize_corpus(docs, threads)
     rows = ordered_map(

@@ -1,5 +1,5 @@
-"""Golden digests: sha256 of the geometry, rule and pipeline outputs on
-fixed inputs, and the numpy/BLAS build they were computed on.
+"""Golden digests: sha256 of the geometry, rule, feature and pipeline
+outputs on fixed inputs, and the numpy/BLAS build they were computed on.
 
 `compute()` rebuilds every input from fixed seeds and returns the mapping
 that `scripts/record_golden.py` writes to `tests/golden/digests.json` and
@@ -84,6 +84,21 @@ def dense_pages() -> list[dm.Document]:
     return pages
 
 
+def negative_zero_page() -> dm.Document:
+    """A column of zero-width words at x0 = x1 = -0.0: every centre x is
+    -0.0, and the context mean of those centres is numpy's +0.0."""
+    texts = ("Total", "9.00", "Ünïcode", "x", "Total", "2021-03-04")
+    words = tuple(
+        dm.Word(i, text, dm.BBox(-0.0, 0.1 + 0.02 * i, -0.0, 0.11 + 0.02 * i))
+        for i, text in enumerate(texts)
+    )
+    return dm.Document("negative-zero", synth.PAGE_W, synth.PAGE_H, words)
+
+
+def featurize_digest(page: dm.Document) -> str:
+    return hashlib.sha256(ft.featurize(page).tobytes()).hexdigest()
+
+
 def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
     """Reading order, phrases, and the rule labels and values of one page."""
     order = dm.reading_order(page)
@@ -124,9 +139,10 @@ def pipeline_digests(workdir: str, preset: str, n_docs: int, epochs_step1: int,
 
 def compute() -> dict:
     schema = dm.default_invoice_schema()
-    digests = {
-        f"dense.w{len(page.words)}": page_digest(page, schema) for page in dense_pages()
-    }
+    pages = dense_pages()
+    digests = {f"dense.w{len(page.words)}": page_digest(page, schema) for page in pages}
+    digests.update((f"featurize.w{len(page.words)}", featurize_digest(page)) for page in pages)
+    digests["featurize.negative-zero"] = featurize_digest(negative_zero_page())
     for run, config in PIPELINES.items():
         with tempfile.TemporaryDirectory() as workdir:
             digests.update(

@@ -166,6 +166,21 @@ def test_extract_then_eval(trained_dir, synth_dir, tmp_path):
     assert set(blob) >= {"macro_precision", "macro_recall", "macro_f1", "fields"}
 
 
+@pytest.mark.parametrize("threshold, code", [("-1.0", 1), ("2.0", 1), ("0.0", 0), ("1.0", 0)])
+def test_extract_threshold_must_lie_in_unit_interval(
+    trained_dir, synth_dir, tmp_path, threshold, code, capsys, caplog
+):
+    values = tmp_path / "values.jsonl"
+    assert run(
+        "extract", "--model", str(trained_dir / "model.ffrg"),
+        "--docs", str(synth_dir / "docs.jsonl"), "--out", str(values),
+        f"--threshold={threshold}",
+    ) == code
+    assert values.exists() == (code == 0)
+    assert ("must lie in [0,1]" in caplog.text) == (code == 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_extract_overlay_and_svg(trained_dir, synth_dir, tmp_path):
     overlay = tmp_path / "overlay.jsonl"
     svg_dir = tmp_path / "svg"

@@ -272,6 +272,16 @@ def test_parse_keeps_unit_boxes():
     assert doc.words[0].box == BBox(0.1, 0.2, 0.3, 0.22)
 
 
+def test_page_with_no_coordinate_above_1_5_reads_as_normalized():
+    # A known limitation: units are inferred per page, so on a 1000x1000
+    # pixel page the one-pixel box [0, 0, 1, 1] reads as the whole page.
+    doc = parse_document(_record([{"text": "a", "box": [0, 0, 1, 1]}], page=1000))
+    assert doc.words[0].box == BBox(0.0, 0.0, 1.0, 1.0)
+    doc = parse_document(_record([{"text": "a", "box": [0, 0, 1, 1]},
+                                  {"text": "b", "box": [1.5, 1.5, 1.6, 1.6]}]))
+    assert doc.words[0].box == BBox(0.0, 0.0, 0.001, 0.001)
+
+
 @pytest.mark.parametrize(
     "line,err",
     [

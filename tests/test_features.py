@@ -1,9 +1,15 @@
-"""Feature vectors: layout, determinism, and the context pooling rule."""
+"""Feature vectors: layout, determinism, the context pooling rule, and bit
+identity with a per-word reference implementation."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from conftest import make_doc, random_doc
+from ffrg import features
+from ffrg.datatypes import DataType, type_of
+from ffrg.docmodel import Document
 from ffrg.features import (
     BASE_DIM,
     CONTEXT_RADIUS,
@@ -14,6 +20,7 @@ from ffrg.features import (
     featurize,
     featurize_corpus,
 )
+from golden_digests import dense_pages, negative_zero_page
 
 
 def test_dimension_breakdown():
@@ -35,6 +42,7 @@ def test_shape_and_row_alignment():
 
 def test_empty_document_yields_empty_matrix():
     assert featurize(make_doc([])).shape == (0, FEATURE_DIM)
+    _assert_oracle_bits(make_doc([]))
 
 
 def test_trigram_block_is_unit_norm_and_text_sensitive():
@@ -112,3 +120,150 @@ def test_corpus_featurization_matches_per_document(rng):
     rows = featurize_corpus(docs, threads=3)
     for doc, row in zip(docs, rows):
         assert np.array_equal(row, featurize(doc))
+
+
+# Reference: featurize as it was written word by word, one numpy vector per
+# block per word.  The whole-document featurize must reproduce its bits.
+_HASH_PERSON = b"ffrg-trigram"
+_TYPE_ORDER = (DataType.NUMBER, DataType.DATE, DataType.MONEY, DataType.OTHER)
+_LENGTH_BUCKETS = ((1, 1), (2, 3), (4, 6), (7, 10), (11, 10**9))
+
+
+def _oracle_trigram_block(text: str) -> np.ndarray:
+    vec = np.zeros(TRIGRAM_DIM, dtype=np.float64)
+    padded = f"^{text}$"
+    for i in range(len(padded) - 2):
+        h = hashlib.blake2b(
+            padded[i : i + 3].encode("utf-8"), digest_size=8, person=_HASH_PERSON
+        ).digest()
+        value = int.from_bytes(h, "little")
+        bucket = value % TRIGRAM_DIM
+        sign = 1.0 if (value >> 8) & 1 else -1.0
+        vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def _oracle_flag_block(text: str) -> np.ndarray:
+    flags = np.zeros(FLAG_DIM, dtype=np.float64)
+    flags[0] = 1.0 if text.isupper() else 0.0
+    flags[1] = 1.0 if text.islower() else 0.0
+    flags[2] = 1.0 if text.istitle() else 0.0
+    n_digit = sum(c.isdigit() for c in text)
+    flags[3] = 1.0 if n_digit > 0 else 0.0
+    flags[4] = 1.0 if text.isdigit() else 0.0
+    flags[5] = n_digit / len(text)
+    flags[6] = sum(not c.isalnum() for c in text) / len(text)
+    types = type_of(text)
+    for slot, t in enumerate(_TYPE_ORDER):
+        flags[7 + slot] = 1.0 if t in types else 0.0
+    n = len(text)
+    for slot, (lo, hi) in enumerate(_LENGTH_BUCKETS):
+        if lo <= n <= hi:
+            flags[11 + slot] = 1.0
+            break
+    return flags
+
+
+def _oracle_featurize(doc: Document) -> np.ndarray:
+    m = len(doc.words)
+    out = np.zeros((m, FEATURE_DIM), dtype=np.float64)
+    if m == 0:
+        return out
+    base = np.zeros((m, BASE_DIM), dtype=np.float64)
+    centers = np.zeros((m, 2), dtype=np.float64)
+    for i, w in enumerate(doc.words):
+        base[i, :TRIGRAM_DIM] = _oracle_trigram_block(w.text)
+        base[i, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = _oracle_flag_block(w.text)
+        cx, cy = w.box.center
+        base[i, TRIGRAM_DIM + FLAG_DIM :] = (cx, cy, w.box.width, w.box.height)
+        centers[i] = (cx, cy)
+    out[:, :BASE_DIM] = base
+    diff = centers[:, None, :] - centers[None, :, :]
+    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
+    near = dist <= CONTEXT_RADIUS
+    np.fill_diagonal(near, False)
+    for i in range(m):
+        idx = np.flatnonzero(near[i])
+        if idx.size:
+            out[i, BASE_DIM:] = base[idx].mean(axis=0)
+    return out
+
+
+# Repeated texts of every type, 1-character texts and multi-byte characters;
+# the two trigrams of "db" cancel, so its trigram block is all zeros.
+_TEXT_POOL = (
+    "db", "Total", "TOTAL", "total:", "Invoice#", "9.00", "$1,234.56", "12/03/2021",
+    "2021-03-04", "x", "7", "-", "€", "ü", "日本", "Ünïcode", "naïve-café", "Nº12",
+    "a" * 30,
+)
+_ALPHABET = list("aZ9.-,$€üß日本0") + ["😀"]
+
+
+def _oracle_doc(rng: np.random.Generator, doc_id: str) -> Document:
+    """Words in clusters whose spread runs from crowded (many neighbours
+    per word) to isolated (none); texts drawn from a pool or at random."""
+    entries = []
+    for _ in range(int(rng.integers(1, 5))):
+        cx, cy = rng.uniform(0.0, 1.0, size=2)
+        spread = float(rng.choice([0.002, 0.03, 0.1, 0.6]))
+        for _ in range(int(rng.integers(1, 20))):
+            if rng.random() < 0.5:
+                text = str(rng.choice(_TEXT_POOL))
+            else:
+                text = "".join(rng.choice(_ALPHABET, size=int(rng.integers(1, 9))))
+            w, h = float(rng.uniform(0.0, 0.05)), float(rng.uniform(0.0, 0.02))
+            x0 = float(np.clip(cx + rng.normal(0.0, spread), 0.0, 1.0 - w))
+            y0 = float(np.clip(cy + rng.normal(0.0, spread), 0.0, 1.0 - h))
+            entries.append((text, x0, y0, x0 + w, y0 + h))
+    return make_doc(entries, doc_id=doc_id)
+
+
+def _assert_oracle_bits(doc: Document) -> None:
+    got, want = featurize(doc), _oracle_featurize(doc)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), doc.doc_id
+
+
+def test_featurize_matches_per_word_oracle_on_random_documents():
+    rng = np.random.default_rng(20211)
+    docs = [_oracle_doc(rng, f"r{i}") for i in range(200)]
+    assert sum(len(d.words) for d in docs) > 2000
+    for doc in docs:
+        _assert_oracle_bits(doc)
+    rows = featurize_corpus(docs, threads=3)
+    assert all(r.tobytes() == _oracle_featurize(d).tobytes() for d, r in zip(docs, rows))
+
+
+def test_featurize_matches_per_word_oracle_on_tiled_pages():
+    for page in dense_pages():
+        _assert_oracle_bits(page)
+
+
+def test_negative_zero_centres_pool_to_positive_zero():
+    page = negative_zero_page()
+    _assert_oracle_bits(page)
+    x = featurize(page)
+    cx = TRIGRAM_DIM + FLAG_DIM
+    assert np.all(np.signbit(x[:, cx]))                 # each word's own centre is -0.0
+    assert not np.any(np.signbit(x[:, BASE_DIM + cx]))  # numpy's mean starts from +0.0
+
+
+def test_trigram_memo_stays_bounded_and_exact():
+    memo = features._trigram_slot
+    bound = features._TRIGRAM_MEMO_SIZE
+    assert memo.cache_info().maxsize == bound
+    rng = np.random.default_rng(5)
+    letters = [chr(c) for c in range(0x3B1, 0x3B1 + 25)] + list("abcdefghijklmnopqrstuvwxy")
+    doc = make_doc([
+        ("".join(rng.choice(letters, size=400)), x, y, x + 0.008, y + 0.01)
+        for x, y in zip(np.tile(np.arange(10) * 0.01, 6), np.repeat(np.arange(6) * 0.02, 10))
+    ])
+    padded = [f"^{w.text}$" for w in doc.words]
+    distinct = {p[j : j + 3] for p in padded for j in range(len(p) - 2)}
+    assert len(distinct) > bound
+    memo.cache_clear()
+    _assert_oracle_bits(doc)
+    info = memo.cache_info()
+    assert info.misses > bound and info.currsize <= bound

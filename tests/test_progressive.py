@@ -11,6 +11,7 @@ from ffrg.model import forward, tensor_keys
 from ffrg.progressive import (
     TrainConfig,
     ensemble_predict,
+    extract_corpus,
     extract_values,
     loss_terms,
     refine_labels,
@@ -257,11 +258,35 @@ def _value_doc():
     )
 
 
-def _patched_extract(monkeypatch, probs, schema, doc):
+def _patched_extract(monkeypatch, probs, schema, doc, threshold=0.1):
     monkeypatch.setattr(
         "ffrg.progressive.ensemble_predict", lambda params, feats: probs
     )
-    return extract_values(None, doc, np.zeros((len(doc.words), 1)), schema)
+    return extract_values(None, doc, np.zeros((len(doc.words), 1)), schema, threshold)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 2.0, float("nan")])
+def test_extract_threshold_outside_unit_interval_is_refused(monkeypatch, schema, threshold):
+    doc = _value_doc()
+    probs = np.full((4, 8), 0.01)
+    probs[:, 0] = 0.93
+    with pytest.raises(ValidationError, match="extract threshold"):
+        _patched_extract(monkeypatch, probs, schema, doc, threshold)
+    with pytest.raises(ValidationError, match="extract threshold"):
+        extract_corpus(None, [], schema, [], threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold, expected", [(0.0, {"inv_date": "5,"}), (1.0, {})])
+def test_extract_threshold_bounds_are_accepted(monkeypatch, schema, threshold, expected):
+    doc = _value_doc()
+    date_cls = schema.field_by_name("inv_date").field_id
+    probs = np.full((4, 8), 0.01)
+    probs[:, 0] = 1.0 - 0.07
+    probs[1, 0] = 0.04
+    probs[1, date_cls] = 0.90
+    assert _patched_extract(monkeypatch, probs, schema, doc, threshold) == expected
+    features = [np.zeros((4, 1))]
+    assert extract_corpus(None, [doc], schema, features, threshold=threshold) == {"v": expected}
 
 
 def test_value_expands_to_the_contiguous_argmax_run(monkeypatch, schema):
