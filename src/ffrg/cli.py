@@ -363,6 +363,17 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
     result = train(docs, labels, schema, tcfg, features, threads=opts["threads"])
     save_model(p("model.ffrg"), result.params)
     log.info("pipeline: trained %d-branch model", tcfg.n_branches)
+    for k, losses in enumerate(result.stage_losses, start=1):
+        log.info(
+            "pipeline: stage %d loss %.4f -> %.4f over %d epoch%s",
+            k, losses[0], losses[-1], len(losses), "" if len(losses) == 1 else "s",
+        )
+    for k, refined in sorted(result.refined.items()):
+        kept = sum(len(refined.positives(doc.doc_id)) for doc in docs)
+        log.info(
+            "pipeline: branch %d kept %d anchors in %d documents (%.2f per document)",
+            k, kept, len(docs), kept / len(docs),
+        )
 
     values = extract_corpus(result.params, docs, schema, features, threads=opts["threads"])
     dm.write_annotations(p("values.jsonl"), values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,20 +24,47 @@ HEADER_BYTES = len(CHECKPOINT_MAGIC) + 32 + 20  # magic, schema digest, five dim
 
 @dataclass
 class ModelParams:
+    """Model dimensions and weights.
+
+    Every tensor is a view into the one float64 buffer ``flat``, laid out
+    in tensor_keys order, so the tensors a training stage updates form one
+    contiguous slice of it.  Update tensors in place, never by rebinding.
+    """
+
     d_in: int
     hidden: int
     branch_hidden: int
     n_fields: int
     n_branches: int
-    tensors: dict[str, np.ndarray]
+    flat: np.ndarray
     schema_digest: bytes
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+    offsets: dict[str, int] = field(init=False, repr=False)  # start of each tensor in flat
+
+    def __post_init__(self):
+        shapes = tensor_shapes(
+            self.d_in, self.hidden, self.branch_hidden, self.n_fields, self.n_branches
+        )
+        keys = tensor_keys(self.n_branches)
+        sizes = [math.prod(shapes[key]) for key in keys]
+        if (self.flat.shape != (sum(sizes),) or self.flat.dtype != np.float64
+                or not self.flat.flags.c_contiguous):
+            raise ValidationError(
+                f"parameter buffer must be {sum(sizes)} contiguous float64 values"
+            )
+        self.tensors, self.offsets = {}, {}
+        off = 0
+        for key, size in zip(keys, sizes):
+            self.tensors[key] = self.flat[off : off + size].reshape(shapes[key])
+            self.offsets[key] = off
+            off += size
 
     @property
     def n_classes(self) -> int:
         return self.n_fields + 1
 
     def copy(self) -> "ModelParams":
-        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
+        return replace(self, flat=self.flat.copy())
 
 
 def tensor_keys(n_branches: int) -> list[str]:
@@ -89,27 +116,42 @@ def init_params(
     """
     rng = np.random.default_rng([seed, 0])
     shapes = tensor_shapes(d_in, hidden, branch_hidden, n_fields, n_branches)
-    tensors: dict[str, np.ndarray] = {}
-    for key in tensor_keys(n_branches):
-        shape = shapes[key]
-        if key.endswith(".b"):
-            tensors[key] = np.zeros(shape, dtype=np.float64)
-        else:
-            scale = 1.0 / np.sqrt(shape[0])
-            tensors[key] = rng.normal(0.0, scale, size=shape)
-    return ModelParams(
-        d_in, hidden, branch_hidden, n_fields, n_branches, tensors, bytes(schema_digest)
+    size = sum(math.prod(shape) for shape in shapes.values())
+    params = ModelParams(
+        d_in, hidden, branch_hidden, n_fields, n_branches,
+        np.zeros(size, dtype=np.float64), bytes(schema_digest),
     )
+    for key in tensor_keys(n_branches):
+        if not key.endswith(".b"):
+            shape = shapes[key]
+            scale = 1.0 / np.sqrt(shape[0])
+            params.tensors[key][...] = rng.normal(0.0, scale, size=shape)
+    return params
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _affine(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """x @ w + b in one buffer (into out if given)."""
+    z = np.matmul(x, w, out=out)
+    z += b
+    return z
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row softmax of z, in place.
+
+    The row max is taken column by column, which is exact (a max does not
+    round) and cheaper than a reduction over a short last axis; the row sum
+    stays numpy's, whose pairwise order the bits depend on.
+    """
+    top = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(top, z[:, j], out=top)
+    z -= top[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def trunk_activations(
@@ -121,8 +163,7 @@ def trunk_activations(
             f"feature matrix has width {features.shape[-1]}, model expects {params.d_in}"
         )
     t = params.tensors
-    h = np.matmul(features, t["trunk.w"], out=out)
-    h += t["trunk.b"]
+    h = _affine(features, t["trunk.w"], t["trunk.b"], out)
     return np.maximum(h, 0.0, out=h)
 
 
@@ -132,9 +173,10 @@ def _head(
     """One branch over trunk rows: (its hidden-layer rows or None, probabilities)."""
     t = params.tensors
     if branch == 1:
-        return None, _softmax(h @ t["branch1.out.w"] + t["branch1.out.b"])
-    h2 = _relu(h @ t[f"branch{branch}.hid.w"] + t[f"branch{branch}.hid.b"])
-    return h2, _softmax(h2 @ t[f"branch{branch}.out.w"] + t[f"branch{branch}.out.b"])
+        return None, _softmax(_affine(h, t["branch1.out.w"], t["branch1.out.b"]))
+    h2 = _affine(h, t[f"branch{branch}.hid.w"], t[f"branch{branch}.hid.b"])
+    np.maximum(h2, 0.0, out=h2)
+    return h2, _softmax(_affine(h2, t[f"branch{branch}.out.w"], t[f"branch{branch}.out.b"]))
 
 
 def branch_probs(params: ModelParams, activations: np.ndarray, branch: int) -> np.ndarray:
@@ -187,13 +229,16 @@ class TrunkCache:
     def _small(self, n_rows: int) -> bool:
         return n_rows * self._per_row <= SMALL_MATMUL
 
-    def batch(self, docs: Sequence[int]) -> np.ndarray | None:
-        """The documents' rows in batch order, or None for a batch whose own
+    def batch(self, rows: Sequence[int] | np.ndarray) -> np.ndarray | None:
+        """The given corpus rows in order, or None for a batch whose own
         trunk pass takes the small kernel and so must be recomputed."""
-        spans = [(self.offsets[i], self.offsets[i + 1]) for i in docs]
-        if self._small(sum(hi - lo for lo, hi in spans)):
-            return None
-        return np.concatenate([self.rows[lo:hi] for lo, hi in spans], axis=0)
+        return None if self._small(len(rows)) else np.take(self.rows, rows, axis=0)
+
+    def document(self, i: int) -> np.ndarray | None:
+        """Document i's rows, or None when its own trunk pass takes the small
+        kernel and so must be recomputed."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return None if self._small(hi - lo) else self.rows[lo:hi]
 
 
 def branch_loss_and_grad(
@@ -210,17 +255,21 @@ def branch_loss_and_grad(
     targets is a list of (weight, labels) pairs where labels is an int
     array of classes in 0..N; the loss is sum_j weight_j * meanCE(s_branch,
     labels_j).  Gradients cover the branch tensors, plus the trunk when
-    train_trunk is set.  Precomputed trunk activations of the frozen trunk
-    replace the trunk pass over features, which may then be None.
+    train_trunk is set.  Precomputed trunk activations replace the trunk
+    pass over features; features may then be None unless the trunk trains,
+    whose gradient needs them.
     """
     t = params.tensors
     if activations is None:
         h = trunk_activations(params, features)
-    elif train_trunk:
-        raise ValidationError("a trained trunk cannot take precomputed activations")
-    elif activations.ndim != 2 or activations.shape[1] != params.hidden:
+    elif features is None and train_trunk:
+        raise ValidationError("a trained trunk needs the features behind its activations")
+    elif activations.ndim != 2 or activations.shape[1] != params.hidden or (
+        features is not None and features.shape[0] != activations.shape[0]
+    ):
         raise ValidationError(
             f"activations have shape {activations.shape}, model expects width {params.hidden}"
+            " and one row per feature row"
         )
     else:
         h = activations
@@ -228,21 +277,34 @@ def branch_loss_and_grad(
     if m == 0:
         raise ValidationError("cannot take a loss over zero words")
     n_out = params.n_classes
+    # flat index of each row's labelled class, once per distinct label array
+    row_starts = np.arange(0, m * n_out, n_out)
+    picks: dict[int, np.ndarray] = {}
     for _, y in targets:
-        if y.shape != (m,) or y.min() < 0 or y.max() >= n_out:
-            raise ValidationError("label vector shape or class range invalid")
+        if id(y) not in picks:
+            if y.shape != (m,) or y.min() < 0 or y.max() >= n_out:
+                raise ValidationError("label vector shape or class range invalid")
+            picks[id(y)] = row_starts + y
 
     h2, probs = _head(params, h, branch)
 
+    # a term that repeats (the rule labels at stage k >= 3) is worked out
+    # once and added as often as it occurs, in order, so the sums keep their
+    # bits; dlogits starts at +0.0, so a -0.0 weight adds what 0.0 adds
+    terms: dict[tuple[int, float], tuple[float, np.ndarray]] = {}
     loss = 0.0
     dlogits = np.zeros_like(probs)
-    rows = np.arange(m)
     for weight, y in targets:
-        picked = probs[rows, y]
-        loss += weight * float(-np.log(picked).mean())
-        contrib = probs.copy()
-        contrib[rows, y] -= 1.0
-        dlogits += (weight / m) * contrib
+        key = (id(y), weight)
+        if key not in terms:
+            pick = picks[id(y)]
+            contrib = probs.copy()
+            contrib.ravel()[pick] -= 1.0
+            contrib *= weight / m
+            terms[key] = (weight * float(-np.log(probs.ravel()[pick]).mean()), contrib)
+        term_loss, contrib = terms[key]
+        loss += term_loss
+        dlogits += contrib
 
     # relu(a) > 0 exactly where a > 0, so the activations double as masks
     grads: dict[str, np.ndarray] = {}
@@ -253,13 +315,14 @@ def branch_loss_and_grad(
     else:
         grads[f"branch{branch}.out.w"] = h2.T @ dlogits
         grads[f"branch{branch}.out.b"] = dlogits.sum(axis=0)
-        dh2 = dlogits @ t[f"branch{branch}.out.w"].T
-        da2 = dh2 * (h2 > 0.0)
+        da2 = dlogits @ t[f"branch{branch}.out.w"].T
+        da2 *= h2 > 0.0
         grads[f"branch{branch}.hid.w"] = h.T @ da2
         grads[f"branch{branch}.hid.b"] = da2.sum(axis=0)
         upstream, w_up = da2, t[f"branch{branch}.hid.w"]
     if train_trunk:
-        da1 = (upstream @ w_up.T) * (h > 0.0)
+        da1 = upstream @ w_up.T
+        da1 *= h > 0.0
         grads["trunk.w"] = features.T @ da1
         grads["trunk.b"] = da1.sum(axis=0)
     return loss, grads
@@ -272,31 +335,66 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
+def _views(params: ModelParams, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-tensor views of a buffer laid out like params.flat."""
+    return {
+        key: flat[off : off + params.tensors[key].size].reshape(params.tensors[key].shape)
+        for key, off in params.offsets.items()
+    }
+
+
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    The moments span the whole parameter buffer from the first step on;
+    m and v hold their per-tensor views.
+    """
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def adam_step(
     params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> None:
-    """One bias-corrected Adam update, in place, over the keys in grads."""
+    """One bias-corrected Adam update, in place, over the keys in grads.
+
+    The keys must name one contiguous run of tensors in tensor_keys order
+    (each training stage's tensors do), so the update is a few in-place
+    element-wise ops over one slice of the parameter buffer; element-wise
+    IEEE arithmetic gives the same bits in any layout.
+    """
+    keys = sorted(grads, key=params.offsets.__getitem__)
+    lo = hi = params.offsets[keys[0]] if keys else 0
+    for key in keys:
+        if params.offsets[key] != hi or grads[key].shape != params.tensors[key].shape:
+            raise ValidationError("adam_step needs gradients for one contiguous run of tensors")
+        hi += grads[key].size
+    if state._flat is None:
+        state._flat = (np.zeros_like(params.flat), np.zeros_like(params.flat))
+        state.m, state.v = (_views(params, buf) for buf in state._flat)
     state.t += 1
-    t = state.t
-    for key in sorted(grads):
-        g = grads[key]
-        if key not in state.m:
-            state.m[key] = np.zeros_like(g)
-            state.v[key] = np.zeros_like(g)
-        state.m[key] = BETA1 * state.m[key] + (1.0 - BETA1) * g
-        state.v[key] = BETA2 * state.v[key] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[key] / (1.0 - BETA1**t)
-        v_hat = state.v[key] / (1.0 - BETA2**t)
-        params.tensors[key] = params.tensors[key] - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+    if not keys:
+        return
+    m, v = state._flat[0][lo:hi], state._flat[1][lo:hi]
+    g = np.concatenate([grads[key].ravel() for key in keys])
+    step = g * (1.0 - BETA1)
+    m *= BETA1
+    m += step
+    g *= g
+    g *= 1.0 - BETA2
+    v *= BETA2
+    v += g
+    np.divide(m, 1.0 - BETA1**state.t, out=step)  # m_hat
+    step *= lr
+    np.divide(v, 1.0 - BETA2**state.t, out=g)  # v_hat
+    np.sqrt(g, out=g)
+    g += EPSILON
+    step /= g
+    params.flat[lo:hi] -= step
 
 
 # --- Checkpoint I/O ---------------------------------------------------------
@@ -318,15 +416,7 @@ def save_model(path: str, params: ModelParams) -> None:
                 params.n_branches,
             )
         )
-        shapes = tensor_shapes(
-            params.d_in, params.hidden, params.branch_hidden,
-            params.n_fields, params.n_branches,
-        )
-        for key in tensor_keys(params.n_branches):
-            arr = params.tensors[key]
-            if arr.shape != shapes[key]:
-                raise ValidationError(f"tensor {key} has shape {arr.shape}, expected {shapes[key]}")
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
@@ -360,12 +450,5 @@ def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
         raise ValidationError(f"{path}: truncated checkpoint (weight blocks are cut short)")
     if off + weights * 8 < len(blob):
         raise ValidationError(f"{path}: trailing bytes after weight blocks")
-    shapes = tensor_shapes(d_in, hidden, branch_hidden, n_fields, n_branches)
-    tensors: dict[str, np.ndarray] = {}
-    for key in tensor_keys(n_branches):
-        shape = shapes[key]
-        count = math.prod(shape)
-        block = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        off += count * 8
-        tensors[key] = block.reshape(shape).astype(np.float64)
-    return ModelParams(d_in, hidden, branch_hidden, n_fields, n_branches, tensors, digest)
+    flat = np.frombuffer(blob, dtype="<f8", count=weights, offset=off).astype(np.float64)
+    return ModelParams(d_in, hidden, branch_hidden, n_fields, n_branches, flat, digest)

@@ -64,6 +64,9 @@ class TrainConfig:
             raise ValidationError("refine threshold must lie in [0,1]")
         if min(self.epochs_step1, self.epochs_step2, self.batch_docs) < 1:
             raise ValidationError("epochs and batch size must be positive")
+        for name in ("hidden", "branch_hidden"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -89,14 +92,13 @@ def loss_terms(n_branches: int, beta: float) -> list[tuple[int, int, float]]:
     return terms
 
 
-def labels_to_arrays(docs: Sequence[Document], labels: LabelSet) -> list[np.ndarray]:
-    arrays = []
-    for doc in docs:
-        y = np.zeros(len(doc.words), dtype=np.int64)
+def _label_rows(docs: Sequence[Document], labels: LabelSet, offsets: np.ndarray) -> np.ndarray:
+    """The class of every word of the corpus, document i's words starting at offsets[i]."""
+    y = np.zeros(int(offsets[-1]), dtype=np.int64)
+    for doc, lo in zip(docs, offsets.tolist()):
         for wid, cls in labels.positives(doc.doc_id).items():
-            y[wid] = cls
-        arrays.append(y)
-    return arrays
+            y[lo + wid] = cls
+    return y
 
 
 def _select_anchors(
@@ -153,7 +155,9 @@ def train(
     """Stage-wise training; deterministic for a fixed config and seed.
 
     With two-step training the trunk is frozen after stage 1, so stages
-    2..K run on its activations, computed once for the whole corpus.
+    2..K and their refinements run on its activations, computed once for
+    the whole corpus.  Otherwise each step takes one trunk pass over its
+    batch, shared by the branches it trains.
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
@@ -165,6 +169,9 @@ def train(
     if features is None:
         features = featurize_corpus(docs, threads)
 
+    if [f.shape[0] for f in features] != [len(doc.words) for doc in docs]:
+        raise ValidationError("feature matrices do not have one row per word of each document")
+
     params = init_params(
         FEATURE_DIM,
         n_fields,
@@ -174,7 +181,12 @@ def train(
         branch_hidden=cfg.branch_hidden,
         seed=cfg.seed,
     )
-    y_by_source: dict[int, list[np.ndarray]] = {0: labels_to_arrays(docs, rule_labels)}
+    # corpus row offsets, as TrunkCache lays out its rows; batches gather
+    # activations and labels with one row index
+    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(doc.words) for doc in docs])
+    doc_rows = [np.arange(offsets[i], offsets[i + 1]) for i in range(len(docs))]
+    y_by_source: dict[int, np.ndarray] = {0: _label_rows(docs, rule_labels, offsets)}
     trainable = [i for i in range(len(docs)) if len(docs[i].words) > 0]
     if not trainable:
         raise ValidationError("corpus has no words to train on")
@@ -195,22 +207,22 @@ def train(
         state = AdamState()
         epoch_losses: list[float] = []
         for _ in range(epochs):
-            perm = shuffle_rng.permutation(len(trainable))
+            perm = shuffle_rng.permutation(len(trainable)).tolist()
             batch_losses: list[float] = []
             for start in range(0, len(perm), cfg.batch_docs):
                 batch = [trainable[i] for i in perm[start : start + cfg.batch_docs]]
-                h = cache.batch(batch) if cache is not None else None
+                rows = np.concatenate([doc_rows[i] for i in batch])
+                h = cache.batch(rows) if cache is not None else None
                 x = None
                 if h is None:
+                    # one trunk pass, shared by every branch of the step
                     x = np.concatenate([features[i] for i in batch], axis=0)
-                y_cat = {
-                    src: np.concatenate([arrays[i] for i in batch])
-                    for src, arrays in y_by_source.items()
-                }
+                    h = trunk_activations(params, x)
+                y = {src: np.take(ys, rows) for src, ys in y_by_source.items()}
                 loss = 0.0
                 grads: dict[str, np.ndarray] = {}
                 for branch, terms, train_trunk in specs:
-                    targets = [(w, y_cat[src]) for w, src in terms]
+                    targets = [(w, y[src]) for w, src in terms]
                     l, g = branch_loss_and_grad(
                         params, x, targets, branch, train_trunk, activations=h
                     )
@@ -222,32 +234,29 @@ def train(
             epoch_losses.append(float(np.mean(batch_losses)))
         stage_losses.append(epoch_losses)
 
+    def refine(branch: int) -> LabelSet:
+        # a document reads its rows from the cache unless its own trunk pass
+        # takes the small kernel, whose rows differ in the last bits
+        def doc_probs(i: int) -> np.ndarray:
+            h = cache.document(i) if cache is not None else None
+            if h is None:
+                return forward(params, features[i], branch)
+            return branch_probs(params, h, branch)
+
+        probs = ordered_map(doc_probs, range(len(docs)), threads)
+        return refine_labels(
+            docs, probs, n_fields, cfg.refine_threshold, f"refined@branch_{branch}", orders=orders
+        )
+
     for stage in range(1, cfg.n_branches + 1):
         if stage >= 2:
             if cfg.two_step and cache is None:
                 cache = TrunkCache(params, features, cfg.batch_docs)
             # one-shot refinement from the previous branch over the train set
-            probs = ordered_map(
-                lambda i: forward(params, features[i], stage - 1),
-                range(len(docs)),
-                threads,
-            )
-            labelset = refine_labels(
-                docs, probs, n_fields, cfg.refine_threshold,
-                f"refined@branch_{stage - 1}", orders=orders,
-            )
-            refined[stage - 1] = labelset
-            y_by_source[stage - 1] = labels_to_arrays(docs, labelset)
+            refined[stage - 1] = refine(stage - 1)
+            y_by_source[stage - 1] = _label_rows(docs, refined[stage - 1], offsets)
         run_stage(stage)
-    cache = None  # frees the activations before the final refinement
-
-    final_probs = ordered_map(
-        lambda i: forward(params, features[i], cfg.n_branches), range(len(docs)), threads
-    )
-    refined[cfg.n_branches] = refine_labels(
-        docs, final_probs, n_fields, cfg.refine_threshold,
-        f"refined@branch_{cfg.n_branches}", orders=orders,
-    )
+    refined[cfg.n_branches] = refine(cfg.n_branches)
     return TrainResult(params, refined, stage_losses)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config precedence, file round-trips."""
 
 import json
+import logging
 
 import pytest
 
@@ -213,6 +214,35 @@ def test_train_rejects_label_for_missing_word(synth_dir, tmp_path, capsys, caplo
     assert "missing word 999" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "model.ffrg").exists()
+
+
+@pytest.mark.parametrize("flag", ["--hidden", "--branch-hidden"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_train_rejects_an_empty_layer(trained_dir, synth_dir, tmp_path, flag, value, capsys, caplog):
+    code = run(
+        "train", "--docs", str(synth_dir / "docs.jsonl"),
+        "--labels", str(trained_dir / "labels.jsonl"), "--out", str(tmp_path / "model.ffrg"),
+        "--branches", "2", "--epochs-step1", "1", "--epochs-step2", "1", flag, value,
+    )
+    assert code == 1
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be at least 1" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "model.ffrg").exists()
+
+
+def test_pipeline_logs_stage_losses_and_anchors(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="ffrg")
+    code = run(
+        "pipeline", "--preset", "clean", "--n", "6", "--seed", "2", "--branches", "2",
+        "--epochs-step1", "2", "--epochs-step2", "1", "--workdir", str(tmp_path / "w"),
+    )
+    assert code == 0
+    assert "pipeline: stage 1 loss" in caplog.text and "over 2 epochs" in caplog.text
+    assert "pipeline: stage 2 loss" in caplog.text and "over 1 epoch" in caplog.text
+    for k in (1, 2):
+        assert f"pipeline: branch {k} kept " in caplog.text
+    assert "anchors" in caplog.text
 
 
 def test_extract_rejects_truncated_model(trained_dir, synth_dir, tmp_path, capsys, caplog):

@@ -13,12 +13,17 @@ import pytest
 from ffrg.docmodel import ValidationError, default_invoice_schema
 from ffrg.features import FEATURE_DIM, featurize_corpus
 from ffrg.model import (
+    BETA1,
+    BETA2,
+    EPSILON,
     AdamState,
     CHECKPOINT_MAGIC,
     HEADER_BYTES,
+    ModelParams,
     TrunkCache,
     adam_step,
     branch_loss_and_grad,
+    branch_probs,
     forward,
     init_params,
     load_model,
@@ -128,10 +133,19 @@ def test_precomputed_activations_reject_a_trained_trunk(rng):
     x = rng.normal(size=(4, 10))
     y = rng.integers(0, 4, size=4)
     h = trunk_activations(params, x)
+    # the trunk gradient needs the features behind the activations
     with pytest.raises(ValidationError):
-        branch_loss_and_grad(params, x, [(1.0, y)], 2, True, activations=h)
+        branch_loss_and_grad(params, None, [(1.0, y)], 2, True, activations=h)
     with pytest.raises(ValidationError):
         branch_loss_and_grad(params, None, [(1.0, y)], 2, False, activations=h[:, :5])
+    with pytest.raises(ValidationError):
+        branch_loss_and_grad(params, x[:3], [(1.0, y)], 2, True, activations=h)
+    # given both, a trained trunk takes the activations as its own pass
+    want_loss, want = branch_loss_and_grad(params, x, [(1.0, y)], 2, True)
+    loss, got = branch_loss_and_grad(params, x, [(1.0, y)], 2, True, activations=h)
+    assert loss == want_loss and sorted(got) == sorted(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key])
 
 
 def test_cached_trunk_step_is_bit_identical(schema):
@@ -144,7 +158,9 @@ def test_cached_trunk_step_is_bit_identical(schema):
     rng = np.random.default_rng(5)
     for batch in ([17, 3, 9, 22, 0, 11, 6, 14], [23, 1, 5, 12, 19, 8, 2, 20]):
         x = np.concatenate([feats[i] for i in batch], axis=0)
-        h = cache.batch(batch)
+        h = cache.batch(
+            np.concatenate([np.arange(cache.offsets[i], cache.offsets[i + 1]) for i in batch])
+        )
         assert h is not None
         targets = [
             (w, rng.integers(0, params.n_classes, size=x.shape[0])) for w in (1.0, 0.5)
@@ -173,6 +189,23 @@ def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
     # a batch that small must take its own trunk pass
     assert cache.batch(range(28)) is None
     assert np.array_equal(cache.batch(range(29)), whole[:29])
+
+
+def test_cached_document_rows_give_forward_probabilities(schema):
+    # documents on both sides of the small-kernel cutoff (28 words at 552x64)
+    noisy, _, _ = generate(preset_config("noisy-bench", 30, seed=4), schema)
+    clean, _, _ = generate(preset_config("clean", 8, seed=4), schema)
+    feats = featurize_corpus(clean[:4] + noisy + clean[4:])
+    sizes = [f.shape[0] for f in feats]
+    assert min(sizes) <= 28 < max(sizes)
+    params = init_params(FEATURE_DIM, schema.n_fields, 3, schema.digest(), seed=4)
+    cache = TrunkCache(params, feats, 8)
+    for i, f in enumerate(feats):
+        h = cache.document(i)
+        assert (h is None) == (f.shape[0] <= 28)
+        if h is not None:
+            for branch in (1, 2, 3):
+                assert np.array_equal(branch_probs(params, h, branch), forward(params, f, branch))
 
 
 def numeric_gradient(params, x, targets, branch, train_trunk, key, idx, h=1e-6):
@@ -303,3 +336,179 @@ def test_checkpoint_rejects_truncation_at_every_offset(tmp_path):
             load_model(str(cut))
         assert str(cut) in str(exc.value)
     assert len(blob) > HEADER_BYTES
+
+
+# --- step oracle ------------------------------------------------------------
+# The training step as it stood before the flat parameter buffer, kept as
+# the reference: per-tensor Adam with fresh arrays, and every loss term
+# worked out on its own.  The current step must give the same bits.
+
+def _ref_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_head(t, h, branch):
+    if branch == 1:
+        return None, _ref_softmax(h @ t["branch1.out.w"] + t["branch1.out.b"])
+    h2 = np.maximum(h @ t[f"branch{branch}.hid.w"] + t[f"branch{branch}.hid.b"], 0.0)
+    return h2, _ref_softmax(h2 @ t[f"branch{branch}.out.w"] + t[f"branch{branch}.out.b"])
+
+
+def _ref_branch_loss_and_grad(t, features, targets, branch, train_trunk):
+    h = np.matmul(features, t["trunk.w"])
+    h += t["trunk.b"]
+    h = np.maximum(h, 0.0, out=h)
+    m = h.shape[0]
+    h2, probs = _ref_head(t, h, branch)
+    loss = 0.0
+    dlogits = np.zeros_like(probs)
+    rows = np.arange(m)
+    for weight, y in targets:
+        picked = probs[rows, y]
+        loss += weight * float(-np.log(picked).mean())
+        contrib = probs.copy()
+        contrib[rows, y] -= 1.0
+        dlogits += (weight / m) * contrib
+    grads = {}
+    if branch == 1:
+        grads["branch1.out.w"] = h.T @ dlogits
+        grads["branch1.out.b"] = dlogits.sum(axis=0)
+        upstream, w_up = dlogits, t["branch1.out.w"]
+    else:
+        grads[f"branch{branch}.out.w"] = h2.T @ dlogits
+        grads[f"branch{branch}.out.b"] = dlogits.sum(axis=0)
+        dh2 = dlogits @ t[f"branch{branch}.out.w"].T
+        da2 = dh2 * (h2 > 0.0)
+        grads[f"branch{branch}.hid.w"] = h.T @ da2
+        grads[f"branch{branch}.hid.b"] = da2.sum(axis=0)
+        upstream, w_up = da2, t[f"branch{branch}.hid.w"]
+    if train_trunk:
+        da1 = (upstream @ w_up.T) * (h > 0.0)
+        grads["trunk.w"] = features.T @ da1
+        grads["trunk.b"] = da1.sum(axis=0)
+    return loss, grads
+
+
+def _ref_adam_step(tensors, grads, state, lr):
+    state["t"] += 1
+    t = state["t"]
+    for key in sorted(grads):
+        g = grads[key]
+        if key not in state["m"]:
+            state["m"][key] = np.zeros_like(g)
+            state["v"][key] = np.zeros_like(g)
+        state["m"][key] = BETA1 * state["m"][key] + (1.0 - BETA1) * g
+        state["v"][key] = BETA2 * state["v"][key] + (1.0 - BETA2) * (g * g)
+        m_hat = state["m"][key] / (1.0 - BETA1**t)
+        v_hat = state["v"][key] / (1.0 - BETA2**t)
+        tensors[key] = tensors[key] - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+
+
+# 2..12 classes: numpy's row sum changes its pairwise order at 8 and more
+@pytest.mark.parametrize("n_fields", [1, 2, 5, 7, 8, 11])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])  # 0.0 makes -0.0 contributions
+@pytest.mark.parametrize("train_trunk", [True, False])
+def test_step_matches_the_reference_step(n_fields, beta, train_trunk):
+    rng = np.random.default_rng([n_fields, int(beta * 10), train_trunk])
+    params = init_params(30, n_fields, 3, DIGEST, hidden=16, branch_hidden=12, seed=n_fields)
+    ref = {key: arr.copy() for key, arr in params.tensors.items()}
+    state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    for step in range(20):
+        m = int(rng.integers(1, 60))
+        x = rng.normal(size=(m, 30))
+        y0, y1, y2 = (rng.integers(0, n_fields + 1, size=m) for _ in range(3))
+        # the stage-3 terms repeat the rule labels y0, one array object
+        targets = {1: [(1.0, y0)], 2: [(1.0, y1), (beta, y0)],
+                   3: [(1.0, y1), (beta, y0), (1.0, y2), (beta, y0)]}
+        # a joint step trains every branch and the trunk; a frozen-trunk step
+        # trains one branch, a different one each step
+        branches = (1, 2, 3) if train_trunk else (1 + step % 3,)
+        h = trunk_activations(params, x) if step % 2 else None
+        feats = x if train_trunk or h is None else None
+        grads, ref_grads = {}, {}
+        for branch in branches:
+            loss, got = branch_loss_and_grad(
+                params, feats, targets[branch], branch, train_trunk, activations=h
+            )
+            want_loss, want = _ref_branch_loss_and_grad(
+                ref, x, targets[branch], branch, train_trunk
+            )
+            assert loss == want_loss
+            assert sorted(got) == sorted(want)
+            for key in want:
+                assert np.array_equal(got[key], want[key])
+                grads[key] = grads[key] + got[key] if key in grads else got[key]
+                ref_grads[key] = ref_grads[key] + want[key] if key in ref_grads else want[key]
+        adam_step(params, grads, state, lr=1e-2)
+        _ref_adam_step(ref, ref_grads, ref_state, lr=1e-2)
+        for key in tensor_keys(3):
+            assert np.array_equal(params.tensors[key], ref[key])
+        for key in ref_state["m"]:
+            assert np.array_equal(state.m[key], ref_state["m"][key])
+            assert np.array_equal(state.v[key], ref_state["v"][key])
+
+
+def test_repeated_and_zero_weight_terms_match_the_reference():
+    # one labels object repeated, equal labels in separate objects, and
+    # weights 0.0 and -0.0 that share one worked-out term
+    params = small_params()
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(11, 10))
+    y = rng.integers(0, 4, size=11)
+    ref = {key: arr.copy() for key, arr in params.tensors.items()}
+    for targets in ([(1.0, y), (0.3, y), (1.0, y)], [(1.0, y), (0.3, y.copy()), (1.0, y.copy())],
+                    [(0.0, y), (-0.0, y)]):
+        loss, got = branch_loss_and_grad(params, x, targets, 2, True)
+        want_loss, want = _ref_branch_loss_and_grad(ref, x, targets, 2, True)
+        assert loss == want_loss
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+
+def test_adam_step_wants_one_contiguous_run_of_tensors():
+    params = small_params()
+    before = params.flat.copy()
+    g = {key: np.ones_like(params.tensors[key]) for key in ("trunk.b", "branch2.out.b")}
+    with pytest.raises(ValidationError):
+        adam_step(params, g, AdamState(), lr=1e-3)
+    assert np.array_equal(params.flat, before)
+
+
+def _assert_flat_layout(params):
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    start = flat.__array_interface__["data"][0]
+    off = 0
+    for key in tensor_keys(params.n_branches):
+        arr = params.tensors[key]
+        assert np.shares_memory(arr, flat)
+        assert arr.__array_interface__["data"][0] == start + 8 * off
+        assert params.offsets[key] == off
+        off += arr.size
+    assert off == flat.size
+
+
+def test_params_are_views_into_one_flat_buffer(tmp_path):
+    params = init_params(12, 3, 3, DIGEST, hidden=5, branch_hidden=4, seed=2)
+    _assert_flat_layout(params)
+    twin = params.copy()
+    _assert_flat_layout(twin)
+    assert not np.shares_memory(twin.flat, params.flat)
+    assert np.array_equal(twin.flat, params.flat)
+    path = str(tmp_path / "model.ffrg")
+    save_model(path, params)
+    again = load_model(path)
+    _assert_flat_layout(again)
+    assert np.array_equal(again.flat, params.flat)
+    # a stage's update lands in the tensors through the shared buffer
+    adam_step(twin, {"trunk.b": np.ones(5)}, AdamState(), lr=0.5)
+    assert not np.array_equal(twin.tensors["trunk.b"], params.tensors["trunk.b"])
+    assert np.array_equal(twin.tensors["trunk.b"], twin.flat[60:65])
+    # a buffer that cannot hold the views is refused
+    dims = (12, 5, 4, 3, 3)
+    for bad in (np.zeros(params.flat.size - 1), np.zeros(2 * params.flat.size)[::2],
+                np.zeros(params.flat.size, dtype=np.float32)):
+        with pytest.raises(ValidationError, match="parameter buffer"):
+            ModelParams(*dims, bad, DIGEST)

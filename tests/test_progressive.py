@@ -6,6 +6,7 @@ import pytest
 from conftest import make_doc
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.docmodel import Phrase, ValidationError, default_invoice_schema, reading_order
+from ffrg.features import featurize_corpus
 from ffrg.grouping import group_document
 from ffrg.model import forward, tensor_keys
 from ffrg.progressive import (
@@ -204,6 +205,45 @@ def test_trunk_cache_leaves_training_bit_identical(monkeypatch):
         assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
     assert cached.refined == uncached.refined
     assert cached.stage_losses == uncached.stage_losses
+
+
+def test_cached_refinement_leaves_training_bit_identical(monkeypatch):
+    # documents on both sides of the small-kernel cutoff: the long ones are
+    # refined from the cached trunk rows, the short ones by their own pass
+    schema = default_invoice_schema()
+    noisy, _, _ = generate(preset_config("noisy-bench", 9, seed=6), schema)
+    clean, _, _ = generate(preset_config("clean", 6, seed=7), schema)  # other doc ids
+    docs = clean[:3] + noisy + clean[3:]
+    sizes = [len(d.words) for d in docs]
+    assert min(sizes) <= 28 < max(sizes)
+    labels, _ = bootstrap_corpus(docs, schema)
+    cfg = TrainConfig(n_branches=3, epochs_step1=1, epochs_step2=1, seed=6, lr=3e-3)
+    calls = []
+    monkeypatch.setattr(
+        "ffrg.progressive.forward", lambda p, x, b: calls.append(x.shape[0]) or forward(p, x, b)
+    )
+    cached = train(docs, labels, schema, cfg)
+    assert calls and max(calls) <= 28  # only the short documents take their own pass
+    monkeypatch.setattr("ffrg.progressive.TrunkCache", lambda *args: None)
+    uncached = train(docs, labels, schema, cfg)
+    for key in tensor_keys(3):
+        assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
+    assert cached.refined == uncached.refined
+    assert cached.stage_losses == uncached.stage_losses
+
+
+def test_train_rejects_features_of_another_corpus():
+    schema, docs, labels = _tiny_corpus()
+    feats = featurize_corpus(docs)
+    with pytest.raises(ValidationError, match="one row per word"):
+        train(docs, labels, schema, TINY, features=feats[1:] + feats[:1])
+
+
+@pytest.mark.parametrize("name", ["hidden", "branch_hidden"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_rejects_empty_layers(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be at least 1"):
+        TrainConfig(**{name: value})
 
 
 def test_config_validation():
