@@ -7,7 +7,7 @@ with per-seed numbers next to the printed table when --out is given.
 Usage:
     python scripts/run_noisy_bench.py [--n 1000] [--seeds 0 1 2 3 4]
         [--epochs-step1 3] [--epochs-step2 40] [--lr 3e-3]
-        [--hidden 64] [--branch-hidden 64] [--threads 4] [--out bench.json]
+        [--hidden 64] [--branch-hidden 64] [--out bench.json]
 """
 
 import argparse
@@ -37,13 +37,13 @@ def run(args):
     t0 = time.time()
     for seed in args.seeds:
         cfg = preset_config("noisy-bench", n_docs=args.n, seed=seed)
-        docs, gold, truth = generate(cfg, schema, threads=args.threads)
-        labels, rule_values = bootstrap_corpus(docs, schema, threads=args.threads)
+        docs, gold, truth = generate(cfg, schema)
+        labels, rule_values = bootstrap_corpus(docs, schema)
         noise = corruption_report(docs, truth, labels)
         word_noise.append((noise["word_precision"], noise["word_recall"]))
         rpt = score(rule_values, gold, schema)
         rows["rules"].append((rpt.macro_precision, rpt.macro_recall, rpt.macro_f1))
-        feats = featurize_corpus(docs, threads=args.threads)
+        feats = featurize_corpus(docs)
         for name, kw in variants.items():
             tc = TrainConfig(
                 seed=seed, lr=args.lr, hidden=args.hidden,
@@ -51,8 +51,8 @@ def run(args):
                 epochs_step1=args.epochs_step1, epochs_step2=args.epochs_step2,
                 **kw,
             )
-            result = train(docs, labels, schema, tc, features=feats, threads=args.threads)
-            values = extract_corpus(result.params, docs, schema, features=feats, threads=args.threads)
+            result = train(docs, labels, schema, tc, features=feats)
+            values = extract_corpus(result.params, docs, schema, features=feats)
             rpt = score(values, gold, schema)
             rows[name].append((rpt.macro_precision, rpt.macro_recall, rpt.macro_f1))
         print(f"seed {seed} done [{time.time() - t0:.0f}s]", flush=True)
@@ -90,7 +90,6 @@ def main():
     ap.add_argument("--lr", type=float, default=3e-3)
     ap.add_argument("--hidden", type=int, default=64)
     ap.add_argument("--branch-hidden", type=int, default=64)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default=None)
     run(ap.parse_args())
 

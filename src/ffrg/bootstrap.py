@@ -20,7 +20,6 @@ from typing import Sequence
 from .datatypes import DataType, type_of
 from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField
 from .grouping import group_words
-from .parallel import ordered_map
 from .similarity import (
     JW_BOOST_THRESHOLD,
     JW_MAX_PREFIX,
@@ -194,7 +193,6 @@ def in_neighbor_zone(key: Phrase, candidate: Phrase) -> bool:
 
 
 def extract_field(
-    doc: Document,
     phrases: Sequence[Phrase],
     field: SchemaField,
     p: RuleParams | None = None,
@@ -270,7 +268,7 @@ def extract_document(
     types = [type_of(ph.text) for ph in phrases]
     bounds = key_bounds(phrases, [f.keys for f in schema.fields])
     extractions = [
-        extract_field(doc, phrases, f, p, types=types, bound=bound)
+        extract_field(phrases, f, p, types=types, bound=bound)
         for f, bound in zip(schema.fields, bounds)
     ]
     return resolve_conflicts(extractions)
@@ -286,17 +284,14 @@ def bootstrap_corpus(
 
     Returns (labels, values): word-level pseudo-labels with provenance
     "bootstrap", and per-document field -> text extractions usable as a
-    rule-only baseline.
+    rule-only baseline.  ``threads`` is accepted and not read.
     """
-    results = ordered_map(
-        lambda d: (d, extract_document(d, schema, p)), docs, threads
-    )
     labels = LabelSet("bootstrap")
     values: dict[str, dict[str, str]] = {}
-    for doc, extractions in results:
+    for doc in docs:
         labels.add_document(doc.doc_id)
         fields: dict[str, str] = {}
-        for e in extractions:
+        for e in extract_document(doc, schema, p):
             if e.value_phrase is None:
                 continue
             for wid in e.value_phrase.word_ids:

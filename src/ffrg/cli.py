@@ -26,7 +26,6 @@ from .evaluation import score, write_report
 from .features import featurize_corpus
 from .grouping import GroupingConfig, group_document
 from .model import load_model, save_model
-from .parallel import resolve_threads
 from .progressive import TrainConfig, extract_corpus, predict_word_classes, train
 from .similarity import string_distance
 from .synth import SynthConfig, generate, preset_config, corruption_report, PRESETS
@@ -92,7 +91,7 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
         if raw.get(key) is not None:
             out[key] = raw[key]
         elif key in cfg:
-            out[key] = _config_value(raw["config"], key, cfg[key], _option_type(key, default))
+            out[key] = _config_value(raw["config"], key, cfg[key], _option_type(default))
         else:
             out[key] = default
     return out
@@ -155,7 +154,7 @@ def _cmd_synth(opts: dict[str, Any]) -> int:
         cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
     else:
         cfg = SynthConfig(n_docs=opts["n"], seed=opts["seed"])
-    docs, gold, truth = generate(cfg, schema, threads=opts["threads"])
+    docs, gold, truth = generate(cfg, schema)
     dm.write_documents(opts["out_docs"], docs)
     dm.write_annotations(opts["out_gold"], gold)
     if opts["out_truth"]:
@@ -183,7 +182,7 @@ def _cmd_bootstrap(opts: dict[str, Any]) -> int:
         alpha=opts["alpha"], theta_v=opts["theta_v"],
     )
     docs = dm.read_documents(opts["docs"])
-    labels, values = bs.bootstrap_corpus(docs, schema, params, threads=opts["threads"])
+    labels, values = bs.bootstrap_corpus(docs, schema, params)
     dm.write_labels(opts["out"], labels)
     if opts["values"]:
         dm.write_annotations(opts["values"], values)
@@ -205,7 +204,7 @@ def _cmd_train(opts: dict[str, Any]) -> int:
     docs = dm.read_documents(opts["docs"])
     labels = dm.read_labels(opts["labels"])
     cfg = _train_config(opts)
-    result = train(docs, labels, schema, cfg, threads=opts["threads"])
+    result = train(docs, labels, schema, cfg)
     save_model(opts["out"], result.params)
     if opts["refined_out"]:
         for k, labelset in sorted(result.refined.items()):
@@ -223,11 +222,8 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
     schema = _read_schema_opt(opts)
     params = load_model(opts["model"], schema)
     docs = dm.read_documents(opts["docs"])
-    features = featurize_corpus(docs, opts["threads"])
-    values = extract_corpus(
-        params, docs, schema, features, threshold=opts["threshold"],
-        threads=opts["threads"],
-    )
+    features = featurize_corpus(docs)
+    values = extract_corpus(params, docs, schema, features, threshold=opts["threshold"])
     dm.write_annotations(opts["out"], values)
     if opts["overlay"] or opts["svg"]:
         overlay_rows = []
@@ -343,13 +339,13 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
     dm.write_schema(p("schema.json"), schema)
 
     cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
-    docs, gold, truth = generate(cfg, schema, threads=opts["threads"])
+    docs, gold, truth = generate(cfg, schema)
     dm.write_documents(p("docs.jsonl"), docs)
     dm.write_annotations(p("gold.jsonl"), gold)
     dm.write_labels(p("truth.jsonl"), truth)
     log.info("pipeline: synthesized %d documents", len(docs))
 
-    labels, rule_values = bs.bootstrap_corpus(docs, schema, threads=opts["threads"])
+    labels, rule_values = bs.bootstrap_corpus(docs, schema)
     dm.write_labels(p("labels.jsonl"), labels)
     dm.write_annotations(p("rule_values.jsonl"), rule_values)
     noise = corruption_report(docs, truth, labels)
@@ -359,8 +355,8 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
     )
 
     tcfg = _train_config(opts)
-    features = featurize_corpus(docs, opts["threads"])
-    result = train(docs, labels, schema, tcfg, features, threads=opts["threads"])
+    features = featurize_corpus(docs)
+    result = train(docs, labels, schema, tcfg, features)
     save_model(p("model.ffrg"), result.params)
     log.info("pipeline: trained %d-branch model", tcfg.n_branches)
     for k, losses in enumerate(result.stage_losses, start=1):
@@ -375,7 +371,7 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
             k, kept, len(docs), kept / len(docs),
         )
 
-    values = extract_corpus(result.params, docs, schema, features, threads=opts["threads"])
+    values = extract_corpus(result.params, docs, schema, features)
     dm.write_annotations(p("values.jsonl"), values)
 
     report = score(values, gold, schema)
@@ -390,23 +386,24 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
 # One row per subcommand: runner, help line and option defaults.  A default
 # of None means "must be provided by flag or config" or "off".  The keys are
 # the config-file vocabulary; each key is also a flag (see _flag), typed by
-# its default (see _option_type).
+# its default (see _option_type).  pipeline's first option is parsed and
+# never read.
 _COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]] = {
     "synth": (_cmd_synth, "generate a synthetic corpus with gold annotations",
-              dict(threads=None, preset=None, n=100, seed=0, schema=None,
+              dict(preset=None, n=100, seed=0, schema=None,
                    out_docs=None, out_gold=None, out_truth=None)),
     "group": (_cmd_group, "attach density-grouped phrases to documents",
               dict(in_docs=None, out=None, eps_scale=0.8)),
     "bootstrap": (_cmd_bootstrap, "mine rule-based pseudo-labels and values",
-                  dict(threads=None, docs=None, schema=None, out=None, values=None,
+                  dict(docs=None, schema=None, out=None, values=None,
                        theta_v=0.1, alpha=4.0, sigma_d=0.5, sigma_a=0.5)),
     "train": (_cmd_train, "train the multi-branch token classifier",
-              dict(threads=None, docs=None, labels=None, schema=None, out=None,
+              dict(docs=None, labels=None, schema=None, out=None,
                    branches=3, beta=1.0, refine_threshold=0.1, epochs_step1=2,
                    epochs_step2=2, seed=0, lr=1e-3, batch_docs=8, hidden=64,
                    branch_hidden=64, single_step=False, refined_out=None)),
     "extract": (_cmd_extract, "extract field values with a trained model",
-                dict(threads=None, model=None, docs=None, schema=None, out=None,
+                dict(model=None, docs=None, schema=None, out=None,
                      threshold=0.1, overlay=None, svg=None)),
     "eval": (_cmd_eval, "exact-match evaluation against gold annotations",
              dict(pred=None, gold=None, schema=None, report=None, per_field=False)),
@@ -414,7 +411,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]
                 dict(pred=None, gold=None, schema=None, out=None, docs=None,
                      overlay=None, svg=None)),
     "pipeline": (_cmd_pipeline, "synth + bootstrap + train + extract + eval",
-                 dict(threads=None, preset="clean", n=100, seed=0, schema=None,
+                 dict(threads=1, preset="clean", n=100, seed=0, schema=None,
                       workdir="ffrg-pipeline", branches=3, beta=1.0,
                       epochs_step1=2, epochs_step2=2, lr=1e-3, single_step=False)),
 }
@@ -424,9 +421,7 @@ def _flag(key: str) -> str:
     return "--in" if key == "in_docs" else "--" + key.replace("_", "-")
 
 
-def _option_type(key: str, default: Any) -> type:
-    if key == "threads":
-        return int  # None defers to FFRG_THREADS
+def _option_type(default: Any) -> type:
     return str if default is None else type(default)
 
 
@@ -453,11 +448,10 @@ def build_parser() -> _Parser:
                 # default None, not False, so that a config file can set it
                 sp.add_argument(_flag(key), dest=key, action="store_true", default=None)
             else:
-                type_ = _option_type(key, default)
+                type_ = _option_type(default)
                 sp.add_argument(
                     _flag(key), dest=key, type=_finite_float if type_ is float else type_,
                     choices=sorted(PRESETS) if key == "preset" else None,
-                    help="worker threads (env FFRG_THREADS)" if key == "threads" else None,
                 )
     return parser
 
@@ -474,8 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run, _, defaults = _COMMANDS[args.command]
         opts = _resolve(args, defaults)
-        if opts.get("threads") is not None:
-            resolve_threads(opts["threads"])  # validate early
         return run(opts)
     except dm.ValidationError as e:
         log.error("%s", e)

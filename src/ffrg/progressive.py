@@ -33,7 +33,6 @@ from .model import (
     init_params,
     trunk_activations,
 )
-from .parallel import ordered_map
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def train(
     With two-step training the trunk is frozen after stage 1, so stages
     2..K and their refinements run on its activations, computed once for
     the whole corpus.  Otherwise each step takes one trunk pass over its
-    batch, shared by the branches it trains.
+    batch, shared by the branches it trains.  ``threads`` is accepted and
+    not read.
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
@@ -167,7 +167,7 @@ def train(
     n_fields = schema.n_fields
     rule_labels.validate(docs, n_fields)
     if features is None:
-        features = featurize_corpus(docs, threads)
+        features = featurize_corpus(docs)
 
     if [f.shape[0] for f in features] != [len(doc.words) for doc in docs]:
         raise ValidationError("feature matrices do not have one row per word of each document")
@@ -243,7 +243,7 @@ def train(
                 return forward(params, features[i], branch)
             return branch_probs(params, h, branch)
 
-        probs = ordered_map(doc_probs, range(len(docs)), threads)
+        probs = [doc_probs(i) for i in range(len(docs))]
         return refine_labels(
             docs, probs, n_fields, cfg.refine_threshold, f"refined@branch_{branch}", orders=orders
         )
@@ -319,16 +319,15 @@ def extract_corpus(
     threshold: float = 0.1,
     threads: int | None = None,
 ) -> dict[str, dict[str, str]]:
+    """Field values per document id; ``threads`` is accepted and not read."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
     if features is None:
-        features = featurize_corpus(docs, threads)
-    rows = ordered_map(
-        lambda i: extract_values(params, docs[i], features[i], schema, threshold),
-        range(len(docs)),
-        threads,
-    )
-    return {doc.doc_id: fields for doc, fields in zip(docs, rows)}
+        features = featurize_corpus(docs)
+    return {
+        doc.doc_id: extract_values(params, doc, features[i], schema, threshold)
+        for i, doc in enumerate(docs)
+    }
 
 
 def predict_word_classes(params: ModelParams, features: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ Annotations therefore state what the form SAID, not what the OCR words
 show: under character noise some values are unrecoverable by exact
 match, for rules and trained models alike, and end-to-end scores carry
 that ceiling.  Per-document rng streams keyed (seed, index) keep
-generation independent of parallelism and of every other document.
+each document independent of every other.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .docmodel import (
     ValidationError,
     Word,
 )
-from .parallel import ordered_map
 
 # layout constants, normalized page units
 CHAR_W = 0.0075
@@ -44,8 +43,6 @@ GRID_ROWS = 5
 HEADER_Y = 0.05
 PAGE_W = 850
 PAGE_H = 1100
-
-TEMPLATES = ("key-left", "key-above", "mixed")
 
 _HEADER_POOL = (
     "Meridian", "Northwind", "Cascade", "Pinnacle", "Vertex", "Summit",
@@ -97,7 +94,6 @@ _GENERIC_PREFIXES = ("NO", "RC")
 class SynthConfig:
     n_docs: int
     seed: int
-    layout_templates: tuple[str, ...] = ("mixed",)
     key_paraphrase_rate: float = 0.0
     unknown_key_rate: float = 0.0
     char_noise_rate: float = 0.0
@@ -113,16 +109,10 @@ class SynthConfig:
             raise ValidationError("distractor_density and bbox_jitter must be non-negative")
         if self.n_docs < 0:
             raise ValidationError("n_docs must be non-negative")
-        for t in self.layout_templates:
-            if t not in TEMPLATES:
-                raise ValidationError(f"unknown layout template {t!r}")
-        if not self.layout_templates:
-            raise ValidationError("need at least one layout template")
 
 
 PRESETS: dict[str, dict] = {
     "clean": dict(
-        layout_templates=("mixed",),
         key_paraphrase_rate=0.0,
         unknown_key_rate=0.0,
         char_noise_rate=0.0,
@@ -130,7 +120,6 @@ PRESETS: dict[str, dict] = {
         bbox_jitter=0.0,
     ),
     "noisy-bench": dict(
-        layout_templates=("mixed",),
         key_paraphrase_rate=0.3,
         unknown_key_rate=0.1,
         char_noise_rate=0.03,
@@ -286,7 +275,6 @@ def generate_document(
     rng = np.random.default_rng([cfg.seed, index, 0])
     noise_rng = np.random.default_rng([cfg.seed, index, 1])
 
-    template = str(rng.choice(list(cfg.layout_templates)))
     n_place = int(rng.integers(3, schema.n_fields + 1))
     chosen = sorted(int(i) + 1 for i in rng.choice(schema.n_fields, size=n_place, replace=False))
     if float(rng.random()) < _SLOT_SHUFFLE:
@@ -306,9 +294,7 @@ def generate_document(
         f = schema.field_by_id(field_id)
         col = GRID_COLS[slot % len(GRID_COLS)]
         row_y = GRID_ROW0 + GRID_ROW_PITCH * (slot // len(GRID_COLS))
-        relation = template
-        if template == "mixed":
-            relation = "key-left" if rng.integers(0, 2) == 0 else "key-above"
+        relation = "key-left" if rng.integers(0, 2) == 0 else "key-above"
 
         key_texts = _key_display(f.name, f.keys, cfg, rng)
         value_texts = _gen_value(f.name, f.allowed_types, rng)
@@ -393,14 +379,13 @@ def generate_document(
 def generate(
     cfg: SynthConfig, schema: FieldSchema, threads: int | None = None
 ) -> tuple[list[Document], dict[str, dict[str, str]], LabelSet]:
-    """Corpus, gold annotations, and word-level truth labels."""
-    rows = ordered_map(
-        lambda i: generate_document(cfg, schema, i), range(cfg.n_docs), threads
-    )
+    """Corpus, gold annotations, and word-level truth labels; ``threads`` is
+    accepted and not read."""
     docs: list[Document] = []
     annotations: dict[str, dict[str, str]] = {}
     truth = LabelSet("truth")
-    for doc, gold, positives in rows:
+    for i in range(cfg.n_docs):
+        doc, gold, positives = generate_document(cfg, schema, i)
         docs.append(doc)
         annotations[doc.doc_id] = gold
         truth.add_document(doc.doc_id)

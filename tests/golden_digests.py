@@ -1,15 +1,17 @@
 """Golden digests: sha256 of the geometry, rule, feature and pipeline
-outputs on fixed inputs, and the numpy/BLAS build they were computed on.
+outputs on fixed inputs, and the numpy/BLAS build and BLAS thread count
+they were computed on.
 
 `compute()` rebuilds every input from fixed seeds and returns the mapping
 that `scripts/record_golden.py` writes to `tests/golden/digests.json` and
 that `test_golden.py` compares against it.  The pipeline's floats depend
-on the BLAS kernels, so a digest is only comparable on the build it was
-recorded on.
+on the BLAS kernels and on how many threads split a product, so a digest
+is only comparable on the build and thread count it was recorded on.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -42,10 +44,33 @@ PIPELINES = {
 }
 
 
-def build() -> dict[str, str]:
-    """The numpy version and BLAS library the digests depend on."""
+def blas_threads() -> int | None:
+    """Thread count of the OpenBLAS loaded into this process, if any."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def build() -> dict:
+    """The numpy version, BLAS library and BLAS thread count the digests depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": blas_threads(),
+    }
 
 
 def _sha(text: str) -> str:
@@ -62,7 +87,7 @@ def dense_pages() -> list[dm.Document]:
     tile t sits in cell t of a near-square grid, scaled into the cell, and
     the last tile keeps only a prefix of its words."""
     pool, _, _ = synth.generate(
-        synth.preset_config("noisy-bench", 80, SEED), dm.default_invoice_schema(), threads=1
+        synth.preset_config("noisy-bench", 80, SEED), dm.default_invoice_schema()
     )
     pool.reverse()
     pages = []
@@ -103,7 +128,7 @@ def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
     """Reading order, phrases, and the rule labels and values of one page."""
     order = dm.reading_order(page)
     phrases = grouping.group_words(page, order=order)
-    labels, values = bs.bootstrap_corpus([page], schema, threads=1)
+    labels, values = bs.bootstrap_corpus([page], schema)
     return _sha(json.dumps({
         "order": order,
         "phrases": [[list(p.word_ids), p.text, p.box.as_list()] for p in phrases],
@@ -118,20 +143,20 @@ def pipeline_digests(workdir: str, preset: str, n_docs: int, epochs_step1: int,
     refined label set."""
     schema = dm.default_invoice_schema()
     p = lambda name: os.path.join(workdir, name)
-    docs, gold, _ = synth.generate(synth.preset_config(preset, n_docs, SEED), schema, threads=1)
-    labels, rule_values = bs.bootstrap_corpus(docs, schema, threads=1)
+    docs, gold, _ = synth.generate(synth.preset_config(preset, n_docs, SEED), schema)
+    labels, rule_values = bs.bootstrap_corpus(docs, schema)
     dm.write_labels(p("labels.jsonl"), labels)
     dm.write_annotations(p("rule_values.jsonl"), rule_values)
     cfg = pg.TrainConfig(
         n_branches=3, seed=SEED, lr=3e-3, epochs_step1=epochs_step1,
         epochs_step2=epochs_step2, two_step=two_step,
     )
-    features = ft.featurize_corpus(docs, 1)
-    result = pg.train(docs, labels, schema, cfg, features, threads=1)
+    features = ft.featurize_corpus(docs)
+    result = pg.train(docs, labels, schema, cfg, features)
     md.save_model(p("model.ffrg"), result.params)
     for k, refined in sorted(result.refined.items()):
         dm.write_labels(p(f"refined{k}.jsonl"), refined)
-    values = pg.extract_corpus(result.params, docs, schema, features, threads=1)
+    values = pg.extract_corpus(result.params, docs, schema, features)
     dm.write_annotations(p("values.jsonl"), values)
     ev.write_report(p("report.json"), ev.score(values, gold, schema))
     return {name: _file_sha(p(name)) for name in sorted(os.listdir(workdir))}

@@ -241,7 +241,7 @@ def _phrases(doc):
 
 def test_extract_field_picks_typed_neighbor(schema):
     doc = _line_doc()
-    e = extract_field(doc, _phrases(doc), MONEY_FIELD)
+    e = extract_field(_phrases(doc), MONEY_FIELD)
     assert e.key_phrase.text == "Total"
     assert e.value_phrase.text == "$12.00"
     assert e.value_score > RuleParams().theta_v
@@ -250,7 +250,7 @@ def test_extract_field_picks_typed_neighbor(schema):
 
 def test_extract_field_without_typed_candidates():
     doc = make_doc([("Total", 0.1, 0.1, 0.16, 0.12), ("alpha", 0.3, 0.1, 0.36, 0.12)])
-    e = extract_field(doc, _phrases(doc), MONEY_FIELD)
+    e = extract_field(_phrases(doc), MONEY_FIELD)
     assert e.key_phrase is not None
     assert e.value_phrase is None and e.value_score is None
 
@@ -259,7 +259,7 @@ def test_extract_field_rejects_below_threshold():
     # hopeless key match: key score 0 zeroes every value score
     field = SchemaField(1, "f", ("zzzz",), frozenset({DataType.NUMBER}))
     doc = make_doc([("qqqq", 0.1, 0.1, 0.16, 0.12), ("123", 0.3, 0.1, 0.36, 0.12)])
-    e = extract_field(doc, _phrases(doc), field)
+    e = extract_field(_phrases(doc), field)
     assert e.key_phrase is not None
     assert e.key_score == 0.0
     assert e.value_phrase is None
@@ -269,7 +269,7 @@ def test_extract_field_never_reuses_key_as_value():
     # the key itself is typed; it must not become its own value
     field = SchemaField(1, "f", ("123",), frozenset({DataType.NUMBER}))
     doc = make_doc([("123", 0.1, 0.1, 0.16, 0.12)])
-    e = extract_field(doc, _phrases(doc), field)
+    e = extract_field(_phrases(doc), field)
     assert e.key_phrase.text == "123"
     assert e.value_phrase is None
 

@@ -5,9 +5,12 @@ import logging
 
 import pytest
 
+from ffrg.bootstrap import bootstrap_corpus
 from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
-from ffrg.docmodel import read_annotations, read_documents, read_labels
-from ffrg.synth import PRESETS
+from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
+from ffrg.features import featurize_corpus
+from ffrg.progressive import TrainConfig, extract_corpus, train
+from ffrg.synth import PRESETS, generate, preset_config
 
 
 def run(*argv):
@@ -42,20 +45,11 @@ def test_missing_input_file_is_an_io_error(tmp_path):
     assert code == 2
 
 
-def test_invalid_thread_count_is_a_validation_error(tmp_path):
-    code = run(
-        "synth", "--threads", "0", "--n", "1",
-        "--out-docs", str(tmp_path / "d.jsonl"),
-        "--out-gold", str(tmp_path / "g.jsonl"),
-    )
-    assert code == 1
-
-
 _FLOAT_OPTIONS = [
     (command, key)
     for command, (_, _, defaults) in _COMMANDS.items()
     for key, default in defaults.items()
-    if _option_type(key, default) is float
+    if _option_type(default) is float
 ]
 
 
@@ -245,6 +239,33 @@ def test_pipeline_logs_stage_losses_and_anchors(tmp_path, caplog):
     assert "anchors" in caplog.text
 
 
+def test_threads_argument_is_accepted_and_changes_nothing(tmp_path):
+    # callers that still pass threads=1 (or pipeline --threads 1) get the
+    # same outputs as callers that leave it out
+    schema = default_invoice_schema()
+    cfg = TrainConfig(n_branches=2, epochs_step1=1, epochs_step2=1)
+
+    def corpus(**kw):
+        docs, gold, truth = generate(preset_config("noisy-bench", 6, 3), schema, **kw)
+        labels, values = bootstrap_corpus(docs, schema, **kw)
+        features = featurize_corpus(docs, *kw.values())  # positional, as (docs, 1)
+        result = train(docs, labels, schema, cfg, features, **kw)
+        extracted = extract_corpus(result.params, docs, schema, features, **kw)
+        return (docs, gold, truth, labels, values, [f.tobytes() for f in features],
+                result.params.flat.tobytes(), result.refined, result.stage_losses, extracted)
+
+    assert corpus(threads=1) == corpus()
+
+    def pipeline(name, *extra):
+        workdir = tmp_path / name
+        argv = ["pipeline", "--preset", "noisy-bench", "--n", "6", "--branches", "2",
+                "--epochs-step1", "1", "--epochs-step2", "1", "--workdir", str(workdir)]
+        assert run(*argv, *extra) == 0
+        return {f.name: f.read_bytes() for f in sorted(workdir.iterdir())}
+
+    assert pipeline("flag", "--threads", "1") == pipeline("plain")
+
+
 def test_extract_rejects_truncated_model(trained_dir, synth_dir, tmp_path, capsys, caplog):
     blob = (trained_dir / "model.ffrg").read_bytes()
     for size in (40, len(blob) - 3):
@@ -365,7 +386,7 @@ def test_malformed_config_rejected(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("cfg", [{"n": "3"}, {"n": None}, {"threads": "2"}, {"seed": True}])
+@pytest.mark.parametrize("cfg", [{"n": "3"}, {"n": None}, {"seed": 1.5}, {"seed": True}])
 def test_config_value_of_the_wrong_type_rejected(tmp_path, cfg, capsys, caplog):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -407,7 +428,7 @@ _SAMPLES = {int: (3, "3"), float: (2, "2"), str: ("x", "x"), bool: (True, None)}
 )
 def test_config_key_and_flag_resolve_alike(tmp_path, command, key):
     defaults = _COMMANDS[command][2]
-    as_json, as_text = _SAMPLES[_option_type(key, defaults[key])]
+    as_json, as_text = _SAMPLES[_option_type(defaults[key])]
     if key == "preset":
         as_json = as_text = sorted(PRESETS)[0]
     cfg = tmp_path / "cfg.json"

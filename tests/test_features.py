@@ -117,7 +117,7 @@ def test_featurize_is_deterministic(rng):
 
 def test_corpus_featurization_matches_per_document(rng):
     docs = [random_doc(rng, 10, doc_id=f"d{i}") for i in range(6)]
-    rows = featurize_corpus(docs, threads=3)
+    rows = featurize_corpus(docs)
     for doc, row in zip(docs, rows):
         assert np.array_equal(row, featurize(doc))
 
@@ -232,7 +232,7 @@ def test_featurize_matches_per_word_oracle_on_random_documents():
     assert sum(len(d.words) for d in docs) > 2000
     for doc in docs:
         _assert_oracle_bits(doc)
-    rows = featurize_corpus(docs, threads=3)
+    rows = featurize_corpus(docs)
     assert all(r.tobytes() == _oracle_featurize(d).tobytes() for d, r in zip(docs, rows))
 
 

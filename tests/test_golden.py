@@ -3,8 +3,8 @@ the digests recorded in tests/golden/digests.json.
 
 A change that must alter numerics re-records the file with
 `python scripts/record_golden.py` and says so.  The digests hold only on
-the numpy/BLAS build they were recorded on; on another build the test
-fails and names the mismatch rather than skip.
+the numpy/BLAS build and BLAS thread count they were recorded on; on
+another build the test fails and names the mismatch rather than skip.
 """
 
 import json

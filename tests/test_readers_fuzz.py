@@ -228,7 +228,7 @@ _VALID = {int: st.integers(1, 5), float: st.floats(0, 2), str: st.text(max_size=
 
 def _config_for(command: str):
     defaults = cli._COMMANDS[command][2]
-    options = {key: _slot(_VALID[cli._option_type(key, d)]) for key, d in defaults.items()}
+    options = {key: _slot(_VALID[cli._option_type(d)]) for key, d in defaults.items()}
     return st.tuples(
         st.just(command),
         st.one_of(st.fixed_dictionaries({}, optional=options), _any_json),
@@ -252,5 +252,5 @@ def test_config_reader_fails_only_with_typed_errors(command_and_config):
             return
     for key, default in defaults.items():
         value = opts[key]
-        assert value is None or type(value) is cli._option_type(key, default)
+        assert value is None or type(value) is cli._option_type(default)
         assert value == config.get(key, default)
