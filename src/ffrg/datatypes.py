@@ -49,6 +49,16 @@ _DATE_PATTERNS = [
 _NUMBER_PLAIN = re.compile(r"^#?\d+(?:[-,./]\d+)*$")
 # Invoice-number style: short alpha prefix glued to a digit run.
 _NUMBER_PREFIXED = re.compile(r"^[A-Za-z]{1,3}[-#:.]?\d{3,}$")
+# Every rule above needs a \d, so a text without one is OTHER.
+_DIGIT = re.compile(r"\d")
+
+# The only sets type_of returns.
+TYPE_SETS = _MONEY, _DATE, _NUMBER, _OTHER = (
+    frozenset({DataType.MONEY, DataType.NUMBER}),
+    frozenset({DataType.DATE}),
+    frozenset({DataType.NUMBER}),
+    frozenset({DataType.OTHER}),
+)
 
 
 def _is_money(text: str) -> bool:
@@ -73,10 +83,12 @@ def type_of(text: str) -> frozenset[DataType]:
     normalized = text.strip()
     if not normalized:
         raise ValueError("cannot type empty text")
+    if _DIGIT.search(normalized) is None:
+        return _OTHER
     if _is_money(normalized):
-        return frozenset({DataType.MONEY, DataType.NUMBER})
+        return _MONEY
     if _is_date(normalized):
-        return frozenset({DataType.DATE})
+        return _DATE
     if _is_number(normalized):
-        return frozenset({DataType.NUMBER})
-    return frozenset({DataType.OTHER})
+        return _NUMBER
+    return _OTHER

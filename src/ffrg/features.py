@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datatypes import DataType, type_of
+from .datatypes import TYPE_SETS, DataType, type_of
 from .docmodel import Document
 
 TRIGRAM_DIM = 256
@@ -40,17 +40,52 @@ def _trigram_slot(trigram: str) -> int:
     return value % TRIGRAM_DIM + TRIGRAM_DIM * ((value >> 8) & 1)
 
 
-def _flag_row(text: str) -> list[float]:
+# Type flags of each set type_of can return, and the length-bucket flags of
+# each length 0..11; lengths past 11 share the last row.
+_TYPE_FLAGS = {types: tuple(float(t in types) for t in _TYPE_ORDER) for types in TYPE_SETS}
+_LENGTH_FLAGS = tuple(
+    tuple(float(lo <= n <= hi) for lo, hi in _LENGTH_BUCKETS) for n in range(12)
+)
+# Rows of the context accumulator summed per block, sized to stay in cache.
+_CONTEXT_BLOCK = 128
+
+
+def _flag_row(text: str) -> tuple[float, ...]:
     n = len(text)
     n_digit = sum(map(str.isdigit, text))
-    types = type_of(text)
-    return [
+    return (
         float(text.isupper()), float(text.islower()), float(text.istitle()),
         float(n_digit > 0), float(text.isdigit()), n_digit / n,
         (n - sum(map(str.isalnum, text))) / n,
-        *[float(t in types) for t in _TYPE_ORDER],
-        *[float(lo <= n <= hi) for lo, hi in _LENGTH_BUCKETS],
-    ]
+        *_TYPE_FLAGS[type_of(text)],
+        *_LENGTH_FLAGS[min(n, 11)],
+    )
+
+
+def _context_means(base: np.ndarray, near: np.ndarray, out: np.ndarray) -> None:
+    """Write into out[i] the mean of base over the rows near[i] marks.
+
+    Bit for bit ``base[near[i]].mean(axis=0)``: numpy sums those rows in
+    index order onto +0.0 and divides by their count, and so do the passes
+    here.  Rows sorted by neighbour count, most first, put every row with
+    a j-th neighbour in a prefix; pass j adds the j-th neighbours of that
+    prefix.  Rows without neighbours are left as they are.
+    """
+    counts = near.sum(axis=1)
+    rows = np.argsort(-counts, kind="stable")
+    counts = counts[rows]
+    _, nbrs = near[rows].nonzero()  # each row's neighbours, in index order
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    # prefix[j]: how many sorted rows have more than j neighbours
+    prefix = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    n_rows = int(np.count_nonzero(counts))
+    for lo in range(0, n_rows, _CONTEXT_BLOCK):
+        hi = min(lo + _CONTEXT_BLOCK, n_rows)
+        acc = np.zeros((hi - lo, base.shape[1]), dtype=np.float64)
+        for j in range(counts[lo]):
+            end = min(prefix[j], hi)
+            acc[: end - lo] += base[nbrs[starts[lo:end] + j]]
+        out[rows[lo:hi]] = acc / counts[lo:hi, None]
 
 
 def featurize(doc: Document) -> np.ndarray:
@@ -60,32 +95,29 @@ def featurize(doc: Document) -> np.ndarray:
     if m == 0:
         return out
 
-    # The loop only collects lists; each block is then built for the whole
-    # document.  Trigram counts are small integers: exact in any order.
-    slots, flags, geometry = [], [], []
-    for i, w in enumerate(doc.words):
-        padded = f"^{w.text}$"
-        row = 2 * TRIGRAM_DIM * i
-        slots += [row + _trigram_slot(padded[j : j + 3]) for j in range(len(padded) - 2)]
-        flags.append(_flag_row(w.text))
-        cx, cy = w.box.center
-        geometry.append((cx, cy, w.box.width, w.box.height))
-
+    # Each block is built for the whole document from plain lists.  Trigram
+    # counts are small integers: exact in any order.
+    texts = [w.text for w in doc.words]
+    padded = [f"^{t}$" for t in texts]
+    slots = np.fromiter(
+        map(_trigram_slot, [p[j : j + 3] for p in padded for j in range(len(p) - 2)]),
+        dtype=np.int64,
+    )
+    slots += np.repeat(np.arange(0, 2 * TRIGRAM_DIM * m, 2 * TRIGRAM_DIM), list(map(len, texts)))
     counts = np.bincount(slots, minlength=2 * TRIGRAM_DIM * m).reshape(m, 2, TRIGRAM_DIM)
     base = out[:, :BASE_DIM]
     trigrams = np.subtract(counts[:, 1], counts[:, 0], out=base[:, :TRIGRAM_DIM])
     norms = np.sqrt(np.einsum("ij,ij->i", trigrams, trigrams))[:, None]
     np.divide(trigrams, norms, out=trigrams, where=norms > 0.0)
-    base[:, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = flags
-    base[:, TRIGRAM_DIM + FLAG_DIM :] = geometry
+    base[:, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = list(map(_flag_row, texts))
+    base[:, TRIGRAM_DIM + FLAG_DIM :] = [
+        (*w.box.center, w.box.width, w.box.height) for w in doc.words
+    ]
 
     cx, cy = base[:, TRIGRAM_DIM + FLAG_DIM], base[:, TRIGRAM_DIM + FLAG_DIM + 1]
     near = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :]) <= CONTEXT_RADIUS
     np.fill_diagonal(near, False)
-    for i in range(m):
-        idx = near[i].nonzero()[0]
-        if idx.size:
-            out[i, BASE_DIM:] = base[idx].mean(axis=0)
+    _context_means(base, near, out[:, BASE_DIM:])
     return out
 
 

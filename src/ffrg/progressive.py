@@ -103,20 +103,28 @@ def _label_rows(docs: Sequence[Document], labels: LabelSet, offsets: np.ndarray)
 def _select_anchors(
     probs: np.ndarray, order: list[int], n_fields: int, threshold: float
 ) -> dict[int, int]:
-    """Per field, the single anchor word id under the refinement rule."""
-    anchors: dict[int, int] = {}
+    """Per field, the single anchor word id under the refinement rule.
+
+    The anchor candidate is the first word in reading order holding the
+    field's maximum probability, NaN cells never winning; it is kept when
+    that maximum exceeds the threshold and the word's argmax is the field.
+    """
+    if probs.shape[1] < n_fields + 1:
+        raise ValidationError(
+            f"probability matrix of shape {probs.shape} has no column for each of {n_fields} fields"
+        )
     if probs.shape[0] == 0:
-        return anchors
+        return {}
+    ordered = probs[order, 1 : n_fields + 1]
+    ordered[np.isnan(ordered)] = -np.inf
+    best = ordered.argmax(axis=0)  # the first maximum, so ties go to the earlier word
+    best_p = ordered[best, np.arange(n_fields)]
     argmax = probs.argmax(axis=1)
-    for f in range(1, n_fields + 1):
-        best_wid = -1
-        best_p = -1.0
-        for wid in order:  # reading order, so ties go to the earlier word
-            p = probs[wid, f]
-            if p > best_p:
-                best_p, best_wid = p, wid
-        if best_p > threshold and argmax[best_wid] == f:
-            anchors[f] = best_wid
+    anchors: dict[int, int] = {}
+    for f, (rank, p) in enumerate(zip(best.tolist(), best_p.tolist()), start=1):
+        wid = order[rank]
+        if p > threshold and argmax[wid] == f:
+            anchors[f] = wid
     return anchors
 
 
@@ -136,6 +144,11 @@ def refine_labels(
         for f, wid in anchors.items():
             labels.set_label(doc.doc_id, wid, f)
     return labels
+
+
+def _check_features(docs: Sequence[Document], features: Sequence[np.ndarray]) -> None:
+    if [f.shape[0] for f in features] != [len(doc.words) for doc in docs]:
+        raise ValidationError("feature matrices do not have one row per word of each document")
 
 
 def _branch_terms(branch: int, beta: float) -> list[tuple[float, int]]:
@@ -168,9 +181,7 @@ def train(
     rule_labels.validate(docs, n_fields)
     if features is None:
         features = featurize_corpus(docs)
-
-    if [f.shape[0] for f in features] != [len(doc.words) for doc in docs]:
-        raise ValidationError("feature matrices do not have one row per word of each document")
+    _check_features(docs, features)
 
     params = init_params(
         FEATURE_DIM,
@@ -283,6 +294,11 @@ def extract_values(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
+    if features.shape[0] != len(doc.words):
+        raise ValidationError(
+            f"feature matrix has {features.shape[0]} rows for the {len(doc.words)} words"
+            f" of document {doc.doc_id}"
+        )
     if len(doc.words) == 0:
         return {}
     probs = ensemble_predict(params, features)
@@ -324,6 +340,7 @@ def extract_corpus(
         raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
     if features is None:
         features = featurize_corpus(docs)
+    _check_features(docs, features)
     return {
         doc.doc_id: extract_values(params, doc, features[i], schema, threshold)
         for i, doc in enumerate(docs)

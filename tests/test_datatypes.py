@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ffrg.datatypes import VALUE_TYPES, DataType, type_of
+from ffrg import datatypes
+from ffrg.datatypes import TYPE_SETS, VALUE_TYPES, DataType, type_of
 
 
 MONEY = [
@@ -82,3 +83,62 @@ def test_every_text_gets_exactly_one_tag_family(text):
         assert DataType.NUMBER not in types
     if DataType.MONEY in types:
         assert DataType.NUMBER in types
+
+
+# Reference: type_of as the rule regexes alone decide it, trying each rule
+# on every text.  type_of returns OTHER without trying them when the text
+# has no \d character, and must give the same answer.
+def _oracle_type_of(text):
+    normalized = text.strip()
+    if not normalized:
+        raise ValueError("cannot type empty text")
+    if datatypes._is_money(normalized):
+        return frozenset({DataType.MONEY, DataType.NUMBER})
+    if datatypes._is_date(normalized):
+        return frozenset({DataType.DATE})
+    if datatypes._is_number(normalized):
+        return frozenset({DataType.NUMBER})
+    return frozenset({DataType.OTHER})
+
+
+# Arabic-Indic digits are \d; superscript and circled digits are not,
+# although str.isdigit accepts them.
+_PIECES = [
+    "Jan", "March", "may", "Dec.", "INV", "PO", "USD", "eur", "$", "€", "£", "#", "-",
+    "/", ".", ",", ":", " ", "0", "5", "12", "2020", "1,234", ".56",
+    "٣", "٤", "٢٠٢٠", "۱۲", "²", "①", "x",
+]
+
+
+@pytest.mark.parametrize("text", [
+    "٣/٤/٢٠٢٠", "٢٠٢٠", "$٥٠.٠٠", "²", "①", "12²", "①/②/2020", "Jan", "March ,",
+    "Jan 5, 2024", "n/a", " - ", "$", "USD",
+])
+def test_type_of_matches_the_regex_only_rules_on_edge_texts(text):
+    assert type_of(text) == _oracle_type_of(text)
+
+
+def test_decimal_digits_of_any_script_are_typed_and_other_digits_are_not():
+    assert type_of("٣/٤/٢٠٢٠") == frozenset({DataType.DATE})
+    assert type_of("٢٠٢٠") == frozenset({DataType.NUMBER})
+    for text in ("²", "①", "12²", "Jan", "March ,"):
+        assert type_of(text) == frozenset({DataType.OTHER})
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t\n"])
+def test_blank_text_refused_like_the_regex_only_rules(text):
+    for typer in (type_of, _oracle_type_of):
+        with pytest.raises(ValueError, match="cannot type empty text"):
+            typer(text)
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(_PIECES), min_size=1, max_size=6).map("".join),
+    st.text(min_size=1, max_size=12),
+))
+def test_type_of_matches_the_regex_only_rules(text):
+    if not text.strip():
+        return
+    types = type_of(text)
+    assert types == _oracle_type_of(text)
+    assert types in TYPE_SETS

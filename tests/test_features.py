@@ -250,6 +250,47 @@ def test_negative_zero_centres_pool_to_positive_zero():
     assert not np.any(np.signbit(x[:, BASE_DIM + cx]))  # numpy's mean starts from +0.0
 
 
+def test_crowded_page_across_accumulation_blocks_matches_the_oracle():
+    """About 300 words in one 0.1 x 0.1 square, each a neighbour of all the
+    others, a fringe whose neighbour counts fall off, and, interleaved by
+    id, isolated words (no neighbours) and words centred at x = -0.0."""
+    rng = np.random.default_rng(2718)
+    isolated = iter([(x, y) for x in (0.5, 0.7, 0.9) for y in (0.3, 0.5, 0.7, 0.9)])
+    entries = []
+    for i in range(300):
+        text = str(rng.choice(_TEXT_POOL))
+        x0, y0 = rng.uniform(0.0, 0.09, size=2)
+        entries.append((text, x0, y0, x0 + 0.01, y0 + 0.01))
+        if i % 25 == 0:
+            x, y = next(isolated)
+            entries.append((text, x, y, x + 0.02, y + 0.01))
+        if i % 20 == 0:
+            entries.append((text, -0.0, y0, -0.0, y0 + 0.01))
+    for x0 in np.linspace(0.1, 0.3, 40):
+        entries.append((str(rng.choice(_TEXT_POOL)), x0, 0.05, x0 + 0.01, 0.06))
+    page = make_doc(entries, doc_id="crowded")
+
+    x = featurize(page)
+    cx, cy = x[:, TRIGRAM_DIM + FLAG_DIM], x[:, TRIGRAM_DIM + FLAG_DIM + 1]
+    near = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :]) <= CONTEXT_RADIUS
+    counts = near.sum(axis=1) - 1
+    assert np.count_nonzero(counts) > 2 * features._CONTEXT_BLOCK
+    assert counts.max() > 300 and np.count_nonzero(counts == 0) == 12
+    assert len(set(counts.tolist())) > 30
+    assert np.count_nonzero(np.signbit(cx)) == 15
+    _assert_oracle_bits(page)
+
+
+def test_flag_rows_match_the_oracle_at_every_length():
+    for n in range(1, 16):
+        buckets = [float(lo <= n <= hi) for lo, hi in _LENGTH_BUCKETS]
+        assert sum(buckets) == 1.0
+        for text in ("a" * n, ("7" * n), ("Ab-1" * n)[:n]):
+            row = np.array(features._flag_row(text), dtype=np.float64)
+            assert row.tobytes() == _oracle_flag_block(text).tobytes(), text
+            assert row[11:].tolist() == buckets
+
+
 def test_trigram_memo_stays_bounded_and_exact():
     memo = features._trigram_slot
     bound = features._TRIGRAM_MEMO_SIZE

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_doc
 from ffrg.bootstrap import bootstrap_corpus
@@ -11,6 +12,7 @@ from ffrg.grouping import group_document
 from ffrg.model import forward, tensor_keys
 from ffrg.progressive import (
     TrainConfig,
+    _select_anchors,
     ensemble_predict,
     extract_corpus,
     extract_values,
@@ -128,6 +130,73 @@ def test_refinement_labels_one_word_per_field():
     assert labels.provenance == "r"
 
 
+# Reference: anchor selection as a loop over the reading order.  The argmax
+# form must give the same anchors.
+def _oracle_select_anchors(probs, order, n_fields, threshold):
+    anchors = {}
+    if probs.shape[0] == 0:
+        return anchors
+    argmax = probs.argmax(axis=1)
+    for f in range(1, n_fields + 1):
+        best_wid = -1
+        best_p = -1.0
+        for wid in order:  # reading order, so ties go to the earlier word
+            p = probs[wid, f]
+            if p > best_p:
+                best_p, best_wid = p, wid
+        if best_p > threshold and argmax[best_wid] == f:
+            anchors[f] = best_wid
+    return anchors
+
+
+# few distinct values, so ties are common; NaN cells never win
+_CELL = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, float("nan")]),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(st.data())
+def test_anchor_selection_matches_the_reading_order_loop(data):
+    m = data.draw(st.integers(1, 7), label="words")
+    n_fields = data.draw(st.integers(1, 4), label="fields")
+    width = n_fields + 1 + data.draw(st.integers(0, 2), label="extra columns")
+    cells = data.draw(st.lists(_CELL, min_size=m * width, max_size=m * width), label="cells")
+    probs = np.array(cells, dtype=np.float64).reshape(m, width)
+    nan_rows = data.draw(st.lists(st.integers(0, m - 1), max_size=2), label="NaN rows")
+    probs[nan_rows] = np.nan
+    order = data.draw(st.permutations(range(m)), label="order")
+    finite = [c for c in probs[:, 1 : n_fields + 1].ravel().tolist() if c == c]
+    threshold = data.draw(
+        st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.0, 1.0),
+                  st.sampled_from(finite or [0.5])),  # a cell, possibly the max
+        label="threshold",
+    )
+    before = probs.copy()
+    got = _select_anchors(probs, order, n_fields, threshold)
+    assert got == _oracle_select_anchors(probs, order, n_fields, threshold)
+    assert np.array_equal(probs, before, equal_nan=True)
+
+
+def test_anchor_selection_cases_of_the_loop():
+    nan = float("nan")
+    probs = np.array([[0.2, 0.8, 0.0], [0.1, 0.8, 0.1], [nan, nan, nan], [0.1, 0.1, 0.8]])
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 1, 3, 0]):
+        for threshold in (0.0, 0.8, 0.79):
+            want = _oracle_select_anchors(probs, order, 2, threshold)
+            assert _select_anchors(probs, order, 2, threshold) == want
+    assert _select_anchors(probs, [1, 0, 2, 3], 2, 0.5) == {1: 1, 2: 3}
+    assert _select_anchors(probs, [0, 1, 2, 3], 2, 0.8) == {}  # the max must exceed it
+    assert _select_anchors(np.array([[0.3, 0.7]]), [0], 1, 0.1) == {1: 0}
+    assert _select_anchors(np.array([[nan, nan]]), [0], 1, 0.0) == {}
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (0, 2), (3, 1)])
+def test_anchor_selection_refuses_a_matrix_without_every_field(shape):
+    with pytest.raises(ValidationError, match="no column for each of 2 fields"):
+        _select_anchors(np.full(shape, 0.5), list(range(shape[0])), 2, 0.1)
+
+
 # --- training on a small corpus ---------------------------------------------
 
 def _tiny_corpus():
@@ -237,6 +306,24 @@ def test_train_rejects_features_of_another_corpus():
     feats = featurize_corpus(docs)
     with pytest.raises(ValidationError, match="one row per word"):
         train(docs, labels, schema, TINY, features=feats[1:] + feats[:1])
+
+
+def test_extract_rejects_features_of_another_corpus(schema):
+    # one to eight words, so a shifted list puts each matrix on a document
+    # of another length; the model is never reached
+    docs = [
+        make_doc([("w", 0.1 * i, 0.1, 0.1 * i + 0.05, 0.12) for i in range(k)], doc_id=f"d{k}")
+        for k in range(1, 9)
+    ]
+    feats = [np.zeros((len(doc.words), 1)) for doc in docs]
+    for bad in (feats[1:] + feats[:1], feats[:3], feats + feats):
+        with pytest.raises(ValidationError, match="one row per word"):
+            extract_corpus(None, docs, schema, bad)
+    for rows in (2, 4):
+        with pytest.raises(ValidationError, match=f"{rows} rows for the 3 words of document d3"):
+            extract_values(None, docs[2], np.zeros((rows, 1)), schema)
+    with pytest.raises(ValidationError, match="1 rows for the 0 words"):
+        extract_values(None, make_doc([]), np.zeros((1, 1)), schema)
 
 
 @pytest.mark.parametrize("name", ["hidden", "branch_hidden"])
