@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datatypes import DataType, type_of
-from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField
+import numpy as np
+
+from .datatypes import TYPE_SETS, type_of
+from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField, _boxes
 from .grouping import group_words
 from .similarity import (
     JW_BOOST_THRESHOLD,
@@ -70,37 +72,37 @@ def key_score(phrase: Phrase, field: SchemaField) -> float:
     return 1.0 - min(string_distance(phrase.text, k) for k in field.keys)
 
 
+def _char_counts(texts: Sequence[str], chars: np.ndarray) -> np.ndarray:
+    """Per text, how many times it holds each of the sorted code points."""
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    owner = np.arange(len(texts)).repeat([len(t) for t in texts])
+    col = np.minimum(chars.searchsorted(codes), len(chars) - 1)
+    known = chars[col] == codes
+    counts = np.bincount(owner[known] * len(chars) + col[known], minlength=len(texts) * len(chars))
+    return counts.reshape(len(texts), len(chars))
+
+
 @functools.lru_cache(maxsize=16)
-def _key_masks(key_lists: tuple[tuple[str, ...], ...]):
-    """Per key list, each key's (count mask, length), and the mask layout:
-    a slot per character of the keys, as wide as its largest count in a key."""
-    width: dict[str, int] = {}
-    for keys in key_lists:
-        for k in keys:
-            for ch in set(k):
-                width[ch] = max(width.get(ch, 0), k.count(ch))
-    layout, shift = {}, 0
-    for ch, w in sorted(width.items()):
-        layout[ch] = (shift, w)
-        shift += w
-    masks = tuple(tuple((_count_mask(k, layout), len(k)) for k in keys) for keys in key_lists)
-    return masks, layout
+def _key_slots(key_lists: tuple[tuple[str, ...], ...]):
+    """A character of the keys held at most w times in a key has w slots,
+    slot t set in a text that holds it at least t times, so the dot product
+    of two 0/1 slot rows is the overlap of the texts' character multisets
+    (over the characters of the keys).  Returns the sorted code points, each
+    slot's character and t, the keys' slot rows as columns, their lengths,
+    and where each key list starts among the keys."""
+    keys = [k for ks in key_lists for k in ks]
+    chars = np.array(sorted({ord(ch) for k in keys for ch in k}), dtype=np.uint32)
+    counts = _char_counts(keys, chars)
+    width = counts.max(axis=0)
+    slot_char = np.repeat(np.arange(len(chars)), width)
+    slot_t = np.arange(1, len(slot_char) + 1) - np.repeat(np.cumsum(width) - width, width)
+    rows = (counts[:, slot_char] >= slot_t).astype(np.float64)
+    lengths = np.array([len(k) for k in keys], dtype=np.float64)
+    starts = np.cumsum([0] + [len(ks) for ks in key_lists[:-1]])
+    return chars, slot_char, slot_t, rows.T, lengths, starts
 
 
-def _count_mask(text: str, layout: dict[str, tuple[int, int]]) -> int:
-    """A character held n times sets the low min(n, width) bits of its slot,
-    so the popcount of two masks' AND is the overlap of the texts' character
-    multisets (over the characters the layout knows)."""
-    mask = 0
-    for ch in layout.keys() & set(text):
-        shift, width = layout[ch]
-        mask |= ((1 << min(text.count(ch), width)) - 1) << shift
-    return mask
-
-
-def key_bounds(
-    phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]
-) -> list[list[float]]:
+def key_bounds(phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]) -> np.ndarray:
     """Upper bounds on key_score: per key list, one bound per phrase.
 
     Jaro matches pair equal characters, so their count m is at most c, the
@@ -108,25 +110,20 @@ def key_bounds(
     (c/len_p + c/len_k + 1)/3 (0 when c is 0).  A bound above the boost
     threshold takes the largest Winkler boost, four prefix characters.
     Keys are lowercase and trimmed; each phrase text is normalized once.
+    c comes from one product of 0/1 matrices, exact in small integers.
     """
-    masks, layout = _key_masks(tuple(key_lists))
+    if not key_lists:
+        return np.zeros((0, len(phrases)))
+    chars, slot_char, slot_t, key_rows, len_k, starts = _key_slots(tuple(key_lists))
+    texts = [ph.text.strip().lower() for ph in phrases]
+    counts = _char_counts(texts, chars)
+    c = (counts[:, slot_char] >= slot_t).astype(np.float64) @ key_rows
+    # an empty text holds no character, so c is 0 and its bound 0
+    len_p = np.array([max(len(t), 1) for t in texts], dtype=np.float64)[:, None]
+    jaro = (c / len_p + c / len_k + 1.0) / 3.0
     max_boost = JW_MAX_PREFIX * JW_PREFIX_SCALE
-    out: list[list[float]] = [[] for _ in masks]
-    for ph in phrases:
-        text = ph.text.strip().lower()
-        mask, len_p = _count_mask(text, layout), len(text)
-        for keys, column in zip(masks, out):
-            best = 0.0
-            for key_mask, len_k in keys:
-                c = (mask & key_mask).bit_count()
-                if c:
-                    jaro = (c / len_p + c / len_k + 1.0) / 3.0
-                    if jaro > JW_BOOST_THRESHOLD:
-                        jaro += max_boost * (1.0 - jaro)
-                    if jaro > best:
-                        best = jaro
-            column.append(best)
-    return out
+    jaro = np.where(jaro > JW_BOOST_THRESHOLD, jaro + max_boost * (1.0 - jaro), jaro)
+    return np.maximum.reduceat(np.where(c > 0, jaro, 0.0), starts, axis=1).T
 
 
 def localize_key(
@@ -144,7 +141,7 @@ def localize_key(
     best_i: int | None = None
     best_score = 0.0
     # the sort is stable, so equal bounds stay in reading order
-    for i in sorted(range(len(phrases)), key=lambda i: -bound[i]):
+    for i in (-np.asarray(bound)).argsort(kind="stable").tolist():
         if best_i is not None and bound[i] + BOUND_SLACK < best_score:
             break
         s = key_score(phrases[i], field)
@@ -181,15 +178,29 @@ def value_score(key: Phrase, key_s: float, candidate: Phrase, p: RuleParams) -> 
     return key_s * geometric_score(key, candidate, p)
 
 
-def in_neighbor_zone(key: Phrase, candidate: Phrase) -> bool:
-    """Key center must sit left of the candidate's right edge and within a
-    band from ZONE_ABOVE candidate-heights above to ZONE_BELOW below."""
-    h = candidate.box.height
+_TYPE_INDEX = {types: k for k, types in enumerate(TYPE_SETS)}
+
+
+@functools.lru_cache(maxsize=16)
+def _allowed(fields: tuple[SchemaField, ...]) -> np.ndarray:
+    """Per field, whether it allows a type of each of TYPE_SETS."""
+    return np.array([[bool(t & f.allowed_types) for t in TYPE_SETS] for f in fields],
+                    dtype=bool).reshape(len(fields), len(TYPE_SETS))
+
+
+def typed_mask(phrases: Sequence[Phrase], fields: Sequence[SchemaField]) -> np.ndarray:
+    """Per field, whether each phrase has a type (type_of) the field allows."""
+    return _allowed(tuple(fields))[:, [_TYPE_INDEX[type_of(ph.text)] for ph in phrases]]
+
+
+def _in_zone(boxes: np.ndarray, key: Phrase) -> np.ndarray:
+    """Per candidate box (row x0, y0, x1, y1), whether the key center sits
+    left of its right edge and within a band from ZONE_ABOVE candidate-heights
+    above to ZONE_BELOW below."""
     kx, ky = key.box.center
-    return (
-        0.0 <= kx <= candidate.box.x1
-        and candidate.box.y0 - ZONE_ABOVE * h <= ky <= candidate.box.y1 + ZONE_BELOW * h
-    )
+    _, y0, x1, y1 = boxes.T
+    h = y1 - y0
+    return (0.0 <= kx) & (kx <= x1) & (y0 - ZONE_ABOVE * h <= ky) & (ky <= y1 + ZONE_BELOW * h)
 
 
 def extract_field(
@@ -197,31 +208,32 @@ def extract_field(
     field: SchemaField,
     p: RuleParams | None = None,
     *,
-    types: Sequence[frozenset[DataType]] | None = None,
+    typed: np.ndarray | None = None,
     bound: Sequence[float] | None = None,
+    boxes: np.ndarray | None = None,
 ) -> FieldExtraction:
     """Locate the field's key, then the best typed candidate near it.
 
-    `types` (type_of per phrase) and `bound` (the field's entry of
-    key_bounds) are facts about the document's phrases that extract_document
-    works out once for all fields; they are computed here when absent.
+    `typed`, `bound` and `boxes` (the field's entries of typed_mask and
+    key_bounds, and the phrase boxes as rows x0, y0, x1, y1) are facts
+    about the document's phrases that extract_document works out once for
+    all fields; they are computed here when absent.
     """
     if p is None:
         p = RuleParams()
     key, key_s = localize_key(phrases, field, bound)
     if key is None:
         return FieldExtraction(field.field_id, None, None, 0.0, None)
-    if types is None:
-        types = [type_of(ph.text) for ph in phrases]
+    if typed is None:
+        (typed,) = typed_mask(phrases, [field])
+    if boxes is None:
+        boxes = _boxes(phrases)
 
     best: Phrase | None = None
     best_score = 0.0
-    for ph, ph_types in zip(phrases, types):
+    for i in (typed & _in_zone(boxes, key)).nonzero()[0].tolist():
+        ph = phrases[i]
         if ph is key:
-            continue
-        if not (ph_types & field.allowed_types):
-            continue
-        if not in_neighbor_zone(key, ph):
             continue
         s = value_score(key, key_s, ph, p)
         if best is None or s > best_score:
@@ -265,11 +277,12 @@ def extract_document(
 ) -> list[FieldExtraction]:
     """Per-field extractions for one document, cross-field conflicts resolved."""
     phrases = doc.phrases if doc.phrases is not None else group_words(doc)
-    types = [type_of(ph.text) for ph in phrases]
+    typed = typed_mask(phrases, schema.fields)
     bounds = key_bounds(phrases, [f.keys for f in schema.fields])
+    boxes = _boxes(phrases)
     extractions = [
-        extract_field(phrases, f, p, types=types, bound=bound)
-        for f, bound in zip(schema.fields, bounds)
+        extract_field(phrases, f, p, typed=t, bound=b, boxes=boxes)
+        for f, t, b in zip(schema.fields, typed, bounds)
     ]
     return resolve_conflicts(extractions)
 

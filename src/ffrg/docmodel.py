@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .datatypes import VALUE_TYPES, DataType
 
@@ -168,25 +169,29 @@ class Document:
                     seen.add(wid)
 
 
-def _components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of the graph on 0..n-1 with the given edges;
-    each component in index order, components ordered by smallest member."""
-    parent = list(range(n))
+def _boxes(items) -> np.ndarray:
+    """The boxes of words or phrases as rows x0, y0, x1, y1."""
+    return np.array([(b.x0, b.y0, b.x1, b.y1) for b in (it.box for it in items)],
+                    dtype=np.float64).reshape(-1, 4)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i, j in links:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(i)
-    return list(members.values())
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per vertex of the graph on 0..n-1 with edges i[k] - j[k], the smallest
+    member of its component.  Labels point at smaller or equal vertices, so
+    each tree ends at a root labelling itself; rounds hook the larger root
+    of each edge onto the smaller and point every label at its root, until
+    no edge joins two trees."""
+    label = np.arange(n)
+    while True:
+        li, lj = label[i], label[j]
+        if not np.count_nonzero(li != lj):
+            return label
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            root = label[label]
+            if not np.count_nonzero(root != label):
+                break
+            label = root
 
 
 # Relative and absolute widening of a y-window's reach, so that rounding in
@@ -194,15 +199,19 @@ def _components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
 _REACH_SLACK = 1e-9
 
 
-def _near_in_y(yc: list[float], reach: list[float]) -> Iterator[tuple[int, int]]:
-    """Each pair of indices i, j with yc[i] <= yc[j] <= yc[i] + reach[i]
-    (reach slightly widened), once: a window over the centres sorted by y."""
-    by_y = sorted(range(len(yc)), key=yc.__getitem__)
-    ys = [yc[i] for i in by_y]
-    for k, i in enumerate(by_y):
-        top = ys[k] + reach[i] * (1.0 + _REACH_SLACK) + _REACH_SLACK
-        for j in by_y[k + 1 : bisect_right(ys, top, k + 1)]:
-            yield i, j
+def _near_in_y(yc: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays i, j of each pair with yc[i] <= yc[j] <= yc[i] + reach[i]
+    (reach slightly widened), once: in the centres sorted by y, each centre
+    pairs with those after it up to its reach."""
+    by_y = yc.argsort(kind="stable")
+    ys = yc[by_y]
+    top = ys + reach[by_y] * (1.0 + _REACH_SLACK) + _REACH_SLACK
+    # the window of sorted position k runs from k + 1 up to its top
+    end = ys.searchsorted(top, side="right")
+    count = end - np.arange(1, len(ys) + 1)
+    # pair t of the window of position k sits at k + 1 + (t - pairs before k)
+    pos = np.arange(count.sum()) - (np.add.accumulate(count) - end).repeat(count)
+    return by_y.repeat(count), by_y[pos]
 
 
 def reading_order(doc: Document) -> list[int]:
@@ -215,33 +224,29 @@ def reading_order(doc: Document) -> list[int]:
     line only if the upper centre's half height reaches the lower centre,
     so only those pairs are tested.
     """
-    words = doc.words
-    n = len(words)
-    yc = [(w.box.y0 + w.box.y1) / 2.0 for w in words]
-    half = [0.5 * w.box.height for w in words]
-
-    def same_line():
-        for i, j in _near_in_y(yc, half):
-            if abs(yc[i] - yc[j]) <= (half[i] if half[i] < half[j] else half[j]):
-                yield i, j
-
-    # components and their members come in index order whatever the order
-    # of the links, and both sorts are stable, so ties go to the smaller id
-    lines = sorted(
-        _components(n, same_line()),
-        key=lambda line: (min(words[i].box.y0 for i in line), min(words[i].box.x0 for i in line)),
-    )
-    return [i for line in lines for i in sorted(line, key=lambda i: words[i].box.x0)]
+    x0, y0, _, y1 = _boxes(doc.words).T
+    yc = (y0 + y1) / 2.0
+    half = 0.5 * (y1 - y0)
+    i, j = _near_in_y(yc, half)
+    same = np.abs(yc[i] - yc[j]) <= np.minimum(half[i], half[j])
+    line = _components(len(yc), i[same], j[same])
+    # a line's label is one of its words, so that word's edges start its minima
+    top, left = y0.copy(), x0.copy()
+    np.minimum.at(top, line, y0)
+    np.minimum.at(left, line, x0)
+    # lexsort is stable, so ties go to the line's smallest id, then the word's
+    return np.lexsort((x0, line, left[line], top[line])).tolist()
 
 
-def make_phrase(doc: Document, word_ids: Iterable[int], rank: dict[int, int]) -> Phrase:
-    """Build a phrase from member word ids, ordered by their reading-order rank."""
+def make_phrase(doc: Document, word_ids: Iterable[int], rank: Sequence[int]) -> Phrase:
+    """Build a phrase from member word ids, ordered by their reading-order
+    rank (indexed by word id)."""
     ids = sorted(word_ids, key=rank.__getitem__)
-    members = [doc.words[wid] for wid in ids]
-    box = members[0].box
-    for w in members[1:]:
-        box = box.union(w.box)
-    return Phrase(tuple(ids), " ".join(w.text for w in members), box)
+    words = doc.words
+    box = words[ids[0]].box
+    for wid in ids[1:]:
+        box = box.union(words[wid].box)
+    return Phrase(tuple(ids), " ".join([words[wid].text for wid in ids]), box)
 
 
 # --- JSONL documents -------------------------------------------------------
@@ -315,11 +320,11 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
 
 
 def _parse_phrases(doc: Document, raw_phrases) -> tuple[Phrase, ...]:
-    """Phrases from their wire form; word ids are checked before make_phrase
-    looks them up."""
+    """Phrases from their wire form, in reading order as group_words gives
+    them; word ids are checked before make_phrase looks them up."""
     if not isinstance(raw_phrases, list):
         raise ParseError(f"phrases of {doc.doc_id} must be a list")
-    rank = {wid: r for r, wid in enumerate(reading_order(doc))}
+    rank = np.argsort(reading_order(doc)).tolist()  # the inverse permutation
     phrases = []
     for k, p in enumerate(raw_phrases):
         ids = p.get("word_ids") if isinstance(p, dict) else None
@@ -331,6 +336,9 @@ def _parse_phrases(doc: Document, raw_phrases) -> tuple[Phrase, ...]:
             if not 0 <= wid < len(doc.words):
                 raise ValidationError(f"phrase {k} of {doc.doc_id} references missing word {wid}")
         phrases.append(make_phrase(doc, ids, rank))
+    # the rule extractor breaks ties by phrase order, so the order in the
+    # file must not decide them
+    phrases.sort(key=lambda p: rank[p.word_ids[0]])
     return tuple(phrases)
 
 

@@ -12,8 +12,10 @@ import math
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from .docmodel import (
-    Document, Phrase, Word, _components, _near_in_y, make_phrase, reading_order,
+    Document, Phrase, Word, _boxes, _components, _near_in_y, make_phrase, reading_order,
 )
 
 
@@ -63,22 +65,29 @@ def group_words(
     if config is None:
         config = GroupingConfig()
     words = doc.words
+    n = len(words)
     eps = neighborhood_eps(doc, config)
-    yc = [(w.box.y0 + w.box.y1) / 2.0 for w in words]
-
-    def near():
-        # a pair within eps is within eps / VERTICAL_PENALTY in centre y
-        for i, j in _near_in_y(yc, [eps / VERTICAL_PENALTY] * len(words)):
-            if word_distance(words[i], words[j]) <= eps:
-                yield i, j
+    x0, y0, x1, y1 = _boxes(words).T
+    yc = (y0 + y1) / 2.0
+    # a pair within eps is within eps / VERTICAL_PENALTY in centre y
+    i, j = _near_in_y(yc, np.full(n, eps / VERTICAL_PENALTY))
+    # word_distance is at least either of its legs, so only pairs with both
+    # legs within eps can link, and word_distance decides those
+    maybe = (np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j]) <= eps) & (
+        VERTICAL_PENALTY * np.abs(yc[i] - yc[j]) <= eps)
+    i, j = i[maybe], j[maybe]
+    link = np.array([word_distance(words[a], words[b]) <= eps
+                     for a, b in zip(i.tolist(), j.tolist())], dtype=bool)
+    phrase = _components(n, i[link], j[link]).tolist()
 
     if order is None:
         order = reading_order(doc)
-    rank = {wid: r for r, wid in enumerate(order)}
-    phrases = [make_phrase(doc, ids, rank) for ids in _components(len(words), near())]
-    # a phrase lists its words in reading order, so its first word ranks lowest
-    phrases.sort(key=lambda p: rank[p.word_ids[0]])
-    return tuple(phrases)
+    members: dict[int, list[int]] = {}
+    # phrases come in the reading order of their first words
+    for wid in order:
+        members.setdefault(phrase[wid], []).append(wid)
+    rank = np.argsort(order).tolist()  # the inverse permutation
+    return tuple(make_phrase(doc, ids, rank) for ids in members.values())
 
 
 def group_document(doc: Document, config: GroupingConfig | None = None) -> Document:

@@ -1,13 +1,16 @@
 """Rule mining: key localization, geometric scoring, zones, conflicts."""
 
+import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc
-from ffrg import bootstrap, datatypes, similarity
+from ffrg import bootstrap, datatypes, docmodel, similarity
 from ffrg.bootstrap import (
     FieldExtraction,
     RuleParams,
@@ -15,7 +18,6 @@ from ffrg.bootstrap import (
     extract_document,
     extract_field,
     geometric_score,
-    in_neighbor_zone,
     key_bounds,
     key_score,
     localize_key,
@@ -23,7 +25,7 @@ from ffrg.bootstrap import (
     value_score,
 )
 from ffrg.datatypes import DataType
-from ffrg.docmodel import BBox, Phrase, SchemaField
+from ffrg.docmodel import BBox, Phrase, SchemaField, parse_document
 from ffrg.grouping import group_document, group_words
 from ffrg.similarity import jaro_winkler
 from ffrg.synth import generate, preset_config
@@ -124,6 +126,92 @@ def test_key_bounds_never_below_key_score(texts):
             assert b + 1e-12 >= key_score(p, field)
 
 
+def _key_masks(key_lists):
+    """Per key list, each key's (count mask, length), and the mask layout:
+    a slot per character of the keys, as wide as its largest count in a key."""
+    width = {}
+    for keys in key_lists:
+        for k in keys:
+            for ch in set(k):
+                width[ch] = max(width.get(ch, 0), k.count(ch))
+    layout, shift = {}, 0
+    for ch, w in sorted(width.items()):
+        layout[ch] = (shift, w)
+        shift += w
+    masks = [[(_count_mask(k, layout), len(k)) for k in keys] for keys in key_lists]
+    return masks, layout
+
+
+def _count_mask(text, layout):
+    """A character held n times sets the low min(n, width) bits of its slot,
+    so the popcount of two masks' AND is the overlap of the texts' character
+    multisets (over the characters the layout knows)."""
+    mask = 0
+    for ch in layout.keys() & set(text):
+        shift, width = layout[ch]
+        mask |= ((1 << min(text.count(ch), width)) - 1) << shift
+    return mask
+
+
+def _key_bounds_by_bitmask(phrases, key_lists):
+    """key_bounds one phrase and one key at a time, the overlap c from
+    integer bitmasks."""
+    masks, layout = _key_masks(key_lists)
+    max_boost = similarity.JW_MAX_PREFIX * similarity.JW_PREFIX_SCALE
+    out = [[] for _ in masks]
+    for ph in phrases:
+        text = ph.text.strip().lower()
+        mask, len_p = _count_mask(text, layout), len(text)
+        for keys, column in zip(masks, out):
+            best = 0.0
+            for key_mask, len_k in keys:
+                c = (mask & key_mask).bit_count()
+                if c:
+                    jaro = (c / len_p + c / len_k + 1.0) / 3.0
+                    if jaro > similarity.JW_BOOST_THRESHOLD:
+                        jaro += max_boost * (1.0 - jaro)
+                    if jaro > best:
+                        best = jaro
+            column.append(best)
+    return out
+
+
+def _hex_rows(rows):
+    return [[float(b).hex() for b in row] for row in rows]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_text, max_size=10))
+def test_key_bounds_equal_the_bitmask_bounds(texts):
+    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
+    assert _hex_rows(key_bounds(phrases, _KEY_LISTS)) == _hex_rows(
+        _key_bounds_by_bitmask(phrases, _KEY_LISTS))
+
+
+def test_key_bounds_equal_the_bitmask_bounds_on_odd_texts(schema):
+    # no key character, characters past a key's count, non-BMP text, text
+    # whose lower() is longer, a lone surrogate, and empty normalized text
+    texts = ["999", "$$", "ooooooooo", "ttotall", "😀", "𝐓𝐨𝐭𝐚𝐥", "😀 tax", "İ", "İnvoice #",
+             "DUE İ", "\ud800ate", "", "   ", "Invoice Number", "P.O. #"]
+    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
+    key_lists = [f.keys for f in schema.fields]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lists in (key_lists, _KEY_LISTS):
+            got = key_bounds(phrases, lists)
+            assert _hex_rows(got) == _hex_rows(_key_bounds_by_bitmask(phrases, lists))
+        assert key_bounds([], key_lists).shape == (len(key_lists), 0)
+        assert key_bounds(phrases, []).shape == (0, len(phrases))
+
+
+def test_key_bounds_equal_the_bitmask_bounds_on_a_noisy_page(schema):
+    (doc,), _, _ = generate(preset_config("noisy-bench", 1, 5), schema)
+    phrases = group_words(doc)
+    key_lists = [f.keys for f in schema.fields]
+    assert _hex_rows(key_bounds(phrases, key_lists)) == _hex_rows(
+        _key_bounds_by_bitmask(phrases, key_lists))
+
+
 def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
     (doc,), _, _ = generate(preset_config("noisy-bench", 1, 0), schema)
     phrases = group_words(doc)
@@ -203,6 +291,65 @@ def test_rule_params_reject_non_finite_values(name, value):
 
 
 # --- neighbor zone ----------------------------------------------------------
+
+def in_neighbor_zone(key, candidate):
+    """Key center must sit left of the candidate's right edge and within a
+    band from ZONE_ABOVE candidate-heights above to ZONE_BELOW below."""
+    h = candidate.box.height
+    kx, ky = key.box.center
+    return (
+        0.0 <= kx <= candidate.box.x1
+        and candidate.box.y0 - bootstrap.ZONE_ABOVE * h <= ky
+        <= candidate.box.y1 + bootstrap.ZONE_BELOW * h
+    )
+
+
+def _zone_mask(key, candidates):
+    return bootstrap._in_zone(docmodel._boxes(candidates), key).tolist()
+
+
+def _point(x, y):
+    # a zero-size box: its center is exactly (x, y)
+    return Phrase((99,), "k", BBox(x, y, x, y))
+
+
+def test_zone_mask_equals_the_candidate_loop_on_random_boxes():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        candidates = []
+        for k in range(int(rng.integers(1, 12))):
+            x0, y0 = (float(v) for v in rng.uniform(0.0, 0.9, size=2))
+            w, h = (float(v) for v in rng.uniform(0.0, 0.1, size=2))
+            x0 = -0.0 if rng.random() < 0.1 else x0
+            candidates.append(Phrase((k,), "1", BBox(x0, y0, x0 + w, y0 + h)))
+        for _ in range(10):
+            key = _point(*(float(v) for v in rng.uniform(0.0, 1.0, size=2)))
+            assert _zone_mask(key, candidates) == [in_neighbor_zone(key, c) for c in candidates]
+
+
+def test_zone_mask_equals_the_candidate_loop_on_its_edges():
+    candidates = [
+        Phrase((0,), "1", BBox(0.5, 0.5, 0.6, 0.52)),
+        Phrase((1,), "2", BBox(0.3, 0.45, 0.41, 0.4837)),
+        Phrase((2,), "3", BBox(-0.0, 0.7, 0.0, 0.71)),
+        Phrase((3,), "4", BBox(0.2, 0.3, 0.2, 0.3)),
+    ]
+    for c in candidates:
+        h = c.box.height
+        top = c.box.y0 - bootstrap.ZONE_ABOVE * h
+        bottom = c.box.y1 + bootstrap.ZONE_BELOW * h
+        for x in (0.0, -0.0, c.box.x0, c.box.x1, math.nextafter(c.box.x1, 2.0)):
+            for y in (top, bottom, math.nextafter(top, -1.0), math.nextafter(bottom, 2.0)):
+                if 0.0 <= y <= 1.0:
+                    key = _point(x, y)
+                    want = [in_neighbor_zone(key, d) for d in candidates]
+                    assert _zone_mask(key, candidates) == want, (x, y)
+    # centres exactly on the right edge and on both ends of the band count
+    c = candidates[0]
+    h = c.box.height
+    for x, y in ((c.box.x1, 0.51), (0.55, c.box.y0 - 4.0 * h), (0.55, c.box.y1 + h)):
+        assert _zone_mask(_point(x, y), [c]) == [True]
+
 
 def test_zone_spans_left_and_four_heights_up_one_down():
     cand = Phrase((0,), "$12.00", BBox(0.5, 0.5, 0.6, 0.52))
@@ -348,3 +495,68 @@ def test_extract_document_groups_when_needed(schema):
     by_field = {e.field_id: e for e in extractions}
     amount = schema.field_by_name("total_amount").field_id
     assert by_field[amount].value_phrase.text == "$9.00"
+
+
+# --- degenerate pages -------------------------------------------------------
+
+_DEGENERATE = {
+    "empty": ([], {}),
+    "one_word": ([("Total", 0.10, 0.10, 0.16, 0.12)], {}),
+    "one_line": (
+        [("Invoice", 0.05, 0.10, 0.11, 0.12), ("Total", 0.115, 0.10, 0.16, 0.12),
+         ("$12.00", 0.25, 0.10, 0.31, 0.12), ("Tax", 0.40, 0.10, 0.43, 0.12),
+         ("1.20", 0.50, 0.10, 0.54, 0.12), ("Date", 0.65, 0.10, 0.69, 0.12),
+         ("2021-03-04", 0.75, 0.10, 0.85, 0.12)],
+        {"total_amount": "$12.00", "total_tax": "1.20", "inv_date": "2021-03-04"},
+    ),
+    "no_key_characters": (
+        [("999", 0.10, 0.10, 0.13, 0.12), ("$$", 0.30, 0.10, 0.32, 0.12),
+         ("42", 0.10, 0.30, 0.12, 0.32)],
+        {},
+    ),
+    "non_bmp": (
+        [("𝐓𝐨𝐭𝐚𝐥", 0.10, 0.10, 0.16, 0.12), ("$7.00", 0.25, 0.10, 0.30, 0.12),
+         ("😀 Tax", 0.10, 0.30, 0.16, 0.32), ("3.50", 0.25, 0.30, 0.29, 0.32)],
+        {"total_amount": "3.50"},
+    ),
+    "lower_is_longer": (
+        [("İnvoice", 0.10, 0.10, 0.17, 0.12), ("#", 0.175, 0.10, 0.18, 0.12),
+         ("48113", 0.30, 0.10, 0.35, 0.12), ("DUE", 0.10, 0.30, 0.13, 0.32),
+         ("İ", 0.135, 0.30, 0.14, 0.32), ("2021-03-04", 0.30, 0.30, 0.40, 0.32)],
+        {"inv_number": "48113", "due_date": "2021-03-04"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_degenerate_pages_give_the_reference_values_without_warnings(schema, name):
+    # the values are those of the scalar rule path these passes replaced
+    entries, want = _DEGENERATE[name]
+    doc = make_doc(entries, doc_id=name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels, values = bootstrap_corpus([doc], schema)
+        grouped_labels, grouped_values = bootstrap_corpus([group_document(doc)], schema)
+    assert values == grouped_values == {name: want}
+    assert labels == grouped_labels
+    texts = {w.id: w.text for w in doc.words}
+    by_name = {f.name: f.field_id for f in schema.fields}
+    labelled = {}
+    for wid, cls in labels.positives(name).items():
+        labelled.setdefault(cls, []).append(texts[wid])
+    assert labelled == {by_name[f]: v.split(" ") for f, v in want.items()}
+
+
+def test_grouped_input_breaks_ties_in_reading_order_whatever_its_phrase_order(schema):
+    # two equal "Total $x" lines: the upper one wins, as it does without phrases
+    words = [("Total", 0.10, 0.10, 0.16, 0.12), ("$5.00", 0.30, 0.10, 0.36, 0.12),
+             ("Total", 0.10, 0.50, 0.16, 0.52), ("$9.00", 0.30, 0.50, 0.36, 0.52)]
+    record = {"doc_id": "d", "page_width": 1000, "page_height": 1000,
+              "words": [{"text": t, "box": [x0, y0, x1, y1]} for t, x0, y0, x1, y1 in words]}
+    want = {"d": {"total_amount": "$5.00"}}
+    assert bootstrap_corpus([parse_document(json.dumps(record))], schema)[1] == want
+    for phrases in ([[0], [1], [2], [3]], [[3], [2], [1], [0]], [[2], [3], [0], [1]]):
+        record["phrases"] = [{"word_ids": ids} for ids in phrases]
+        doc = parse_document(json.dumps(record))
+        assert [p.word_ids for p in doc.phrases] == [(0,), (1,), (2,), (3,)]
+        assert bootstrap_corpus([doc], schema)[1] == want

@@ -266,6 +266,41 @@ def test_threads_argument_is_accepted_and_changes_nothing(tmp_path):
     assert pipeline("flag", "--threads", "1") == pipeline("plain")
 
 
+# --- the staged commands write the pipeline's bytes ---------------------------
+
+_CHAIN = ("--epochs-step1", "2", "--epochs-step2", "3")
+
+
+@pytest.fixture(scope="module")
+def pipeline_bytes(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("chain-pipeline")
+    assert main(["pipeline", "--preset", "noisy-bench", "--n", "60", "--seed", "3",
+                 *_CHAIN, "--workdir", str(workdir)]) == 0
+    return workdir
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["words", "grouped"])
+def test_staged_commands_write_the_pipeline_bytes(pipeline_bytes, tmp_path, grouped):
+    p = lambda name: str(tmp_path / name)
+    assert run("synth", "--preset", "noisy-bench", "--n", "60", "--seed", "3",
+               "--out-docs", p("docs.jsonl"), "--out-gold", p("gold.jsonl")) == 0
+    docs = p("docs.jsonl")
+    if grouped:
+        assert run("group", "--in", docs, "--out", p("grouped.jsonl")) == 0
+        docs = p("grouped.jsonl")
+    assert run("bootstrap", "--docs", docs, "--out", p("labels.jsonl"),
+               "--values", p("rule_values.jsonl")) == 0
+    assert run("train", "--docs", docs, "--labels", p("labels.jsonl"),
+               "--out", p("model.ffrg"), "--seed", "3", *_CHAIN) == 0
+    assert run("extract", "--model", p("model.ffrg"), "--docs", docs,
+               "--out", p("values.jsonl")) == 0
+    assert run("eval", "--pred", p("values.jsonl"), "--gold", p("gold.jsonl"),
+               "--report", p("report.json")) == 0
+    for name in ("labels.jsonl", "rule_values.jsonl", "model.ffrg", "values.jsonl",
+                 "report.json"):
+        assert (tmp_path / name).read_bytes() == (pipeline_bytes / name).read_bytes(), name
+
+
 def test_extract_rejects_truncated_model(trained_dir, synth_dir, tmp_path, capsys, caplog):
     blob = (trained_dir / "model.ffrg").read_bytes()
     for size in (40, len(blob) - 3):

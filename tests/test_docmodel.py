@@ -1,11 +1,13 @@
 """Document model: box validation, reading order, JSONL round-trips, schema."""
 
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from conftest import make_doc
+from ffrg import docmodel
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
     BBox,
@@ -235,6 +237,83 @@ def test_words_tied_on_centre_y_share_a_line():
     order = reading_order(doc)
     assert order == _reading_order_by_closure(doc)
     assert sorted(order, key=lambda i: doc.words[i].box.x0) == order  # one line
+
+
+# --- the array passes against the per-pair loops they replaced --------------
+
+def _near_in_y_by_bisect(yc, reach):
+    """Each pair i, j with yc[i] <= yc[j] <= yc[i] + reach[i] (reach slightly
+    widened), once: a window over the centres sorted by y."""
+    slack = docmodel._REACH_SLACK
+    by_y = sorted(range(len(yc)), key=yc.__getitem__)
+    ys = [yc[i] for i in by_y]
+    for k, i in enumerate(by_y):
+        top = ys[k] + reach[i] * (1.0 + slack) + slack
+        for j in by_y[k + 1 : bisect_right(ys, top, k + 1)]:
+            yield i, j
+
+
+def _window_pairs(yc, reach):
+    i, j = docmodel._near_in_y(np.array(yc, dtype=np.float64), np.array(reach, dtype=np.float64))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def test_window_pairs_equal_the_bisect_loop():
+    rng = np.random.default_rng(406)
+    for n in (0, 1, 2, 5, 30, 200):
+        for _ in range(20):
+            # coarse centres tie often; some reaches are zero
+            yc = [float(v) for v in np.round(rng.uniform(0.0, 1.0, size=n), 2)]
+            reach = [float(v) for v in rng.choice([0.0, 0.005, 0.01, 0.05], size=n)]
+            assert _window_pairs(yc, reach) == list(_near_in_y_by_bisect(yc, reach))
+
+
+def test_window_pairs_equal_the_bisect_loop_on_ties_and_signed_zeros():
+    yc = [0.0, -0.0, 0.5, 0.5, -0.0, 0.0, 0.5 + 2.0 ** -20, 0.515625, 0.5]
+    reach = [0.0, 0.0, 0.015625, 0.0, 0.25, 0.0, 0.0, 0.015625, 0.015625]
+    assert _window_pairs(yc, reach) == list(_near_in_y_by_bisect(yc, reach))
+
+
+def _union_find_components(n, links):
+    """Components on 0..n-1, each in index order, ordered by smallest member."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    members = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    return list(members.values())
+
+
+def test_components_equal_union_find():
+    rng = np.random.default_rng(407)
+    for n in (0, 1, 2, 7, 40, 300):
+        for n_links in (0, 1, n // 2, n, 3 * n):
+            i = rng.integers(0, max(n, 1), size=n_links if n else 0)
+            j = rng.integers(0, max(n, 1), size=n_links if n else 0)
+            label = docmodel._components(n, i, j).tolist()
+            members = {}
+            for v, root in enumerate(label):
+                members.setdefault(root, []).append(v)
+            assert all(root == group[0] for root, group in members.items())
+            assert list(members.values()) == _union_find_components(n, zip(i.tolist(), j.tolist()))
+
+
+def test_components_of_a_long_chain():
+    # a path listed from its far end: hooking and pointer jumping must still
+    # reach the smallest member
+    n = 1000
+    i = np.arange(n - 1, 0, -1)
+    assert docmodel._components(n, i, i - 1).tolist() == [0] * n
 
 
 def _rank(doc):

@@ -4,6 +4,8 @@ Phrases must equal the connected components of the eps-neighborhood
 graph, so an independent union-find over all pairs is an exact oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,22 @@ def test_matches_union_find_oracle_on_large_pages():
         doc = random_doc(rng, n_words, doc_id=f"large-{n_words}")
         got = {frozenset(p.word_ids) for p in group_words(doc, cfg)}
         assert got == _components_by_union_find(doc, cfg), doc.doc_id
+
+
+def test_a_link_at_eps_follows_word_distance_not_an_array_hypot():
+    # here math.hypot (word_distance) gives exactly eps, and np.hypot one
+    # unit in the last place more: the pair links
+    a = [float.fromhex(v) for v in ("0x1.999999999999ap-4", "0x1.3fb46242bcce3p-3",
+                                     "0x1.57d36141ebf8ep-3", "0x1.67e0ccf925102p-3")]
+    b = [float.fromhex(v) for v in ("0x1.720023cdd2728p-3", "0x1.45ebc0f412b13p-3",
+                                     "0x1.d8668a3438d8ep-3", "0x1.6e182baa7af32p-3")]
+    doc = make_doc([("a", *a), ("b", *b)])
+    eps = neighborhood_eps(doc, GroupingConfig())
+    wa, wb = doc.words
+    gap = wb.box.x0 - wa.box.x1
+    dyc = abs(wa.box.center[1] - wb.box.center[1])
+    assert word_distance(wa, wb) == math.hypot(gap, 3.0 * dyc) == eps
+    assert np.hypot(gap, 3.0 * dyc) > eps
+    assert [p.word_ids for p in group_words(doc)] == [(0, 1)]
+    assert {frozenset(p.word_ids) for p in group_words(doc)} == _components_by_union_find(
+        doc, GroupingConfig())
