@@ -127,21 +127,19 @@ def key_bounds(phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]) 
 
 
 def localize_key(
-    phrases: Sequence[Phrase], field: SchemaField, bound: Sequence[float] | None = None
+    phrases: Sequence[Phrase], field: SchemaField, bound: np.ndarray
 ) -> tuple[Phrase | None, float]:
     """Argmax of key_score; ties go to the earlier phrase in reading order.
 
-    `bound` is the field's entry of key_bounds (computed here when absent).
-    Phrases are scored exactly in descending order of their bound, ties in
-    reading order, until a bound falls below the best exact score; the
-    slack absorbs the rounding of the bound's different expression.
+    `bound` is the field's row of key_bounds.  Phrases are scored exactly
+    in descending order of their bound, ties in reading order, until a
+    bound falls below the best exact score; the slack absorbs the rounding
+    of the bound's different expression.
     """
-    if bound is None:
-        (bound,) = key_bounds(phrases, [field.keys])
     best_i: int | None = None
     best_score = 0.0
     # the sort is stable, so equal bounds stay in reading order
-    for i in (-np.asarray(bound)).argsort(kind="stable").tolist():
+    for i in (-bound).argsort(kind="stable").tolist():
         if best_i is not None and bound[i] + BOUND_SLACK < best_score:
             break
         s = key_score(phrases[i], field)
@@ -206,28 +204,21 @@ def _in_zone(boxes: np.ndarray, key: Phrase) -> np.ndarray:
 def extract_field(
     phrases: Sequence[Phrase],
     field: SchemaField,
-    p: RuleParams | None = None,
+    p: RuleParams,
     *,
-    typed: np.ndarray | None = None,
-    bound: Sequence[float] | None = None,
-    boxes: np.ndarray | None = None,
+    typed: np.ndarray,
+    bound: np.ndarray,
+    boxes: np.ndarray,
 ) -> FieldExtraction:
     """Locate the field's key, then the best typed candidate near it.
 
-    `typed`, `bound` and `boxes` (the field's entries of typed_mask and
-    key_bounds, and the phrase boxes as rows x0, y0, x1, y1) are facts
-    about the document's phrases that extract_document works out once for
-    all fields; they are computed here when absent.
+    `typed` and `bound` are the field's rows of typed_mask and key_bounds,
+    and `boxes` the phrase boxes as rows x0, y0, x1, y1: facts about the
+    document's phrases that extract_document works out once for all fields.
     """
-    if p is None:
-        p = RuleParams()
     key, key_s = localize_key(phrases, field, bound)
     if key is None:
         return FieldExtraction(field.field_id, None, None, 0.0, None)
-    if typed is None:
-        (typed,) = typed_mask(phrases, [field])
-    if boxes is None:
-        boxes = _boxes(phrases)
 
     best: Phrase | None = None
     best_score = 0.0
@@ -276,6 +267,8 @@ def extract_document(
     p: RuleParams | None = None,
 ) -> list[FieldExtraction]:
     """Per-field extractions for one document, cross-field conflicts resolved."""
+    if p is None:
+        p = RuleParams()
     phrases = doc.phrases if doc.phrases is not None else group_words(doc)
     typed = typed_mask(phrases, schema.fields)
     bounds = key_bounds(phrases, [f.keys for f in schema.fields])

@@ -28,7 +28,7 @@ from .grouping import GroupingConfig, group_document
 from .model import load_model, save_model
 from .progressive import TrainConfig, extract_corpus, predict_word_classes, train
 from .similarity import string_distance
-from .synth import SynthConfig, generate, preset_config, corruption_report, PRESETS
+from .synth import generate, preset_config, corruption_report, PRESETS
 
 log = logging.getLogger("ffrg")
 
@@ -150,10 +150,7 @@ def _xml_escape(s: str) -> str:
 def _cmd_synth(opts: dict[str, Any]) -> int:
     _require(opts, "out_docs", "out_gold")
     schema = _read_schema_opt(opts)
-    if opts["preset"] is not None:
-        cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
-    else:
-        cfg = SynthConfig(n_docs=opts["n"], seed=opts["seed"])
+    cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
     docs, gold, truth = generate(cfg, schema)
     dm.write_documents(opts["out_docs"], docs)
     dm.write_annotations(opts["out_gold"], gold)
@@ -177,10 +174,7 @@ def _cmd_group(opts: dict[str, Any]) -> int:
 def _cmd_bootstrap(opts: dict[str, Any]) -> int:
     _require(opts, "docs", "out")
     schema = _read_schema_opt(opts)
-    params = bs.RuleParams(
-        sigma_d=opts["sigma_d"], sigma_a=opts["sigma_a"],
-        alpha=opts["alpha"], theta_v=opts["theta_v"],
-    )
+    params = bs.RuleParams(**{f.name: opts[f.name] for f in fields(bs.RuleParams)})
     docs = dm.read_documents(opts["docs"])
     labels, values = bs.bootstrap_corpus(docs, schema, params)
     dm.write_labels(opts["out"], labels)
@@ -286,19 +280,22 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
     schema = _read_schema_opt(opts)
     pred = dm.read_annotations(opts["pred"])
     gold = dm.read_annotations(opts["gold"])
-    names = [f.name for f in schema.fields]
     counts = {"correct": 0, "extractor-error": 0, "value-text-error": 0}
+    # per document, each field's status by field_id, for the SVG pass
+    by_doc: dict[str, dict[int, str]] = {}
     with open(opts["out"], "w", encoding="utf-8") as f:
         for doc_id in sorted(set(pred) | set(gold)):
-            for name in names:
-                p = pred.get(doc_id, {}).get(name)
-                g = gold.get(doc_id, {}).get(name)
+            by_field = by_doc[doc_id] = {}
+            for field in schema.fields:
+                p = pred.get(doc_id, {}).get(field.name)
+                g = gold.get(doc_id, {}).get(field.name)
                 status = field_status(p, g)
                 if status is None:
                     continue
                 counts[status] += 1
+                by_field[field.field_id] = status
                 f.write(json.dumps(
-                    {"doc_id": doc_id, "field": name, "status": status,
+                    {"doc_id": doc_id, "field": field.name, "status": status,
                      "pred": p, "gold": g},
                     ensure_ascii=False) + "\n")
     if opts["svg"]:
@@ -308,19 +305,9 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
         overlay = dm.read_overlay(opts["overlay"]) if opts["overlay"] else {}
         os.makedirs(opts["svg"], exist_ok=True)
         for doc in docs:
-            statuses: dict[int, str] = {}
             classes = overlay.get(doc.doc_id, {})
-            by_field: dict[int, str] = {}
-            for name in names:
-                st = field_status(
-                    pred.get(doc.doc_id, {}).get(name),
-                    gold.get(doc.doc_id, {}).get(name),
-                )
-                if st is not None:
-                    by_field[schema.field_by_name(name).field_id] = st
-            for wid, cls in classes.items():
-                if cls in by_field:
-                    statuses[wid] = by_field[cls]
+            by_field = by_doc.get(doc.doc_id, {})
+            statuses = {wid: by_field[cls] for wid, cls in classes.items() if cls in by_field}
             path = os.path.join(opts["svg"], f"{doc.doc_id}.svg")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(_doc_svg(doc, classes, statuses))
@@ -390,7 +377,7 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
 # never read.
 _COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]] = {
     "synth": (_cmd_synth, "generate a synthetic corpus with gold annotations",
-              dict(preset=None, n=100, seed=0, schema=None,
+              dict(preset="clean", n=100, seed=0, schema=None,
                    out_docs=None, out_gold=None, out_truth=None)),
     "group": (_cmd_group, "attach density-grouped phrases to documents",
               dict(in_docs=None, out=None, eps_scale=0.8)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,9 +62,6 @@ class ModelParams:
     @property
     def n_classes(self) -> int:
         return self.n_fields + 1
-
-    def copy(self) -> "ModelParams":
-        return replace(self, flat=self.flat.copy())
 
 
 def tensor_keys(n_branches: int) -> list[str]:
@@ -248,31 +245,28 @@ def branch_loss_and_grad(
     branch: int,
     train_trunk: bool,
     *,
-    activations: np.ndarray | None = None,
+    activations: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted sum of mean cross-entropies for one branch, with gradients.
 
     targets is a list of (weight, labels) pairs where labels is an int
     array of classes in 0..N; the loss is sum_j weight_j * meanCE(s_branch,
     labels_j).  Gradients cover the branch tensors, plus the trunk when
-    train_trunk is set.  Precomputed trunk activations replace the trunk
-    pass over features; features may then be None unless the trunk trains,
+    train_trunk is set.  activations are the trunk rows of the batch
+    (trunk_activations); features may be None unless the trunk trains,
     whose gradient needs them.
     """
     t = params.tensors
-    if activations is None:
-        h = trunk_activations(params, features)
-    elif features is None and train_trunk:
+    h = activations
+    if features is None and train_trunk:
         raise ValidationError("a trained trunk needs the features behind its activations")
-    elif activations.ndim != 2 or activations.shape[1] != params.hidden or (
-        features is not None and features.shape[0] != activations.shape[0]
+    if h.ndim != 2 or h.shape[1] != params.hidden or (
+        features is not None and features.shape[0] != h.shape[0]
     ):
         raise ValidationError(
-            f"activations have shape {activations.shape}, model expects width {params.hidden}"
+            f"activations have shape {h.shape}, model expects width {params.hidden}"
             " and one row per feature row"
         )
-    else:
-        h = activations
     m = h.shape[0]
     if m == 0:
         raise ValidationError("cannot take a loss over zero words")
@@ -335,26 +329,17 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-def _views(params: ModelParams, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-tensor views of a buffer laid out like params.flat."""
-    return {
-        key: flat[off : off + params.tensors[key].size].reshape(params.tensors[key].shape)
-        for key, off in params.offsets.items()
-    }
-
-
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    The moments span the whole parameter buffer from the first step on;
-    m and v hold their per-tensor views.
+    m and v are laid out like params.flat and are allocated at the first
+    step; a tensor's moments start at params.offsets[key].
     """
 
     def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
-        self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def adam_step(
@@ -373,13 +358,12 @@ def adam_step(
         if params.offsets[key] != hi or grads[key].shape != params.tensors[key].shape:
             raise ValidationError("adam_step needs gradients for one contiguous run of tensors")
         hi += grads[key].size
-    if state._flat is None:
-        state._flat = (np.zeros_like(params.flat), np.zeros_like(params.flat))
-        state.m, state.v = (_views(params, buf) for buf in state._flat)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     state.t += 1
     if not keys:
         return
-    m, v = state._flat[0][lo:hi], state._flat[1][lo:hi]
+    m, v = state.m[lo:hi], state.v[lo:hi]
     g = np.concatenate([grads[key].ravel() for key in keys])
     step = g * (1.0 - BETA1)
     m *= BETA1

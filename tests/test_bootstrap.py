@@ -22,6 +22,7 @@ from ffrg.bootstrap import (
     key_score,
     localize_key,
     resolve_conflicts,
+    typed_mask,
     value_score,
 )
 from ffrg.datatypes import DataType
@@ -38,6 +39,13 @@ def ph(text, cx, cy, ids=(0,), half=0.02):
 MONEY_FIELD = SchemaField(1, "amount", ("total",), frozenset({DataType.MONEY, DataType.NUMBER}))
 
 
+def _facts(phrases, field):
+    """extract_field's keywords for one field, from the functions with which
+    extract_document works them out."""
+    (typed,), (bound,) = typed_mask(phrases, [field]), key_bounds(phrases, [field.keys])
+    return dict(typed=typed, bound=bound, boxes=docmodel._boxes(phrases))
+
+
 # --- key localization -------------------------------------------------------
 
 def test_key_score_takes_best_key(schema):
@@ -50,7 +58,7 @@ def test_key_score_takes_best_key(schema):
 
 def test_localize_key_is_argmax_without_threshold():
     phrases = [ph("zebra", 0.1, 0.1), ph("Totol", 0.5, 0.1), ph("quux", 0.8, 0.1)]
-    best, s = localize_key(phrases, MONEY_FIELD)
+    best, s = localize_key(phrases, MONEY_FIELD, key_bounds(phrases, [MONEY_FIELD.keys])[0])
     assert best is phrases[1]
     assert 0.7 < s < 1.0  # a poor match still wins; no cutoff applies
 
@@ -58,13 +66,14 @@ def test_localize_key_is_argmax_without_threshold():
 def test_localize_key_tie_prefers_earlier_phrase():
     first = ph("Total", 0.1, 0.1, ids=(0,))
     second = ph("Total", 0.7, 0.7, ids=(1,))
-    best, s = localize_key([first, second], MONEY_FIELD)
+    phrases = [first, second]
+    best, s = localize_key(phrases, MONEY_FIELD, key_bounds(phrases, [MONEY_FIELD.keys])[0])
     assert best is first
     assert s == pytest.approx(1.0)
 
 
 def test_localize_key_empty_input():
-    assert localize_key([], MONEY_FIELD) == (None, 0.0)
+    assert localize_key([], MONEY_FIELD, key_bounds([], [MONEY_FIELD.keys])[0]) == (None, 0.0)
 
 
 # The pruned search against an exhaustive scan.  Texts come from a small
@@ -108,7 +117,7 @@ def _exhaustive_first_max(phrases, field):
 @given(st.lists(_text, min_size=1, max_size=10), st.sampled_from(_FIELDS))
 def test_localize_key_equals_exhaustive_first_max(texts, field):
     phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
-    best, s = localize_key(phrases, field)
+    best, s = localize_key(phrases, field, key_bounds(phrases, [field.keys])[0])
     want_i, want = _exhaustive_first_max(phrases, field)
     assert best is phrases[want_i]
     assert s.hex() == want.hex()
@@ -387,8 +396,8 @@ def _phrases(doc):
 
 
 def test_extract_field_picks_typed_neighbor(schema):
-    doc = _line_doc()
-    e = extract_field(_phrases(doc), MONEY_FIELD)
+    phrases = _phrases(_line_doc())
+    e = extract_field(phrases, MONEY_FIELD, RuleParams(), **_facts(phrases, MONEY_FIELD))
     assert e.key_phrase.text == "Total"
     assert e.value_phrase.text == "$12.00"
     assert e.value_score > RuleParams().theta_v
@@ -397,7 +406,8 @@ def test_extract_field_picks_typed_neighbor(schema):
 
 def test_extract_field_without_typed_candidates():
     doc = make_doc([("Total", 0.1, 0.1, 0.16, 0.12), ("alpha", 0.3, 0.1, 0.36, 0.12)])
-    e = extract_field(_phrases(doc), MONEY_FIELD)
+    phrases = _phrases(doc)
+    e = extract_field(phrases, MONEY_FIELD, RuleParams(), **_facts(phrases, MONEY_FIELD))
     assert e.key_phrase is not None
     assert e.value_phrase is None and e.value_score is None
 
@@ -406,7 +416,8 @@ def test_extract_field_rejects_below_threshold():
     # hopeless key match: key score 0 zeroes every value score
     field = SchemaField(1, "f", ("zzzz",), frozenset({DataType.NUMBER}))
     doc = make_doc([("qqqq", 0.1, 0.1, 0.16, 0.12), ("123", 0.3, 0.1, 0.36, 0.12)])
-    e = extract_field(_phrases(doc), field)
+    phrases = _phrases(doc)
+    e = extract_field(phrases, field, RuleParams(), **_facts(phrases, field))
     assert e.key_phrase is not None
     assert e.key_score == 0.0
     assert e.value_phrase is None
@@ -416,7 +427,8 @@ def test_extract_field_never_reuses_key_as_value():
     # the key itself is typed; it must not become its own value
     field = SchemaField(1, "f", ("123",), frozenset({DataType.NUMBER}))
     doc = make_doc([("123", 0.1, 0.1, 0.16, 0.12)])
-    e = extract_field(_phrases(doc), field)
+    phrases = _phrases(doc)
+    e = extract_field(phrases, field, RuleParams(), **_facts(phrases, field))
     assert e.key_phrase.text == "123"
     assert e.value_phrase is None
 

@@ -1,15 +1,18 @@
 """Command-line behavior: exit codes, config precedence, file round-trips."""
 
+import inspect
 import json
 import logging
+from dataclasses import fields
 
 import pytest
 
-from ffrg.bootstrap import bootstrap_corpus
+from ffrg.bootstrap import RuleParams, bootstrap_corpus
 from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
 from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
 from ffrg.features import featurize_corpus
-from ffrg.progressive import TrainConfig, extract_corpus, train
+from ffrg.grouping import GroupingConfig
+from ffrg.progressive import TrainConfig, extract_corpus, extract_values, train
 from ffrg.synth import PRESETS, generate, preset_config
 
 
@@ -92,6 +95,17 @@ def test_synth_writes_parseable_corpus(synth_dir):
     assert set(gold) == {d.doc_id for d in docs}
     truth = read_labels(str(synth_dir / "truth.jsonl"))
     assert truth.provenance == "truth"
+
+
+def test_synth_defaults_to_the_clean_preset(synth_dir, tmp_path):
+    names = ("docs.jsonl", "gold.jsonl", "truth.jsonl")
+    docs, gold, truth = (str(tmp_path / name) for name in names)
+    assert run(
+        "synth", "--n", "6", "--seed", "3",
+        "--out-docs", docs, "--out-gold", gold, "--out-truth", truth,
+    ) == 0
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (synth_dir / name).read_bytes()
 
 
 def test_group_attaches_phrases(synth_dir, tmp_path):
@@ -450,6 +464,31 @@ def test_unreadable_config_values_name_the_file(tmp_path, text, message, capsys,
     assert run("pipeline", "--config", str(path)) == 1
     assert f"config file {path}: {message}" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_option_defaults_equal_the_config_defaults():
+    # an option that mirrors a config field must default to that field's default
+    train_defaults = {f.name: f.default for f in fields(TrainConfig)}
+    train_defaults["branches"] = train_defaults.pop("n_branches")
+    mirrored = {
+        "bootstrap": {f.name: f.default for f in fields(RuleParams)},
+        "group": {f.name: f.default for f in fields(GroupingConfig)},
+        "train": train_defaults,
+        "pipeline": train_defaults,
+    }
+    pinned = 0
+    for command, config_defaults in mirrored.items():
+        defaults = _COMMANDS[command][2]
+        for key, value in config_defaults.items():
+            if key in defaults:
+                assert defaults[key] == value and type(defaults[key]) is type(value), (command, key)
+                pinned += 1
+    assert pinned == 4 + 1 + 10 + 6
+    for command in ("train", "pipeline"):
+        assert _COMMANDS[command][2]["single_step"] is not TrainConfig().two_step
+    threshold = _COMMANDS["extract"][2]["threshold"]
+    for fn in (extract_values, extract_corpus):
+        assert inspect.signature(fn).parameters["threshold"].default == threshold
 
 
 # A value of each option type, as JSON and as typed on the command line; the
