@@ -8,6 +8,11 @@ The winning phrase, if it scores above theta_v, becomes the field value
 and its words receive the field's class label.  These labels are the
 noisy supervision everything downstream trains on; the same pass doubles
 as a standalone rule extractor.
+
+The pass works on a document's phrases as rows (PhraseRows): texts, box
+rows and centres.  A phrase is typed only when it lies in some located
+key's zone, and a Phrase object is built only for a key or value that
+extract_field returns.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datatypes import TYPE_SETS, type_of
-from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField, _boxes
-from .grouping import group_words
+from .datatypes import type_of
+from .docmodel import BBox, Document, FieldSchema, LabelSet, Phrase, SchemaField, _boxes
+from .grouping import phrase_members
 from .similarity import (
     JW_BOOST_THRESHOLD,
     JW_MAX_PREFIX,
@@ -67,9 +72,9 @@ class FieldExtraction:
             raise ValueError("value phrase cannot be the key phrase")
 
 
-def key_score(phrase: Phrase, field: SchemaField) -> float:
-    """Best similarity between the phrase text and any of the field's keys."""
-    return 1.0 - min(string_distance(phrase.text, k) for k in field.keys)
+def key_score(text: str, field: SchemaField) -> float:
+    """Best similarity between a phrase text and any of the field's keys."""
+    return 1.0 - min(string_distance(text, k) for k in field.keys)
 
 
 def _char_counts(texts: Sequence[str], chars: np.ndarray) -> np.ndarray:
@@ -102,8 +107,8 @@ def _key_slots(key_lists: tuple[tuple[str, ...], ...]):
     return chars, slot_char, slot_t, rows.T, lengths, starts
 
 
-def key_bounds(phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]) -> np.ndarray:
-    """Upper bounds on key_score: per key list, one bound per phrase.
+def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> np.ndarray:
+    """Upper bounds on key_score: per key list, one bound per phrase text.
 
     Jaro matches pair equal characters, so their count m is at most c, the
     overlap of the two character multisets, and Jaro is at most
@@ -113,9 +118,9 @@ def key_bounds(phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]) 
     c comes from one product of 0/1 matrices, exact in small integers.
     """
     if not key_lists:
-        return np.zeros((0, len(phrases)))
+        return np.zeros((0, len(texts)))
     chars, slot_char, slot_t, key_rows, len_k, starts = _key_slots(tuple(key_lists))
-    texts = [ph.text.strip().lower() for ph in phrases]
+    texts = [t.strip().lower() for t in texts]
     counts = _char_counts(texts, chars)
     c = (counts[:, slot_char] >= slot_t).astype(np.float64) @ key_rows
     # an empty text holds no character, so c is 0 and its bound 0
@@ -127,9 +132,10 @@ def key_bounds(phrases: Sequence[Phrase], key_lists: Sequence[tuple[str, ...]]) 
 
 
 def localize_key(
-    phrases: Sequence[Phrase], field: SchemaField, bound: np.ndarray
-) -> tuple[Phrase | None, float]:
-    """Argmax of key_score; ties go to the earlier phrase in reading order.
+    texts: Sequence[str], field: SchemaField, bound: np.ndarray
+) -> tuple[int | None, float]:
+    """Index and score of the argmax of key_score over the phrase texts;
+    ties go to the earlier phrase in reading order.
 
     `bound` is the field's row of key_bounds.  Phrases are scored exactly
     in descending order of their bound, ties in reading order, until a
@@ -142,10 +148,10 @@ def localize_key(
     for i in (-bound).argsort(kind="stable").tolist():
         if best_i is not None and bound[i] + BOUND_SLACK < best_score:
             break
-        s = key_score(phrases[i], field)
+        s = key_score(texts[i], field)
         if best_i is None or s > best_score or (s == best_score and i < best_i):
             best_i, best_score = i, s
-    return (None, 0.0) if best_i is None else (phrases[best_i], best_score)
+    return best_i, best_score
 
 
 def _gaussian(x: float, mu: float, sigma: float) -> float:
@@ -154,15 +160,17 @@ def _gaussian(x: float, mu: float, sigma: float) -> float:
     return math.exp(-0.5 * z * z)
 
 
-def geometric_score(key: Phrase, value: Phrase, p: RuleParams) -> float:
+def geometric_score(key: tuple[float, float], value: tuple[float, float],
+                    p: RuleParams) -> float:
     """Distance kernel plus alpha-weighted best-of-two angle kernel.
 
-    Angle is measured key center -> value center with y pointing down, so
-    a value to the right scores angle 0 and a value below scores pi/2.
-    Coincident centers degrade to dist 0, angle 0.
+    `key` and `value` are phrase box centres.  Angle is measured key ->
+    value with y pointing down, so a value to the right scores angle 0 and
+    a value below scores pi/2.  Coincident centers degrade to dist 0,
+    angle 0.
     """
-    kx, ky = key.box.center
-    vx, vy = value.box.center
+    kx, ky = key
+    vx, vy = value
     dx, dy = vx - kx, vy - ky
     dist = math.hypot(dx, dy)
     angle = math.atan2(dy, dx) if dist > 0.0 else 0.0
@@ -172,66 +180,102 @@ def geometric_score(key: Phrase, value: Phrase, p: RuleParams) -> float:
     return _gaussian(dist, MU_D, p.sigma_d) + p.alpha * angle_term
 
 
-def value_score(key: Phrase, key_s: float, candidate: Phrase, p: RuleParams) -> float:
+def value_score(key: tuple[float, float], key_s: float, candidate: tuple[float, float],
+                p: RuleParams) -> float:
     return key_s * geometric_score(key, candidate, p)
 
 
-_TYPE_INDEX = {types: k for k, types in enumerate(TYPE_SETS)}
-
-
-@functools.lru_cache(maxsize=16)
-def _allowed(fields: tuple[SchemaField, ...]) -> np.ndarray:
-    """Per field, whether it allows a type of each of TYPE_SETS."""
-    return np.array([[bool(t & f.allowed_types) for t in TYPE_SETS] for f in fields],
-                    dtype=bool).reshape(len(fields), len(TYPE_SETS))
-
-
-def typed_mask(phrases: Sequence[Phrase], fields: Sequence[SchemaField]) -> np.ndarray:
-    """Per field, whether each phrase has a type (type_of) the field allows."""
-    return _allowed(tuple(fields))[:, [_TYPE_INDEX[type_of(ph.text)] for ph in phrases]]
-
-
-def _in_zone(boxes: np.ndarray, key: Phrase) -> np.ndarray:
+def _in_zone(boxes: np.ndarray, key: tuple[float, float]) -> np.ndarray:
     """Per candidate box (row x0, y0, x1, y1), whether the key center sits
     left of its right edge and within a band from ZONE_ABOVE candidate-heights
     above to ZONE_BELOW below."""
-    kx, ky = key.box.center
+    kx, ky = key
     _, y0, x1, y1 = boxes.T
     h = y1 - y0
     return (0.0 <= kx) & (kx <= x1) & (y0 - ZONE_ABOVE * h <= ky) & (ky <= y1 + ZONE_BELOW * h)
 
 
+def _union_rows(word_boxes: np.ndarray, members: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per phrase, the union of its words' boxes (rows x0, y0, x1, y1) as
+    BBox.union chains them from the first word: a min or max keeps the
+    earlier of equal coordinates, so -0.0 and +0.0 ties keep the first."""
+    if not members:
+        return np.zeros((0, 4))
+    rows = word_boxes[[w for ids in members for w in ids]]
+    starts = np.cumsum([0] + [len(ids) for ids in members[:-1]])
+    out = np.concatenate([np.minimum.reduceat(rows[:, :2], starts, axis=0),
+                          np.maximum.reduceat(rows[:, 2:], starts, axis=0)], axis=1)
+    # only a zero can have an equal of other bits, so only zeros are redone
+    for i, c in zip(*(out == 0.0).nonzero()):
+        coords = word_boxes[members[i], c].tolist()
+        out[i, c] = min(coords) if c < 2 else max(coords)
+    return out
+
+
+class PhraseRows:
+    """A document's phrases as rows: texts and boxes (x0, y0, x1, y1) and
+    centres, in phrase order.  A phrase's type is worked out on first use,
+    and a Phrase is built only when asked for; the document's own phrases,
+    when it has them, are its own objects."""
+
+    def __init__(self, doc: Document):
+        self.doc = doc
+        if doc.phrases is not None:
+            self.members = [ph.word_ids for ph in doc.phrases]
+            self.texts = [ph.text for ph in doc.phrases]
+            self.boxes = _boxes(doc.phrases)
+        else:
+            words = doc.words
+            self.members = phrase_members(doc)
+            self.texts = [" ".join([words[w].text for w in ids]) for ids in self.members]
+            self.boxes = _union_rows(_boxes(words), self.members)
+        self.centres = ((self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0).tolist()
+        self._types: list[frozenset | None] = [None] * len(self.texts)
+        self._phrases: dict[int, Phrase] = {}
+
+    def types(self, i: int) -> frozenset:
+        """type_of of phrase i, worked out once."""
+        t = self._types[i]
+        if t is None:
+            t = self._types[i] = type_of(self.texts[i])
+        return t
+
+    def phrase(self, i: int) -> Phrase:
+        if self.doc.phrases is not None:
+            return self.doc.phrases[i]
+        ph = self._phrases.get(i)
+        if ph is None:
+            ph = self._phrases[i] = Phrase(
+                tuple(self.members[i]), self.texts[i], BBox(*self.boxes[i].tolist()))
+        return ph
+
+
 def extract_field(
-    phrases: Sequence[Phrase],
-    field: SchemaField,
-    p: RuleParams,
-    *,
-    typed: np.ndarray,
-    bound: np.ndarray,
-    boxes: np.ndarray,
+    rows: PhraseRows, field: SchemaField, p: RuleParams, *, bound: np.ndarray
 ) -> FieldExtraction:
     """Locate the field's key, then the best typed candidate near it.
 
-    `typed` and `bound` are the field's rows of typed_mask and key_bounds,
-    and `boxes` the phrase boxes as rows x0, y0, x1, y1: facts about the
-    document's phrases that extract_document works out once for all fields.
+    `bound` is the field's row of key_bounds over the phrase texts, which
+    extract_document works out once for all fields.  Only the phrases in
+    the key's zone are typed.
     """
-    key, key_s = localize_key(phrases, field, bound)
-    if key is None:
+    key_i, key_s = localize_key(rows.texts, field, bound)
+    if key_i is None:
         return FieldExtraction(field.field_id, None, None, 0.0, None)
 
-    best: Phrase | None = None
+    centre = rows.centres[key_i]
+    best_i: int | None = None
     best_score = 0.0
-    for i in (typed & _in_zone(boxes, key)).nonzero()[0].tolist():
-        ph = phrases[i]
-        if ph is key:
+    for i in _in_zone(rows.boxes, centre).nonzero()[0].tolist():
+        if i == key_i or not rows.types(i) & field.allowed_types:
             continue
-        s = value_score(key, key_s, ph, p)
-        if best is None or s > best_score:
-            best, best_score = ph, s
-    if best is None or best_score <= p.theta_v:
-        return FieldExtraction(field.field_id, key, None, key_s, None)
-    return FieldExtraction(field.field_id, key, best, key_s, best_score)
+        s = value_score(centre, key_s, rows.centres[i], p)
+        if best_i is None or s > best_score:
+            best_i, best_score = i, s
+    if best_i is None or best_score <= p.theta_v:
+        return FieldExtraction(field.field_id, rows.phrase(key_i), None, key_s, None)
+    return FieldExtraction(
+        field.field_id, rows.phrase(key_i), rows.phrase(best_i), key_s, best_score)
 
 
 def resolve_conflicts(extractions: list[FieldExtraction]) -> list[FieldExtraction]:
@@ -269,14 +313,9 @@ def extract_document(
     """Per-field extractions for one document, cross-field conflicts resolved."""
     if p is None:
         p = RuleParams()
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
-    typed = typed_mask(phrases, schema.fields)
-    bounds = key_bounds(phrases, [f.keys for f in schema.fields])
-    boxes = _boxes(phrases)
-    extractions = [
-        extract_field(phrases, f, p, typed=t, bound=b, boxes=boxes)
-        for f, t, b in zip(schema.fields, typed, bounds)
-    ]
+    rows = PhraseRows(doc)
+    bounds = key_bounds(rows.texts, [f.keys for f in schema.fields])
+    extractions = [extract_field(rows, f, p, bound=b) for f, b in zip(schema.fields, bounds)]
     return resolve_conflicts(extractions)
 
 

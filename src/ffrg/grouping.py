@@ -55,12 +55,14 @@ def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
     return config.eps_scale * statistics.median(heights)
 
 
-def group_words(
+def phrase_members(
     doc: Document, config: GroupingConfig | None = None, *, order: list[int] | None = None
-) -> tuple[Phrase, ...]:
-    """Cluster words into phrases; returns phrases in reading order.
+) -> list[list[int]]:
+    """Cluster words into phrases; returns each phrase's word ids.
 
-    `order` is the document's reading order when the caller already has it.
+    A phrase lists its words in reading order, and phrases come in the
+    reading order of their first words.  `order` is the document's reading
+    order when the caller already has it.
     """
     if config is None:
         config = GroupingConfig()
@@ -83,11 +85,19 @@ def group_words(
     if order is None:
         order = reading_order(doc)
     members: dict[int, list[int]] = {}
-    # phrases come in the reading order of their first words
     for wid in order:
         members.setdefault(phrase[wid], []).append(wid)
+    return list(members.values())
+
+
+def group_words(
+    doc: Document, config: GroupingConfig | None = None, *, order: list[int] | None = None
+) -> tuple[Phrase, ...]:
+    """The phrases of phrase_members, in its order."""
+    if order is None:
+        order = reading_order(doc)
     rank = np.argsort(order).tolist()  # the inverse permutation
-    return tuple(make_phrase(doc, ids, rank) for ids in members.values())
+    return tuple(make_phrase(doc, ids, rank) for ids in phrase_members(doc, config, order=order))
 
 
 def group_document(doc: Document, config: GroupingConfig | None = None) -> Document:

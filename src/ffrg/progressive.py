@@ -21,7 +21,7 @@ import numpy as np
 
 from .docmodel import Document, FieldSchema, LabelSet, ValidationError, reading_order
 from .features import FEATURE_DIM, featurize_corpus
-from .grouping import group_words
+from .grouping import phrase_members
 from .model import (
     AdamState,
     ModelParams,
@@ -306,23 +306,24 @@ def extract_values(
     anchors = _select_anchors(probs, order, schema.n_fields, threshold)
     if not anchors:
         return {}
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc, order=order)
+    members = ([ph.word_ids for ph in doc.phrases] if doc.phrases is not None
+               else phrase_members(doc, order=order))
     argmax = probs.argmax(axis=1)
-    by_word = {wid: ph for ph in phrases for wid in ph.word_ids}
+    by_word = {wid: ids for ids in members for wid in ids}
     out: dict[str, str] = {}
     for f, anchor in sorted(anchors.items()):
-        ph = by_word.get(anchor)
-        if ph is None:
+        ids = by_word.get(anchor)
+        if ids is None:
             out[schema.field_by_id(f).name] = doc.words[anchor].text
             continue
-        pos = ph.word_ids.index(anchor)
+        pos = ids.index(anchor)
         lo = pos
-        while lo > 0 and argmax[ph.word_ids[lo - 1]] == f:
+        while lo > 0 and argmax[ids[lo - 1]] == f:
             lo -= 1
         hi = pos
-        while hi + 1 < len(ph.word_ids) and argmax[ph.word_ids[hi + 1]] == f:
+        while hi + 1 < len(ids) and argmax[ids[hi + 1]] == f:
             hi += 1
-        run = ph.word_ids[lo : hi + 1]
+        run = ids[lo : hi + 1]
         out[schema.field_by_id(f).name] = " ".join(doc.words[wid].text for wid in run)
     return out
 

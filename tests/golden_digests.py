@@ -137,6 +137,30 @@ def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
     }, sort_keys=True))
 
 
+def grouped_page(page: dm.Document) -> dm.Document:
+    """The page carrying its phrases in reversed order, every third left
+    out, so that the rule extractor reads the document's own phrases."""
+    phrases = grouping.group_words(page)[::-1]
+    kept = tuple(ph for k, ph in enumerate(phrases) if k % 3 != 1)
+    return dm.Document(f"{page.doc_id}-grouped", page.page_width, page.page_height,
+                       page.words, kept)
+
+
+def grouped_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
+    """The rule extractions, labels and values of a page with phrases."""
+    labels, values = bs.bootstrap_corpus([page], schema)
+    return _sha(json.dumps({
+        "extractions": [
+            [e.field_id, *(None if ph is None else list(ph.word_ids)
+                           for ph in (e.key_phrase, e.value_phrase)),
+             e.key_score.hex(), None if e.value_score is None else e.value_score.hex()]
+            for e in bs.extract_document(page, schema)
+        ],
+        "labels": sorted(labels.positives(page.doc_id).items()),
+        "values": values,
+    }, sort_keys=True))
+
+
 def pipeline_digests(workdir: str, preset: str, n_docs: int, epochs_step1: int,
                      epochs_step2: int, two_step: bool) -> dict[str, str]:
     """The artifacts of `ffrg pipeline` after synthesis, and each stage's
@@ -168,6 +192,7 @@ def compute() -> dict:
     digests = {f"dense.w{len(page.words)}": page_digest(page, schema) for page in pages}
     digests.update((f"featurize.w{len(page.words)}", featurize_digest(page)) for page in pages)
     digests["featurize.negative-zero"] = featurize_digest(negative_zero_page())
+    digests["grouped.w200"] = grouped_digest(grouped_page(pages[2]), schema)
     for run, config in PIPELINES.items():
         with tempfile.TemporaryDirectory() as workdir:
             digests.update(

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import make_doc
 from ffrg import bootstrap, datatypes, docmodel, similarity
 from ffrg.bootstrap import (
     FieldExtraction,
+    PhraseRows,
     RuleParams,
     bootstrap_corpus,
     extract_document,
@@ -22,11 +24,10 @@ from ffrg.bootstrap import (
     key_score,
     localize_key,
     resolve_conflicts,
-    typed_mask,
     value_score,
 )
 from ffrg.datatypes import DataType
-from ffrg.docmodel import BBox, Phrase, SchemaField, parse_document
+from ffrg.docmodel import BBox, Document, Phrase, SchemaField, parse_document
 from ffrg.grouping import group_document, group_words
 from ffrg.similarity import jaro_winkler
 from ffrg.synth import generate, preset_config
@@ -39,36 +40,38 @@ def ph(text, cx, cy, ids=(0,), half=0.02):
 MONEY_FIELD = SchemaField(1, "amount", ("total",), frozenset({DataType.MONEY, DataType.NUMBER}))
 
 
-def _facts(phrases, field):
-    """extract_field's keywords for one field, from the functions with which
-    extract_document works them out."""
-    (typed,), (bound,) = typed_mask(phrases, [field]), key_bounds(phrases, [field.keys])
-    return dict(typed=typed, bound=bound, boxes=docmodel._boxes(phrases))
+def _texts(phrases):
+    return [p.text for p in phrases]
+
+
+def _extract_field(doc, field):
+    """extract_field on the document's phrases, with the key bounds that
+    extract_document works out for it."""
+    rows = PhraseRows(doc)
+    (bound,) = key_bounds(rows.texts, [field.keys])
+    return extract_field(rows, field, RuleParams(), bound=bound)
 
 
 # --- key localization -------------------------------------------------------
 
 def test_key_score_takes_best_key(schema):
     field = schema.field_by_name("po_number")
-    assert key_score(ph("PO Number", 0.1, 0.1), field) == pytest.approx(1.0)
+    assert key_score("PO Number", field) == pytest.approx(1.0)
     # "purchase order number" in the key list lifts long paraphrases
-    long_form = ph("Purchase Order Number", 0.1, 0.1)
-    assert key_score(long_form, field) == pytest.approx(1.0)
+    assert key_score("Purchase Order Number", field) == pytest.approx(1.0)
 
 
 def test_localize_key_is_argmax_without_threshold():
-    phrases = [ph("zebra", 0.1, 0.1), ph("Totol", 0.5, 0.1), ph("quux", 0.8, 0.1)]
-    best, s = localize_key(phrases, MONEY_FIELD, key_bounds(phrases, [MONEY_FIELD.keys])[0])
-    assert best is phrases[1]
+    texts = ["zebra", "Totol", "quux"]
+    best, s = localize_key(texts, MONEY_FIELD, key_bounds(texts, [MONEY_FIELD.keys])[0])
+    assert best == 1
     assert 0.7 < s < 1.0  # a poor match still wins; no cutoff applies
 
 
 def test_localize_key_tie_prefers_earlier_phrase():
-    first = ph("Total", 0.1, 0.1, ids=(0,))
-    second = ph("Total", 0.7, 0.7, ids=(1,))
-    phrases = [first, second]
-    best, s = localize_key(phrases, MONEY_FIELD, key_bounds(phrases, [MONEY_FIELD.keys])[0])
-    assert best is first
+    texts = ["Total", "Total"]
+    best, s = localize_key(texts, MONEY_FIELD, key_bounds(texts, [MONEY_FIELD.keys])[0])
+    assert best == 0
     assert s == pytest.approx(1.0)
 
 
@@ -103,11 +106,11 @@ _text = st.builds(
 )
 
 
-def _exhaustive_first_max(phrases, field):
-    """Reading-order scan keeping the first phrase of maximal key score."""
+def _exhaustive_first_max(texts, field):
+    """Reading-order scan keeping the first text of maximal key score."""
     best_i, best = None, 0.0
-    for i, p in enumerate(phrases):
-        s = 1.0 - min(1.0 - jaro_winkler(p.text.strip().lower(), k) for k in field.keys)
+    for i, t in enumerate(texts):
+        s = 1.0 - min(1.0 - jaro_winkler(t.strip().lower(), k) for k in field.keys)
         if best_i is None or s > best:
             best_i, best = i, s
     return best_i, best
@@ -116,23 +119,21 @@ def _exhaustive_first_max(phrases, field):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(_text, min_size=1, max_size=10), st.sampled_from(_FIELDS))
 def test_localize_key_equals_exhaustive_first_max(texts, field):
-    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
-    best, s = localize_key(phrases, field, key_bounds(phrases, [field.keys])[0])
-    want_i, want = _exhaustive_first_max(phrases, field)
-    assert best is phrases[want_i]
+    best, s = localize_key(texts, field, key_bounds(texts, [field.keys])[0])
+    want_i, want = _exhaustive_first_max(texts, field)
+    assert best == want_i
     assert s.hex() == want.hex()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(_text, max_size=10))
 def test_key_bounds_never_below_key_score(texts):
-    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
-    bounds = key_bounds(phrases, _KEY_LISTS)
-    assert [len(b) for b in bounds] == [len(phrases)] * len(_FIELDS)
+    bounds = key_bounds(texts, _KEY_LISTS)
+    assert [len(b) for b in bounds] == [len(texts)] * len(_FIELDS)
     for field, bound in zip(_FIELDS, bounds):
-        for p, b in zip(phrases, bound):
+        for t, b in zip(texts, bound):
             # one rounding of 1 - (1 - jw) is all the exact score may gain
-            assert b + 1e-12 >= key_score(p, field)
+            assert b + 1e-12 >= key_score(t, field)
 
 
 def _key_masks(key_lists):
@@ -162,14 +163,14 @@ def _count_mask(text, layout):
     return mask
 
 
-def _key_bounds_by_bitmask(phrases, key_lists):
-    """key_bounds one phrase and one key at a time, the overlap c from
+def _key_bounds_by_bitmask(texts, key_lists):
+    """key_bounds one text and one key at a time, the overlap c from
     integer bitmasks."""
     masks, layout = _key_masks(key_lists)
     max_boost = similarity.JW_MAX_PREFIX * similarity.JW_PREFIX_SCALE
     out = [[] for _ in masks]
-    for ph in phrases:
-        text = ph.text.strip().lower()
+    for text in texts:
+        text = text.strip().lower()
         mask, len_p = _count_mask(text, layout), len(text)
         for keys, column in zip(masks, out):
             best = 0.0
@@ -192,9 +193,8 @@ def _hex_rows(rows):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(_text, max_size=10))
 def test_key_bounds_equal_the_bitmask_bounds(texts):
-    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
-    assert _hex_rows(key_bounds(phrases, _KEY_LISTS)) == _hex_rows(
-        _key_bounds_by_bitmask(phrases, _KEY_LISTS))
+    assert _hex_rows(key_bounds(texts, _KEY_LISTS)) == _hex_rows(
+        _key_bounds_by_bitmask(texts, _KEY_LISTS))
 
 
 def test_key_bounds_equal_the_bitmask_bounds_on_odd_texts(schema):
@@ -202,61 +202,85 @@ def test_key_bounds_equal_the_bitmask_bounds_on_odd_texts(schema):
     # whose lower() is longer, a lone surrogate, and empty normalized text
     texts = ["999", "$$", "ooooooooo", "ttotall", "😀", "𝐓𝐨𝐭𝐚𝐥", "😀 tax", "İ", "İnvoice #",
              "DUE İ", "\ud800ate", "", "   ", "Invoice Number", "P.O. #"]
-    phrases = [ph(t, 0.1, 0.1, ids=(i,)) for i, t in enumerate(texts)]
     key_lists = [f.keys for f in schema.fields]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lists in (key_lists, _KEY_LISTS):
-            got = key_bounds(phrases, lists)
-            assert _hex_rows(got) == _hex_rows(_key_bounds_by_bitmask(phrases, lists))
+            got = key_bounds(texts, lists)
+            assert _hex_rows(got) == _hex_rows(_key_bounds_by_bitmask(texts, lists))
         assert key_bounds([], key_lists).shape == (len(key_lists), 0)
-        assert key_bounds(phrases, []).shape == (0, len(phrases))
+        assert key_bounds(texts, []).shape == (0, len(texts))
 
 
 def test_key_bounds_equal_the_bitmask_bounds_on_a_noisy_page(schema):
     (doc,), _, _ = generate(preset_config("noisy-bench", 1, 5), schema)
-    phrases = group_words(doc)
+    texts = _texts(group_words(doc))
     key_lists = [f.keys for f in schema.fields]
-    assert _hex_rows(key_bounds(phrases, key_lists)) == _hex_rows(
-        _key_bounds_by_bitmask(phrases, key_lists))
+    assert _hex_rows(key_bounds(texts, key_lists)) == _hex_rows(
+        _key_bounds_by_bitmask(texts, key_lists))
 
 
 def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
+    # type_of runs at most once per phrase, only on phrases in some located
+    # key's zone, and a Phrase is built only for a key or value extract_field
+    # returns
     (doc,), _, _ = generate(preset_config("noisy-bench", 1, 0), schema)
-    phrases = group_words(doc)
-    calls = {"type_of": 0, "jaro": 0}
+    rows = PhraseRows(doc)
+    calls = {"type_of": [], "jaro": 0, "phrase": []}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    type_of, jaro_similarity = datatypes.type_of, similarity.jaro_similarity
 
-    monkeypatch.setattr(bootstrap, "type_of", counted("type_of", datatypes.type_of))
-    monkeypatch.setattr(
-        similarity, "jaro_similarity", counted("jaro", similarity.jaro_similarity)
-    )
+    def typed(text):
+        calls["type_of"].append(text)
+        return type_of(text)
+
+    def jaro(*args):
+        calls["jaro"] += 1
+        return jaro_similarity(*args)
+
+    built = Phrase.__post_init__
+
+    def phrase_made(self):
+        calls["phrase"].append(self.word_ids)
+        built(self)
+
+    returned = []
+
+    def field_pass(*args, **kwargs):
+        e = extract_field(*args, **kwargs)
+        returned.append(e)
+        return e
+
+    monkeypatch.setattr(bootstrap, "type_of", typed)
+    monkeypatch.setattr(similarity, "jaro_similarity", jaro)
+    monkeypatch.setattr(Phrase, "__post_init__", phrase_made)
+    monkeypatch.setattr(bootstrap, "extract_field", field_pass)
     extract_document(doc, schema)
+
+    zone = np.zeros(len(rows.texts), dtype=bool)
+    for e in returned:
+        if e.key_phrase is not None:
+            zone |= bootstrap._in_zone(rows.boxes, e.key_phrase.box.center)
+    in_zone = Counter(t for t, z in zip(rows.texts, zone) if z)
+    assert 0 < len(calls["type_of"]) <= zone.sum() < len(rows.texts)
+    assert not Counter(calls["type_of"]) - in_zone
+    made = {p.word_ids for e in returned for p in (e.key_phrase, e.value_phrase) if p}
+    assert sorted(calls["phrase"]) == sorted(made)
     n_keys = sum(len(f.keys) for f in schema.fields)
-    assert calls["type_of"] == len(phrases)
-    assert 0 < calls["jaro"] < len(phrases) * n_keys
+    assert 0 < calls["jaro"] < len(rows.texts) * n_keys
 
 
 # --- geometric scoring ------------------------------------------------------
 
 def test_value_directly_right_scores_distance_plus_full_angle():
-    key = ph("Total", 0.3, 0.5)
-    value = ph("$12.00", 0.5, 0.5)
     # exp(-0.5 * (0.2/0.5)^2) + 4.0 * 1.0
-    assert geometric_score(key, value, RuleParams()) == pytest.approx(
+    assert geometric_score((0.3, 0.5), (0.5, 0.5), RuleParams()) == pytest.approx(
         4.923116346386636, abs=1e-12
     )
 
 
 def test_value_directly_below_scores_like_right():
-    key = ph("Total", 0.3, 0.5)
-    below = ph("$12.00", 0.3, 0.7)
-    right = ph("$12.00", 0.5, 0.5)
+    key, below, right = (0.3, 0.5), (0.3, 0.7), (0.5, 0.5)
     p = RuleParams()
     assert geometric_score(key, below, p) == pytest.approx(
         geometric_score(key, right, p), abs=1e-12
@@ -264,23 +288,19 @@ def test_value_directly_below_scores_like_right():
 
 
 def test_value_up_left_keeps_distance_term_only():
-    key = ph("Total", 0.3, 0.5)
     d = 0.2 / math.sqrt(2.0)
-    value = ph("$12.00", 0.3 - d, 0.5 - d)  # angle -3pi/4 from the key
-    assert geometric_score(key, value, RuleParams()) == pytest.approx(
+    value = (0.3 - d, 0.5 - d)  # angle -3pi/4 from the key
+    assert geometric_score((0.3, 0.5), value, RuleParams()) == pytest.approx(
         0.9231765962297142, abs=1e-12
     )
 
 
 def test_coincident_centers_degrade_to_zero_distance_zero_angle():
-    key = ph("Total", 0.3, 0.5)
-    value = ph("$12.00", 0.3, 0.5)
-    assert geometric_score(key, value, RuleParams()) == pytest.approx(5.0)
+    assert geometric_score((0.3, 0.5), (0.3, 0.5), RuleParams()) == pytest.approx(5.0)
 
 
 def test_value_score_multiplies_key_score():
-    key = ph("Total", 0.3, 0.5)
-    value = ph("$12.00", 0.5, 0.5)
+    key, value = (0.3, 0.5), (0.5, 0.5)
     g = geometric_score(key, value, RuleParams())
     assert value_score(key, 0.5, value, RuleParams()) == pytest.approx(0.5 * g)
 
@@ -314,7 +334,7 @@ def in_neighbor_zone(key, candidate):
 
 
 def _zone_mask(key, candidates):
-    return bootstrap._in_zone(docmodel._boxes(candidates), key).tolist()
+    return bootstrap._in_zone(docmodel._boxes(candidates), key.box.center).tolist()
 
 
 def _point(x, y):
@@ -391,13 +411,13 @@ def _line_doc():
     )
 
 
-def _phrases(doc):
-    return [Phrase((w.id,), w.text, w.box) for w in doc.words]
+def _one_phrase_a_word(doc):
+    phrases = tuple(Phrase((w.id,), w.text, w.box) for w in doc.words)
+    return Document(doc.doc_id, doc.page_width, doc.page_height, doc.words, phrases)
 
 
 def test_extract_field_picks_typed_neighbor(schema):
-    phrases = _phrases(_line_doc())
-    e = extract_field(phrases, MONEY_FIELD, RuleParams(), **_facts(phrases, MONEY_FIELD))
+    e = _extract_field(_one_phrase_a_word(_line_doc()), MONEY_FIELD)
     assert e.key_phrase.text == "Total"
     assert e.value_phrase.text == "$12.00"
     assert e.value_score > RuleParams().theta_v
@@ -406,8 +426,7 @@ def test_extract_field_picks_typed_neighbor(schema):
 
 def test_extract_field_without_typed_candidates():
     doc = make_doc([("Total", 0.1, 0.1, 0.16, 0.12), ("alpha", 0.3, 0.1, 0.36, 0.12)])
-    phrases = _phrases(doc)
-    e = extract_field(phrases, MONEY_FIELD, RuleParams(), **_facts(phrases, MONEY_FIELD))
+    e = _extract_field(_one_phrase_a_word(doc), MONEY_FIELD)
     assert e.key_phrase is not None
     assert e.value_phrase is None and e.value_score is None
 
@@ -416,8 +435,7 @@ def test_extract_field_rejects_below_threshold():
     # hopeless key match: key score 0 zeroes every value score
     field = SchemaField(1, "f", ("zzzz",), frozenset({DataType.NUMBER}))
     doc = make_doc([("qqqq", 0.1, 0.1, 0.16, 0.12), ("123", 0.3, 0.1, 0.36, 0.12)])
-    phrases = _phrases(doc)
-    e = extract_field(phrases, field, RuleParams(), **_facts(phrases, field))
+    e = _extract_field(_one_phrase_a_word(doc), field)
     assert e.key_phrase is not None
     assert e.key_score == 0.0
     assert e.value_phrase is None
@@ -427,8 +445,7 @@ def test_extract_field_never_reuses_key_as_value():
     # the key itself is typed; it must not become its own value
     field = SchemaField(1, "f", ("123",), frozenset({DataType.NUMBER}))
     doc = make_doc([("123", 0.1, 0.1, 0.16, 0.12)])
-    phrases = _phrases(doc)
-    e = extract_field(phrases, field, RuleParams(), **_facts(phrases, field))
+    e = _extract_field(_one_phrase_a_word(doc), field)
     assert e.key_phrase.text == "123"
     assert e.value_phrase is None
 
@@ -572,3 +589,108 @@ def test_grouped_input_breaks_ties_in_reading_order_whatever_its_phrase_order(sc
         doc = parse_document(json.dumps(record))
         assert [p.word_ids for p in doc.phrases] == [(0,), (1,), (2,), (3,)]
         assert bootstrap_corpus([doc], schema)[1] == want
+
+
+# --- phrase rows against the phrase-object path -----------------------------
+
+def _extract_document_by_phrase_objects(doc, schema, p=RuleParams()):
+    """extract_document as it ran on Phrase objects: every phrase built and
+    typed, each key the exhaustive first maximum, and the candidates every
+    other typed phrase in the key's zone, in phrase order."""
+    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
+    types = [datatypes.type_of(ph.text) for ph in phrases]
+    out = []
+    for field in schema.fields:
+        key_i, key_s = _exhaustive_first_max(_texts(phrases), field)
+        if key_i is None:
+            out.append(FieldExtraction(field.field_id, None, None, 0.0, None))
+            continue
+        key = phrases[key_i]
+        best, best_score = None, 0.0
+        for ph, types_ in zip(phrases, types):
+            if ph is key or not types_ & field.allowed_types or not in_neighbor_zone(key, ph):
+                continue
+            s = key_s * geometric_score(key.box.center, ph.box.center, p)
+            if best is None or s > best_score:
+                best, best_score = ph, s
+        if best is None or best_score <= p.theta_v:
+            out.append(FieldExtraction(field.field_id, key, None, key_s, None))
+        else:
+            out.append(FieldExtraction(field.field_id, key, best, key_s, best_score))
+    return resolve_conflicts(out)
+
+
+def _phrase_hex(p):
+    return None if p is None else (p.word_ids, p.text, [float(v).hex() for v in p.box.as_list()])
+
+
+def _extractions_hex(extractions):
+    return [(e.field_id, _phrase_hex(e.key_phrase), _phrase_hex(e.value_phrase),
+             e.key_score.hex(), None if e.value_score is None else e.value_score.hex())
+            for e in extractions]
+
+
+def _assert_equals_the_phrase_object_path(doc, schema):
+    got = extract_document(doc, schema)
+    assert _extractions_hex(got) == _extractions_hex(
+        _extract_document_by_phrase_objects(doc, schema))
+    if doc.phrases is not None:
+        own = {id(ph) for ph in doc.phrases}
+        assert all(id(ph) in own for e in got for ph in (e.key_phrase, e.value_phrase) if ph)
+
+
+def _reversed_phrases(doc, drop):
+    """The document with its phrases in reversed order, every drop-th left
+    out (none when drop is 0), so they need not cover every word."""
+    phrases = group_words(doc)[::-1]
+    kept = tuple(ph for k, ph in enumerate(phrases) if not drop or k % drop != 1)
+    return Document(doc.doc_id, doc.page_width, doc.page_height, doc.words, kept)
+
+
+_WORD_TEXTS = ["Total", "Tax", "Invoice", "#", "Number", "Date", "Due", "PO", "Amount",
+               "$12.00", "1.20", "2021-03-04", "48113", "INV-48113", "12,000", "hello",
+               "İnvoice", "😀", "Jan 5, 2024"]
+_coord = st.sampled_from([-0.0, 0.0, 0.1, 0.12, 0.3, 0.32, 0.5, 0.52, 0.7])
+_word = st.tuples(st.sampled_from(_WORD_TEXTS), _coord, _coord,
+                  st.sampled_from([0.0, 0.02, 0.06]), st.sampled_from([0.0, 0.02]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(_word, max_size=14), st.sampled_from([None, 0, 2, 3]))
+def test_extract_document_equals_the_phrase_object_path_on_random_pages(schema, words, drop):
+    # a zero width or height keeps a -0.0 edge, where x0 + 0.0 would not
+    doc = make_doc([(t, x, y, x + w if w else x, y + h if h else y) for t, x, y, w, h in words])
+    if drop is not None:
+        doc = _reversed_phrases(doc, drop)
+    _assert_equals_the_phrase_object_path(doc, schema)
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_extract_document_equals_the_phrase_object_path_on_degenerate_pages(schema, name):
+    doc = make_doc(_DEGENERATE[name][0], doc_id=name)
+    for page in (doc, group_document(doc), _reversed_phrases(doc, 0), _reversed_phrases(doc, 2)):
+        _assert_equals_the_phrase_object_path(page, schema)
+
+
+def test_extract_document_equals_the_phrase_object_path_on_grouped_input(schema):
+    docs, _, _ = generate(preset_config("noisy-bench", 12, 7), schema)
+    for doc in docs:
+        for drop in (0, 2, 5):
+            page = _reversed_phrases(doc, drop)
+            if drop:
+                assert len({w for ph in page.phrases for w in ph.word_ids}) < len(doc.words)
+            _assert_equals_the_phrase_object_path(page, schema)
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_phrase_box_rows_keep_the_first_of_signed_zeros(first):
+    # two zero-width words at x = -0.0 and +0.0 form one phrase whose
+    # x0, y0 and x1 all tie; the row keeps the first word's zeros, as the
+    # BBox.union chain does
+    doc = make_doc([("Total", first, first, first, 0.02), ("$1.00", -first, -first, -first, 0.02)])
+    rows = PhraseRows(doc)
+    assert rows.members == [[0, 1]]
+    chain = doc.words[0].box.union(doc.words[1].box)
+    assert [v.hex() for v in rows.boxes[0].tolist()] == [v.hex() for v in chain.as_list()]
+    assert math.copysign(1.0, rows.boxes[0, 0]) == math.copysign(1.0, first)
+    assert _phrase_hex(rows.phrase(0)) == _phrase_hex(group_words(doc)[0])
