@@ -72,11 +72,6 @@ class FieldExtraction:
             raise ValueError("value phrase cannot be the key phrase")
 
 
-def key_score(text: str, field: SchemaField) -> float:
-    """Best similarity between a phrase text and any of the field's keys."""
-    return 1.0 - min(string_distance(text, k) for k in field.keys)
-
-
 def _char_counts(texts: Sequence[str], chars: np.ndarray) -> np.ndarray:
     """Per text, how many times it holds each of the sorted code points."""
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
@@ -107,8 +102,9 @@ def _key_slots(key_lists: tuple[tuple[str, ...], ...]):
     return chars, slot_char, slot_t, rows.T, lengths, starts
 
 
-def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> np.ndarray:
-    """Upper bounds on key_score: per key list, one bound per phrase text.
+def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> list[np.ndarray]:
+    """Upper bounds on each key's similarity 1 - string_distance: per key
+    list, a (texts × keys) array.
 
     Jaro matches pair equal characters, so their count m is at most c, the
     overlap of the two character multisets, and Jaro is at most
@@ -118,7 +114,7 @@ def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> np
     c comes from one product of 0/1 matrices, exact in small integers.
     """
     if not key_lists:
-        return np.zeros((0, len(texts)))
+        return []
     chars, slot_char, slot_t, key_rows, len_k, starts = _key_slots(tuple(key_lists))
     texts = [t.strip().lower() for t in texts]
     counts = _char_counts(texts, chars)
@@ -128,29 +124,38 @@ def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> np
     jaro = (c / len_p + c / len_k + 1.0) / 3.0
     max_boost = JW_MAX_PREFIX * JW_PREFIX_SCALE
     jaro = np.where(jaro > JW_BOOST_THRESHOLD, jaro + max_boost * (1.0 - jaro), jaro)
-    return np.maximum.reduceat(np.where(c > 0, jaro, 0.0), starts, axis=1).T
+    return np.split(np.where(c > 0, jaro, 0.0), starts[1:], axis=1)
 
 
 def localize_key(
     texts: Sequence[str], field: SchemaField, bound: np.ndarray
 ) -> tuple[int | None, float]:
-    """Index and score of the argmax of key_score over the phrase texts;
-    ties go to the earlier phrase in reading order.
+    """Index and score of the phrase text most similar to one of the
+    field's keys (1 - string_distance); ties go to the earlier phrase in
+    reading order.
 
-    `bound` is the field's row of key_bounds.  Phrases are scored exactly
-    in descending order of their bound, ties in reading order, until a
-    bound falls below the best exact score; the slack absorbs the rounding
-    of the bound's different expression.
+    `bound` is the field's array of key_bounds, a column per key.  Phrases
+    are visited in descending order of their best key bound, and a
+    phrase's keys in descending order of their own; both sorts are stable,
+    so equal bounds stay in reading order.  Once there is a best exact
+    score, a key is scored only if its bound can still reach it: a key left
+    out scores below the best, so it can neither win nor tie.  The slack
+    absorbs the rounding of the bound's different expression.
     """
+    keys = field.keys
+    top = bound.max(axis=1)
     best_i: int | None = None
     best_score = 0.0
-    # the sort is stable, so equal bounds stay in reading order
-    for i in (-bound).argsort(kind="stable").tolist():
-        if best_i is not None and bound[i] + BOUND_SLACK < best_score:
+    for i in (-top).argsort(kind="stable").tolist():
+        if best_i is not None and top[i] + BOUND_SLACK < best_score:
             break
-        s = key_score(texts[i], field)
-        if best_i is None or s > best_score or (s == best_score and i < best_i):
-            best_i, best_score = i, s
+        row = bound[i].tolist()
+        for k in sorted(range(len(keys)), key=row.__getitem__, reverse=True):
+            if best_i is not None and row[k] + BOUND_SLACK < best_score:
+                break
+            s = 1.0 - string_distance(texts[i], keys[k])
+            if best_i is None or s > best_score or (s == best_score and i < best_i):
+                best_i, best_score = i, s
     return best_i, best_score
 
 
@@ -228,7 +233,7 @@ class PhraseRows:
             words = doc.words
             self.members = phrase_members(doc)
             self.texts = [" ".join([words[w].text for w in ids]) for ids in self.members]
-            self.boxes = _union_rows(_boxes(words), self.members)
+            self.boxes = _union_rows(doc.boxes, self.members)
         self.centres = ((self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0).tolist()
         self._types: list[frozenset | None] = [None] * len(self.texts)
         self._phrases: dict[int, Phrase] = {}
@@ -255,7 +260,7 @@ def extract_field(
 ) -> FieldExtraction:
     """Locate the field's key, then the best typed candidate near it.
 
-    `bound` is the field's row of key_bounds over the phrase texts, which
+    `bound` is the field's array of key_bounds over the phrase texts, which
     extract_document works out once for all fields.  Only the phrases in
     the key's zone are typed.
     """

@@ -8,8 +8,10 @@ Background class is 0; schema fields are classes 1..N.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -147,6 +149,8 @@ class Document:
     page_height: int
     words: tuple[Word, ...]
     phrases: tuple[Phrase, ...] | None = None
+    # the word boxes as read-only rows x0, y0, x1, y1, row i for word i
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.page_width <= 0 or self.page_height <= 0:
@@ -154,6 +158,9 @@ class Document:
         for i, w in enumerate(self.words):
             if w.id != i:
                 raise ValidationError(f"document {self.doc_id}: word at index {i} has id {w.id}")
+        boxes = _boxes(self.words)
+        boxes.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
         if self.phrases is not None:
             seen: set[int] = set()
             for ph in self.phrases:
@@ -169,10 +176,14 @@ class Document:
                     seen.add(wid)
 
 
+_BOX_ROW = operator.attrgetter("x0", "y0", "x1", "y1")
+
+
 def _boxes(items) -> np.ndarray:
     """The boxes of words or phrases as rows x0, y0, x1, y1."""
-    return np.array([(b.x0, b.y0, b.x1, b.y1) for b in (it.box for it in items)],
-                    dtype=np.float64).reshape(-1, 4)
+    boxes = [it.box for it in items]
+    return np.fromiter(itertools.chain.from_iterable(map(_BOX_ROW, boxes)),
+                       dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -224,7 +235,7 @@ def reading_order(doc: Document) -> list[int]:
     line only if the upper centre's half height reaches the lower centre,
     so only those pairs are tested.
     """
-    x0, y0, _, y1 = _boxes(doc.words).T
+    x0, y0, _, y1 = doc.boxes.T
     yc = (y0 + y1) / 2.0
     half = 0.5 * (y1 - y0)
     i, j = _near_in_y(yc, half)

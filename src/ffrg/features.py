@@ -110,11 +110,12 @@ def featurize(doc: Document) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", trigrams, trigrams))[:, None]
     np.divide(trigrams, norms, out=trigrams, where=norms > 0.0)
     base[:, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = list(map(_flag_row, texts))
-    base[:, TRIGRAM_DIM + FLAG_DIM :] = [
-        (*w.box.center, w.box.width, w.box.height) for w in doc.words
-    ]
+    # centre, width and height, the IEEE operations of BBox's properties
+    x0, y0, x1, y1 = doc.boxes.T
+    cx, cy, width, height = base[:, TRIGRAM_DIM + FLAG_DIM :].T
+    cx[:], cy[:] = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    width[:], height[:] = x1 - x0, y1 - y0
 
-    cx, cy = base[:, TRIGRAM_DIM + FLAG_DIM], base[:, TRIGRAM_DIM + FLAG_DIM + 1]
     near = np.hypot(cx[:, None] - cx[None, :], cy[:, None] - cy[None, :]) <= CONTEXT_RADIUS
     np.fill_diagonal(near, False)
     _context_means(base, near, out[:, BASE_DIM:])

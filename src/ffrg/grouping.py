@@ -9,13 +9,12 @@ mostly chains words along a line.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .docmodel import (
-    Document, Phrase, Word, _boxes, _components, _near_in_y, make_phrase, reading_order,
+    Document, Phrase, Word, _components, _near_in_y, make_phrase, reading_order,
 )
 
 
@@ -49,10 +48,17 @@ def word_distance(a: Word, b: Word) -> float:
 
 
 def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
-    heights = [w.box.height for w in doc.words]
-    if not heights:
+    """eps_scale times the median word height, the median as
+    statistics.median takes it: the middle height, or the two middle ones
+    added and halved (a stable sort keeps a -0.0/+0.0 tie in word order)."""
+    n = len(doc.words)
+    if not n:
         return 0.0
-    return config.eps_scale * statistics.median(heights)
+    _, y0, _, y1 = doc.boxes.T
+    heights = np.sort(y1 - y0, kind="stable")
+    lo, hi = float(heights[(n - 1) // 2]), float(heights[n // 2])
+    median = hi if n % 2 else (lo + hi) / 2.0
+    return config.eps_scale * median
 
 
 def phrase_members(
@@ -69,7 +75,7 @@ def phrase_members(
     words = doc.words
     n = len(words)
     eps = neighborhood_eps(doc, config)
-    x0, y0, x1, y1 = _boxes(words).T
+    x0, y0, x1, y1 = doc.boxes.T
     yc = (y0 + y1) / 2.0
     # a pair within eps is within eps / VERTICAL_PENALTY in centre y
     i, j = _near_in_y(yc, np.full(n, eps / VERTICAL_PENALTY))

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc
@@ -21,13 +21,14 @@ from ffrg.bootstrap import (
     extract_field,
     geometric_score,
     key_bounds,
-    key_score,
     localize_key,
     resolve_conflicts,
     value_score,
 )
 from ffrg.datatypes import DataType
-from ffrg.docmodel import BBox, Document, Phrase, SchemaField, parse_document
+from ffrg.docmodel import (
+    BBox, Document, Phrase, SchemaField, default_invoice_schema, parse_document,
+)
 from ffrg.grouping import group_document, group_words
 from ffrg.similarity import jaro_winkler
 from ffrg.synth import generate, preset_config
@@ -54,11 +55,19 @@ def _extract_field(doc, field):
 
 # --- key localization -------------------------------------------------------
 
+def key_score(text, field):
+    """Best similarity between a phrase text and any of the field's keys,
+    every key scored: the score localize_key must find."""
+    return 1.0 - min(similarity.string_distance(text, k) for k in field.keys)
+
+
 def test_key_score_takes_best_key(schema):
     field = schema.field_by_name("po_number")
-    assert key_score("PO Number", field) == pytest.approx(1.0)
     # "purchase order number" in the key list lifts long paraphrases
-    assert key_score("Purchase Order Number", field) == pytest.approx(1.0)
+    for text in ("PO Number", "Purchase Order Number"):
+        assert key_score(text, field) == pytest.approx(1.0)
+        _, s = localize_key([text], field, key_bounds([text], [field.keys])[0])
+        assert s.hex() == key_score(text, field).hex()
 
 
 def test_localize_key_is_argmax_without_threshold():
@@ -88,6 +97,10 @@ _KEY_LISTS = [
     ("invoice number", "invoice #", "invoice no."),
     ("tax",),
     ("straße", "größe"),
+    # keys that score exactly alike on a text (all three on "tap"), and a
+    # key listed twice
+    ("tab", "tan", "tax"),
+    ("total", "total"),
 ]
 _FIELDS = [
     SchemaField(i + 1, f"f{i}", keys, frozenset({DataType.NUMBER}))
@@ -97,6 +110,11 @@ _POOL = [
     "total", "totl", "Total Due", "invoice", "invoice no", "invoice #", "inv #",
     "tax", "taxes", "xat", "qqq", "123", "$12.00", "zz9", "straße", "STRASSE",
     "größe", "grosse", "İnvoice", "totál", "Ŧotal", "",
+    # texts that score exactly alike on a key: "tab" and "tan" on "tax",
+    # "totak" and "totam" on "total"
+    "tab", "tan", "tap", "totak", "totam",
+    # non-BMP text and a lone surrogate
+    "😀 tax", "𝐓𝐨𝐭𝐚𝐥", "\ud800ate",
 ]
 _text = st.builds(
     lambda base, pad, upper: pad + (base.upper() if upper else base) + pad,
@@ -118,6 +136,14 @@ def _exhaustive_first_max(texts, field):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(_text, min_size=1, max_size=10), st.sampled_from(_FIELDS))
+# exact ties: the keys "tab", "tan" and "tax" all score alike on "tap";
+# "tab" and "tan" score alike on "tax", as "totak" and "totam" on "total";
+# and a key listed twice ties with itself
+@example(["qqq", "tap", "Tap", "tap"], _FIELDS[4])
+@example(["tan", "zz9", "tab", "tan"], _FIELDS[4])
+@example(["tab", "zz9", "tan", "tab"], _FIELDS[2])
+@example(["xat", "totak", "Totam", "totam"], _FIELDS[0])
+@example(["totak", "totam", "xat"], _FIELDS[5])
 def test_localize_key_equals_exhaustive_first_max(texts, field):
     best, s = localize_key(texts, field, key_bounds(texts, [field.keys])[0])
     want_i, want = _exhaustive_first_max(texts, field)
@@ -129,11 +155,27 @@ def test_localize_key_equals_exhaustive_first_max(texts, field):
 @given(st.lists(_text, max_size=10))
 def test_key_bounds_never_below_key_score(texts):
     bounds = key_bounds(texts, _KEY_LISTS)
-    assert [len(b) for b in bounds] == [len(texts)] * len(_FIELDS)
+    assert [b.shape for b in bounds] == [(len(texts), len(f.keys)) for f in _FIELDS]
     for field, bound in zip(_FIELDS, bounds):
-        for t, b in zip(texts, bound):
+        for t, row in zip(texts, bound):
             # one rounding of 1 - (1 - jw) is all the exact score may gain
-            assert b + 1e-12 >= key_score(t, field)
+            assert row.max() + 1e-12 >= key_score(t, field)
+
+
+_ALL_KEY_LISTS = _KEY_LISTS + [f.keys for f in default_invoice_schema().fields]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_text, max_size=10))
+def test_each_key_bound_is_never_below_that_key_score(texts):
+    # localize_key leaves a key out by its own bound, so each key's bound
+    # must hold, not only the best one of a list
+    texts = texts + ["İ", "İnvoice #", "😀", "𝐓𝐨𝐭𝐚𝐥", "\ud800ate", "", "   "]
+    for keys, bound in zip(_ALL_KEY_LISTS, key_bounds(texts, _ALL_KEY_LISTS)):
+        assert bound.shape == (len(texts), len(keys))
+        for t, row in zip(texts, bound.tolist()):
+            for k, b in zip(keys, row):
+                assert b + 1e-12 >= 1.0 - similarity.string_distance(t, k), (t, k)
 
 
 def _key_masks(key_lists):
@@ -165,29 +207,31 @@ def _count_mask(text, layout):
 
 def _key_bounds_by_bitmask(texts, key_lists):
     """key_bounds one text and one key at a time, the overlap c from
-    integer bitmasks."""
+    integer bitmasks: per key list, per text, each key's bound."""
     masks, layout = _key_masks(key_lists)
     max_boost = similarity.JW_MAX_PREFIX * similarity.JW_PREFIX_SCALE
     out = [[] for _ in masks]
     for text in texts:
         text = text.strip().lower()
         mask, len_p = _count_mask(text, layout), len(text)
-        for keys, column in zip(masks, out):
-            best = 0.0
+        for keys, rows in zip(masks, out):
+            row = []
             for key_mask, len_k in keys:
                 c = (mask & key_mask).bit_count()
+                bound = 0.0
                 if c:
-                    jaro = (c / len_p + c / len_k + 1.0) / 3.0
-                    if jaro > similarity.JW_BOOST_THRESHOLD:
-                        jaro += max_boost * (1.0 - jaro)
-                    if jaro > best:
-                        best = jaro
-            column.append(best)
+                    bound = (c / len_p + c / len_k + 1.0) / 3.0
+                    if bound > similarity.JW_BOOST_THRESHOLD:
+                        bound += max_boost * (1.0 - bound)
+                row.append(bound)
+            rows.append(row)
     return out
 
 
-def _hex_rows(rows):
-    return [[float(b).hex() for b in row] for row in rows]
+def _hex_rows(bounds):
+    """Per key list, per text, each key's bound as float hex."""
+    return [[[float(b).hex() for b in row] for row in np.asarray(rows).tolist()]
+            for rows in bounds]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -208,8 +252,8 @@ def test_key_bounds_equal_the_bitmask_bounds_on_odd_texts(schema):
         for lists in (key_lists, _KEY_LISTS):
             got = key_bounds(texts, lists)
             assert _hex_rows(got) == _hex_rows(_key_bounds_by_bitmask(texts, lists))
-        assert key_bounds([], key_lists).shape == (len(key_lists), 0)
-        assert key_bounds(texts, []).shape == (0, len(texts))
+        assert [b.shape for b in key_bounds([], key_lists)] == [(0, len(k)) for k in key_lists]
+        assert key_bounds(texts, []) == []
 
 
 def test_key_bounds_equal_the_bitmask_bounds_on_a_noisy_page(schema):
@@ -448,6 +492,26 @@ def test_extract_field_never_reuses_key_as_value():
     e = _extract_field(_one_phrase_a_word(doc), field)
     assert e.key_phrase.text == "123"
     assert e.value_phrase is None
+
+
+def test_extract_field_skips_the_key_before_typing_it(monkeypatch):
+    # a key's centre lies in its own box, so the key is always in its own
+    # zone; extract_field must leave it out before it types it
+    doc = _one_phrase_a_word(_line_doc())
+    rows = PhraseRows(doc)
+    assert bootstrap._in_zone(rows.boxes, rows.centres[0]).tolist() == [True, True, True, False]
+    typed = []
+
+    def type_of(text):
+        typed.append(text)
+        return datatypes.type_of(text)
+
+    monkeypatch.setattr(bootstrap, "type_of", type_of)
+    (bound,) = key_bounds(rows.texts, [MONEY_FIELD.keys])
+    e = extract_field(rows, MONEY_FIELD, RuleParams(), bound=bound)
+    assert e.key_phrase is doc.phrases[0] and e.value_phrase is doc.phrases[1]
+    assert typed == ["$12.00", "hello"]
+    assert rows._types[0] is None
 
 
 def test_extraction_invariants():

@@ -1,13 +1,17 @@
 """Document model: box validation, reading order, JSONL round-trips, schema."""
 
+import dataclasses
+import importlib.util
 import json
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_doc
-from ffrg import docmodel
+from ffrg import bootstrap, docmodel, progressive
+from ffrg.bootstrap import bootstrap_corpus
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
     BBox,
@@ -30,6 +34,10 @@ from ffrg.docmodel import (
     serialize_document,
     write_labels,
 )
+from ffrg.features import featurize
+from ffrg.grouping import group_document
+from ffrg.progressive import extract_values
+from ffrg.synth import generate, preset_config
 
 
 # --- boxes and words --------------------------------------------------------
@@ -444,6 +452,114 @@ def test_document_round_trip_with_phrases():
     )
     again = parse_document(serialize_document(doc))
     assert again == doc
+
+
+# --- the word box array -----------------------------------------------------
+
+def _load_perfbench_dense():
+    """perfbench/dense.py, loaded from its file (perfbench is not a package
+    the tests import)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "dense.py"
+    spec = importlib.util.spec_from_file_location("perfbench_dense", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hex_box_rows(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+def _assert_boxes_are_the_word_rows(doc):
+    assert doc.boxes.dtype == np.float64
+    assert doc.boxes.shape == (len(doc.words), 4)
+    assert not doc.boxes.flags.writeable
+    assert _hex_box_rows(doc.boxes.tolist()) == _hex_box_rows(
+        [w.box.as_list() for w in doc.words])
+
+
+_BOX_WORDS = [("a", 0.1, 0.2, 0.3, 0.22), ("b", -0.0, 0.5, 0.0, 0.52), ("c", 0.4, 0.0, 1.0, 1.0)]
+
+
+def test_document_boxes_are_read_only_word_rows():
+    doc = make_doc(_BOX_WORDS)
+    _assert_boxes_are_the_word_rows(doc)
+    assert np.signbit(doc.boxes[1, 0])  # -0.0 stays -0.0
+    with pytest.raises(ValueError, match="read-only"):
+        doc.boxes[0, 0] = 0.5
+    x0 = doc.boxes.T[0]
+    with pytest.raises(ValueError, match="read-only"):
+        x0 += 1.0
+    empty = make_doc([])
+    assert empty.boxes.shape == (0, 4)
+    _assert_boxes_are_the_word_rows(empty)
+
+
+def test_document_boxes_stay_out_of_equality_hash_and_repr():
+    doc, twin = make_doc(_BOX_WORDS), make_doc(_BOX_WORDS)
+    assert doc.boxes is not twin.boxes
+    assert doc == twin
+    assert hash(doc) == hash(twin)
+    assert "boxes" not in repr(doc)
+    assert [f.name for f in dataclasses.fields(Document) if f.compare] == [
+        "doc_id", "page_width", "page_height", "words", "phrases"]
+
+
+def test_replace_rebuilds_document_boxes():
+    doc = make_doc(_BOX_WORDS)
+    moved = dataclasses.replace(doc, words=make_doc(_BOX_WORDS[::-1]).words)
+    assert moved.boxes is not doc.boxes
+    _assert_boxes_are_the_word_rows(moved)
+    grouped = dataclasses.replace(doc, phrases=(make_phrase(doc, [0], _rank(doc)),))
+    _assert_boxes_are_the_word_rows(grouped)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(doc, boxes=np.zeros((3, 4)))
+
+
+def test_document_boxes_equal_the_word_rows_at_every_construction_site(schema):
+    unit = _record([{"text": "a", "box": [0.1, 0.2, 0.3, 0.22]},
+                    {"text": "b", "box": [0, 0.5, 0.4, 0.52]}])
+    pixel = _record([{"text": "a", "box": [100, 200, 300, 220]},
+                     {"text": "b", "box": [0, 500, 400, 520]}])
+    grouped = json.loads(unit)
+    grouped["phrases"] = [{"word_ids": [1]}, {"word_ids": [0]}]
+    grouped = parse_document(json.dumps(grouped))
+    docs, _, _ = generate(preset_config("noisy-bench", 3, 0), schema)
+    regrouped = group_document(docs[0])
+    pages, _ = _load_perfbench_dense().build_pages(0, 1, schema)
+    assert grouped.phrases is not None and regrouped.phrases is not None
+    assert [len(p.words) for p in pages] == [50, 100, 200, 400, 800]
+    for doc in [parse_document(unit), parse_document(pixel), grouped, *docs, regrouped, *pages]:
+        _assert_boxes_are_the_word_rows(doc)
+
+
+def test_word_boxes_are_read_once_per_document(schema, monkeypatch):
+    # the constructor builds the box array; no stage on a document walks
+    # its word boxes again
+    real, read = docmodel._boxes, []
+
+    def boxes(items):
+        items = list(items)
+        read.append({type(it).__name__ for it in items})
+        return real(items)
+
+    monkeypatch.setattr(docmodel, "_boxes", boxes)
+    monkeypatch.setattr(bootstrap, "_boxes", boxes)
+    docs, _, _ = generate(preset_config("noisy-bench", 4, 0), schema)
+    assert read == [{"Word"}] * 4
+    read.clear()
+    bootstrap_corpus(docs, schema)
+    for doc in docs:
+        probs = np.full((len(doc.words), schema.n_fields + 1), 0.01)
+        probs[:, 1] = 0.9
+        monkeypatch.setattr(progressive, "ensemble_predict", lambda params, x, p=probs: p)
+        assert extract_values(None, doc, featurize(doc), schema)
+    assert read == []
+    grouped = [group_document(doc) for doc in docs]
+    assert read == [{"Word"}] * 4
+    read.clear()
+    bootstrap_corpus(grouped, schema)
+    assert read == [{"Phrase"}] * 4  # the phrase boxes, which have no array
 
 
 # --- schema -----------------------------------------------------------------

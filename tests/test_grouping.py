@@ -5,6 +5,7 @@ graph, so an independent union-find over all pairs is an exact oracle.
 """
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -65,6 +66,32 @@ def test_eps_scales_with_median_height():
     )
     cfg = GroupingConfig(eps_scale=0.5)
     assert neighborhood_eps(doc, cfg) == pytest.approx(0.5 * 0.04)
+
+
+def _eps_by_statistics_median(doc, cfg):
+    heights = [w.box.height for w in doc.words]
+    return cfg.eps_scale * statistics.median(heights) if heights else 0.0
+
+
+def test_eps_equals_the_statistics_median_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cfg = GroupingConfig(eps_scale=0.8)
+    for n in list(range(0, 9)) + [40, 41, 800, 801]:
+        # distinct heights; dyadic ones, so y1 - y0 gives them exactly and
+        # many tie; and all equal
+        for y0, heights in ((rng.uniform(0.0, 0.9, n), rng.uniform(0.0, 0.05, n)),
+                            (rng.choice([0.125, 0.25, 0.5], n), rng.choice([2**-7, 2**-6], n)),
+                            (np.full(n, 0.25), np.full(n, 1.0 / 3.0))):
+            doc = make_doc([("w", 0.1, float(y), 0.2, float(y + h))
+                            for y, h in zip(y0, heights)])
+            assert neighborhood_eps(doc, cfg).hex() == _eps_by_statistics_median(doc, cfg).hex()
+    # a word with y0 = +0.0 and y1 = -0.0 has height -0.0, which ties +0.0:
+    # the sign of the middle height is that of the middle zero in word order
+    for n in (3, 4, 5, 8, 9, 17, 33):
+        for _ in range(20):
+            doc = make_doc([("w", 0.1, 0.0, 0.2, float(y1)) for y1 in rng.choice([-0.0, 0.0], n)])
+            want = _eps_by_statistics_median(doc, cfg)
+            assert neighborhood_eps(doc, cfg).hex() == want.hex()
 
 
 def test_key_value_line_groups_as_two_phrases():
