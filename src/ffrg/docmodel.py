@@ -81,6 +81,12 @@ class BBox:
     y1: float
 
     def __post_init__(self):
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        # a float fails a comparison when NaN and passes the chain only
+        # inside [0,1]; the checks below run only to name what failed
+        if (type(x0) is float and type(y0) is float and type(x1) is float
+                and type(y1) is float and 0.0 <= x0 <= x1 <= 1.0 and 0.0 <= y0 <= y1 <= 1.0):
+            return
         for name in ("x0", "y0", "x1", "y1"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or v != v or v in (float("inf"), float("-inf")):
@@ -175,8 +181,15 @@ class Document:
                         )
                     seen.add(wid)
 
+    def __setstate__(self, state: dict) -> None:
+        # a copied or unpickled array comes back writeable
+        self.__dict__.update(state)
+        self.boxes.flags.writeable = False
+
 
 _BOX_ROW = operator.attrgetter("x0", "y0", "x1", "y1")
+# the JSON value types of a box coordinate
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _boxes(items) -> np.ndarray:
@@ -226,7 +239,12 @@ def _near_in_y(yc: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def reading_order(doc: Document) -> list[int]:
-    """Return word ids sorted into reading order.
+    """Return word ids sorted into reading order (see _reading_order)."""
+    return _reading_order(doc.boxes)
+
+
+def _reading_order(boxes: np.ndarray) -> list[int]:
+    """Return the row indices of word boxes x0, y0, x1, y1 in reading order.
 
     Two words share a line iff their vertical center offset is at most half
     the smaller word height; lines are the transitive closure of that
@@ -235,7 +253,7 @@ def reading_order(doc: Document) -> list[int]:
     line only if the upper centre's half height reaches the lower centre,
     so only those pairs are tested.
     """
-    x0, y0, _, y1 = doc.boxes.T
+    x0, y0, _, y1 = boxes.T
     yc = (y0 + y1) / 2.0
     half = 0.5 * (y1 - y0)
     i, j = _near_in_y(yc, half)
@@ -249,11 +267,10 @@ def reading_order(doc: Document) -> list[int]:
     return np.lexsort((x0, line, left[line], top[line])).tolist()
 
 
-def make_phrase(doc: Document, word_ids: Iterable[int], rank: Sequence[int]) -> Phrase:
-    """Build a phrase from member word ids, ordered by their reading-order
-    rank (indexed by word id)."""
+def make_phrase(words: Sequence[Word], word_ids: Iterable[int], rank: Sequence[int]) -> Phrase:
+    """Build a phrase from member word ids (indices into a document's
+    words), ordered by their reading-order rank (indexed by word id)."""
     ids = sorted(word_ids, key=rank.__getitem__)
-    words = doc.words
     box = words[ids[0]].box
     for wid in ids[1:]:
         box = box.union(words[wid].box)
@@ -286,67 +303,72 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
     if page_w <= 0 or page_h <= 0:
         raise ValidationError(f"{where}: document {doc_id}: page dimensions must be positive")
 
-    boxes: list[list[float]] = []
+    def word(idx: int) -> str:
+        return f"{where}: word {idx} of {doc_id}"
+
+    rows: list[list[float]] = []
     texts: list[str] = []
     for idx, rw in enumerate(raw_words):
-        word = f"{where}: word {idx} of {doc_id}"
         if not isinstance(rw, dict) or "text" not in rw or "box" not in rw:
-            raise ParseError(f"{word} must be an object with text and box")
+            raise ParseError(f"{word(idx)} must be an object with text and box")
         text, box = rw["text"], rw["box"]
         if not isinstance(text, str):
-            raise ParseError(f"{word}: text must be a string")
+            raise ParseError(f"{word(idx)}: text must be a string")
         # bool is an int subclass, so the exact types are checked
         if not (isinstance(box, list) and len(box) == 4
-                and all(type(v) in (int, float) for v in box)):
-            raise ParseError(f"{word}: box must be an array of 4 numbers")
+                and _JSON_NUMBERS.issuperset(map(type, box))):
+            raise ParseError(f"{word(idx)}: box must be an array of 4 numbers")
         try:
-            box = [float(v) for v in box]
+            box = list(map(float, box))
         except OverflowError as e:
-            raise ParseError(f"{word} is malformed: {e}") from e
+            raise ParseError(f"{word(idx)} is malformed: {e}") from e
         text = text.strip()
         if not text:
-            raise ValidationError(f"{word} has empty text")
+            raise ValidationError(f"{word(idx)} has empty text")
         texts.append(text)
-        boxes.append(box)
+        rows.append(box)
 
-    pixel_input = any(v > 1.5 for b in boxes for v in b)
+    # NaN is not above 1.5, as with v > 1.5
+    if any(map((1.5).__lt__, itertools.chain.from_iterable(rows))):
+        rows = [[b[0] / scale_w, b[1] / scale_h, b[2] / scale_w, b[3] / scale_h] for b in rows]
     words = []
-    for idx, (text, b) in enumerate(zip(texts, boxes)):
-        if pixel_input:
-            b = [b[0] / scale_w, b[1] / scale_h, b[2] / scale_w, b[3] / scale_h]
+    for idx, (text, b) in enumerate(zip(texts, rows)):
         try:
             bbox = BBox(*b)
         except ValidationError as e:
             raise ValidationError(f"{where}: word {idx} ({text!r}) of {doc_id}: {e}") from e
         words.append(Word(idx, text, bbox))
+    words = tuple(words)
 
-    doc = Document(doc_id, page_w, page_h, tuple(words))
-    if raw.get("phrases") is not None:
-        try:
-            phrases = _parse_phrases(doc, raw["phrases"])
-            doc = Document(doc_id, page_w, page_h, tuple(words), phrases)
-        except ValidationError as e:
-            raise type(e)(f"{where}: {e}") from e
-    return doc
+    try:
+        phrases = None
+        if raw.get("phrases") is not None:
+            phrases = _parse_phrases(doc_id, words, rows, raw["phrases"])
+        return Document(doc_id, page_w, page_h, words, phrases)
+    except ValidationError as e:
+        raise type(e)(f"{where}: {e}") from e
 
 
-def _parse_phrases(doc: Document, raw_phrases) -> tuple[Phrase, ...]:
+def _parse_phrases(doc_id: str, words: tuple[Word, ...], rows: list[list[float]],
+                   raw_phrases) -> tuple[Phrase, ...]:
     """Phrases from their wire form, in reading order as group_words gives
-    them; word ids are checked before make_phrase looks them up."""
+    them; ``rows`` are the word boxes, and word ids are checked before
+    make_phrase looks them up."""
     if not isinstance(raw_phrases, list):
-        raise ParseError(f"phrases of {doc.doc_id} must be a list")
-    rank = np.argsort(reading_order(doc)).tolist()  # the inverse permutation
+        raise ParseError(f"phrases of {doc_id} must be a list")
+    order = _reading_order(np.array(rows, dtype=np.float64).reshape(-1, 4))
+    rank = np.argsort(order).tolist()  # the inverse permutation
     phrases = []
     for k, p in enumerate(raw_phrases):
         ids = p.get("word_ids") if isinstance(p, dict) else None
         if not isinstance(ids, list) or not ids or not all(type(w) is int for w in ids):
             raise ParseError(
-                f"phrase {k} of {doc.doc_id} needs a non-empty list of integer word_ids"
+                f"phrase {k} of {doc_id} needs a non-empty list of integer word_ids"
             )
         for wid in ids:
-            if not 0 <= wid < len(doc.words):
-                raise ValidationError(f"phrase {k} of {doc.doc_id} references missing word {wid}")
-        phrases.append(make_phrase(doc, ids, rank))
+            if not 0 <= wid < len(words):
+                raise ValidationError(f"phrase {k} of {doc_id} references missing word {wid}")
+        phrases.append(make_phrase(words, ids, rank))
     # the rule extractor breaks ties by phrase order, so the order in the
     # file must not decide them
     phrases.sort(key=lambda p: rank[p.word_ids[0]])

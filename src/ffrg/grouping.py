@@ -103,7 +103,8 @@ def group_words(
     if order is None:
         order = reading_order(doc)
     rank = np.argsort(order).tolist()  # the inverse permutation
-    return tuple(make_phrase(doc, ids, rank) for ids in phrase_members(doc, config, order=order))
+    members = phrase_members(doc, config, order=order)
+    return tuple(make_phrase(doc.words, ids, rank) for ids in members)
 
 
 def group_document(doc: Document, config: GroupingConfig | None = None) -> Document:

@@ -223,7 +223,7 @@ def _key_display(field_name: str, keys: tuple[str, ...], cfg: SynthConfig,
                  rng: np.random.Generator) -> list[str]:
     roll = rng.random()
     if roll < cfg.unknown_key_rate:
-        return [str(rng.choice(_UNKNOWN_KEYS))]
+        return [_UNKNOWN_KEYS[int(rng.integers(0, len(_UNKNOWN_KEYS)))]]
     if roll < cfg.unknown_key_rate + cfg.key_paraphrase_rate:
         pool = _PARAPHRASES.get(field_name)
         if pool is None:
@@ -236,22 +236,43 @@ def _key_display(field_name: str, keys: tuple[str, ...], cfg: SynthConfig,
     return key.title().split(" ")
 
 
-def _noise_text(text: str, rate: float, rng: np.random.Generator) -> str:
+def _noise_texts(texts: Sequence[str], rate: float, rng: np.random.Generator) -> list[str]:
+    """The texts with each character, in order, hit at ``rate``; a hit digit
+    becomes another digit and a hit letter another letter of its case.
+
+    The stream is that of one ``rng.random()`` per character plus, after a
+    hit on a digit or letter, one index into its replacement pool.  The
+    doubles are drawn in bulk; at such a hit the generator goes back to its
+    state before the bulk draw and draws only the doubles up to the hit.
+    """
     if rate <= 0.0:
-        return text
-    out = []
-    for ch in text:
-        if rng.random() < rate:
+        return list(texts)
+    chars = list("".join(texts))
+    start = 0
+    while start < len(chars):
+        state = rng.bit_generator.state
+        for hit in np.flatnonzero(rng.random(len(chars) - start) < rate).tolist():
+            i = start + hit
+            ch = chars[i]
             if ch.isdigit():
-                out.append(str(rng.choice([c for c in _DIGITS if c != ch])))
+                pool = _DIGITS
             elif ch.isalpha():
                 pool = _LETTERS_UPPER if ch.isupper() else _LETTERS_LOWER
-                out.append(str(rng.choice([c for c in pool if c != ch])))
             else:
-                out.append(ch)
+                continue
+            rng.bit_generator.state = state
+            rng.random(hit + 1)
+            pool = pool.replace(ch, "")
+            chars[i] = pool[int(rng.integers(0, len(pool)))]
+            start = i + 1
+            break
         else:
-            out.append(ch)
-    return "".join(out)
+            break
+    out, end = [], 0
+    for t in texts:
+        out.append("".join(chars[end:end + len(t)]))
+        end += len(t)
+    return out
 
 
 def _overlaps(box, others, margin_x=0.02, margin_y=0.012) -> bool:
@@ -287,7 +308,8 @@ def generate_document(
     anchors: list[tuple[_Item, str]] = []
 
     n_header = int(rng.integers(2, 5))
-    header_words = [str(w) for w in rng.choice(_HEADER_POOL, size=n_header)]
+    picks = rng.integers(0, len(_HEADER_POOL), size=n_header)
+    header_words = [_HEADER_POOL[i] for i in picks.tolist()]
     items.append(_layout_line(header_words, GRID_COLS[0], HEADER_Y))
 
     for field_id, slot in zip(chosen, slots):
@@ -321,12 +343,13 @@ def generate_document(
         if anchors and rng.random() < _TARGETED_FRACTION:
             key_item, relation = anchors[int(rng.integers(0, len(anchors)))]
             kb = key_item.boxes
+            # lo + (hi - lo) * rng.random() draws what rng.uniform(lo, hi) draws
             if relation == "key-left":
-                gap = float(rng.uniform(0.01, 0.10))
+                gap = 0.01 + (0.10 - 0.01) * rng.random()
                 x = max(0.01, key_item.center()[0] - w / 2.0)
                 y = max(b[3] for b in kb) + gap
             else:
-                gap = float(rng.uniform(0.015, 0.12))
+                gap = 0.015 + (0.12 - 0.015) * rng.random()
                 x = key_item.x1 + gap
                 y = kb[0][1]
             box = (x, y, x + w, y + CHAR_H)
@@ -340,8 +363,8 @@ def generate_document(
             # Keep fillers inside the band the fields occupy so they land in
             # neighbor zones at scattered offsets, not in dead page margins.
             for _attempt in range(50):
-                x = float(rng.uniform(0.05, 0.92 - w))
-                y = float(rng.uniform(0.15, 0.72))
+                x = 0.05 + (0.92 - w - 0.05) * rng.random()
+                y = 0.15 + (0.72 - 0.15) * rng.random()
                 box = (x, y, x + w, y + CHAR_H)
                 if not _overlaps(box, occupied):
                     items.append(_Item([text], [box]))
@@ -350,6 +373,8 @@ def generate_document(
 
     words: list[Word] = []
     positives: dict[int, int] = {}
+    noisy = iter(_noise_texts([t for it in items for t in it.texts], cfg.char_noise_rate,
+                              noise_rng))
     for it in items:
         # jitter moves an item as a unit; grouping adjacency within a
         # phrase survives, key-value geometry wobbles
@@ -357,16 +382,15 @@ def generate_document(
             dx, dy = (float(v) for v in rng.normal(0.0, cfg.bbox_jitter, 2))
         else:
             dx = dy = 0.0
-        for text, box in zip(it.texts, it.boxes):
+        for box in it.boxes:
             wid = len(words)
             if it.is_value:
                 positives[wid] = it.field_id
-            noisy = _noise_text(text, cfg.char_noise_rate, noise_rng)
             x0 = min(max(box[0] + dx, 0.0), 1.0)
             y0 = min(max(box[1] + dy, 0.0), 1.0)
             x1 = min(max(box[2] + dx, x0), 1.0)
             y1 = min(max(box[3] + dy, y0), 1.0)
-            words.append(Word(wid, noisy, BBox(x0, y0, x1, y1)))
+            words.append(Word(wid, next(noisy), BBox(x0, y0, x1, y1)))
         if it.is_value:
             # Gold is the pre-noise value text: truth capture precedes
             # corruption, so noisy renderings miss under exact match.

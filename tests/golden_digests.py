@@ -1,5 +1,5 @@
-"""Golden digests: sha256 of the geometry, rule, feature and pipeline
-outputs on fixed inputs, and the numpy/BLAS build and BLAS thread count
+"""Golden digests: sha256 of the synthesized corpus and of the geometry,
+rule, feature and pipeline outputs on fixed inputs, and the numpy/BLAS build and BLAS thread count
 they were computed on.
 
 `compute()` rebuilds every input from fixed seeds and returns the mapping
@@ -80,6 +80,19 @@ def _sha(text: str) -> str:
 def _file_sha(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def corpus_digest(preset: str, n_docs: int) -> str:
+    """The serialized documents, gold values and truth labels of a
+    synthesized corpus."""
+    docs, gold, truth = synth.generate(
+        synth.preset_config(preset, n_docs, SEED), dm.default_invoice_schema()
+    )
+    return _sha(json.dumps({
+        "docs": [dm.serialize_document(doc) for doc in docs],
+        "gold": gold,
+        "truth": {doc_id: sorted(truth.positives(doc_id).items()) for doc_id in truth.doc_ids()},
+    }, sort_keys=True))
 
 
 def dense_pages() -> list[dm.Document]:
@@ -189,7 +202,8 @@ def pipeline_digests(workdir: str, preset: str, n_docs: int, epochs_step1: int,
 def compute() -> dict:
     schema = dm.default_invoice_schema()
     pages = dense_pages()
-    digests = {f"dense.w{len(page.words)}": page_digest(page, schema) for page in pages}
+    digests = {"synth.noisy-bench.n200": corpus_digest("noisy-bench", 200)}
+    digests.update((f"dense.w{len(page.words)}", page_digest(page, schema)) for page in pages)
     digests.update((f"featurize.w{len(page.words)}", featurize_digest(page)) for page in pages)
     digests["featurize.negative-zero"] = featurize_digest(negative_zero_page())
     digests["grouped.w200"] = grouped_digest(grouped_page(pages[2]), schema)

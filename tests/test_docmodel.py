@@ -1,13 +1,19 @@
 """Document model: box validation, reading order, JSONL round-trips, schema."""
 
+import copy
 import dataclasses
 import importlib.util
+import itertools
 import json
+import math
+import pickle
 from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc
 from ffrg import bootstrap, docmodel, progressive
@@ -69,6 +75,65 @@ def test_box_union():
 def test_box_rejects_bad_coordinates(coords):
     with pytest.raises(ValidationError):
         BBox(*coords)
+
+
+def _detailed_box_checks(x0, y0, x1, y1):
+    """BBox's checks one coordinate at a time, each naming what failed."""
+    for name, v in (("x0", x0), ("y0", y0), ("x1", x1), ("y1", y1)):
+        if not isinstance(v, (int, float)) or v != v or v in (float("inf"), float("-inf")):
+            raise ValidationError(f"box coordinate {name}={v!r} is not finite")
+        if not 0.0 <= v <= 1.0:
+            raise ValidationError(f"box coordinate {name}={v} outside [0,1]")
+    if x1 < x0:
+        raise ValidationError(f"box has x1 < x0 ({x1} < {x0})")
+    if y1 < y0:
+        raise ValidationError(f"box has y1 < y0 ({y1} < {y0})")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+                5e-324, -5e-324, 2.0e-308, float("nan"), float("inf"), float("-inf")]
+_coordinate = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-2, 3),
+    st.booleans(),
+    st.sampled_from([None, "0.5", [0.5], np.float64(0.5), np.float64("nan"), 0.5j]),
+)
+
+
+@st.composite
+def _near_valid_box(draw):
+    """A valid box with some of its coordinates replaced."""
+    (x0, x1), (y0, y1) = (sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+                          for _ in "xy")
+    box = [x0, y0, x1, y1]
+    for k in draw(st.sets(st.integers(0, 3))):
+        box[k] = draw(_coordinate)
+    return box
+
+
+def _assert_box_check_agrees(box):
+    try:
+        _detailed_box_checks(*box)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as got:
+            BBox(*box)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+    else:
+        assert BBox(*box).as_list() == list(box)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.one_of(_near_valid_box(), st.tuples(_coordinate, _coordinate, _coordinate, _coordinate)))
+def test_box_check_agrees_with_the_detailed_checks(box):
+    _assert_box_check_agrees(box)
+
+
+def test_box_check_agrees_with_the_detailed_checks_on_every_edge_combination():
+    values = [*_EDGE_FLOATS, 0.25, 0.75, 1]
+    for box in itertools.product(values, repeat=4):
+        _assert_box_check_agrees(box)
 
 
 def test_word_rejects_padded_or_empty_text():
@@ -335,7 +400,7 @@ def test_make_phrase_orders_members_and_unions_boxes():
             ("hello", 0.10, 0.10, 0.20, 0.12),
         ]
     )
-    ph = make_phrase(doc, [0, 1], _rank(doc))
+    ph = make_phrase(doc.words, [0, 1], _rank(doc))
     assert ph.word_ids == (1, 0)
     assert ph.text == "hello world"
     assert ph.box == BBox(0.10, 0.10, 0.40, 0.12)
@@ -382,6 +447,15 @@ def test_page_with_no_coordinate_above_1_5_reads_as_normalized():
 )
 def test_parse_rejects_malformed_records(line, err):
     with pytest.raises(err):
+        parse_document(line, line_number=3)
+
+
+def test_pixel_page_is_detected_before_any_box_is_checked():
+    # word 0's 2.0 makes the page pixels, and word 1's NaN is then named
+    line = _record([{"text": "a", "box": [0, 0, 2.0, 1]},
+                    {"text": "b", "box": [0, 0, float("nan"), 1]}])
+    with pytest.raises(ValidationError,
+                       match=r"line 3: word 1 \('b'\) of d1: box coordinate x1=nan is not finite"):
         parse_document(line, line_number=3)
 
 
@@ -448,10 +522,20 @@ def test_document_round_trip_with_phrases():
     )
     doc = Document(
         doc.doc_id, doc.page_width, doc.page_height, doc.words,
-        (make_phrase(doc, [0, 1], _rank(doc)),),
+        (make_phrase(doc.words, [0, 1], _rank(doc)),),
     )
     again = parse_document(serialize_document(doc))
     assert again == doc
+
+
+def test_grouped_record_reads_its_word_boxes_once(monkeypatch):
+    real, read = docmodel._boxes, []
+    monkeypatch.setattr(docmodel, "_boxes", lambda items: read.append(1) or real(items))
+    record = json.loads(_record([{"text": "a", "box": [0.1, 0.1, 0.2, 0.2]}]))
+    record["phrases"] = [{"word_ids": [0]}]
+    doc = parse_document(json.dumps(record))
+    assert len(read) == 1
+    assert doc.phrases == (Phrase((0,), "a", BBox(0.1, 0.1, 0.2, 0.2)),)
 
 
 # --- the word box array -----------------------------------------------------
@@ -505,12 +589,24 @@ def test_document_boxes_stay_out_of_equality_hash_and_repr():
         "doc_id", "page_width", "page_height", "words", "phrases"]
 
 
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda doc: pickle.loads(pickle.dumps(doc))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_document_keeps_read_only_boxes(copy_of):
+    doc = make_doc(_BOX_WORDS)
+    doc = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [0, 2], _rank(doc)),))
+    twin = copy_of(doc)
+    assert twin == doc
+    _assert_boxes_are_the_word_rows(twin)
+    with pytest.raises(ValueError, match="read-only"):
+        twin.boxes[0, 0] = 0.5
+
+
 def test_replace_rebuilds_document_boxes():
     doc = make_doc(_BOX_WORDS)
     moved = dataclasses.replace(doc, words=make_doc(_BOX_WORDS[::-1]).words)
     assert moved.boxes is not doc.boxes
     _assert_boxes_are_the_word_rows(moved)
-    grouped = dataclasses.replace(doc, phrases=(make_phrase(doc, [0], _rank(doc)),))
+    grouped = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [0], _rank(doc)),))
     _assert_boxes_are_the_word_rows(grouped)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(doc, boxes=np.zeros((3, 4)))

@@ -2,13 +2,20 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.docmodel import SchemaField, FieldSchema, LabelSet, ValidationError
 from ffrg.synth import (
+    _DIGITS,
+    _HEADER_POOL,
+    _LETTERS_LOWER,
+    _LETTERS_UPPER,
+    _UNKNOWN_KEYS,
     PRESETS,
     SynthConfig,
+    _noise_texts,
     corruption_report,
     generate,
     generate_document,
@@ -97,6 +104,64 @@ def test_doc_id_format(schema):
 def test_empty_corpus(schema):
     docs, gold, truth = generate(small("clean", n=0), schema)
     assert docs == [] and gold == {} and truth.doc_ids() == []
+
+
+# --- rng draws ---------------------------------------------------------------
+# A corpus's bytes fix the order and kind of every draw, so the bulk and
+# indexed draws are pinned to the numpy calls they replace.
+
+def _noise_text(text, rate, rng):
+    """Character noise one character at a time, one draw per call."""
+    if rate <= 0.0:
+        return text
+    out = []
+    for ch in text:
+        if rng.random() < rate:
+            if ch.isdigit():
+                out.append(str(rng.choice([c for c in _DIGITS if c != ch])))
+            elif ch.isalpha():
+                pool = _LETTERS_UPPER if ch.isupper() else _LETTERS_LOWER
+                out.append(str(rng.choice([c for c in pool if c != ch])))
+            else:
+                out.append(ch)
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.03, 0.5, 1.0])
+def test_document_noise_pass_equals_the_per_character_loop(rate):
+    alphabet = list("0123456789abcxyzABCXYZ.,-$#/:% ") + ["É", "ß", "٣", "½"]
+    pick = np.random.default_rng(11)
+    changed = 0
+    for seed in range(60):
+        texts = ["".join(pick.choice(alphabet, size=int(pick.integers(1, 12))))
+                 for _ in range(int(pick.integers(1, 30)))]
+        a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        if seed % 2:  # leave half of a 64-bit draw buffered for the integer draws
+            assert a.integers(0, 9) == b.integers(0, 9)
+        want = [_noise_text(t, rate, a) for t in texts]
+        assert _noise_texts(texts, rate, b) == want
+        assert b.bit_generator.state == a.bit_generator.state
+        changed += want != texts
+    assert changed == 0 if rate == 0.0 else changed > 0
+
+
+def test_layout_draws_equal_numpys_uniform_and_choice():
+    for seed in range(100):
+        a, b = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+        w = 0.0075 * (seed % 12 + 1)
+        for lo, hi in ((0.01, 0.10), (0.015, 0.12), (0.05, 0.92 - w), (0.15, 0.72)):
+            assert float(a.uniform(lo, hi)).hex() == (lo + (hi - lo) * b.random()).hex()
+        keys = _UNKNOWN_KEYS
+        assert str(a.choice(keys)) == keys[int(b.integers(0, len(keys)))]
+        n = int(a.integers(2, 5))
+        assert n == int(b.integers(2, 5))
+        assert [str(h) for h in a.choice(_HEADER_POOL, size=n)] == [
+            _HEADER_POOL[i] for i in b.integers(0, len(_HEADER_POOL), size=n).tolist()]
+        pool = [c for c in _LETTERS_UPPER if c != "Q"]
+        assert str(a.choice(pool)) == pool[int(b.integers(0, len(pool)))]
+        assert b.bit_generator.state == a.bit_generator.state
 
 
 # --- truth bookkeeping ---------------------------------------------------------
