@@ -26,7 +26,6 @@ import numpy as np
 
 from .datatypes import type_of
 from .docmodel import BBox, Document, FieldSchema, LabelSet, Phrase, SchemaField, _boxes
-from .grouping import phrase_members
 from .similarity import (
     JW_BOOST_THRESHOLD,
     JW_MAX_PREFIX,
@@ -225,13 +224,12 @@ class PhraseRows:
 
     def __init__(self, doc: Document):
         self.doc = doc
+        self.members = doc.members
         if doc.phrases is not None:
-            self.members = [ph.word_ids for ph in doc.phrases]
             self.texts = [ph.text for ph in doc.phrases]
             self.boxes = _boxes(doc.phrases)
         else:
             words = doc.words
-            self.members = phrase_members(doc)
             self.texts = [" ".join([words[w].text for w in ids]) for ids in self.members]
             self.boxes = _union_rows(doc.boxes, self.members)
         self.centres = ((self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0).tolist()
@@ -251,7 +249,7 @@ class PhraseRows:
         ph = self._phrases.get(i)
         if ph is None:
             ph = self._phrases[i] = Phrase(
-                tuple(self.members[i]), self.texts[i], BBox(*self.boxes[i].tolist()))
+                self.members[i], self.texts[i], BBox(*self.boxes[i].tolist()))
         return ph
 
 

@@ -7,6 +7,7 @@ Background class is 0; schema fields are classes 1..N.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -186,6 +187,22 @@ class Document:
         self.__dict__.update(state)
         self.boxes.flags.writeable = False
 
+    # The layout, worked out on first use and kept; like boxes, it is left
+    # out of ==, hash and repr, and dataclasses.replace starts without it.
+    @functools.cached_property
+    def order(self) -> tuple[int, ...]:
+        """The word ids in reading order."""
+        return tuple(reading_order(self))
+
+    @functools.cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Each phrase's word ids: the document's own phrases when it has
+        them, otherwise those of grouping.phrase_members at its defaults."""
+        if self.phrases is not None:
+            return tuple(ph.word_ids for ph in self.phrases)
+        from . import grouping  # grouping imports this module
+        return grouping.phrase_members(self)
+
 
 _BOX_ROW = operator.attrgetter("x0", "y0", "x1", "y1")
 # the JSON value types of a box coordinate
@@ -267,14 +284,13 @@ def _reading_order(boxes: np.ndarray) -> list[int]:
     return np.lexsort((x0, line, left[line], top[line])).tolist()
 
 
-def make_phrase(words: Sequence[Word], word_ids: Iterable[int], rank: Sequence[int]) -> Phrase:
+def make_phrase(words: Sequence[Word], word_ids: Sequence[int]) -> Phrase:
     """Build a phrase from member word ids (indices into a document's
-    words), ordered by their reading-order rank (indexed by word id)."""
-    ids = sorted(word_ids, key=rank.__getitem__)
-    box = words[ids[0]].box
-    for wid in ids[1:]:
+    words), in the order given."""
+    box = words[word_ids[0]].box
+    for wid in word_ids[1:]:
         box = box.union(words[wid].box)
-    return Phrase(tuple(ids), " ".join([words[wid].text for wid in ids]), box)
+    return Phrase(tuple(word_ids), " ".join([words[wid].text for wid in word_ids]), box)
 
 
 # --- JSONL documents -------------------------------------------------------
@@ -341,22 +357,25 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
     words = tuple(words)
 
     try:
-        phrases = None
-        if raw.get("phrases") is not None:
-            phrases = _parse_phrases(doc_id, words, rows, raw["phrases"])
-        return Document(doc_id, page_w, page_h, words, phrases)
+        if raw.get("phrases") is None:
+            return Document(doc_id, page_w, page_h, words)
+        order = _reading_order(np.array(rows, dtype=np.float64).reshape(-1, 4))
+        doc = Document(doc_id, page_w, page_h, words,
+                       _parse_phrases(doc_id, words, order, raw["phrases"]))
     except ValidationError as e:
         raise type(e)(f"{where}: {e}") from e
+    # the phrases needed the order, so the document keeps it
+    object.__setattr__(doc, "order", tuple(order))
+    return doc
 
 
-def _parse_phrases(doc_id: str, words: tuple[Word, ...], rows: list[list[float]],
+def _parse_phrases(doc_id: str, words: tuple[Word, ...], order: list[int],
                    raw_phrases) -> tuple[Phrase, ...]:
     """Phrases from their wire form, in reading order as group_words gives
-    them; ``rows`` are the word boxes, and word ids are checked before
-    make_phrase looks them up."""
+    them: ``order`` is the words' reading order, and word ids are checked
+    before make_phrase looks them up."""
     if not isinstance(raw_phrases, list):
         raise ParseError(f"phrases of {doc_id} must be a list")
-    order = _reading_order(np.array(rows, dtype=np.float64).reshape(-1, 4))
     rank = np.argsort(order).tolist()  # the inverse permutation
     phrases = []
     for k, p in enumerate(raw_phrases):
@@ -368,7 +387,7 @@ def _parse_phrases(doc_id: str, words: tuple[Word, ...], rows: list[list[float]]
         for wid in ids:
             if not 0 <= wid < len(words):
                 raise ValidationError(f"phrase {k} of {doc_id} references missing word {wid}")
-        phrases.append(make_phrase(words, ids, rank))
+        phrases.append(make_phrase(words, sorted(ids, key=rank.__getitem__)))
     # the rule extractor breaks ties by phrase order, so the order in the
     # file must not decide them
     phrases.sort(key=lambda p: rank[p.word_ids[0]])

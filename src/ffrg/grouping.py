@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .docmodel import (
-    Document, Phrase, Word, _components, _near_in_y, make_phrase, reading_order,
-)
+from .docmodel import Document, Phrase, Word, _components, _near_in_y, make_phrase
 
 
 # weight of the vertical center offset against the horizontal gap
@@ -61,14 +59,12 @@ def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
     return config.eps_scale * median
 
 
-def phrase_members(
-    doc: Document, config: GroupingConfig | None = None, *, order: list[int] | None = None
-) -> list[list[int]]:
+def phrase_members(doc: Document,
+                   config: GroupingConfig | None = None) -> tuple[tuple[int, ...], ...]:
     """Cluster words into phrases; returns each phrase's word ids.
 
     A phrase lists its words in reading order, and phrases come in the
-    reading order of their first words.  `order` is the document's reading
-    order when the caller already has it.
+    reading order of their first words.
     """
     if config is None:
         config = GroupingConfig()
@@ -88,23 +84,15 @@ def phrase_members(
                      for a, b in zip(i.tolist(), j.tolist())], dtype=bool)
     phrase = _components(n, i[link], j[link]).tolist()
 
-    if order is None:
-        order = reading_order(doc)
     members: dict[int, list[int]] = {}
-    for wid in order:
+    for wid in doc.order:
         members.setdefault(phrase[wid], []).append(wid)
-    return list(members.values())
+    return tuple(map(tuple, members.values()))
 
 
-def group_words(
-    doc: Document, config: GroupingConfig | None = None, *, order: list[int] | None = None
-) -> tuple[Phrase, ...]:
+def group_words(doc: Document, config: GroupingConfig | None = None) -> tuple[Phrase, ...]:
     """The phrases of phrase_members, in its order."""
-    if order is None:
-        order = reading_order(doc)
-    rank = np.argsort(order).tolist()  # the inverse permutation
-    members = phrase_members(doc, config, order=order)
-    return tuple(make_phrase(doc.words, ids, rank) for ids in members)
+    return tuple(make_phrase(doc.words, ids) for ids in phrase_members(doc, config))
 
 
 def group_document(doc: Document, config: GroupingConfig | None = None) -> Document:

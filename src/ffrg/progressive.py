@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .docmodel import Document, FieldSchema, LabelSet, ValidationError, reading_order
+from .docmodel import Document, FieldSchema, LabelSet, ValidationError
 from .features import FEATURE_DIM, featurize_corpus
-from .grouping import phrase_members
 from .model import (
     AdamState,
     ModelParams,
@@ -101,7 +100,7 @@ def _label_rows(docs: Sequence[Document], labels: LabelSet, offsets: np.ndarray)
 
 
 def _select_anchors(
-    probs: np.ndarray, order: list[int], n_fields: int, threshold: float
+    probs: np.ndarray, order: Sequence[int], n_fields: int, threshold: float
 ) -> dict[int, int]:
     """Per field, the single anchor word id under the refinement rule.
 
@@ -134,13 +133,12 @@ def refine_labels(
     n_fields: int,
     threshold: float,
     provenance: str,
-    orders: Sequence[list[int]],
 ) -> LabelSet:
-    """One anchor per field per document; orders are their reading orders."""
+    """One anchor per field per document."""
     labels = LabelSet(provenance)
-    for doc, probs, order in zip(docs, probs_per_doc, orders):
+    for doc, probs in zip(docs, probs_per_doc):
         labels.add_document(doc.doc_id)
-        anchors = _select_anchors(probs, order, n_fields, threshold)
+        anchors = _select_anchors(probs, doc.order, n_fields, threshold)
         for f, wid in anchors.items():
             labels.set_label(doc.doc_id, wid, f)
     return labels
@@ -201,7 +199,6 @@ def train(
     trainable = [i for i in range(len(docs)) if len(docs[i].words) > 0]
     if not trainable:
         raise ValidationError("corpus has no words to train on")
-    orders = [reading_order(doc) for doc in docs]
 
     refined: dict[int, LabelSet] = {}
     stage_losses: list[list[float]] = []
@@ -255,9 +252,8 @@ def train(
             return branch_probs(params, h, branch)
 
         probs = [doc_probs(i) for i in range(len(docs))]
-        return refine_labels(
-            docs, probs, n_fields, cfg.refine_threshold, f"refined@branch_{branch}", orders=orders
-        )
+        return refine_labels(docs, probs, n_fields, cfg.refine_threshold,
+                             f"refined@branch_{branch}")
 
     for stage in range(1, cfg.n_branches + 1):
         if stage >= 2:
@@ -302,14 +298,11 @@ def extract_values(
     if len(doc.words) == 0:
         return {}
     probs = ensemble_predict(params, features)
-    order = reading_order(doc)
-    anchors = _select_anchors(probs, order, schema.n_fields, threshold)
+    anchors = _select_anchors(probs, doc.order, schema.n_fields, threshold)
     if not anchors:
         return {}
-    members = ([ph.word_ids for ph in doc.phrases] if doc.phrases is not None
-               else phrase_members(doc, order=order))
     argmax = probs.argmax(axis=1)
-    by_word = {wid: ids for ids in members for wid in ids}
+    by_word = {wid: ids for ids in doc.members for wid in ids}
     out: dict[str, str] = {}
     for f, anchor in sorted(anchors.items()):
         ids = by_word.get(anchor)

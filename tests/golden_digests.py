@@ -139,11 +139,10 @@ def featurize_digest(page: dm.Document) -> str:
 
 def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
     """Reading order, phrases, and the rule labels and values of one page."""
-    order = dm.reading_order(page)
-    phrases = grouping.group_words(page, order=order)
+    phrases = grouping.group_words(page)
     labels, values = bs.bootstrap_corpus([page], schema)
     return _sha(json.dumps({
-        "order": order,
+        "order": page.order,
         "phrases": [[list(p.word_ids), p.text, p.box.as_list()] for p in phrases],
         "labels": sorted(labels.positives(page.doc_id).items()),
         "values": values,

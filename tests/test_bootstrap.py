@@ -753,7 +753,7 @@ def test_phrase_box_rows_keep_the_first_of_signed_zeros(first):
     # BBox.union chain does
     doc = make_doc([("Total", first, first, first, 0.02), ("$1.00", -first, -first, -first, 0.02)])
     rows = PhraseRows(doc)
-    assert rows.members == [[0, 1]]
+    assert rows.members == ((0, 1),)
     chain = doc.words[0].box.union(doc.words[1].box)
     assert [v.hex() for v in rows.boxes[0].tolist()] == [v.hex() for v in chain.as_list()]
     assert math.copysign(1.0, rows.boxes[0, 0]) == math.copysign(1.0, first)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc
-from ffrg import bootstrap, docmodel, progressive
+from ffrg import bootstrap, docmodel, grouping, progressive
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
@@ -389,18 +389,12 @@ def test_components_of_a_long_chain():
     assert docmodel._components(n, i, i - 1).tolist() == [0] * n
 
 
-def _rank(doc):
-    return {wid: r for r, wid in enumerate(reading_order(doc))}
+_HELLO_WORLD = [("world", 0.30, 0.10, 0.40, 0.12), ("hello", 0.10, 0.10, 0.20, 0.12)]
 
 
-def test_make_phrase_orders_members_and_unions_boxes():
-    doc = make_doc(
-        [
-            ("world", 0.30, 0.10, 0.40, 0.12),
-            ("hello", 0.10, 0.10, 0.20, 0.12),
-        ]
-    )
-    ph = make_phrase(doc.words, [0, 1], _rank(doc))
+def test_make_phrase_keeps_member_order_and_unions_boxes():
+    doc = make_doc(_HELLO_WORLD)
+    ph = make_phrase(doc.words, [1, 0])
     assert ph.word_ids == (1, 0)
     assert ph.text == "hello world"
     assert ph.box == BBox(0.10, 0.10, 0.40, 0.12)
@@ -522,10 +516,31 @@ def test_document_round_trip_with_phrases():
     )
     doc = Document(
         doc.doc_id, doc.page_width, doc.page_height, doc.words,
-        (make_phrase(doc.words, [0, 1], _rank(doc)),),
+        (make_phrase(doc.words, [0, 1]),),
     )
     again = parse_document(serialize_document(doc))
     assert again == doc
+
+
+def test_grouped_record_lists_phrase_words_in_reading_order():
+    record = json.loads(_record([{"text": t, "box": list(b)} for t, *b in _HELLO_WORLD]))
+    record["phrases"] = [{"word_ids": [0, 1]}]
+    doc = parse_document(json.dumps(record))
+    assert doc.phrases[0].word_ids == (1, 0)
+    assert doc.phrases[0].text == "hello world"
+    assert doc.members == ((1, 0),)
+
+
+def test_grouped_record_keeps_the_order_it_worked_out(monkeypatch):
+    def recomputed(doc):
+        raise AssertionError("reading order recomputed")
+
+    monkeypatch.setattr(docmodel, "reading_order", recomputed)
+    record = json.loads(_record([{"text": t, "box": list(b)} for t, *b in _HELLO_WORLD]))
+    record["phrases"] = [{"word_ids": [0]}, {"word_ids": [1]}]
+    doc = parse_document(json.dumps(record))
+    assert doc.order == (1, 0)
+    assert [ph.word_ids for ph in doc.phrases] == [(1,), (0,)]
 
 
 def test_grouped_record_reads_its_word_boxes_once(monkeypatch):
@@ -593,7 +608,7 @@ def test_document_boxes_stay_out_of_equality_hash_and_repr():
                          ids=["deepcopy", "pickle"])
 def test_copied_document_keeps_read_only_boxes(copy_of):
     doc = make_doc(_BOX_WORDS)
-    doc = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [0, 2], _rank(doc)),))
+    doc = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [2, 0]),))
     twin = copy_of(doc)
     assert twin == doc
     _assert_boxes_are_the_word_rows(twin)
@@ -601,12 +616,73 @@ def test_copied_document_keeps_read_only_boxes(copy_of):
         twin.boxes[0, 0] = 0.5
 
 
+# world and hello share a phrase; total is a line of its own below them
+_LAYOUT_WORDS = [("world", 0.21, 0.10, 0.30, 0.12), ("hello", 0.10, 0.10, 0.20, 0.12),
+                 ("total", 0.10, 0.50, 0.20, 0.52)]
+
+
+def _assert_int_tuples(value):
+    assert type(value) is tuple
+    for item in value:
+        if type(item) is tuple:
+            _assert_int_tuples(item)
+        else:
+            assert type(item) is int
+
+
+def test_document_layout_is_int_tuples():
+    doc = make_doc(_LAYOUT_WORDS)
+    assert doc.order == (1, 0, 2)
+    assert doc.members == ((1, 0), (2,))
+    _assert_int_tuples(doc.order)
+    _assert_int_tuples(doc.members)
+    assert make_doc([]).order == () and make_doc([]).members == ()
+
+
+def test_replace_works_out_the_layout_anew():
+    doc = make_doc(_LAYOUT_WORDS)
+    assert (doc.order, doc.members) == ((1, 0, 2), ((1, 0), (2,)))
+    moved = dataclasses.replace(doc, words=make_doc(_LAYOUT_WORDS[::-1]).words)
+    assert (moved.order, moved.members) == ((1, 2, 0), ((1, 2), (0,)))
+    phrases = (make_phrase(doc.words, [2]), make_phrase(doc.words, [1]),
+               make_phrase(doc.words, [0]))
+    grouped = dataclasses.replace(doc, phrases=phrases)
+    assert (grouped.order, grouped.members) == ((1, 0, 2), ((2,), (1,), (0,)))
+    assert dataclasses.replace(grouped, phrases=None).members == ((1, 0), (2,))
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda doc: pickle.loads(pickle.dumps(doc))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_document_keeps_its_layout(copy_of, monkeypatch):
+    doc = make_doc(_LAYOUT_WORDS)
+    order, members = doc.order, doc.members
+    twin = copy_of(doc)
+
+    def recomputed(doc):
+        raise AssertionError("layout recomputed")
+
+    monkeypatch.setattr(docmodel, "reading_order", recomputed)
+    monkeypatch.setattr(grouping, "phrase_members", recomputed)
+    assert (twin.order, twin.members) == (order, members)
+    _assert_int_tuples(twin.order)
+    _assert_int_tuples(twin.members)
+    _assert_boxes_are_the_word_rows(twin)
+
+
+def test_worked_out_layout_stays_out_of_equality_hash_and_repr():
+    doc, twin = make_doc(_LAYOUT_WORDS), make_doc(_LAYOUT_WORDS)
+    assert (doc.order, doc.members) == ((1, 0, 2), ((1, 0), (2,)))
+    assert doc == twin
+    assert hash(doc) == hash(twin)
+    assert repr(doc) == repr(twin)
+
+
 def test_replace_rebuilds_document_boxes():
     doc = make_doc(_BOX_WORDS)
     moved = dataclasses.replace(doc, words=make_doc(_BOX_WORDS[::-1]).words)
     assert moved.boxes is not doc.boxes
     _assert_boxes_are_the_word_rows(moved)
-    grouped = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [0], _rank(doc)),))
+    grouped = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [0]),))
     _assert_boxes_are_the_word_rows(grouped)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(doc, boxes=np.zeros((3, 4)))

@@ -12,7 +12,6 @@ import pytest
 
 from conftest import make_doc, random_doc
 from ffrg import grouping
-from ffrg.docmodel import reading_order
 from ffrg.grouping import (
     GroupingConfig,
     group_document,
@@ -181,18 +180,6 @@ def test_phrases_come_out_in_reading_order():
         ]
     )
     assert [p.text for p in group_words(doc)] == ["first", "second"]
-
-
-def test_a_given_reading_order_is_used_not_recomputed(monkeypatch):
-    doc = random_doc(np.random.default_rng(3), 40)
-    order = reading_order(doc)
-    expected = group_words(doc)
-
-    def recomputed(doc):
-        raise AssertionError("reading order recomputed")
-
-    monkeypatch.setattr(grouping, "reading_order", recomputed)
-    assert group_words(doc, order=order) == expected
 
 
 # --- the centre-y window: boundary pairs and large pages ---------------------

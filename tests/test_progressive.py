@@ -1,12 +1,17 @@
 """Progressive ensemble: loss expansion, refinement rule, freezing, values."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_doc
 from ffrg.bootstrap import bootstrap_corpus
-from ffrg.docmodel import Phrase, ValidationError, default_invoice_schema, reading_order
+from ffrg import docmodel, grouping
+from ffrg.docmodel import (
+    Phrase, ValidationError, default_invoice_schema, parse_document, serialize_document,
+)
 from ffrg.features import featurize_corpus
 from ffrg.grouping import group_document
 from ffrg.model import forward, tensor_keys
@@ -81,24 +86,20 @@ def test_refinement_keeps_single_document_max():
     probs = _probs(
         [[0.95, 0.05], [0.40, 0.60], [0.70, 0.30]]
     )  # classes: background, field 1
-    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {1: 1}
 
 
 def test_refinement_requires_threshold_strictly():
     doc = _three_word_doc()
     at = _probs([[0.9, 0.1], [0.92, 0.08], [0.95, 0.05]])
-    labels = refine_labels([doc], [at], n_fields=1, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [at], n_fields=1, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {}
     above = _probs([[0.89, 0.11], [0.92, 0.08], [0.95, 0.05]])
-    labels = refine_labels([doc], [above], n_fields=1, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [above], n_fields=1, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {}  # argmax of word 0 is background
     winning = _probs([[0.45, 0.55], [0.92, 0.08], [0.95, 0.05]])
-    labels = refine_labels([doc], [winning], n_fields=1, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [winning], n_fields=1, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {0: 1}
 
 
@@ -106,16 +107,14 @@ def test_refinement_argmax_gates_the_max_word():
     doc = _three_word_doc()
     # word 1 holds the field max 0.4 but its argmax is background
     probs = _probs([[0.9, 0.1], [0.6, 0.4], [0.8, 0.2]])
-    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {}
 
 
 def test_refinement_tie_goes_to_reading_order():
     doc = _three_word_doc()
     probs = _probs([[0.4, 0.6], [0.4, 0.6], [0.9, 0.1]])
-    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [probs], n_fields=1, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {0: 1}
 
 
@@ -124,8 +123,7 @@ def test_refinement_labels_one_word_per_field():
     probs = _probs(
         [[0.10, 0.70, 0.20], [0.15, 0.20, 0.65], [0.80, 0.10, 0.10]]
     )
-    labels = refine_labels([doc], [probs], n_fields=2, threshold=0.1, provenance="r",
-                           orders=[reading_order(doc)])
+    labels = refine_labels([doc], [probs], n_fields=2, threshold=0.1, provenance="r")
     assert labels.positives("toy") == {0: 1, 1: 2}
     assert labels.provenance == "r"
 
@@ -299,6 +297,62 @@ def test_cached_refinement_leaves_training_bit_identical(monkeypatch):
         assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
     assert cached.refined == uncached.refined
     assert cached.stage_losses == uncached.stage_losses
+
+
+def test_k1_is_the_first_stage_of_k3():
+    # with two-step training stages 2..K leave the trunk and branch 1 alone,
+    # and branch 1 is refined before stage 2 from the cached trunk rows
+    schema = default_invoice_schema()
+    docs, _, _ = generate(preset_config("noisy-bench", 120, seed=3), schema)
+    labels, _ = bootstrap_corpus(docs, schema)
+    features = featurize_corpus(docs)
+    cfg = TrainConfig(n_branches=3, epochs_step1=3, epochs_step2=4, lr=3e-3, seed=3)
+    full = train(docs, labels, schema, cfg, features)
+    solo = train(docs, labels, schema, TrainConfig(**{**cfg.__dict__, "n_branches": 1}),
+                 features)
+    size = solo.params.flat.size
+    assert full.params.flat[:size].tobytes() == solo.params.flat.tobytes()
+    assert full.refined[1] == solo.refined[1]
+    assert full.stage_losses[0] == solo.stage_losses[0]
+
+
+def _count_calls(monkeypatch, fn):
+    """The doc ids of the calls of fn, through whichever ffrg module binds it."""
+    calls = []
+
+    def counted(doc, *args, **kwargs):
+        calls.append(doc.doc_id)
+        return fn(doc, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ffrg") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_the_pipeline_orders_and_groups_each_document_once(monkeypatch, schema):
+    records = [serialize_document(group_document(doc))
+               for doc in generate(preset_config("noisy-bench", 6, seed=5), schema)[0]]
+    docs, _, _ = generate(preset_config("noisy-bench", 6, seed=5), schema)
+    assert all(doc.phrases is None for doc in docs)
+    ordered = _count_calls(monkeypatch, docmodel.reading_order)
+    grouped = _count_calls(monkeypatch, grouping.phrase_members)
+
+    def run(docs):
+        labels, _ = bootstrap_corpus(docs, schema)
+        features = featurize_corpus(docs)
+        result = train(docs, labels, schema, TINY, features)
+        return extract_corpus(result.params, docs, schema, features)
+
+    run(docs)
+    ids = sorted(doc.doc_id for doc in docs)
+    assert sorted(ordered) == ids
+    assert sorted(grouped) == ids
+    # a grouped record brings its phrases, and parsing them worked out its order
+    ordered.clear()
+    grouped.clear()
+    run([parse_document(line) for line in records])
+    assert ordered == [] and grouped == []
 
 
 def test_train_rejects_features_of_another_corpus():
