@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from . import bootstrap as bs
 from . import docmodel as dm
-from .evaluation import score, write_report
+from .evaluation import normalize_value, score, write_report
 from .features import featurize_corpus
 from .grouping import GroupingConfig, group_document
 from .model import load_model, save_model
@@ -141,6 +141,14 @@ def _doc_svg(doc: dm.Document, classes: dict[int, int] | None,
     return "\n".join(parts)
 
 
+def _svg_paths(svg_dir: str, docs: list[dm.Document]) -> list[str]:
+    """Each document's SVG path inside svg_dir, checked before any is written."""
+    for doc in docs:
+        if doc.doc_id in ("", ".", "..") or os.path.basename(doc.doc_id) != doc.doc_id:
+            raise dm.ValidationError(f"--svg: doc_id {doc.doc_id!r} is not a file name")
+    return [os.path.join(svg_dir, f"{doc.doc_id}.svg") for doc in docs]
+
+
 def _xml_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -198,7 +206,7 @@ def _cmd_train(opts: dict[str, Any]) -> int:
     docs = dm.read_documents(opts["docs"])
     labels = dm.read_labels(opts["labels"])
     cfg = _train_config(opts)
-    result = train(docs, labels, schema, cfg)
+    result = train(docs, labels, schema, cfg, featurize_corpus(docs))
     save_model(opts["out"], result.params)
     if opts["refined_out"]:
         for k, labelset in sorted(result.refined.items()):
@@ -216,6 +224,7 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
     schema = _read_schema_opt(opts)
     params = load_model(opts["model"], schema)
     docs = dm.read_documents(opts["docs"])
+    svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
     features = featurize_corpus(docs)
     values = extract_corpus(params, docs, schema, features, threshold=opts["threshold"])
     dm.write_annotations(opts["out"], values)
@@ -234,9 +243,8 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
                     f.write(json.dumps(row, ensure_ascii=False) + "\n")
         if opts["svg"]:
             os.makedirs(opts["svg"], exist_ok=True)
-            for doc, row in zip(docs, overlay_rows):
+            for doc, row, path in zip(docs, overlay_rows, svg_paths):
                 classes = {w: c for w, c in row["predictions"]}
-                path = os.path.join(opts["svg"], f"{doc.doc_id}.svg")
                 with open(path, "w", encoding="utf-8") as f:
                     f.write(_doc_svg(doc, classes, None))
     n = sum(len(v) for v in values.values())
@@ -263,8 +271,6 @@ def _cmd_eval(opts: dict[str, Any]) -> int:
 
 def field_status(pred: str | None, gold: str | None) -> str | None:
     """Fig-4-style outcome class for one field of one document."""
-    from .evaluation import normalize_value
-
     if pred is None and gold is None:
         return None
     if pred is not None and gold is not None:
@@ -277,9 +283,14 @@ def field_status(pred: str | None, gold: str | None) -> str | None:
 
 def _cmd_inspect(opts: dict[str, Any]) -> int:
     _require(opts, "pred", "gold", "out")
+    if opts["svg"] and not opts["docs"]:
+        raise dm.ValidationError("--svg requires --docs for word geometry")
     schema = _read_schema_opt(opts)
     pred = dm.read_annotations(opts["pred"])
     gold = dm.read_annotations(opts["gold"])
+    docs = dm.read_documents(opts["docs"]) if opts["svg"] else []
+    svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
+    overlay = dm.read_overlay(opts["overlay"]) if opts["svg"] and opts["overlay"] else {}
     counts = {"correct": 0, "extractor-error": 0, "value-text-error": 0}
     # per document, each field's status by field_id, for the SVG pass
     by_doc: dict[str, dict[int, str]] = {}
@@ -299,16 +310,11 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
                      "pred": p, "gold": g},
                     ensure_ascii=False) + "\n")
     if opts["svg"]:
-        if not opts["docs"]:
-            raise dm.ValidationError("--svg requires --docs for word geometry")
-        docs = dm.read_documents(opts["docs"])
-        overlay = dm.read_overlay(opts["overlay"]) if opts["overlay"] else {}
         os.makedirs(opts["svg"], exist_ok=True)
-        for doc in docs:
+        for doc, path in zip(docs, svg_paths):
             classes = overlay.get(doc.doc_id, {})
             by_field = by_doc.get(doc.doc_id, {})
             statuses = {wid: by_field[cls] for wid, cls in classes.items() if cls in by_field}
-            path = os.path.join(opts["svg"], f"{doc.doc_id}.svg")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(_doc_svg(doc, classes, statuses))
     log.info(
@@ -456,10 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         run, _, defaults = _COMMANDS[args.command]
         opts = _resolve(args, defaults)
         return run(opts)
-    except dm.ValidationError as e:
-        log.error("%s", e)
-        return 1
-    except ValueError as e:
+    except (dm.ValidationError, ValueError) as e:
         log.error("%s", e)
         return 1
     except OSError as e:

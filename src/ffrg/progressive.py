@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .docmodel import Document, FieldSchema, LabelSet, ValidationError
-from .features import FEATURE_DIM, featurize_corpus
+from .features import FEATURE_DIM
 from .model import (
     AdamState,
     ModelParams,
@@ -159,7 +159,7 @@ def train(
     rule_labels: LabelSet,
     schema: FieldSchema,
     cfg: TrainConfig,
-    features: Sequence[np.ndarray] | None = None,
+    features: Sequence[np.ndarray],
     threads: int | None = None,
 ) -> TrainResult:
     """Stage-wise training; deterministic for a fixed config and seed.
@@ -177,8 +177,6 @@ def train(
             raise ValidationError(f"labels do not cover document {doc.doc_id}")
     n_fields = schema.n_fields
     rule_labels.validate(docs, n_fields)
-    if features is None:
-        features = featurize_corpus(docs)
     _check_features(docs, features)
 
     params = init_params(
@@ -325,15 +323,13 @@ def extract_corpus(
     params: ModelParams,
     docs: Sequence[Document],
     schema: FieldSchema,
-    features: Sequence[np.ndarray] | None = None,
+    features: Sequence[np.ndarray],
     threshold: float = 0.1,
     threads: int | None = None,
 ) -> dict[str, dict[str, str]]:
     """Field values per document id; ``threads`` is accepted and not read."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
-    if features is None:
-        features = featurize_corpus(docs)
     _check_features(docs, features)
     return {
         doc.doc_id: extract_values(params, doc, features[i], schema, threshold)

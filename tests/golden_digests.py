@@ -73,6 +73,15 @@ def build() -> dict:
     }
 
 
+def other_build(recorded: dict) -> list[str]:
+    """How this process's build differs from a recorded `build()` block, one
+    line per differing key."""
+    return [
+        f"{k}: recorded on {recorded.get(k)!r}, running on {v!r}"
+        for k, v in build().items() if recorded.get(k) != v
+    ]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -9,6 +9,7 @@ suite pays the training bill once.
 """
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -19,70 +20,22 @@ import pytest
 
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.evaluation import score
-from ffrg.features import featurize_corpus
 from ffrg.grouping import group_words
-from ffrg.progressive import TrainConfig, loss_terms, train, extract_corpus
+from ffrg.progressive import loss_terms
 from ffrg.similarity import string_distance
 from ffrg.synth import corruption_report, generate, preset_config
 
+import golden_digests
+import noisy_bench
 from conftest import make_doc, record_criterion, random_doc
 from test_grouping import _components_by_union_find
 from test_model import check_gradients
 from test_similarity import FROZEN, _ref_jaro_winkler
 
-# Benchmark protocol: five generation seeds, each training on its own
-# corpus draw with the same seed.  The training schedule is calibrated
-# for the noisy-label regime the benchmark targets: a brief first step
-# (the single-branch baseline and the trunk), then long frozen-trunk
-# branch stages on the refined/bootstrap mix.
-SEEDS = (0, 1, 2, 3, 4)
-N_DOCS = 1000
-BENCH = dict(
-    lr=3e-3,
-    hidden=64,
-    branch_hidden=64,
-    epochs_step1=3,
-    epochs_step2=40,
-)
-
-
 @pytest.fixture(scope="session")
-def bench_runs(schema):
-    """Per-seed metrics for K1, K3, and the two ablations + core runtime."""
-    runs: dict[str, list[tuple[float, float, float]]] = {}
-    core_seconds = 0.0
-    for seed in SEEDS:
-        t0 = time.perf_counter()
-        cfg = preset_config("noisy-bench", n_docs=N_DOCS, seed=seed)
-        docs, gold, _ = generate(cfg, schema)
-        labels, _ = bootstrap_corpus(docs, schema)
-        feats = featurize_corpus(docs)
-        variants = {
-            "K1": dict(n_branches=1),
-            "K3": dict(n_branches=3),
-        }
-        for name, kw in variants.items():
-            tc = TrainConfig(seed=seed, **BENCH, **kw)
-            result = train(docs, labels, schema, tc, features=feats)
-            values = extract_corpus(result.params, docs, schema, features=feats)
-            report = score(values, gold, schema)
-            runs.setdefault(name, []).append(
-                (report.macro_precision, report.macro_recall, report.macro_f1)
-            )
-        core_seconds += time.perf_counter() - t0
-        ablations = {
-            "beta0": dict(n_branches=3, beta=0.0),
-            "joint": dict(n_branches=3, two_step=False),
-        }
-        for name, kw in ablations.items():
-            tc = TrainConfig(seed=seed, **BENCH, **kw)
-            result = train(docs, labels, schema, tc, features=feats)
-            values = extract_corpus(result.params, docs, schema, features=feats)
-            report = score(values, gold, schema)
-            runs.setdefault(name, []).append(
-                (report.macro_precision, report.macro_recall, report.macro_f1)
-            )
-    return {name: np.array(vals) for name, vals in runs.items()}, core_seconds
+def bench_runs():
+    """The five-seed noisy-bench protocol's figures; see noisy_bench.py."""
+    return noisy_bench.run()
 
 
 def test_criterion_1_clean_rule_recovery(schema):
@@ -118,13 +71,13 @@ def test_criterion_2_bootstrap_noise_band(schema):
 
 
 def test_criterion_3_ensemble_gain(bench_runs):
-    runs, core_seconds = bench_runs
+    runs, core_seconds = bench_runs.runs, bench_runs.core_seconds.sum()
     k1, k3 = runs["K1"][:, 2].mean(), runs["K3"][:, 2].mean()
     gain = 100.0 * (k3 - k1)
     ok = gain >= 2.0 and core_seconds < 600.0
     record_criterion(
         3, ok,
-        f"noisy-bench mean macro F1 over {len(SEEDS)} seeds: K=1 {k1:.4f} -> "
+        f"noisy-bench mean macro F1 over {len(noisy_bench.SEEDS)} seeds: K=1 {k1:.4f} -> "
         f"K=3 {k3:.4f}, gain {gain:+.2f} pts (need >= 2.0) in {core_seconds:.0f}s "
         f"(need < 600s)",
     )
@@ -133,7 +86,7 @@ def test_criterion_3_ensemble_gain(bench_runs):
 
 
 def test_criterion_4_precision_recall_trend(bench_runs):
-    runs, _ = bench_runs
+    runs = bench_runs.runs
     dp = 100.0 * (runs["K3"][:, 0].mean() - runs["K1"][:, 0].mean())
     dr = 100.0 * (runs["K3"][:, 1].mean() - runs["K1"][:, 1].mean())
     ok = dp >= 3.0 and dr <= 0.0
@@ -151,7 +104,7 @@ def test_criterion_4_precision_recall_trend(bench_runs):
 
 
 def test_criterion_5_ablation_directions(bench_runs):
-    runs, _ = bench_runs
+    runs = bench_runs.runs
     k3 = runs["K3"][:, 2].mean()
     d_beta = 100.0 * (runs["beta0"][:, 2].mean() - k3)
     d_joint = 100.0 * (runs["joint"][:, 2].mean() - k3)
@@ -168,6 +121,26 @@ def test_criterion_5_ablation_directions(bench_runs):
             "budget and memorizes to the bootstrap plateau; the freeze "
             "ablation's direction inverts at desk scale; see README"
         )
+
+
+def test_readme_benchmark_table_matches_the_protocol(bench_runs):
+    # the figures hold only on the build the golden digests were recorded on
+    with open(golden_digests.PATH, encoding="utf-8") as f:
+        recorded = json.load(f)["build"]
+    other_build = golden_digests.other_build(recorded)
+    assert not other_build, (
+        "README's benchmark table comes from another build (" + "; ".join(other_build)
+        + "); re-record it with `PYTHONPATH=src python scripts/run_noisy_bench.py` on this one"
+    )
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = " ".join(f.read().split())
+    stale = [line for line in noisy_bench.readme_lines(bench_runs)
+             if " ".join(line.split()) not in text]
+    assert not stale, (
+        "README's benchmark section differs from the protocol's figures; paste "
+        "`PYTHONPATH=src python scripts/run_noisy_bench.py`'s lines:\n" + "\n".join(stale)
+    )
 
 
 def test_criterion_6_loss_expansion_structure():

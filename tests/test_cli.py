@@ -393,6 +393,44 @@ def test_inspect_colors_overlay_predictions(synth_dir, tmp_path):
     assert svgs[0] != svgs[1]  # word 0 takes field 1's color
 
 
+@pytest.mark.parametrize("doc_id", ["../escaped", "sub/escaped", "", ".", ".."])
+@pytest.mark.parametrize("command", ["inspect", "extract"])
+def test_svg_refuses_a_doc_id_that_is_not_a_file_name(
+    trained_dir, tmp_path, command, doc_id, capsys, caplog
+):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    docs = inputs / "docs.jsonl"
+    docs.write_text(json.dumps({**_DOC, "doc_id": doc_id}) + "\n")
+    values = inputs / "values.jsonl"
+    values.write_text(json.dumps({"doc_id": doc_id, "fields": {}}) + "\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = {
+        "inspect": ["inspect", "--pred", str(values), "--gold", str(values)],
+        "extract": ["extract", "--model", str(trained_dir / "model.ffrg")],
+    }[command]
+    assert run(*argv, "--docs", str(docs), "--out", str(work / "out.jsonl"),
+               "--svg", str(work / "svg")) == 1
+    assert f"doc_id {doc_id!r} is not a file name" in caplog.text
+    assert list(work.iterdir()) == []  # no output, no SVG directory, nothing beside it
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_docs", [False, True])
+def test_inspect_checks_its_svg_inputs_before_writing(synth_dir, tmp_path, with_docs, caplog):
+    # without --docs, or with a malformed overlay, inspect fails and writes nothing
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"doc_id": "d", "predictions": "x"}) + "\n")
+    extra = ["--docs", str(synth_dir / "docs.jsonl"), "--overlay", str(bad)] if with_docs else []
+    gold = str(synth_dir / "gold.jsonl")
+    out = tmp_path / "out.jsonl"
+    assert run("inspect", "--pred", gold, "--gold", gold, "--out", str(out),
+               "--svg", str(tmp_path / "svg"), *extra) == 1
+    assert ("overlay line 1" if with_docs else "--svg requires --docs") in caplog.text
+    assert not out.exists() and not (tmp_path / "svg").exists()
+
+
 # --- config files -------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):

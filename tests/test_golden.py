@@ -9,7 +9,7 @@ another build the test fails and names the mismatch rather than skip.
 
 import json
 
-from golden_digests import PATH, build, compute
+from golden_digests import PATH, compute, other_build
 
 RERECORD = "re-record with `PYTHONPATH=src python scripts/record_golden.py`"
 
@@ -17,13 +17,9 @@ RERECORD = "re-record with `PYTHONPATH=src python scripts/record_golden.py`"
 def test_outputs_match_golden_digests():
     with open(PATH, encoding="utf-8") as f:
         want = json.load(f)
-    here = build()
-    other_build = [
-        f"{k}: recorded on {want['build'].get(k)!r}, running on {v!r}"
-        for k, v in here.items() if want["build"].get(k) != v
-    ]
-    assert not other_build, (
-        "golden digests come from another build (" + "; ".join(other_build)
+    mismatch = other_build(want["build"])
+    assert not mismatch, (
+        "golden digests come from another build (" + "; ".join(mismatch)
         + f"); {RERECORD} on this one"
     )
     got = compute()["digests"]

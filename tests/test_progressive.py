@@ -214,8 +214,9 @@ TINY = TrainConfig(
 
 def test_training_is_deterministic():
     schema, docs, labels = _tiny_corpus()
-    a = train(docs, labels, schema, TINY)
-    b = train(docs, labels, schema, TINY)
+    features = featurize_corpus(docs)
+    a = train(docs, labels, schema, TINY, features)
+    b = train(docs, labels, schema, TINY, features)
     for key in tensor_keys(3):
         assert np.array_equal(a.params.tensors[key], b.params.tensors[key])
     assert a.refined[3] == b.refined[3]
@@ -223,8 +224,10 @@ def test_training_is_deterministic():
 
 def test_first_branch_is_frozen_after_stage_one():
     schema, docs, labels = _tiny_corpus()
-    solo = train(docs, labels, schema, TINY.__class__(**{**TINY.__dict__, "n_branches": 1}))
-    full = train(docs, labels, schema, TINY)
+    features = featurize_corpus(docs)
+    solo = train(docs, labels, schema, TINY.__class__(**{**TINY.__dict__, "n_branches": 1}),
+                 features)
+    full = train(docs, labels, schema, TINY, features)
     # stages 2..K never touch the trunk or branch 1
     for key in tensor_keys(1):
         assert np.array_equal(full.params.tensors[key], solo.params.tensors[key])
@@ -232,7 +235,7 @@ def test_first_branch_is_frozen_after_stage_one():
 
 def test_stage_bookkeeping_shapes():
     schema, docs, labels = _tiny_corpus()
-    res = train(docs, labels, schema, TINY)
+    res = train(docs, labels, schema, TINY, featurize_corpus(docs))
     assert sorted(res.refined) == [1, 2, 3]
     assert res.refined[2].provenance == "refined@branch_2"
     assert len(res.stage_losses) == 3
@@ -243,17 +246,18 @@ def test_stage_bookkeeping_shapes():
 
 def test_train_rejects_bad_inputs():
     schema, docs, labels = _tiny_corpus()
+    features = featurize_corpus(docs)
     with pytest.raises(ValidationError):
-        train([], labels, schema, TINY)
+        train([], labels, schema, TINY, [])
     missing = labels.__class__("partial")
     with pytest.raises(ValidationError):
-        train(docs, missing, schema, TINY)
+        train(docs, missing, schema, TINY, features)
     stray = labels.__class__("stray")
     for doc in docs:
         stray.add_document(doc.doc_id)
     stray.set_label(docs[0].doc_id, len(docs[0].words), 1)  # one past the last word
     with pytest.raises(ValidationError):
-        train(docs, stray, schema, TINY)
+        train(docs, stray, schema, TINY, features)
 
 
 def test_trunk_cache_leaves_training_bit_identical(monkeypatch):
@@ -264,10 +268,11 @@ def test_trunk_cache_leaves_training_bit_identical(monkeypatch):
     docs, _, _ = generate(preset_config("clean", 17, seed=2), schema)
     assert max(len(d.words) for d in docs) <= 28
     labels, _ = bootstrap_corpus(docs, schema)
+    features = featurize_corpus(docs)
     cfg = TrainConfig(n_branches=3, epochs_step1=1, epochs_step2=2, seed=2, lr=3e-3)
-    cached = train(docs, labels, schema, cfg)
+    cached = train(docs, labels, schema, cfg, features)
     monkeypatch.setattr("ffrg.progressive.TrunkCache", lambda *args: None)
-    uncached = train(docs, labels, schema, cfg)
+    uncached = train(docs, labels, schema, cfg, features)
     for key in tensor_keys(3):
         assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
     assert cached.refined == uncached.refined
@@ -284,15 +289,16 @@ def test_cached_refinement_leaves_training_bit_identical(monkeypatch):
     sizes = [len(d.words) for d in docs]
     assert min(sizes) <= 28 < max(sizes)
     labels, _ = bootstrap_corpus(docs, schema)
+    features = featurize_corpus(docs)
     cfg = TrainConfig(n_branches=3, epochs_step1=1, epochs_step2=1, seed=6, lr=3e-3)
     calls = []
     monkeypatch.setattr(
         "ffrg.progressive.forward", lambda p, x, b: calls.append(x.shape[0]) or forward(p, x, b)
     )
-    cached = train(docs, labels, schema, cfg)
+    cached = train(docs, labels, schema, cfg, features)
     assert calls and max(calls) <= 28  # only the short documents take their own pass
     monkeypatch.setattr("ffrg.progressive.TrunkCache", lambda *args: None)
-    uncached = train(docs, labels, schema, cfg)
+    uncached = train(docs, labels, schema, cfg, features)
     for key in tensor_keys(3):
         assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
     assert cached.refined == uncached.refined
@@ -409,7 +415,7 @@ def test_config_rejects_non_finite_floats(name, value):
 
 def test_ensemble_is_the_branch_mean(rng):
     schema, docs, labels = _tiny_corpus()
-    res = train(docs, labels, schema, TINY)
+    res = train(docs, labels, schema, TINY, featurize_corpus(docs))
     x = rng.normal(size=(9, 552))
     mean = (
         forward(res.params, x, 1) + forward(res.params, x, 2) + forward(res.params, x, 3)
