@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .datatypes import TYPE_SETS, DataType, type_of
-from .docmodel import Document
+from .docmodel import Document, ValidationError
 
 TRIGRAM_DIM = 256
 FLAG_DIM = 16
@@ -122,6 +122,52 @@ def featurize(doc: Document) -> np.ndarray:
     return out
 
 
-def featurize_corpus(docs: Sequence[Document], threads: int | None = None) -> list[np.ndarray]:
-    """One feature matrix per document; ``threads`` is accepted and not read."""
-    return [featurize(doc) for doc in docs]
+class CorpusFeatures:
+    """The feature matrices of a corpus, held as their nonzero bits.
+
+    Document i keeps the flat positions (int32) and values of the entries
+    of its dense matrix whose bits are nonzero, so -0.0 is kept and a
+    filled batch is bit-equal to ``np.concatenate`` of the dense matrices.
+    ``offsets[i]`` is document i's first row in corpus order.  featurize's
+    m x m neighbour matrix bounds m far below 2**31 / 552 (about 3.9 M
+    words), so a document's positions fit in int32.
+    """
+
+    def __init__(self, matrices: Iterable[np.ndarray], width: int = FEATURE_DIM):
+        self.width = width
+        self._docs: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rows, positions, values)
+        for x in matrices:
+            if x.ndim != 2 or x.shape[1] != width:
+                raise ValidationError(f"feature matrix of shape {x.shape} is not {width} wide")
+            flat = x.ravel()
+            pos = np.flatnonzero(flat.view(np.uint64) != 0)
+            self._docs.append((x.shape[0], pos.astype(np.int32), flat[pos]))
+        self.offsets = np.zeros(len(self._docs) + 1, dtype=np.int64)
+        self.offsets[1:] = np.cumsum([rows for rows, _, _ in self._docs])
+        self.offsets.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._docs)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.batch([i])
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return map(self.__getitem__, range(len(self)))
+
+    def batch(self, doc_indices: Iterable[int]) -> np.ndarray:
+        """The dense rows of the given documents, stacked in the order given."""
+        picked = [self._docs[i] for i in doc_indices]
+        out = np.zeros((sum(rows for rows, _, _ in picked), self.width), dtype=np.float64)
+        flat = out.reshape(-1)
+        start = 0
+        for rows, pos, values in picked:
+            flat[start:][pos] = values
+            start += rows * self.width
+        return out
+
+
+def featurize_corpus(docs: Sequence[Document], threads: int | None = None) -> CorpusFeatures:
+    """Every document's features, one dense matrix at a time; ``threads``
+    is accepted and not read."""
+    return CorpusFeatures(featurize(doc) for doc in docs)

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .docmodel import FieldSchema, ValidationError
+from .features import CorpusFeatures
 
 CHECKPOINT_MAGIC = b"FFRG1"
 HEADER_BYTES = len(CHECKPOINT_MAGIC) + 32 + 20  # magic, schema digest, five dims
@@ -204,10 +205,9 @@ class TrunkCache:
     pass is not small.
     """
 
-    def __init__(self, params: ModelParams, features: Sequence[np.ndarray], block_docs: int):
+    def __init__(self, params: ModelParams, features: CorpusFeatures, block_docs: int):
         self._per_row = params.d_in * params.hidden
-        offsets = np.zeros(len(features) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([f.shape[0] for f in features])
+        offsets = features.offsets
         n = len(features)
         rows = np.empty((int(offsets[-1]), params.hidden), dtype=np.float64)
         lo = 0
@@ -217,7 +217,7 @@ class TrunkCache:
                 hi += 1
             if self._small(offsets[n] - offsets[hi]):
                 hi = n  # a small remainder joins this block
-            block = np.concatenate(features[lo:hi], axis=0)
+            block = features.batch(range(lo, hi))
             trunk_activations(params, block, out=rows[offsets[lo] : offsets[hi]])
             lo = hi
         self.rows = rows

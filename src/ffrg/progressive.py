@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .docmodel import Document, FieldSchema, LabelSet, ValidationError
-from .features import FEATURE_DIM
+from .features import FEATURE_DIM, CorpusFeatures
 from .model import (
     AdamState,
     ModelParams,
@@ -144,8 +144,8 @@ def refine_labels(
     return labels
 
 
-def _check_features(docs: Sequence[Document], features: Sequence[np.ndarray]) -> None:
-    if [f.shape[0] for f in features] != [len(doc.words) for doc in docs]:
+def _check_features(docs: Sequence[Document], features: CorpusFeatures) -> None:
+    if not np.array_equal(np.diff(features.offsets), [len(doc.words) for doc in docs]):
         raise ValidationError("feature matrices do not have one row per word of each document")
 
 
@@ -159,7 +159,7 @@ def train(
     rule_labels: LabelSet,
     schema: FieldSchema,
     cfg: TrainConfig,
-    features: Sequence[np.ndarray],
+    features: CorpusFeatures,
     threads: int | None = None,
 ) -> TrainResult:
     """Stage-wise training; deterministic for a fixed config and seed.
@@ -188,10 +188,8 @@ def train(
         branch_hidden=cfg.branch_hidden,
         seed=cfg.seed,
     )
-    # corpus row offsets, as TrunkCache lays out its rows; batches gather
-    # activations and labels with one row index
-    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(doc.words) for doc in docs])
+    # batches gather activations and labels with one corpus row index
+    offsets = features.offsets
     doc_rows = [np.arange(offsets[i], offsets[i + 1]) for i in range(len(docs))]
     y_by_source: dict[int, np.ndarray] = {0: _label_rows(docs, rule_labels, offsets)}
     trainable = [i for i in range(len(docs)) if len(docs[i].words) > 0]
@@ -222,7 +220,7 @@ def train(
                 x = None
                 if h is None:
                     # one trunk pass, shared by every branch of the step
-                    x = np.concatenate([features[i] for i in batch], axis=0)
+                    x = features.batch(batch)
                     h = trunk_activations(params, x)
                 y = {src: np.take(ys, rows) for src, ys in y_by_source.items()}
                 loss = 0.0
@@ -323,7 +321,7 @@ def extract_corpus(
     params: ModelParams,
     docs: Sequence[Document],
     schema: FieldSchema,
-    features: Sequence[np.ndarray],
+    features: CorpusFeatures,
     threshold: float = 0.1,
     threads: int | None = None,
 ) -> dict[str, dict[str, str]]:

@@ -2,6 +2,7 @@
 identity with a per-word reference implementation."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import make_doc, random_doc
 from ffrg import features
 from ffrg.datatypes import DataType, type_of
-from ffrg.docmodel import Document
+from ffrg.docmodel import Document, ValidationError
 from ffrg.features import (
     BASE_DIM,
     CONTEXT_RADIUS,
@@ -17,9 +18,11 @@ from ffrg.features import (
     FLAG_DIM,
     GEOMETRY_DIM,
     TRIGRAM_DIM,
+    CorpusFeatures,
     featurize,
     featurize_corpus,
 )
+from ffrg.synth import generate, preset_config
 from golden_digests import dense_pages, negative_zero_page
 
 
@@ -120,6 +123,63 @@ def test_corpus_featurization_matches_per_document(rng):
     rows = featurize_corpus(docs)
     for doc, row in zip(docs, rows):
         assert np.array_equal(row, featurize(doc))
+
+
+def test_held_features_keep_negative_zero():
+    page = negative_zero_page()
+    dense = featurize(page)
+    assert np.any(np.signbit(dense) & (dense == 0.0))
+    held = featurize_corpus([page])
+    assert held[0].tobytes() == dense.tobytes()
+    assert held.batch([0, 0]).tobytes() == np.concatenate([dense, dense]).tobytes()
+
+
+def test_held_features_keep_a_zero_word_document(rng):
+    docs = [random_doc(rng, 7, doc_id="a"), make_doc([], doc_id="empty"),
+            random_doc(rng, 5, doc_id="b")]
+    dense = [featurize(doc) for doc in docs]
+    held = featurize_corpus(docs)
+    assert len(held) == 3 and held.offsets.tolist() == [0, 7, 7, 12]
+    assert held[1].tobytes() == dense[1].tobytes()
+    assert held[1].shape == (0, FEATURE_DIM)
+    for order in ([0, 1, 2], [2, 1, 0], [1, 2, 1, 0]):
+        want = np.concatenate([dense[i] for i in order])
+        assert held.batch(order).tobytes() == want.tobytes()
+    assert [x.tobytes() for x in held] == [x.tobytes() for x in dense]
+
+
+def test_held_batches_are_the_dense_concatenation(schema):
+    docs, _, _ = generate(preset_config("noisy-bench", 40, seed=3), schema)
+    dense = [featurize(doc) for doc in docs]
+    held = featurize_corpus(docs)
+    assert np.diff(held.offsets).tolist() == [len(doc.words) for doc in docs]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        batch = rng.permutation(len(docs))[:8].tolist()
+        want = np.concatenate([dense[i] for i in batch], axis=0)
+        assert held.batch(batch).tobytes() == want.tobytes()
+
+
+def test_held_features_keep_the_width_they_are_given():
+    held = CorpusFeatures([np.zeros((4, 1)), np.ones((2, 1))], width=1)
+    want = np.array([[1.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
+    assert held.batch([1, 0]).tobytes() == want.tobytes()
+    with pytest.raises(ValidationError, match="not 552 wide"):
+        CorpusFeatures([np.zeros((4, 1))])
+
+
+def test_corpus_features_take_a_fraction_of_the_dense_bytes(schema):
+    docs, _, _ = generate(preset_config("noisy-bench", 200, seed=0), schema)
+    featurize_corpus(docs)  # fill the trigram memo, so the trace holds the features alone
+    dense_bytes = sum(len(doc.words) for doc in docs) * FEATURE_DIM * 8
+    tracemalloc.start()
+    try:
+        held = featurize_corpus(docs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 200
+    assert peak < 0.3 * dense_bytes, peak / dense_bytes
 
 
 # Reference: featurize as it was written word by word, one numpy vector per

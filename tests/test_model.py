@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ffrg.docmodel import ValidationError, default_invoice_schema
-from ffrg.features import FEATURE_DIM, featurize_corpus
+from ffrg.features import FEATURE_DIM, CorpusFeatures, featurize_corpus
 from ffrg.model import (
     BETA1,
     BETA2,
@@ -197,7 +197,7 @@ def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
     docs, _, _ = generate(preset_config("clean", 3, seed=1), schema)
     feats = [f[:1] for f in featurize_corpus(docs)] * 40
     params = init_params(FEATURE_DIM, schema.n_fields, 2, schema.digest(), seed=1)
-    cache = TrunkCache(params, feats, 8)
+    cache = TrunkCache(params, CorpusFeatures(feats), 8)
     assert list(cache.offsets) == list(range(121))
     whole = trunk_activations(params, np.concatenate(feats, axis=0))
     assert np.array_equal(cache.rows, whole)

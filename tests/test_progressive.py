@@ -12,7 +12,7 @@ from ffrg import docmodel, grouping
 from ffrg.docmodel import (
     Phrase, ValidationError, default_invoice_schema, parse_document, serialize_document,
 )
-from ffrg.features import featurize_corpus
+from ffrg.features import CorpusFeatures, featurize_corpus
 from ffrg.grouping import group_document
 from ffrg.model import forward, tensor_keys
 from ffrg.progressive import (
@@ -248,7 +248,7 @@ def test_train_rejects_bad_inputs():
     schema, docs, labels = _tiny_corpus()
     features = featurize_corpus(docs)
     with pytest.raises(ValidationError):
-        train([], labels, schema, TINY, [])
+        train([], labels, schema, TINY, CorpusFeatures([]))
     missing = labels.__class__("partial")
     with pytest.raises(ValidationError):
         train(docs, missing, schema, TINY, features)
@@ -363,9 +363,9 @@ def test_the_pipeline_orders_and_groups_each_document_once(monkeypatch, schema):
 
 def test_train_rejects_features_of_another_corpus():
     schema, docs, labels = _tiny_corpus()
-    feats = featurize_corpus(docs)
+    feats = list(featurize_corpus(docs))
     with pytest.raises(ValidationError, match="one row per word"):
-        train(docs, labels, schema, TINY, features=feats[1:] + feats[:1])
+        train(docs, labels, schema, TINY, features=CorpusFeatures(feats[1:] + feats[:1]))
 
 
 def test_extract_rejects_features_of_another_corpus(schema):
@@ -378,7 +378,7 @@ def test_extract_rejects_features_of_another_corpus(schema):
     feats = [np.zeros((len(doc.words), 1)) for doc in docs]
     for bad in (feats[1:] + feats[:1], feats[:3], feats + feats):
         with pytest.raises(ValidationError, match="one row per word"):
-            extract_corpus(None, docs, schema, bad)
+            extract_corpus(None, docs, schema, CorpusFeatures(bad, width=1))
     for rows in (2, 4):
         with pytest.raises(ValidationError, match=f"{rows} rows for the 3 words of document d3"):
             extract_values(None, docs[2], np.zeros((rows, 1)), schema)
@@ -472,7 +472,7 @@ def test_extract_threshold_bounds_are_accepted(monkeypatch, schema, threshold, e
     probs[1, 0] = 0.04
     probs[1, date_cls] = 0.90
     assert _patched_extract(monkeypatch, probs, schema, doc, threshold) == expected
-    features = [np.zeros((4, 1))]
+    features = CorpusFeatures([np.zeros((4, 1))], width=1)
     assert extract_corpus(None, [doc], schema, features, threshold=threshold) == {"v": expected}
 
 
