@@ -128,17 +128,20 @@ class CorpusFeatures:
     Document i keeps the flat positions (int32) and values of the entries
     of its dense matrix whose bits are nonzero, so -0.0 is kept and a
     filled batch is bit-equal to ``np.concatenate`` of the dense matrices.
-    ``offsets[i]`` is document i's first row in corpus order.  featurize's
-    m x m neighbour matrix bounds m far below 2**31 / 552 (about 3.9 M
-    words), so a document's positions fit in int32.
+    ``offsets[i]`` is document i's first row in corpus order; ``width`` is
+    the first matrix's (552 for an empty corpus).  featurize's m x m
+    neighbour matrix bounds m far below 2**31 / 552 (about 3.9 M words), so
+    a document's positions fit in int32.
     """
 
-    def __init__(self, matrices: Iterable[np.ndarray], width: int = FEATURE_DIM):
-        self.width = width
+    def __init__(self, matrices: Iterable[np.ndarray]):
+        self.width = FEATURE_DIM
         self._docs: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rows, positions, values)
         for x in matrices:
-            if x.ndim != 2 or x.shape[1] != width:
-                raise ValidationError(f"feature matrix of shape {x.shape} is not {width} wide")
+            if not self._docs and x.ndim == 2:
+                self.width = x.shape[1]
+            if x.ndim != 2 or x.shape[1] != self.width:
+                raise ValidationError(f"feature matrix of shape {x.shape} is not {self.width} wide")
             flat = x.ravel()
             pos = np.flatnonzero(flat.view(np.uint64) != 0)
             self._docs.append((x.shape[0], pos.astype(np.int32), flat[pos]))

@@ -161,11 +161,11 @@ def test_held_batches_are_the_dense_concatenation(schema):
 
 
 def test_held_features_keep_the_width_they_are_given():
-    held = CorpusFeatures([np.zeros((4, 1)), np.ones((2, 1))], width=1)
+    held = CorpusFeatures([np.zeros((4, 1)), np.ones((2, 1))])
     want = np.array([[1.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
     assert held.batch([1, 0]).tobytes() == want.tobytes()
-    with pytest.raises(ValidationError, match="not 552 wide"):
-        CorpusFeatures([np.zeros((4, 1))])
+    with pytest.raises(ValidationError, match=r"\(2, 2\) is not 1 wide"):
+        CorpusFeatures([np.zeros((4, 1)), np.ones((2, 2))])
 
 
 def test_corpus_features_take_a_fraction_of_the_dense_bytes(schema):

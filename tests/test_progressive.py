@@ -378,7 +378,7 @@ def test_extract_rejects_features_of_another_corpus(schema):
     feats = [np.zeros((len(doc.words), 1)) for doc in docs]
     for bad in (feats[1:] + feats[:1], feats[:3], feats + feats):
         with pytest.raises(ValidationError, match="one row per word"):
-            extract_corpus(None, docs, schema, CorpusFeatures(bad, width=1))
+            extract_corpus(None, docs, schema, CorpusFeatures(bad))
     for rows in (2, 4):
         with pytest.raises(ValidationError, match=f"{rows} rows for the 3 words of document d3"):
             extract_values(None, docs[2], np.zeros((rows, 1)), schema)
@@ -472,7 +472,7 @@ def test_extract_threshold_bounds_are_accepted(monkeypatch, schema, threshold, e
     probs[1, 0] = 0.04
     probs[1, date_cls] = 0.90
     assert _patched_extract(monkeypatch, probs, schema, doc, threshold) == expected
-    features = CorpusFeatures([np.zeros((4, 1))], width=1)
+    features = CorpusFeatures([np.zeros((4, 1))])
     assert extract_corpus(None, [doc], schema, features, threshold=threshold) == {"v": expected}
 
 
