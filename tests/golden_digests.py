@@ -36,11 +36,17 @@ SEED = 0
 # K=3 pipelines at lr 3e-3, small enough for tier-1: (preset, documents,
 # epochs of step 1, epochs of steps 2..K, two-step).  "clean17" ends each
 # epoch on a one-document batch, whose trunk pass takes OpenBLAS's small
-# kernel and so must not be read from the trunk cache.
+# kernel and so must not be read from the trunk cache.  The first three
+# keep almost no refinement anchors and extract no values; the "-e20" runs
+# train long enough that every refinement keeps anchors and extraction
+# returns values, so they pin the weights each refinement reads.
 PIPELINES = {
     "noisy": ("noisy-bench", 60, 2, 3, True),
     "noisy-single-step": ("noisy-bench", 60, 2, 3, False),
     "clean17": ("clean", 17, 2, 10, True),
+    "clean17-e20": ("clean", 17, 10, 20, True),
+    "clean17-e20-single-step": ("clean", 17, 10, 20, False),
+    "noisy-e20-single-step": ("noisy-bench", 60, 3, 20, False),
 }
 
 
