@@ -184,11 +184,6 @@ def branch_probs(params: ModelParams, activations: np.ndarray, branch: int) -> n
     return _head(params, activations, branch)[1]
 
 
-def forward(params: ModelParams, features: np.ndarray, branch: int) -> np.ndarray:
-    """(M, N+1) softmax probability rows for one branch."""
-    return branch_probs(params, trunk_activations(params, features), branch)
-
-
 # OpenBLAS sends a matmul whose M*N*K is at most this to a small-matrix
 # kernel that rounds differently from its blocked kernel, so trunk rows
 # computed in a batch this small differ by about an ulp from the same rows
@@ -197,15 +192,18 @@ SMALL_MATMUL = 1_000_000
 
 
 class TrunkCache:
-    """Frozen-trunk activations of a whole corpus, gathered per batch.
+    """The trunk rows of a whole corpus under fixed trunk weights.
 
     The rows are filled in corpus-order blocks of at least block_docs
     documents, each grown until its matmul clears the small-kernel cutoff,
-    so every row is bit-equal to the same row of any batch whose own trunk
-    pass is not small.
+    so every row is bit-equal to the same row of any request whose own trunk
+    pass is not small.  A request that small gets its own pass, so whatever
+    the request, its rows are bit-equal to its own pass.  The cache reads
+    params when asked, so it holds only while the trunk tensors are unchanged.
     """
 
     def __init__(self, params: ModelParams, features: CorpusFeatures, block_docs: int):
+        self.params, self.features = params, features
         self._per_row = params.d_in * params.hidden
         offsets = features.offsets
         n = len(features)
@@ -226,16 +224,19 @@ class TrunkCache:
     def _small(self, n_rows: int) -> bool:
         return n_rows * self._per_row <= SMALL_MATMUL
 
-    def batch(self, rows: Sequence[int] | np.ndarray) -> np.ndarray | None:
-        """The given corpus rows in order, or None for a batch whose own
-        trunk pass takes the small kernel and so must be recomputed."""
-        return None if self._small(len(rows)) else np.take(self.rows, rows, axis=0)
+    def batch(self, docs: Sequence[int], row_index: np.ndarray) -> np.ndarray:
+        """The trunk rows of the given documents in order; row_index is
+        their corpus rows, concatenated in the same order."""
+        if self._small(len(row_index)):
+            return trunk_activations(self.params, self.features.batch(docs))
+        return np.take(self.rows, row_index, axis=0)
 
-    def document(self, i: int) -> np.ndarray | None:
-        """Document i's rows, or None when its own trunk pass takes the small
-        kernel and so must be recomputed."""
+    def document(self, i: int) -> np.ndarray:
+        """Document i's trunk rows."""
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        return None if self._small(hi - lo) else self.rows[lo:hi]
+        if self._small(hi - lo):
+            return trunk_activations(self.params, self.features[i])
+        return self.rows[lo:hi]
 
 
 def branch_loss_and_grad(

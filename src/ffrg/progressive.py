@@ -28,7 +28,6 @@ from .model import (
     adam_step,
     branch_loss_and_grad,
     branch_probs,
-    forward,
     init_params,
     trunk_activations,
 )
@@ -164,11 +163,13 @@ def train(
 ) -> TrainResult:
     """Stage-wise training; deterministic for a fixed config and seed.
 
-    With two-step training the trunk is frozen after stage 1, so stages
-    2..K and their refinements run on its activations, computed once for
-    the whole corpus.  Otherwise each step takes one trunk pass over its
-    batch, shared by the branches it trains.  ``threads`` is accepted and
-    not read.
+    A step that trains the trunk takes one trunk pass over its batch,
+    shared by the branches it trains.  Every refinement, and with two-step
+    training every step of stages 2..K, reads its trunk rows from a
+    TrunkCache.  Two-step training freezes the trunk after stage 1, so one
+    cache serves every later stage; single-step training builds one per
+    refinement from the current weights.  ``threads`` is accepted and not
+    read.
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
@@ -200,7 +201,7 @@ def train(
     stage_losses: list[list[float]] = []
     cache: TrunkCache | None = None
 
-    def run_stage(stage: int) -> None:
+    def run_stage(stage: int, frozen: TrunkCache | None) -> None:
         # Per-stage work: which branches get gradient updates, on what terms.
         if stage == 1 or not cfg.two_step:
             specs = [(b, _branch_terms(b, cfg.beta), True) for b in range(1, stage + 1)]
@@ -216,12 +217,12 @@ def train(
             for start in range(0, len(perm), cfg.batch_docs):
                 batch = [trainable[i] for i in perm[start : start + cfg.batch_docs]]
                 rows = np.concatenate([doc_rows[i] for i in batch])
-                h = cache.batch(rows) if cache is not None else None
-                x = None
-                if h is None:
+                if frozen is None:
                     # one trunk pass, shared by every branch of the step
                     x = features.batch(batch)
                     h = trunk_activations(params, x)
+                else:
+                    x, h = None, frozen.batch(batch, rows)
                 y = {src: np.take(ys, rows) for src, ys in y_by_source.items()}
                 loss = 0.0
                 grads: dict[str, np.ndarray] = {}
@@ -239,28 +240,26 @@ def train(
         stage_losses.append(epoch_losses)
 
     def refine(branch: int) -> LabelSet:
-        # a document reads its rows from the cache unless its own trunk pass
-        # takes the small kernel, whose rows differ in the last bits
-        def doc_probs(i: int) -> np.ndarray:
-            h = cache.document(i) if cache is not None else None
-            if h is None:
-                return forward(params, features[i], branch)
-            return branch_probs(params, h, branch)
-
-        probs = [doc_probs(i) for i in range(len(docs))]
+        nonlocal cache
+        if cache is None or not cfg.two_step:
+            cache = TrunkCache(params, features, cfg.batch_docs)
+        probs = [branch_probs(params, cache.document(i), branch) for i in range(len(docs))]
         return refine_labels(docs, probs, n_fields, cfg.refine_threshold,
                              f"refined@branch_{branch}")
 
     for stage in range(1, cfg.n_branches + 1):
         if stage >= 2:
-            if cfg.two_step and cache is None:
-                cache = TrunkCache(params, features, cfg.batch_docs)
             # one-shot refinement from the previous branch over the train set
             refined[stage - 1] = refine(stage - 1)
             y_by_source[stage - 1] = _label_rows(docs, refined[stage - 1], offsets)
-        run_stage(stage)
+        run_stage(stage, cache if cfg.two_step else None)
     refined[cfg.n_branches] = refine(cfg.n_branches)
     return TrainResult(params, refined, stage_losses)
+
+
+def check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
 
 
 def ensemble_predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -279,21 +278,24 @@ def extract_values(
     schema: FieldSchema,
     threshold: float = 0.1,
 ) -> dict[str, str]:
-    """Field values for one document from the ensemble scores.
-
-    The refinement rule picks one anchor word per field; the value is the
-    maximal contiguous argmax run around the anchor inside its phrase.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
+    """Field values for one document from the ensemble scores."""
     if features.shape[0] != len(doc.words):
         raise ValidationError(
             f"feature matrix has {features.shape[0]} rows for the {len(doc.words)} words"
             f" of document {doc.doc_id}"
         )
-    if len(doc.words) == 0:
-        return {}
-    probs = ensemble_predict(params, features)
+    return values_from_probs(doc, ensemble_predict(params, features), schema, threshold)
+
+
+def values_from_probs(
+    doc: Document, probs: np.ndarray, schema: FieldSchema, threshold: float = 0.1
+) -> dict[str, str]:
+    """Field values for one document from its ensemble probability rows.
+
+    The refinement rule picks one anchor word per field; the value is the
+    maximal contiguous argmax run around the anchor inside its phrase.
+    """
+    check_threshold(threshold)
     anchors = _select_anchors(probs, doc.order, schema.n_fields, threshold)
     if not anchors:
         return {}
@@ -326,17 +328,9 @@ def extract_corpus(
     threads: int | None = None,
 ) -> dict[str, dict[str, str]]:
     """Field values per document id; ``threads`` is accepted and not read."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
+    check_threshold(threshold)
     _check_features(docs, features)
     return {
         doc.doc_id: extract_values(params, doc, features[i], schema, threshold)
         for i, doc in enumerate(docs)
     }
-
-
-def predict_word_classes(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Per-word argmax class under the ensemble (0 is background)."""
-    if features.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return ensemble_predict(params, features).argmax(axis=1)

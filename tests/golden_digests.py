@@ -36,10 +36,11 @@ SEED = 0
 # K=3 pipelines at lr 3e-3, small enough for tier-1: (preset, documents,
 # epochs of step 1, epochs of steps 2..K, two-step).  "clean17" ends each
 # epoch on a one-document batch, whose trunk pass takes OpenBLAS's small
-# kernel and so must not be read from the trunk cache.  The first three
-# keep almost no refinement anchors and extract no values; the "-e20" runs
-# train long enough that every refinement keeps anchors and extraction
-# returns values, so they pin the weights each refinement reads.
+# kernel, so the trunk cache must answer it with the batch's own pass
+# rather than with its blocked rows.  The first three keep almost no
+# refinement anchors and extract no values; the "-e20" runs train long
+# enough that every refinement keeps anchors and extraction returns
+# values, so they pin the weights each refinement reads.
 PIPELINES = {
     "noisy": ("noisy-bench", 60, 2, 3, True),
     "noisy-single-step": ("noisy-bench", 60, 2, 3, False),

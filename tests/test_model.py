@@ -25,7 +25,6 @@ from ffrg.model import (
     adam_step,
     branch_loss_and_grad,
     branch_probs,
-    forward,
     init_params,
     load_model,
     save_model,
@@ -84,7 +83,7 @@ def test_forward_rows_are_distributions(rng):
     params = small_params()
     x = rng.normal(size=(17, 10))
     for branch in (1, 2, 3):
-        probs = forward(params, x, branch)
+        probs = branch_probs(params, trunk_activations(params, x), branch)
         assert probs.shape == (17, 4)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert (probs > 0).all()
@@ -93,14 +92,14 @@ def test_forward_rows_are_distributions(rng):
 def test_forward_validates_inputs(rng):
     params = small_params()
     with pytest.raises(ValidationError):
-        forward(params, rng.normal(size=(3, 9)), 1)
+        trunk_activations(params, rng.normal(size=(3, 9)))
     with pytest.raises(ValidationError):
-        forward(params, rng.normal(size=(3, 10)), 4)
+        branch_probs(params, trunk_activations(params, rng.normal(size=(3, 10))), 4)
 
 
 def test_fresh_model_on_zero_features_is_uniform():
     params = small_params()
-    probs = forward(params, np.zeros((5, 10)), 1)
+    probs = branch_probs(params, trunk_activations(params, np.zeros((5, 10))), 1)
     assert np.allclose(probs, 0.25)
 
 
@@ -174,9 +173,9 @@ def test_cached_trunk_step_is_bit_identical(schema):
     for batch in ([17, 3, 9, 22, 0, 11, 6, 14], [23, 1, 5, 12, 19, 8, 2, 20]):
         x = np.concatenate([feats[i] for i in batch], axis=0)
         h = cache.batch(
-            np.concatenate([np.arange(cache.offsets[i], cache.offsets[i + 1]) for i in batch])
+            batch,
+            np.concatenate([np.arange(cache.offsets[i], cache.offsets[i + 1]) for i in batch]),
         )
-        assert h is not None
         targets = [
             (w, rng.integers(0, params.n_classes, size=x.shape[0])) for w in (1.0, 0.5)
         ]
@@ -201,9 +200,11 @@ def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
     assert list(cache.offsets) == list(range(121))
     whole = trunk_activations(params, np.concatenate(feats, axis=0))
     assert np.array_equal(cache.rows, whole)
-    # a batch that small must take its own trunk pass
-    assert cache.batch(range(28)) is None
-    assert np.array_equal(cache.batch(range(29)), whole[:29])
+    # a request that small gets its own trunk pass, bit for bit
+    own = trunk_activations(params, np.concatenate(feats[:28], axis=0))
+    assert cache.batch(range(28), np.arange(28)).tobytes() == own.tobytes()
+    assert cache.document(0).tobytes() == trunk_activations(params, feats[0]).tobytes()
+    assert np.array_equal(cache.batch(range(29), np.arange(29)), whole[:29])
 
 
 def test_cached_document_rows_give_forward_probabilities(schema):
@@ -216,11 +217,11 @@ def test_cached_document_rows_give_forward_probabilities(schema):
     params = init_params(FEATURE_DIM, schema.n_fields, 3, schema.digest(), seed=4)
     cache = TrunkCache(params, feats, 8)
     for i, f in enumerate(feats):
-        h = cache.document(i)
-        assert (h is None) == (f.shape[0] <= 28)
-        if h is not None:
-            for branch in (1, 2, 3):
-                assert np.array_equal(branch_probs(params, h, branch), forward(params, f, branch))
+        # short documents take their own pass, long ones read the blocked rows
+        h, own = cache.document(i), trunk_activations(params, f)
+        assert h.tobytes() == own.tobytes()
+        for branch in (1, 2, 3):
+            assert np.array_equal(branch_probs(params, h, branch), branch_probs(params, own, branch))
 
 
 def numeric_gradient(params, x, targets, branch, train_trunk, key, idx, h=1e-6):

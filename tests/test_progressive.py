@@ -14,7 +14,8 @@ from ffrg.docmodel import (
 )
 from ffrg.features import CorpusFeatures, featurize_corpus
 from ffrg.grouping import group_document
-from ffrg.model import forward, tensor_keys
+from ffrg import model
+from ffrg.model import branch_probs, tensor_keys, trunk_activations
 from ffrg.progressive import (
     TrainConfig,
     _select_anchors,
@@ -260,23 +261,46 @@ def test_train_rejects_bad_inputs():
         train(docs, stray, schema, TINY, features)
 
 
+class _OwnPasses:
+    """The uncached reference: a TrunkCache stand-in that takes its own
+    trunk pass for every request."""
+
+    def __init__(self, params, features, block_docs):
+        self.params, self.features = params, features
+
+    def batch(self, docs, row_index):
+        return trunk_activations(self.params, self.features.batch(docs))
+
+    def document(self, i):
+        return trunk_activations(self.params, self.features[i])
+
+
+def _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg):
+    """Training with the trunk cache equals training with own passes, in
+    both training modes."""
+    labels, _ = bootstrap_corpus(docs, schema)
+    features = featurize_corpus(docs)
+    for two_step in (True, False):
+        mode = TrainConfig(**{**cfg.__dict__, "two_step": two_step})
+        cached = train(docs, labels, schema, mode, features)
+        with monkeypatch.context() as m:
+            m.setattr("ffrg.progressive.TrunkCache", _OwnPasses)
+            uncached = train(docs, labels, schema, mode, features)
+        for key in tensor_keys(3):
+            assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
+        assert cached.refined == uncached.refined
+        assert cached.stage_losses == uncached.stage_losses
+
+
 def test_trunk_cache_leaves_training_bit_identical(monkeypatch):
     # 17 short docs in batches of 8 end on a one-document batch small enough
-    # for the BLAS small-matrix kernel; with the cache turned off every
-    # stage-2..K step takes its own trunk pass, as joint steps do
+    # for the BLAS small-matrix kernel, which the cache must pass to its own
+    # trunk pass as joint steps take theirs
     schema = default_invoice_schema()
     docs, _, _ = generate(preset_config("clean", 17, seed=2), schema)
     assert max(len(d.words) for d in docs) <= 28
-    labels, _ = bootstrap_corpus(docs, schema)
-    features = featurize_corpus(docs)
     cfg = TrainConfig(n_branches=3, epochs_step1=1, epochs_step2=2, seed=2, lr=3e-3)
-    cached = train(docs, labels, schema, cfg, features)
-    monkeypatch.setattr("ffrg.progressive.TrunkCache", lambda *args: None)
-    uncached = train(docs, labels, schema, cfg, features)
-    for key in tensor_keys(3):
-        assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
-    assert cached.refined == uncached.refined
-    assert cached.stage_losses == uncached.stage_losses
+    _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg)
 
 
 def test_cached_refinement_leaves_training_bit_identical(monkeypatch):
@@ -288,21 +312,17 @@ def test_cached_refinement_leaves_training_bit_identical(monkeypatch):
     docs = clean[:3] + noisy + clean[3:]
     sizes = [len(d.words) for d in docs]
     assert min(sizes) <= 28 < max(sizes)
-    labels, _ = bootstrap_corpus(docs, schema)
-    features = featurize_corpus(docs)
+    own = []  # the rows of each trunk pass the cache takes outside its blocks
+
+    def counted(params, x, out=None):
+        if out is None:
+            own.append(x.shape[0])
+        return trunk_activations(params, x, out)
+
+    monkeypatch.setattr(model, "trunk_activations", counted)
     cfg = TrainConfig(n_branches=3, epochs_step1=1, epochs_step2=1, seed=6, lr=3e-3)
-    calls = []
-    monkeypatch.setattr(
-        "ffrg.progressive.forward", lambda p, x, b: calls.append(x.shape[0]) or forward(p, x, b)
-    )
-    cached = train(docs, labels, schema, cfg, features)
-    assert calls and max(calls) <= 28  # only the short documents take their own pass
-    monkeypatch.setattr("ffrg.progressive.TrunkCache", lambda *args: None)
-    uncached = train(docs, labels, schema, cfg, features)
-    for key in tensor_keys(3):
-        assert np.array_equal(cached.params.tensors[key], uncached.params.tensors[key])
-    assert cached.refined == uncached.refined
-    assert cached.stage_losses == uncached.stage_losses
+    _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg)
+    assert own and max(own) <= 28  # only the short documents take their own pass
 
 
 def test_k1_is_the_first_stage_of_k3():
@@ -417,8 +437,10 @@ def test_ensemble_is_the_branch_mean(rng):
     schema, docs, labels = _tiny_corpus()
     res = train(docs, labels, schema, TINY, featurize_corpus(docs))
     x = rng.normal(size=(9, 552))
+    h = trunk_activations(res.params, x)
     mean = (
-        forward(res.params, x, 1) + forward(res.params, x, 2) + forward(res.params, x, 3)
+        branch_probs(res.params, h, 1) + branch_probs(res.params, h, 2)
+        + branch_probs(res.params, h, 3)
     ) / 3.0
     assert np.array_equal(ensemble_predict(res.params, x), mean)
     assert np.allclose(ensemble_predict(res.params, x).sum(axis=1), 1.0, atol=1e-9)
@@ -466,7 +488,7 @@ def test_extract_threshold_outside_unit_interval_is_refused(monkeypatch, schema,
 @pytest.mark.parametrize("threshold, expected", [(0.0, {"inv_date": "5,"}), (1.0, {})])
 def test_extract_threshold_bounds_are_accepted(monkeypatch, schema, threshold, expected):
     doc = _value_doc()
-    date_cls = schema.field_by_name("inv_date").field_id
+    date_cls = next(f.field_id for f in schema.fields if f.name == "inv_date")
     probs = np.full((4, 8), 0.01)
     probs[:, 0] = 1.0 - 0.07
     probs[1, 0] = 0.04
@@ -478,7 +500,7 @@ def test_extract_threshold_bounds_are_accepted(monkeypatch, schema, threshold, e
 
 def test_value_expands_to_the_contiguous_argmax_run(monkeypatch, schema):
     doc = _value_doc()
-    date_cls = schema.field_by_name("inv_date").field_id
+    date_cls = next(f.field_id for f in schema.fields if f.name == "inv_date")
     probs = np.full((4, 8), 0.01)
     probs[:, 0] = 1.0 - 0.07
     for wid, p in [(0, 0.60), (1, 0.90), (2, 0.55)]:
@@ -490,7 +512,7 @@ def test_value_expands_to_the_contiguous_argmax_run(monkeypatch, schema):
 
 def test_value_run_stops_at_argmax_boundary(monkeypatch, schema):
     doc = _value_doc()
-    date_cls = schema.field_by_name("inv_date").field_id
+    date_cls = next(f.field_id for f in schema.fields if f.name == "inv_date")
     probs = np.full((4, 8), 0.01)
     probs[:, 0] = 1.0 - 0.07
     probs[1, 0] = 0.04
@@ -509,7 +531,7 @@ def test_no_anchor_above_threshold_emits_nothing(monkeypatch, schema):
 
 def test_run_expansion_respects_phrase_boundaries(monkeypatch, schema):
     doc = _value_doc()
-    date_cls = schema.field_by_name("inv_date").field_id
+    date_cls = next(f.field_id for f in schema.fields if f.name == "inv_date")
     probs = np.full((4, 8), 0.01)
     probs[:, 0] = 1.0 - 0.07
     for wid, p in [(0, 0.60), (1, 0.90), (2, 0.55), (3, 0.52)]:
