@@ -23,10 +23,12 @@ from typing import Any, Callable
 from . import bootstrap as bs
 from . import docmodel as dm
 from .evaluation import normalize_value, score, write_report
-from .features import featurize_corpus
+from .features import featurize, featurize_corpus
 from .grouping import GroupingConfig, group_document
 from .model import load_model, save_model
-from .progressive import TrainConfig, extract_corpus, predict_word_classes, train
+from .progressive import (
+    TrainConfig, check_threshold, ensemble_predict, extract_corpus, train, values_from_probs,
+)
 from .similarity import string_distance
 from .synth import generate, preset_config, corruption_report, PRESETS
 
@@ -225,28 +227,27 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
     params = load_model(opts["model"], schema)
     docs = dm.read_documents(opts["docs"])
     svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
-    features = featurize_corpus(docs)
-    values = extract_corpus(params, docs, schema, features, threshold=opts["threshold"])
+    check_threshold(opts["threshold"])
+    # values and overlay classes read one probability matrix per document
+    values, overlay_rows = {}, []
+    for doc in docs:
+        probs = ensemble_predict(params, featurize(doc))
+        values[doc.doc_id] = values_from_probs(doc, probs, schema, opts["threshold"])
+        positives = [[w, c] for w, c in enumerate(probs.argmax(axis=1).tolist()) if c > 0]
+        overlay_rows.append(
+            {"doc_id": doc.doc_id, "predictions": positives, "fields": values[doc.doc_id]}
+        )
     dm.write_annotations(opts["out"], values)
-    if opts["overlay"] or opts["svg"]:
-        overlay_rows = []
-        for doc, feats in zip(docs, features):
-            classes = predict_word_classes(params, feats)
-            positives = [[int(w), int(c)] for w, c in enumerate(classes) if c > 0]
-            overlay_rows.append(
-                {"doc_id": doc.doc_id, "predictions": positives,
-                 "fields": values[doc.doc_id]}
-            )
-        if opts["overlay"]:
-            with open(opts["overlay"], "w", encoding="utf-8") as f:
-                for row in overlay_rows:
-                    f.write(json.dumps(row, ensure_ascii=False) + "\n")
-        if opts["svg"]:
-            os.makedirs(opts["svg"], exist_ok=True)
-            for doc, row, path in zip(docs, overlay_rows, svg_paths):
-                classes = {w: c for w, c in row["predictions"]}
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(_doc_svg(doc, classes, None))
+    if opts["overlay"]:
+        with open(opts["overlay"], "w", encoding="utf-8") as f:
+            for row in overlay_rows:
+                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+    if opts["svg"]:
+        os.makedirs(opts["svg"], exist_ok=True)
+        for doc, row, path in zip(docs, overlay_rows, svg_paths):
+            classes = {w: c for w, c in row["predictions"]}
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(_doc_svg(doc, classes, None))
     n = sum(len(v) for v in values.values())
     log.info("extracted %d values from %d documents", n, len(docs))
     return 0

@@ -476,12 +476,6 @@ class FieldSchema:
             raise KeyError(field_id)
         return self.fields[field_id - 1]
 
-    def field_by_name(self, name: str) -> SchemaField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             "fields": [

@@ -62,7 +62,7 @@ def key_score(text, field):
 
 
 def test_key_score_takes_best_key(schema):
-    field = schema.field_by_name("po_number")
+    field = next(f for f in schema.fields if f.name == "po_number")
     # "purchase order number" in the key list lifts long paraphrases
     for text in ("PO Number", "Purchase Order Number"):
         assert key_score(text, field) == pytest.approx(1.0)
@@ -572,8 +572,8 @@ def test_bootstrap_labels_mirror_extractions(schema):
     assert labels.provenance == "bootstrap"
     assert values["d1"]["total_amount"] == "$12.00"
     assert values["d1"]["inv_number"] == "48113"
-    amount_id = schema.field_by_name("total_amount").field_id
-    number_id = schema.field_by_name("inv_number").field_id
+    ids = {f.name: f.field_id for f in schema.fields}
+    amount_id, number_id = ids["total_amount"], ids["inv_number"]
     assert labels.get("d1", 1) == amount_id
     assert labels.get("d1", 4) == number_id
     assert labels.get("d1", 0) == 0  # the key word stays background
@@ -586,7 +586,7 @@ def test_extract_document_groups_when_needed(schema):
     assert doc.phrases is None
     extractions = extract_document(doc, schema)
     by_field = {e.field_id: e for e in extractions}
-    amount = schema.field_by_name("total_amount").field_id
+    amount = next(f.field_id for f in schema.fields if f.name == "total_amount")
     assert by_field[amount].value_phrase.text == "$9.00"
 
 

@@ -9,10 +9,12 @@ import pytest
 
 from ffrg.bootstrap import RuleParams, bootstrap_corpus
 from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
+from ffrg import progressive
 from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
-from ffrg.features import featurize_corpus
+from ffrg.features import featurize, featurize_corpus
 from ffrg.grouping import GroupingConfig
-from ffrg.progressive import TrainConfig, extract_corpus, extract_values, train
+from ffrg.model import load_model
+from ffrg.progressive import TrainConfig, ensemble_predict, extract_corpus, extract_values, train
 from ffrg.synth import PRESETS, generate, preset_config
 
 
@@ -190,6 +192,17 @@ def test_extract_threshold_must_lie_in_unit_interval(
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_extract_threshold_is_checked_without_documents(trained_dir, tmp_path, caplog):
+    empty = tmp_path / "docs.jsonl"
+    empty.write_text("")
+    values = tmp_path / "values.jsonl"
+    assert run(
+        "extract", "--model", str(trained_dir / "model.ffrg"), "--docs", str(empty),
+        "--out", str(values), "--threshold=2.0",
+    ) == 1
+    assert "must lie in [0,1]" in caplog.text and not values.exists()
+
+
 def test_extract_overlay_and_svg(trained_dir, synth_dir, tmp_path):
     overlay = tmp_path / "overlay.jsonl"
     svg_dir = tmp_path / "svg"
@@ -205,6 +218,32 @@ def test_extract_overlay_and_svg(trained_dir, synth_dir, tmp_path):
     svgs = list(svg_dir.glob("*.svg"))
     assert len(svgs) == 6
     assert svgs[0].read_text().startswith("<svg")
+
+
+def test_extract_takes_one_ensemble_pass_per_document(trained_dir, synth_dir, tmp_path,
+                                                      monkeypatch):
+    # the values and the overlay classes read the same probability rows
+    calls = []
+
+    def counted(params, x):
+        calls.append(x.shape[0])
+        return ensemble_predict(params, x)
+
+    for name in ("ffrg.cli.ensemble_predict", "ffrg.progressive.ensemble_predict"):
+        monkeypatch.setattr(name, counted)
+    overlay = tmp_path / "overlay.jsonl"
+    assert run(
+        "extract", "--model", str(trained_dir / "model.ffrg"),
+        "--docs", str(synth_dir / "docs.jsonl"), "--out", str(tmp_path / "v.jsonl"),
+        "--overlay", str(overlay), "--svg", str(tmp_path / "svg"),
+    ) == 0
+    docs = read_documents(str(synth_dir / "docs.jsonl"))
+    assert calls == [len(doc.words) for doc in docs]
+    params = load_model(str(trained_dir / "model.ffrg"))
+    rows = [json.loads(line) for line in overlay.read_text().splitlines()]
+    for doc, row in zip(docs, rows):
+        classes = ensemble_predict(params, featurize(doc)).argmax(axis=1).tolist()
+        assert row["predictions"] == [[w, c] for w, c in enumerate(classes) if c > 0]
 
 
 def test_train_rejects_label_for_missing_word(synth_dir, tmp_path, capsys, caplog):
