@@ -217,12 +217,15 @@ def train(
             for start in range(0, len(perm), cfg.batch_docs):
                 batch = [trainable[i] for i in perm[start : start + cfg.batch_docs]]
                 rows = np.concatenate([doc_rows[i] for i in batch])
+                # drop the last step's batch before building this one, so
+                # that two batches are never held at once
+                x = h = None
                 if frozen is None:
                     # one trunk pass, shared by every branch of the step
                     x = features.batch(batch)
                     h = trunk_activations(params, x)
                 else:
-                    x, h = None, frozen.batch(batch, rows)
+                    h = frozen.batch(batch, rows)
                 y = {src: np.take(ys, rows) for src, ys in y_by_source.items()}
                 loss = 0.0
                 grads: dict[str, np.ndarray] = {}
@@ -258,6 +261,7 @@ def train(
 
 
 def check_threshold(threshold: float) -> None:
+    """Refuse an extract threshold outside [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"extract threshold {threshold} must lie in [0,1]")
 
