@@ -9,7 +9,6 @@ import pytest
 
 from ffrg.bootstrap import RuleParams, bootstrap_corpus
 from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
-from ffrg import progressive
 from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
 from ffrg.features import featurize, featurize_corpus
 from ffrg.grouping import GroupingConfig

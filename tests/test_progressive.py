@@ -14,7 +14,6 @@ from ffrg.docmodel import (
 )
 from ffrg.features import CorpusFeatures, featurize_corpus
 from ffrg.grouping import group_document
-from ffrg import model
 from ffrg.model import branch_probs, tensor_keys, trunk_activations
 from ffrg.progressive import (
     TrainConfig,
@@ -294,8 +293,8 @@ def _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg):
 
 def test_trunk_cache_leaves_training_bit_identical(monkeypatch):
     # 17 short docs in batches of 8 end on a one-document batch small enough
-    # for the BLAS small-matrix kernel, which the cache must pass to its own
-    # trunk pass as joint steps take theirs
+    # for the BLAS small-matrix kernel; the cache must answer it with the
+    # batch's own trunk pass
     schema = default_invoice_schema()
     docs, _, _ = generate(preset_config("clean", 17, seed=2), schema)
     assert max(len(d.words) for d in docs) <= 28
@@ -319,7 +318,7 @@ def test_cached_refinement_leaves_training_bit_identical(monkeypatch):
             own.append(x.shape[0])
         return trunk_activations(params, x, out)
 
-    monkeypatch.setattr(model, "trunk_activations", counted)
+    monkeypatch.setattr("ffrg.model.trunk_activations", counted)
     cfg = TrainConfig(n_branches=3, epochs_step1=1, epochs_step2=1, seed=6, lr=3e-3)
     _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg)
     assert own and max(own) <= 28  # only the short documents take their own pass
