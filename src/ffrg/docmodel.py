@@ -74,7 +74,10 @@ def _word_classes(pairs, where: str) -> list[list[int]]:
     return pairs
 
 
-@dataclass(frozen=True)
+# A corpus keeps one word, one box and part of a phrase resident per word
+# for a whole run, so these records are slotted: none carries a __dict__.
+# Document keeps its own, which its cached layout properties need.
+@dataclass(frozen=True, slots=True)
 class BBox:
     x0: float
     y0: float
@@ -123,7 +126,7 @@ class BBox:
         return [self.x0, self.y0, self.x1, self.y1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     id: int
     text: str
@@ -136,7 +139,7 @@ class Word:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phrase:
     word_ids: tuple[int, ...]
     text: str

@@ -48,6 +48,8 @@ _LENGTH_FLAGS = tuple(
 )
 # Rows of the context accumulator summed per block, sized to stay in cache.
 _CONTEXT_BLOCK = 128
+# Columns a CorpusFeatures can hold: its columns are uint16.
+_MAX_WIDTH = 2**16
 
 
 def _flag_row(text: str) -> tuple[float, ...]:
@@ -125,28 +127,34 @@ def featurize(doc: Document) -> np.ndarray:
 class CorpusFeatures:
     """The feature matrices of a corpus, held as their nonzero bits.
 
-    Document i keeps the flat positions (int32) and values of the entries
-    of its dense matrix whose bits are nonzero, so -0.0 is kept and a
-    filled batch is bit-equal to ``np.concatenate`` of the dense matrices.
-    ``offsets[i]`` is document i's first row in corpus order; ``width`` is
-    the first matrix's (552 for an empty corpus).  featurize's m x m
-    neighbour matrix bounds m far below 2**31 / 552 (about 3.9 M words), so
-    a document's positions fit in int32.
+    Document i keeps, per row, the count of entries whose bits are nonzero
+    (in the smallest unsigned type that holds the width), then those
+    entries' columns (uint16) and values in row-major order, so
+    -0.0 is kept and a filled batch is bit-equal to ``np.concatenate`` of
+    the dense matrices.  ``offsets[i]`` is document i's first row in corpus
+    order; ``width`` is the first matrix's (552 for an empty corpus), and a
+    uint16 column bounds it at 65,536.
     """
 
     def __init__(self, matrices: Iterable[np.ndarray]):
         self.width = FEATURE_DIM
-        self._docs: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rows, positions, values)
+        self._docs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (counts, cols, values)
         for x in matrices:
             if not self._docs and x.ndim == 2:
                 self.width = x.shape[1]
+                if self.width > _MAX_WIDTH:
+                    raise ValidationError(
+                        f"feature width {self.width} is above {_MAX_WIDTH} columns")
+                count_type = np.min_scalar_type(self.width)
             if x.ndim != 2 or x.shape[1] != self.width:
                 raise ValidationError(f"feature matrix of shape {x.shape} is not {self.width} wide")
             flat = x.ravel()
             pos = np.flatnonzero(flat.view(np.uint64) != 0)
-            self._docs.append((x.shape[0], pos.astype(np.int32), flat[pos]))
+            rows, cols = np.divmod(pos, self.width)
+            counts = np.bincount(rows, minlength=x.shape[0]).astype(count_type)
+            self._docs.append((counts, cols.astype(np.uint16), flat[pos]))
         self.offsets = np.zeros(len(self._docs) + 1, dtype=np.int64)
-        self.offsets[1:] = np.cumsum([rows for rows, _, _ in self._docs])
+        self.offsets[1:] = np.cumsum([len(counts) for counts, _, _ in self._docs])
         self.offsets.flags.writeable = False
 
     def __len__(self) -> int:
@@ -161,12 +169,15 @@ class CorpusFeatures:
     def batch(self, doc_indices: Iterable[int]) -> np.ndarray:
         """The dense rows of the given documents, stacked in the order given."""
         picked = [self._docs[i] for i in doc_indices]
-        out = np.zeros((sum(rows for rows, _, _ in picked), self.width), dtype=np.float64)
-        flat = out.reshape(-1)
-        start = 0
-        for rows, pos, values in picked:
-            flat[start:][pos] = values
-            start += rows * self.width
+        if not picked:
+            return np.zeros((0, self.width), dtype=np.float64)
+        counts, cols, values = zip(*picked)
+        counts = np.concatenate(counts)
+        # each kept entry's flat position: its column plus its row's start
+        at = np.concatenate(cols, dtype=np.intp)
+        at += (np.arange(len(counts)) * self.width).repeat(counts)
+        out = np.zeros((len(counts), self.width), dtype=np.float64)
+        out.reshape(-1)[at] = np.concatenate(values)
         return out
 
 

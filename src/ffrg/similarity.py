@@ -31,13 +31,13 @@ def jaro_similarity(s1: str, s2: str) -> float:
     for i, ch in enumerate(s1):
         lo = i - search_range if i > search_range else 0
         hi = i + search_range + 1
-        if hi > len2:
-            hi = len2
-        for j in range(lo, hi):
-            if not flags2[j] and s2[j] == ch:
-                flags1[i] = flags2[j] = True
-                common += 1
-                break
+        # the first unflagged ch of s2 in [lo, hi); find clips hi to len2
+        j = s2.find(ch, lo, hi)
+        while j >= 0 and flags2[j]:
+            j = s2.find(ch, j + 1, hi)
+        if j >= 0:
+            flags1[i] = flags2[j] = True
+            common += 1
     if common == 0:
         return 0.0
 

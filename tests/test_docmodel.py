@@ -152,6 +152,58 @@ def test_phrase_needs_distinct_words():
         Phrase((1, 1), "x x", box)
 
 
+# --- slotted records ----------------------------------------------------------
+
+def _slotted_records():
+    box = BBox(0.1, 0.2, 0.3, 0.22)
+    return box, Word(0, "a", box), Phrase((0,), "a", box)
+
+
+def test_records_are_slotted():
+    for record in _slotted_records():
+        name = type(record).__name__
+        assert not hasattr(record, "__dict__"), name
+        assert type(record).__slots__ == tuple(f.name for f in dataclasses.fields(record)), name
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+
+
+def test_records_refuse_assignment():
+    for record in _slotted_records():
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+
+def test_replaced_records_are_checked_and_equal():
+    box, word, phrase = _slotted_records()
+    assert dataclasses.replace(box) == box and dataclasses.replace(box) is not box
+    assert dataclasses.replace(box, x1=0.5) == BBox(0.1, 0.2, 0.5, 0.22)
+    assert dataclasses.replace(word, text="b") == Word(0, "b", box)
+    assert dataclasses.replace(phrase, word_ids=(0, 1)) == Phrase((0, 1), "a", box)
+    with pytest.raises(ValidationError, match="x1 < x0"):
+        dataclasses.replace(box, x1=0.05)
+    with pytest.raises(ValidationError, match="surrounding whitespace"):
+        dataclasses.replace(word, text=" b")
+    with pytest.raises(ValidationError, match="duplicate"):
+        dataclasses.replace(phrase, word_ids=(1, 1))
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_records_are_equal(copy_of):
+    doc = make_doc(_BOX_WORDS)
+    doc = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [2, 0]),))
+    for record in (*_slotted_records(), doc, doc.words[1], doc.phrases[0]):
+        twin = copy_of(record)
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record)
+    twin = copy_of(doc)
+    for record in (*twin.words, twin.words[0].box, *twin.phrases):
+        assert not hasattr(record, "__dict__")
+    assert np.signbit(twin.words[1].box.x0)  # -0.0 stays -0.0
+
+
 def test_document_requires_dense_word_ids():
     box = BBox(0, 0, 0.1, 0.1)
     with pytest.raises(ValidationError):

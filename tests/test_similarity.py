@@ -3,10 +3,13 @@
 The reference implementation below uses the match-list formulation
 (collect matched characters, then count transpositions by direct
 comparison of the two matched sequences); the library uses flag arrays
-with an index walk.  Agreement between the two is the oracle.
+with an index walk.  Agreement between the two is the oracle.  The
+library's own flag-array loop, as it scanned each window index by index,
+is kept too: the str.find scan must give exactly its scores.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +43,46 @@ def _ref_jaro(s1, s2):
     half = sum(1 for a, b in zip(seq1, seq2) if a != b)
     t = half // 2
     return (m / len(s1) + m / len(s2) + (m - t) / m) / 3.0
+
+
+def _loop_jaro(s1, s2):
+    """The library's flag-array Jaro with its window scanned index by index,
+    as it was before the scan used str.find."""
+    len1, len2 = len(s1), len(s2)
+    if len1 == 0 and len2 == 0:
+        return 1.0
+    if len1 == 0 or len2 == 0:
+        return 0.0
+    search_range = max(len1, len2) // 2 - 1
+    if search_range < 0:
+        search_range = 0
+    flags1 = [False] * len1
+    flags2 = [False] * len2
+    common = 0
+    for i, ch in enumerate(s1):
+        lo = i - search_range if i > search_range else 0
+        hi = i + search_range + 1
+        if hi > len2:
+            hi = len2
+        for j in range(lo, hi):
+            if not flags2[j] and s2[j] == ch:
+                flags1[i] = flags2[j] = True
+                common += 1
+                break
+    if common == 0:
+        return 0.0
+    k = 0
+    half_transposes = 0
+    for i in range(len1):
+        if not flags1[i]:
+            continue
+        while not flags2[k]:
+            k += 1
+        if s1[i] != s2[k]:
+            half_transposes += 1
+        k += 1
+    transposes = half_transposes // 2
+    return (common / len1 + common / len2 + (common - transposes) / common) / 3.0
 
 
 def _ref_jaro_winkler(s1, s2):
@@ -148,3 +191,19 @@ def test_distance_complements_similarity(s1, s2):
 def test_empty_versus_nonempty_is_maximal():
     assert jaro_winkler("", "anything") == 0.0
     assert math.isclose(string_distance("", "x"), 1.0)
+
+
+def test_window_scan_equals_the_index_loop_on_random_pairs():
+    # a small alphabet with repeats, so windows hold several copies of a
+    # character and some are already flagged when the scan reaches them
+    rng = random.Random(20)
+    for _ in range(20_000):
+        s1, s2 = ("".join(rng.choices("aab#. 0", k=rng.randrange(18))) for _ in range(2))
+        assert jaro_similarity(s1, s2) == _loop_jaro(s1, s2), (s1, s2)
+    for s1, s2, _ in FROZEN:
+        assert jaro_similarity(s1, s2) == _loop_jaro(s1, s2), (s1, s2)
+
+
+@given(texts, texts)
+def test_window_scan_equals_the_index_loop_everywhere(s1, s2):
+    assert jaro_similarity(s1, s2) == _loop_jaro(s1, s2)
