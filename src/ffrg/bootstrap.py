@@ -184,11 +184,6 @@ def geometric_score(key: tuple[float, float], value: tuple[float, float],
     return _gaussian(dist, MU_D, p.sigma_d) + p.alpha * angle_term
 
 
-def value_score(key: tuple[float, float], key_s: float, candidate: tuple[float, float],
-                p: RuleParams) -> float:
-    return key_s * geometric_score(key, candidate, p)
-
-
 def _in_zone(boxes: np.ndarray, key: tuple[float, float]) -> np.ndarray:
     """Per candidate box (row x0, y0, x1, y1), whether the key center sits
     left of its right edge and within a band from ZONE_ABOVE candidate-heights
@@ -272,7 +267,7 @@ def extract_field(
     for i in _in_zone(rows.boxes, centre).nonzero()[0].tolist():
         if i == key_i or not rows.types(i) & field.allowed_types:
             continue
-        s = value_score(centre, key_s, rows.centres[i], p)
+        s = key_s * geometric_score(centre, rows.centres[i], p)
         if best_i is None or s > best_score:
             best_i, best_score = i, s
     if best_i is None or best_score <= p.theta_v:
@@ -311,11 +306,9 @@ def resolve_conflicts(extractions: list[FieldExtraction]) -> list[FieldExtractio
 def extract_document(
     doc: Document,
     schema: FieldSchema,
-    p: RuleParams | None = None,
+    p: RuleParams = RuleParams(),
 ) -> list[FieldExtraction]:
     """Per-field extractions for one document, cross-field conflicts resolved."""
-    if p is None:
-        p = RuleParams()
     rows = PhraseRows(doc)
     bounds = key_bounds(rows.texts, [f.keys for f in schema.fields])
     extractions = [extract_field(rows, f, p, bound=b) for f, b in zip(schema.fields, bounds)]
@@ -325,7 +318,7 @@ def extract_document(
 def bootstrap_corpus(
     docs: Sequence[Document],
     schema: FieldSchema,
-    p: RuleParams | None = None,
+    p: RuleParams = RuleParams(),
     threads: int | None = None,
 ) -> tuple[LabelSet, dict[str, dict[str, str]]]:
     """Label the corpus and collect rule-extracted values in one pass.

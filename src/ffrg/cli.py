@@ -286,12 +286,14 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
     _require(opts, "pred", "gold", "out")
     if opts["svg"] and not opts["docs"]:
         raise dm.ValidationError("--svg requires --docs for word geometry")
+    if opts["overlay"] and not opts["svg"]:
+        raise dm.ValidationError("--overlay requires --svg")
     schema = _read_schema_opt(opts)
     pred = dm.read_annotations(opts["pred"])
     gold = dm.read_annotations(opts["gold"])
     docs = dm.read_documents(opts["docs"]) if opts["svg"] else []
     svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
-    overlay = dm.read_overlay(opts["overlay"]) if opts["svg"] and opts["overlay"] else {}
+    overlay = dm.read_overlay(opts["overlay"]) if opts["overlay"] else {}
     counts = {"correct": 0, "extractor-error": 0, "value-text-error": 0}
     # per document, each field's status by field_id, for the SVG pass
     by_doc: dict[str, dict[int, str]] = {}

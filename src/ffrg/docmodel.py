@@ -500,20 +500,28 @@ class FieldSchema:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).digest()
 
 
+def _strings(values, what: str) -> list[str]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"{what} must be a list of strings")
+    return values
+
+
 def schema_from_json_dict(raw: dict) -> FieldSchema:
+    """The schema a JSON object holds, read as JSON types it: a field_id
+    that is not an integer, or a name, key or type that is not a string,
+    is refused, not converted."""
     try:
-        fields = tuple(
-            SchemaField(
-                field_id=int(f["field_id"]),
-                name=str(f["name"]),
-                keys=tuple(str(k) for k in f["keys"]),
-                allowed_types=frozenset(DataType(t) for t in f["allowed_types"]),
-            )
-            for f in raw["fields"]
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        fields = []
+        for f in raw["fields"]:
+            if type(f["field_id"]) is not int or not isinstance(f["name"], str):
+                raise TypeError("field_id must be an integer and name a string")
+            fields.append(SchemaField(
+                f["field_id"], f["name"], tuple(_strings(f["keys"], "keys")),
+                frozenset(map(DataType, _strings(f["allowed_types"], "allowed_types"))),
+            ))
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed schema: {e}") from e
-    return FieldSchema(fields)
+    return FieldSchema(tuple(fields))
 
 
 def read_schema(path: str) -> FieldSchema:
@@ -623,7 +631,8 @@ class LabelSet:
 def read_labels(path: str) -> LabelSet:
     labels, first = None, ""
     for where, doc_id, (pairs, provenance) in _records(path, "labels", "labels", "provenance"):
-        provenance = str(provenance)
+        if not isinstance(provenance, str):
+            raise ParseError(f"{where}: provenance must be a string")
         if labels is None:
             labels, first = LabelSet(provenance), where
         elif provenance != labels.provenance:

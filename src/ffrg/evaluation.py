@@ -71,14 +71,11 @@ def score(predictions: Annotations, annotations: Annotations, schema: FieldSchem
     """Count exact matches per field over the union of documents."""
     names = [f.name for f in schema.fields]
     known = set(names)
-    for doc_id, fields in predictions.items():
-        for name in fields:
-            if name not in known:
-                raise ValidationError(f"prediction for unknown field {name!r} in {doc_id}")
-    for doc_id, fields in annotations.items():
-        for name in fields:
-            if name not in known:
-                raise ValidationError(f"annotation for unknown field {name!r} in {doc_id}")
+    for kind, by_doc in (("prediction", predictions), ("annotation", annotations)):
+        for doc_id, fields in by_doc.items():
+            for name in fields:
+                if name not in known:
+                    raise ValidationError(f"{kind} for unknown field {name!r} in {doc_id}")
 
     tp = {n: 0 for n in names}
     fp = {n: 0 for n in names}

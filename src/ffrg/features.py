@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -162,9 +162,6 @@ class CorpusFeatures:
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.batch([i])
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return map(self.__getitem__, range(len(self)))
 
     def batch(self, doc_indices: Iterable[int]) -> np.ndarray:
         """The dense rows of the given documents, stacked in the order given."""

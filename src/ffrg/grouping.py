@@ -60,14 +60,12 @@ def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
 
 
 def phrase_members(doc: Document,
-                   config: GroupingConfig | None = None) -> tuple[tuple[int, ...], ...]:
+                   config: GroupingConfig = GroupingConfig()) -> tuple[tuple[int, ...], ...]:
     """Cluster words into phrases; returns each phrase's word ids.
 
     A phrase lists its words in reading order, and phrases come in the
     reading order of their first words.
     """
-    if config is None:
-        config = GroupingConfig()
     words = doc.words
     n = len(words)
     eps = neighborhood_eps(doc, config)
@@ -90,12 +88,12 @@ def phrase_members(doc: Document,
     return tuple(map(tuple, members.values()))
 
 
-def group_words(doc: Document, config: GroupingConfig | None = None) -> tuple[Phrase, ...]:
+def group_words(doc: Document, config: GroupingConfig = GroupingConfig()) -> tuple[Phrase, ...]:
     """The phrases of phrase_members, in its order."""
     return tuple(make_phrase(doc.words, ids) for ids in phrase_members(doc, config))
 
 
-def group_document(doc: Document, config: GroupingConfig | None = None) -> Document:
+def group_document(doc: Document, config: GroupingConfig = GroupingConfig()) -> Document:
     """Return a copy of the document with phrases attached."""
     return Document(
         doc.doc_id, doc.page_width, doc.page_height, doc.words, group_words(doc, config)

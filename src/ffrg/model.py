@@ -404,7 +404,7 @@ def save_model(path: str, params: ModelParams) -> None:
         f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
-def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
+def load_model(path: str, schema: FieldSchema) -> ModelParams:
     with open(path, "rb") as f:
         blob = f.read()
     # a file cut inside the magic is reported as truncated below
@@ -419,7 +419,7 @@ def load_model(path: str, schema: FieldSchema | None = None) -> ModelParams:
     off += 32
     d_in, hidden, branch_hidden, n_fields, n_branches = struct.unpack_from("<5I", blob, off)
     off += 20
-    if schema is not None and digest != schema.digest():
+    if digest != schema.digest():
         raise ValidationError(f"{path}: checkpoint was trained against a different schema")
     if n_branches < 1:
         raise ValidationError(f"{path}: checkpoint has no branches")

@@ -112,13 +112,7 @@ class SynthConfig:
 
 
 PRESETS: dict[str, dict] = {
-    "clean": dict(
-        key_paraphrase_rate=0.0,
-        unknown_key_rate=0.0,
-        char_noise_rate=0.0,
-        distractor_density=0,
-        bbox_jitter=0.0,
-    ),
+    "clean": {},
     "noisy-bench": dict(
         key_paraphrase_rate=0.3,
         unknown_key_rate=0.1,
@@ -146,10 +140,6 @@ class _Item:
     @property
     def x1(self) -> float:
         return self.boxes[-1][2]
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.boxes[0][0]
 
     def center(self) -> tuple[float, float]:
         x0 = min(b[0] for b in self.boxes)

@@ -23,7 +23,6 @@ from ffrg.bootstrap import (
     key_bounds,
     localize_key,
     resolve_conflicts,
-    value_score,
 )
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
@@ -341,12 +340,6 @@ def test_value_up_left_keeps_distance_term_only():
 
 def test_coincident_centers_degrade_to_zero_distance_zero_angle():
     assert geometric_score((0.3, 0.5), (0.3, 0.5), RuleParams()) == pytest.approx(5.0)
-
-
-def test_value_score_multiplies_key_score():
-    key, value = (0.3, 0.5), (0.5, 0.5)
-    g = geometric_score(key, value, RuleParams())
-    assert value_score(key, 0.5, value, RuleParams()) == pytest.approx(0.5 * g)
 
 
 def test_rule_params_validate():

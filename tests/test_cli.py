@@ -238,7 +238,7 @@ def test_extract_takes_one_ensemble_pass_per_document(trained_dir, synth_dir, tm
     ) == 0
     docs = read_documents(str(synth_dir / "docs.jsonl"))
     assert calls == [len(doc.words) for doc in docs]
-    params = load_model(str(trained_dir / "model.ffrg"))
+    params = load_model(str(trained_dir / "model.ffrg"), default_invoice_schema())
     rows = [json.loads(line) for line in overlay.read_text().splitlines()]
     for doc, row in zip(docs, rows):
         classes = ensemble_predict(params, featurize(doc)).argmax(axis=1).tolist()
@@ -469,6 +469,20 @@ def test_inspect_checks_its_svg_inputs_before_writing(synth_dir, tmp_path, with_
     assert not out.exists() and not (tmp_path / "svg").exists()
 
 
+@pytest.mark.parametrize("overlay", ["exists", "missing"])
+def test_inspect_refuses_an_overlay_without_svg(synth_dir, tmp_path, overlay, capsys, caplog):
+    path = tmp_path / "overlay.jsonl"
+    if overlay == "exists":
+        path.write_text(json.dumps({"doc_id": "d", "predictions": [[0, 1]]}) + "\n")
+    gold = str(synth_dir / "gold.jsonl")
+    out = tmp_path / "out.jsonl"
+    assert run("inspect", "--pred", gold, "--gold", gold, "--out", str(out),
+               "--docs", str(synth_dir / "docs.jsonl"), "--overlay", str(path)) == 1
+    assert "--overlay requires --svg" in caplog.text
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- config files -------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):
@@ -594,6 +608,7 @@ def test_config_key_and_flag_resolve_alike(tmp_path, command, key):
 
 _DOC = {"doc_id": "d", "page_width": 100, "page_height": 100,
         "words": [{"text": "a", "box": [0.1, 0.1, 0.2, 0.2]}]}
+_FIELD = {"field_id": 1, "name": "f", "keys": ["k"], "allowed_types": ["number"]}
 
 
 @pytest.mark.parametrize(
@@ -609,8 +624,7 @@ _DOC = {"doc_id": "d", "page_width": 100, "page_height": 100,
         ("docs", {**_DOC, "page_width": float("inf")}),
         ("docs", {**_DOC, "words": [{"text": "a", "box": [0, 0, 10**400, 1]}]}),
         ("labels", {"doc_id": "d", "labels": [[float("inf"), 1]], "provenance": "bootstrap"}),
-        ("schema", {"fields": [{"field_id": float("inf"), "name": "f", "keys": ["k"],
-                                "allowed_types": ["number"]}]}),
+        ("schema", {"fields": [{**_FIELD, "field_id": float("inf")}]}),
         ("overlay", {"doc_id": "d"}),
         ("overlay", {"predictions": []}),
         ("overlay", {"doc_id": "d", "predictions": 5}),
@@ -618,6 +632,16 @@ _DOC = {"doc_id": "d", "page_width": 100, "page_height": 100,
         ("overlay", {"doc_id": "d", "predictions": [["0", 1]]}),
         ("overlay", {"doc_id": "d", "predictions": [[float("inf"), 1]]}),
         ("overlay", [1]),
+        # values a lenient reader would convert: a string for a key list,
+        # a float, string or boolean for an id, a non-string name or key
+        ("schema", {"fields": [{**_FIELD, "keys": "total"}]}),
+        ("schema", {"fields": [{**_FIELD, "keys": [1]}]}),
+        ("schema", {"fields": [{**_FIELD, "allowed_types": "number"}]}),
+        ("schema", {"fields": [{**_FIELD, "field_id": 1.9}]}),
+        ("schema", {"fields": [{**_FIELD, "field_id": "1"}]}),
+        ("schema", {"fields": [{**_FIELD, "field_id": True}]}),
+        ("schema", {"fields": [{**_FIELD, "name": None}]}),
+        ("labels", {"doc_id": "d", "labels": [[0, 1]], "provenance": 5}),
     ],
 )
 def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys, caplog):

@@ -35,6 +35,7 @@ from ffrg.docmodel import (
     read_annotations,
     read_documents,
     read_labels,
+    read_schema,
     reading_order,
     schema_from_json_dict,
     serialize_document,
@@ -833,6 +834,36 @@ def test_schema_rejects_bad_keys_and_types():
         SchemaField(1, "f", ("k",), frozenset())
 
 
+_FIELD = {"field_id": 1, "name": "total", "keys": ["total"], "allowed_types": ["number"]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"keys": "total"},
+        {"keys": [1]},
+        {"keys": ["total", None]},
+        {"allowed_types": "number"},
+        {"allowed_types": [None]},
+        {"field_id": 1.9},
+        {"field_id": 1.0},
+        {"field_id": "1"},
+        {"field_id": True},
+        {"name": None},
+        {"name": 5},
+    ],
+)
+def test_schema_reader_refuses_what_it_would_coerce(change, tmp_path):
+    assert schema_from_json_dict({"fields": [_FIELD]}).fields[0].keys == ("total",)
+    with pytest.raises(ParseError, match="malformed schema"):
+        schema_from_json_dict({"fields": [{**_FIELD, **change}]})
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"fields": [{**_FIELD, **change}]}))
+    with pytest.raises(ParseError) as exc:
+        read_schema(str(path))
+    assert str(exc.value).startswith(f"schema file {path}: malformed schema: ")
+
+
 # --- labels -----------------------------------------------------------------
 
 def test_labelset_background_is_implicit():
@@ -891,6 +922,13 @@ def test_read_labels_rejects_a_second_provenance(tmp_path):
         ValidationError,
         match=r"labels line 2: provenance 'truth' differs from labels line 1's 'bootstrap'",
     ):
+        read_labels(_jsonl(tmp_path, rows))
+
+
+@pytest.mark.parametrize("provenance", [5, None, True, ["bootstrap"]])
+def test_read_labels_refuses_a_provenance_that_is_not_a_string(tmp_path, provenance):
+    rows = [{"doc_id": "d", "labels": [[0, 1]], "provenance": provenance}]
+    with pytest.raises(ParseError, match="labels line 1: provenance must be a string"):
         read_labels(_jsonl(tmp_path, rows))
 
 

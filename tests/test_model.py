@@ -194,7 +194,8 @@ def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
     # one-word documents: every block must grow past the small-kernel cutoff
     # (28 rows at 552x64), and the short tail joins the last block
     docs, _, _ = generate(preset_config("clean", 3, seed=1), schema)
-    feats = [f[:1] for f in featurize_corpus(docs)] * 40
+    features = featurize_corpus(docs)
+    feats = [features[i][:1] for i in range(len(features))] * 40
     params = init_params(FEATURE_DIM, schema.n_fields, 2, schema.digest(), seed=1)
     cache = TrunkCache(params, CorpusFeatures(feats), 8)
     assert list(cache.offsets) == list(range(121))
@@ -323,7 +324,7 @@ def test_checkpoint_rejects_wrong_schema(tmp_path, schema):
     trimmed = type(other)(other.fields[:2])
     with pytest.raises(ValidationError):
         load_model(path, trimmed)
-    assert load_model(path).d_in == 10  # no schema given: digest not enforced
+    assert load_model(path, schema).d_in == 10  # its own schema loads
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -334,11 +335,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad_magic = str(tmp_path / "bad1.ffrg")
     open(bad_magic, "wb").write(b"XXXX" + blob[4:])
     with pytest.raises(ValidationError):
-        load_model(bad_magic)
+        load_model(bad_magic, default_invoice_schema())
     trailing = str(tmp_path / "bad2.ffrg")
     open(trailing, "wb").write(blob + b"\0")
     with pytest.raises(ValidationError):
-        load_model(trailing)
+        load_model(trailing, default_invoice_schema())
     assert blob[:5] == CHECKPOINT_MAGIC
 
 
@@ -351,7 +352,7 @@ def test_checkpoint_rejects_truncation_at_every_offset(tmp_path):
     for size in range(len(blob)):
         cut.write_bytes(blob[:size])
         with pytest.raises(ValidationError, match="truncated") as exc:
-            load_model(str(cut))
+            load_model(str(cut), default_invoice_schema())
         assert str(cut) in str(exc.value)
     assert len(blob) > HEADER_BYTES
 
@@ -519,7 +520,7 @@ def test_params_are_views_into_one_flat_buffer(tmp_path):
     assert np.array_equal(twin.flat, params.flat)
     path = str(tmp_path / "model.ffrg")
     save_model(path, params)
-    again = load_model(path)
+    again = load_model(path, default_invoice_schema())
     _assert_flat_layout(again)
     assert np.array_equal(again.flat, params.flat)
     # a stage's update lands in the tensors through the shared buffer

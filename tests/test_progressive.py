@@ -382,7 +382,8 @@ def test_the_pipeline_orders_and_groups_each_document_once(monkeypatch, schema):
 
 def test_train_rejects_features_of_another_corpus():
     schema, docs, labels = _tiny_corpus()
-    feats = list(featurize_corpus(docs))
+    features = featurize_corpus(docs)
+    feats = [features[i] for i in range(len(features))]
     with pytest.raises(ValidationError, match="one row per word"):
         train(docs, labels, schema, TINY, features=CorpusFeatures(feats[1:] + feats[:1]))
 

@@ -4,7 +4,6 @@ Python to read, a reader fails only with ParseError or ValidationError
 (ParseError is a ValidationError), and what it accepts it does not coerce.
 The checkpoint reader gets random bytes, truncations and byte flips."""
 
-import contextlib
 import functools
 import json
 import os
@@ -150,6 +149,8 @@ def test_read_labels_fails_only_with_typed_errors(rows):
     except ValidationError:
         return
     assert labels.doc_ids() == sorted(row["doc_id"] for row in rows)
+    assert all(row["provenance"] == labels.provenance for row in rows)
+    assert type(labels.provenance) is str
 
 
 @FUZZ
@@ -167,8 +168,14 @@ def test_read_annotations_fails_only_with_typed_errors(rows):
 @settings(FUZZ, max_examples=600)
 @given(_schema)
 def test_schema_from_json_dict_fails_only_with_typed_errors(raw):
-    with contextlib.suppress(ValidationError):
-        schema_from_json_dict(raw)
+    try:
+        schema = schema_from_json_dict(raw)
+    except ValidationError:
+        return
+    for f, field in zip(raw["fields"], schema.fields, strict=True):
+        assert type(f["field_id"]) is int and f["name"] == field.name
+        assert f["keys"] == list(field.keys)
+        assert set(f["allowed_types"]) == {t.value for t in field.allowed_types}
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -212,7 +219,7 @@ def test_load_model_fails_only_with_validation_error(blob):
         with open(path, "wb") as f:
             f.write(blob)
         try:
-            params = load_model(path)
+            params = load_model(path, default_invoice_schema())
         except ValidationError as e:
             assert path in str(e)
             return

@@ -44,6 +44,11 @@ def test_presets_expose_clean_and_noisy():
     assert clean.distractor_density == 0
 
 
+def test_clean_preset_is_the_default_config():
+    for n, seed in ((5, 1), (0, 7)):
+        assert preset_config("clean", n, seed) == SynthConfig(n_docs=n, seed=seed)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValidationError):
         preset_config("hard", n_docs=5, seed=1)
