@@ -10,9 +10,8 @@ noisy supervision everything downstream trains on; the same pass doubles
 as a standalone rule extractor.
 
 The pass works on a document's phrases as rows (PhraseRows): texts, box
-rows and centres.  A phrase is typed only when it lies in some located
-key's zone, and a Phrase object is built only for a key or value that
-extract_field returns.
+rows and centres, each worked out from the phrases' word ids.  A phrase is
+typed only when it lies in some located key's zone.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .datatypes import type_of
-from .docmodel import BBox, Document, FieldSchema, LabelSet, Phrase, SchemaField, _boxes
+from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField
 from .similarity import (
     JW_BOOST_THRESHOLD,
     JW_MAX_PREFIX,
@@ -195,9 +194,9 @@ def _in_zone(boxes: np.ndarray, key: tuple[float, float]) -> np.ndarray:
 
 
 def _union_rows(word_boxes: np.ndarray, members: Sequence[Sequence[int]]) -> np.ndarray:
-    """Per phrase, the union of its words' boxes (rows x0, y0, x1, y1) as
-    BBox.union chains them from the first word: a min or max keeps the
-    earlier of equal coordinates, so -0.0 and +0.0 ties keep the first."""
+    """Per phrase, the union of its words' boxes (rows x0, y0, x1, y1): a min
+    or max over its words in member order that keeps the first of equal
+    coordinates, so a -0.0 and +0.0 tie keeps the earlier word's zero."""
     if not members:
         return np.zeros((0, 4))
     rows = word_boxes[[w for ids in members for w in ids]]
@@ -212,24 +211,17 @@ def _union_rows(word_boxes: np.ndarray, members: Sequence[Sequence[int]]) -> np.
 
 
 class PhraseRows:
-    """A document's phrases as rows: texts and boxes (x0, y0, x1, y1) and
-    centres, in phrase order.  A phrase's type is worked out on first use,
-    and a Phrase is built only when asked for; the document's own phrases,
-    when it has them, are its own objects."""
+    """A document's phrases as rows: texts (word texts joined by spaces),
+    boxes (x0, y0, x1, y1) and centres, in phrase order.  A phrase's type
+    is worked out on first use."""
 
     def __init__(self, doc: Document):
-        self.doc = doc
+        words = doc.words
         self.members = doc.members
-        if doc.phrases is not None:
-            self.texts = [ph.text for ph in doc.phrases]
-            self.boxes = _boxes(doc.phrases)
-        else:
-            words = doc.words
-            self.texts = [" ".join([words[w].text for w in ids]) for ids in self.members]
-            self.boxes = _union_rows(doc.boxes, self.members)
+        self.texts = [" ".join([words[w].text for w in ids]) for ids in self.members]
+        self.boxes = _union_rows(doc.boxes, self.members)
         self.centres = ((self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0).tolist()
         self._types: list[frozenset | None] = [None] * len(self.texts)
-        self._phrases: dict[int, Phrase] = {}
 
     def types(self, i: int) -> frozenset:
         """type_of of phrase i, worked out once."""
@@ -237,15 +229,6 @@ class PhraseRows:
         if t is None:
             t = self._types[i] = type_of(self.texts[i])
         return t
-
-    def phrase(self, i: int) -> Phrase:
-        if self.doc.phrases is not None:
-            return self.doc.phrases[i]
-        ph = self._phrases.get(i)
-        if ph is None:
-            ph = self._phrases[i] = Phrase(
-                self.members[i], self.texts[i], BBox(*self.boxes[i].tolist()))
-        return ph
 
 
 def extract_field(
@@ -270,10 +253,10 @@ def extract_field(
         s = key_s * geometric_score(centre, rows.centres[i], p)
         if best_i is None or s > best_score:
             best_i, best_score = i, s
+    key = Phrase(rows.members[key_i])
     if best_i is None or best_score <= p.theta_v:
-        return FieldExtraction(field.field_id, rows.phrase(key_i), None, key_s, None)
-    return FieldExtraction(
-        field.field_id, rows.phrase(key_i), rows.phrase(best_i), key_s, best_score)
+        return FieldExtraction(field.field_id, key, None, key_s, None)
+    return FieldExtraction(field.field_id, key, Phrase(rows.members[best_i]), key_s, best_score)
 
 
 def resolve_conflicts(extractions: list[FieldExtraction]) -> list[FieldExtraction]:
@@ -335,8 +318,10 @@ def bootstrap_corpus(
         for e in extract_document(doc, schema, p):
             if e.value_phrase is None:
                 continue
-            for wid in e.value_phrase.word_ids:
+            ids = e.value_phrase.word_ids
+            for wid in ids:
                 labels.set_label(doc.doc_id, wid, e.field_id)
-            fields[schema.field_by_id(e.field_id).name] = e.value_phrase.text
+            fields[schema.field_by_id(e.field_id).name] = " ".join(
+                [doc.words[w].text for w in ids])
         values[doc.doc_id] = fields
     return labels, values

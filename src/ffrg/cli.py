@@ -288,6 +288,8 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
         raise dm.ValidationError("--svg requires --docs for word geometry")
     if opts["overlay"] and not opts["svg"]:
         raise dm.ValidationError("--overlay requires --svg")
+    if opts["docs"] and not opts["svg"]:
+        raise dm.ValidationError("--docs requires --svg")
     schema = _read_schema_opt(opts)
     pred = dm.read_annotations(opts["pred"])
     gold = dm.read_annotations(opts["gold"])

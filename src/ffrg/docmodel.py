@@ -114,14 +114,6 @@ class BBox:
     def center(self) -> tuple[float, float]:
         return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
 
-    def union(self, other: "BBox") -> "BBox":
-        return BBox(
-            min(self.x0, other.x0),
-            min(self.y0, other.y0),
-            max(self.x1, other.x1),
-            max(self.y1, other.y1),
-        )
-
     def as_list(self) -> list[float]:
         return [self.x0, self.y0, self.x1, self.y1]
 
@@ -142,8 +134,6 @@ class Word:
 @dataclass(frozen=True, slots=True)
 class Phrase:
     word_ids: tuple[int, ...]
-    text: str
-    box: BBox
 
     def __post_init__(self):
         if not self.word_ids:
@@ -212,9 +202,9 @@ _BOX_ROW = operator.attrgetter("x0", "y0", "x1", "y1")
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _boxes(items) -> np.ndarray:
-    """The boxes of words or phrases as rows x0, y0, x1, y1."""
-    boxes = [it.box for it in items]
+def _boxes(words: Sequence[Word]) -> np.ndarray:
+    """The boxes of words as rows x0, y0, x1, y1."""
+    boxes = [w.box for w in words]
     return np.fromiter(itertools.chain.from_iterable(map(_BOX_ROW, boxes)),
                        dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)
 
@@ -285,15 +275,6 @@ def _reading_order(boxes: np.ndarray) -> list[int]:
     np.minimum.at(left, line, x0)
     # lexsort is stable, so ties go to the line's smallest id, then the word's
     return np.lexsort((x0, line, left[line], top[line])).tolist()
-
-
-def make_phrase(words: Sequence[Word], word_ids: Sequence[int]) -> Phrase:
-    """Build a phrase from member word ids (indices into a document's
-    words), in the order given."""
-    box = words[word_ids[0]].box
-    for wid in word_ids[1:]:
-        box = box.union(words[wid].box)
-    return Phrase(tuple(word_ids), " ".join([words[wid].text for wid in word_ids]), box)
 
 
 # --- JSONL documents -------------------------------------------------------
@@ -375,8 +356,7 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
 def _parse_phrases(doc_id: str, words: tuple[Word, ...], order: list[int],
                    raw_phrases) -> tuple[Phrase, ...]:
     """Phrases from their wire form, in reading order as group_words gives
-    them: ``order`` is the words' reading order, and word ids are checked
-    before make_phrase looks them up."""
+    them: ``order`` is the words' reading order."""
     if not isinstance(raw_phrases, list):
         raise ParseError(f"phrases of {doc_id} must be a list")
     rank = np.argsort(order).tolist()  # the inverse permutation
@@ -390,7 +370,7 @@ def _parse_phrases(doc_id: str, words: tuple[Word, ...], order: list[int],
         for wid in ids:
             if not 0 <= wid < len(words):
                 raise ValidationError(f"phrase {k} of {doc_id} references missing word {wid}")
-        phrases.append(make_phrase(words, sorted(ids, key=rank.__getitem__)))
+        phrases.append(Phrase(tuple(sorted(ids, key=rank.__getitem__))))
     # the rule extractor breaks ties by phrase order, so the order in the
     # file must not decide them
     phrases.sort(key=lambda p: rank[p.word_ids[0]])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .docmodel import Document, Phrase, Word, _components, _near_in_y, make_phrase
+from .docmodel import Document, Phrase, Word, _components, _near_in_y
 
 
 # weight of the vertical center offset against the horizontal gap
@@ -90,7 +90,7 @@ def phrase_members(doc: Document,
 
 def group_words(doc: Document, config: GroupingConfig = GroupingConfig()) -> tuple[Phrase, ...]:
     """The phrases of phrase_members, in its order."""
-    return tuple(make_phrase(doc.words, ids) for ids in phrase_members(doc, config))
+    return tuple(Phrase(ids) for ids in phrase_members(doc, config))
 
 
 def group_document(doc: Document, config: GroupingConfig = GroupingConfig()) -> Document:

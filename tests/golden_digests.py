@@ -155,11 +155,12 @@ def featurize_digest(page: dm.Document) -> str:
 
 def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
     """Reading order, phrases, and the rule labels and values of one page."""
-    phrases = grouping.group_words(page)
+    rows = bs.PhraseRows(page)
     labels, values = bs.bootstrap_corpus([page], schema)
     return _sha(json.dumps({
         "order": page.order,
-        "phrases": [[list(p.word_ids), p.text, p.box.as_list()] for p in phrases],
+        "phrases": [[list(ids), text, box]
+                    for ids, text, box in zip(rows.members, rows.texts, rows.boxes.tolist())],
         "labels": sorted(labels.positives(page.doc_id).items()),
         "values": values,
     }, sort_keys=True))

@@ -1,9 +1,11 @@
 """Rule mining: key localization, geometric scoring, zones, conflicts."""
 
+import dataclasses
 import json
 import math
 import warnings
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc
-from ffrg import bootstrap, datatypes, docmodel, similarity
+from ffrg import bootstrap, datatypes, similarity
 from ffrg.bootstrap import (
     FieldExtraction,
     PhraseRows,
@@ -27,21 +29,47 @@ from ffrg.bootstrap import (
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
     BBox, Document, Phrase, SchemaField, default_invoice_schema, parse_document,
+    read_documents, write_documents,
 )
 from ffrg.grouping import group_document, group_words
 from ffrg.similarity import jaro_winkler
 from ffrg.synth import generate, preset_config
 
 
-def ph(text, cx, cy, ids=(0,), half=0.02):
-    return Phrase(tuple(ids), text, BBox(cx - half, cy - half, cx + half, cy + half))
+class _Phrase(NamedTuple):
+    """A phrase with the text and box that the oracles below read."""
+    word_ids: tuple[int, ...]
+    text: str
+    box: BBox
+
+
+def ph(text, cx, cy, half=0.02):
+    return _Phrase((0,), text, BBox(cx - half, cy - half, cx + half, cy + half))
+
+
+def _phrase_record(doc, ids):
+    """The phrase of these word ids: its words' texts joined by spaces, and
+    its box chained from the first word by min and max, each keeping the
+    earlier of equal coordinates."""
+    words = [doc.words[w] for w in ids]
+    box = words[0].box
+    for w in words[1:]:
+        b = w.box
+        box = BBox(min(box.x0, b.x0), min(box.y0, b.y0), max(box.x1, b.x1), max(box.y1, b.y1))
+    return _Phrase(tuple(ids), " ".join(w.text for w in words), box)
+
+
+def _phrase_records(doc):
+    """The document's own phrases, or group_words' when it has none, as records."""
+    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
+    return [_phrase_record(doc, p.word_ids) for p in phrases]
+
+
+def _phrase_text(doc, phrase):
+    return " ".join(doc.words[w].text for w in phrase.word_ids)
 
 
 MONEY_FIELD = SchemaField(1, "amount", ("total",), frozenset({DataType.MONEY, DataType.NUMBER}))
-
-
-def _texts(phrases):
-    return [p.text for p in phrases]
 
 
 def _extract_field(doc, field):
@@ -257,7 +285,7 @@ def test_key_bounds_equal_the_bitmask_bounds_on_odd_texts(schema):
 
 def test_key_bounds_equal_the_bitmask_bounds_on_a_noisy_page(schema):
     (doc,), _, _ = generate(preset_config("noisy-bench", 1, 5), schema)
-    texts = _texts(group_words(doc))
+    texts = [p.text for p in _phrase_records(doc)]
     key_lists = [f.keys for f in schema.fields]
     assert _hex_rows(key_bounds(texts, key_lists)) == _hex_rows(
         _key_bounds_by_bitmask(texts, key_lists))
@@ -265,8 +293,8 @@ def test_key_bounds_equal_the_bitmask_bounds_on_a_noisy_page(schema):
 
 def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
     # type_of runs at most once per phrase, only on phrases in some located
-    # key's zone, and a Phrase is built only for a key or value extract_field
-    # returns
+    # key's zone, and a Phrase is built once for each key or value that
+    # extract_field returns
     (doc,), _, _ = generate(preset_config("noisy-bench", 1, 0), schema)
     rows = PhraseRows(doc)
     calls = {"type_of": [], "jaro": 0, "phrase": []}
@@ -303,11 +331,12 @@ def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
     zone = np.zeros(len(rows.texts), dtype=bool)
     for e in returned:
         if e.key_phrase is not None:
-            zone |= bootstrap._in_zone(rows.boxes, e.key_phrase.box.center)
+            key_i = rows.members.index(e.key_phrase.word_ids)
+            zone |= bootstrap._in_zone(rows.boxes, rows.centres[key_i])
     in_zone = Counter(t for t, z in zip(rows.texts, zone) if z)
     assert 0 < len(calls["type_of"]) <= zone.sum() < len(rows.texts)
     assert not Counter(calls["type_of"]) - in_zone
-    made = {p.word_ids for e in returned for p in (e.key_phrase, e.value_phrase) if p}
+    made = [p.word_ids for e in returned for p in (e.key_phrase, e.value_phrase) if p]
     assert sorted(calls["phrase"]) == sorted(made)
     n_keys = sum(len(f.keys) for f in schema.fields)
     assert 0 < calls["jaro"] < len(rows.texts) * n_keys
@@ -371,12 +400,13 @@ def in_neighbor_zone(key, candidate):
 
 
 def _zone_mask(key, candidates):
-    return bootstrap._in_zone(docmodel._boxes(candidates), key.box.center).tolist()
+    boxes = np.array([c.box.as_list() for c in candidates], dtype=np.float64)
+    return bootstrap._in_zone(boxes, key.box.center).tolist()
 
 
 def _point(x, y):
     # a zero-size box: its center is exactly (x, y)
-    return Phrase((99,), "k", BBox(x, y, x, y))
+    return _Phrase((99,), "k", BBox(x, y, x, y))
 
 
 def test_zone_mask_equals_the_candidate_loop_on_random_boxes():
@@ -387,7 +417,7 @@ def test_zone_mask_equals_the_candidate_loop_on_random_boxes():
             x0, y0 = (float(v) for v in rng.uniform(0.0, 0.9, size=2))
             w, h = (float(v) for v in rng.uniform(0.0, 0.1, size=2))
             x0 = -0.0 if rng.random() < 0.1 else x0
-            candidates.append(Phrase((k,), "1", BBox(x0, y0, x0 + w, y0 + h)))
+            candidates.append(_Phrase((k,), "1", BBox(x0, y0, x0 + w, y0 + h)))
         for _ in range(10):
             key = _point(*(float(v) for v in rng.uniform(0.0, 1.0, size=2)))
             assert _zone_mask(key, candidates) == [in_neighbor_zone(key, c) for c in candidates]
@@ -395,10 +425,10 @@ def test_zone_mask_equals_the_candidate_loop_on_random_boxes():
 
 def test_zone_mask_equals_the_candidate_loop_on_its_edges():
     candidates = [
-        Phrase((0,), "1", BBox(0.5, 0.5, 0.6, 0.52)),
-        Phrase((1,), "2", BBox(0.3, 0.45, 0.41, 0.4837)),
-        Phrase((2,), "3", BBox(-0.0, 0.7, 0.0, 0.71)),
-        Phrase((3,), "4", BBox(0.2, 0.3, 0.2, 0.3)),
+        _Phrase((0,), "1", BBox(0.5, 0.5, 0.6, 0.52)),
+        _Phrase((1,), "2", BBox(0.3, 0.45, 0.41, 0.4837)),
+        _Phrase((2,), "3", BBox(-0.0, 0.7, 0.0, 0.71)),
+        _Phrase((3,), "4", BBox(0.2, 0.3, 0.2, 0.3)),
     ]
     for c in candidates:
         h = c.box.height
@@ -418,7 +448,7 @@ def test_zone_mask_equals_the_candidate_loop_on_its_edges():
 
 
 def test_zone_spans_left_and_four_heights_up_one_down():
-    cand = Phrase((0,), "$12.00", BBox(0.5, 0.5, 0.6, 0.52))
+    cand = _Phrase((0,), "$12.00", BBox(0.5, 0.5, 0.6, 0.52))
     # key center must satisfy x <= 0.6 and 0.42 <= y <= 0.54
     assert in_neighbor_zone(ph("k", 0.30, 0.50), cand)
     assert in_neighbor_zone(ph("k", 0.05, 0.42), cand)   # boundary inclusive
@@ -429,9 +459,9 @@ def test_zone_spans_left_and_four_heights_up_one_down():
 
 
 def test_zone_scales_with_candidate_height():
-    tall = Phrase((0,), "$12.00", BBox(0.5, 0.50, 0.6, 0.58))
+    tall = _Phrase((0,), "$12.00", BBox(0.5, 0.50, 0.6, 0.58))
     assert in_neighbor_zone(ph("k", 0.55, 0.20), tall)  # 4 * 0.08 above
-    short = Phrase((0,), "$12.00", BBox(0.5, 0.50, 0.6, 0.52))
+    short = _Phrase((0,), "$12.00", BBox(0.5, 0.50, 0.6, 0.52))
     assert not in_neighbor_zone(ph("k", 0.55, 0.20), short)
 
 
@@ -449,14 +479,15 @@ def _line_doc():
 
 
 def _one_phrase_a_word(doc):
-    phrases = tuple(Phrase((w.id,), w.text, w.box) for w in doc.words)
+    phrases = tuple(Phrase((w.id,)) for w in doc.words)
     return Document(doc.doc_id, doc.page_width, doc.page_height, doc.words, phrases)
 
 
 def test_extract_field_picks_typed_neighbor(schema):
-    e = _extract_field(_one_phrase_a_word(_line_doc()), MONEY_FIELD)
-    assert e.key_phrase.text == "Total"
-    assert e.value_phrase.text == "$12.00"
+    doc = _one_phrase_a_word(_line_doc())
+    e = _extract_field(doc, MONEY_FIELD)
+    assert _phrase_text(doc, e.key_phrase) == "Total"
+    assert _phrase_text(doc, e.value_phrase) == "$12.00"
     assert e.value_score > RuleParams().theta_v
     # "hello" is OTHER and "99.00" sits far outside the zone band
 
@@ -483,7 +514,7 @@ def test_extract_field_never_reuses_key_as_value():
     field = SchemaField(1, "f", ("123",), frozenset({DataType.NUMBER}))
     doc = make_doc([("123", 0.1, 0.1, 0.16, 0.12)])
     e = _extract_field(_one_phrase_a_word(doc), field)
-    assert e.key_phrase.text == "123"
+    assert _phrase_text(doc, e.key_phrase) == "123"
     assert e.value_phrase is None
 
 
@@ -502,24 +533,22 @@ def test_extract_field_skips_the_key_before_typing_it(monkeypatch):
     monkeypatch.setattr(bootstrap, "type_of", type_of)
     (bound,) = key_bounds(rows.texts, [MONEY_FIELD.keys])
     e = extract_field(rows, MONEY_FIELD, RuleParams(), bound=bound)
-    assert e.key_phrase is doc.phrases[0] and e.value_phrase is doc.phrases[1]
+    assert e.key_phrase == doc.phrases[0] and e.value_phrase == doc.phrases[1]
     assert typed == ["$12.00", "hello"]
     assert rows._types[0] is None
 
 
 def test_extraction_invariants():
     with pytest.raises(ValueError):
-        FieldExtraction(1, ph("k", 0.1, 0.1), None, 1.0, 2.0)
+        FieldExtraction(1, Phrase((0,)), None, 1.0, 2.0)
     with pytest.raises(ValueError):
-        FieldExtraction(1, ph("k", 0.1, 0.1), ph("k", 0.1, 0.1), 1.0, 2.0)
+        FieldExtraction(1, Phrase((0,)), Phrase((0,)), 1.0, 2.0)
 
 
 # --- conflict resolution ----------------------------------------------------
 
-def _extraction(field_id, value_ids, score, text="v"):
-    key = ph("k", 0.1, 0.1, ids=(99,))
-    value = Phrase(tuple(value_ids), text, BBox(0.3, 0.1, 0.4, 0.12))
-    return FieldExtraction(field_id, key, value, 1.0, score)
+def _extraction(field_id, value_ids, score):
+    return FieldExtraction(field_id, Phrase((99,)), Phrase(tuple(value_ids)), 1.0, score)
 
 
 def test_conflict_drops_weaker_claim_entirely():
@@ -580,7 +609,7 @@ def test_extract_document_groups_when_needed(schema):
     extractions = extract_document(doc, schema)
     by_field = {e.field_id: e for e in extractions}
     amount = next(f.field_id for f in schema.fields if f.name == "total_amount")
-    assert by_field[amount].value_phrase.text == "$9.00"
+    assert _phrase_text(doc, by_field[amount].value_phrase) == "$9.00"
 
 
 # --- degenerate pages -------------------------------------------------------
@@ -610,6 +639,12 @@ _DEGENERATE = {
          ("48113", 0.30, 0.10, 0.35, 0.12), ("DUE", 0.10, 0.30, 0.13, 0.32),
          ("İ", 0.135, 0.30, 0.14, 0.32), ("2021-03-04", 0.30, 0.30, 0.40, 0.32)],
         {"inv_number": "48113", "due_date": "2021-03-04"},
+    ),
+    # the value's word ids run against its reading order
+    "ids_against_reading_order": (
+        [("Date", 0.10, 0.10, 0.14, 0.12), ("2024", 0.36, 0.10, 0.40, 0.12),
+         ("5,", 0.335, 0.10, 0.355, 0.12), ("Jan", 0.30, 0.10, 0.33, 0.12)],
+        {"inv_date": "Jan 5, 2024"},
     ),
 }
 
@@ -651,21 +686,21 @@ def test_grouped_input_breaks_ties_in_reading_order_whatever_its_phrase_order(sc
 # --- phrase rows against the phrase-object path -----------------------------
 
 def _extract_document_by_phrase_objects(doc, schema, p=RuleParams()):
-    """extract_document as it ran on Phrase objects: every phrase built and
-    typed, each key the exhaustive first maximum, and the candidates every
-    other typed phrase in the key's zone, in phrase order."""
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
+    """extract_document as it ran on phrase objects: every phrase record
+    built and typed, each key the exhaustive first maximum, and the
+    candidates every other typed phrase in the key's zone, in phrase order."""
+    phrases = _phrase_records(doc)
     types = [datatypes.type_of(ph.text) for ph in phrases]
     out = []
     for field in schema.fields:
-        key_i, key_s = _exhaustive_first_max(_texts(phrases), field)
+        key_i, key_s = _exhaustive_first_max([ph.text for ph in phrases], field)
         if key_i is None:
             out.append(FieldExtraction(field.field_id, None, None, 0.0, None))
             continue
         key = phrases[key_i]
         best, best_score = None, 0.0
-        for ph, types_ in zip(phrases, types):
-            if ph is key or not types_ & field.allowed_types or not in_neighbor_zone(key, ph):
+        for i, (ph, types_) in enumerate(zip(phrases, types)):
+            if i == key_i or not types_ & field.allowed_types or not in_neighbor_zone(key, ph):
                 continue
             s = key_s * geometric_score(key.box.center, ph.box.center, p)
             if best is None or s > best_score:
@@ -677,23 +712,28 @@ def _extract_document_by_phrase_objects(doc, schema, p=RuleParams()):
     return resolve_conflicts(out)
 
 
-def _phrase_hex(p):
-    return None if p is None else (p.word_ids, p.text, [float(v).hex() for v in p.box.as_list()])
-
-
 def _extractions_hex(extractions):
-    return [(e.field_id, _phrase_hex(e.key_phrase), _phrase_hex(e.value_phrase),
+    return [(e.field_id, *(None if ph is None else ph.word_ids
+                           for ph in (e.key_phrase, e.value_phrase)),
              e.key_score.hex(), None if e.value_score is None else e.value_score.hex())
             for e in extractions]
 
 
+def _rows_hex(texts, boxes):
+    return [(t, [float(v).hex() for v in box]) for t, box in zip(texts, boxes)]
+
+
 def _assert_equals_the_phrase_object_path(doc, schema):
+    rows, records = PhraseRows(doc), _phrase_records(doc)
+    assert rows.members == tuple(r.word_ids for r in records)
+    assert _rows_hex(rows.texts, rows.boxes.tolist()) == _rows_hex(
+        [r.text for r in records], [r.box.as_list() for r in records])
     got = extract_document(doc, schema)
     assert _extractions_hex(got) == _extractions_hex(
         _extract_document_by_phrase_objects(doc, schema))
     if doc.phrases is not None:
-        own = {id(ph) for ph in doc.phrases}
-        assert all(id(ph) in own for e in got for ph in (e.key_phrase, e.value_phrase) if ph)
+        own = {ph.word_ids for ph in doc.phrases}
+        assert all(ph.word_ids in own for e in got for ph in (e.key_phrase, e.value_phrase) if ph)
 
 
 def _reversed_phrases(doc, drop):
@@ -743,11 +783,30 @@ def test_extract_document_equals_the_phrase_object_path_on_grouped_input(schema)
 def test_phrase_box_rows_keep_the_first_of_signed_zeros(first):
     # two zero-width words at x = -0.0 and +0.0 form one phrase whose
     # x0, y0 and x1 all tie; the row keeps the first word's zeros, as the
-    # BBox.union chain does
+    # min/max chain from the first word does
     doc = make_doc([("Total", first, first, first, 0.02), ("$1.00", -first, -first, -first, 0.02)])
     rows = PhraseRows(doc)
     assert rows.members == ((0, 1),)
-    chain = doc.words[0].box.union(doc.words[1].box)
-    assert [v.hex() for v in rows.boxes[0].tolist()] == [v.hex() for v in chain.as_list()]
+    chain = _phrase_record(doc, (0, 1))
+    assert _rows_hex(rows.texts, rows.boxes.tolist()) == _rows_hex(
+        ["Total $1.00"], [chain.box.as_list()])
     assert math.copysign(1.0, rows.boxes[0, 0]) == math.copysign(1.0, first)
-    assert _phrase_hex(rows.phrase(0)) == _phrase_hex(group_words(doc)[0])
+
+
+def test_grouped_records_hold_word_ids_and_label_as_ungrouped(schema, tmp_path):
+    # a phrase read back is its word ids alone, and the rule pass gives the
+    # same labels and values on grouped documents as on the words alone
+    docs, _, _ = generate(preset_config("noisy-bench", 12, 7), schema)
+    grouped = [group_document(doc) for doc in docs]
+    path = str(tmp_path / "grouped.jsonl")
+    write_documents(path, grouped)
+    back = read_documents(path)
+    assert back == grouped
+    for doc in back:
+        for phrase in doc.phrases:
+            assert [f.name for f in dataclasses.fields(phrase)] == ["word_ids"]
+            assert type(phrase.word_ids) is tuple
+    want = bootstrap_corpus(docs, schema)
+    assert want[1] and any(want[1].values())
+    assert bootstrap_corpus(grouped, schema) == want
+    assert bootstrap_corpus(back, schema) == want

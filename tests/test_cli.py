@@ -483,6 +483,19 @@ def test_inspect_refuses_an_overlay_without_svg(synth_dir, tmp_path, overlay, ca
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("docs", ["exists", "missing"])
+def test_inspect_refuses_docs_without_svg(synth_dir, tmp_path, docs, capsys, caplog):
+    # without --svg the documents would never be read, even when missing
+    path = synth_dir / "docs.jsonl" if docs == "exists" else tmp_path / "missing.jsonl"
+    gold = str(synth_dir / "gold.jsonl")
+    out = tmp_path / "out.jsonl"
+    assert run("inspect", "--pred", gold, "--gold", gold, "--out", str(out),
+               "--docs", str(path)) == 1
+    assert "--docs requires --svg" in caplog.text
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- config files -------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):

@@ -30,7 +30,6 @@ from ffrg.docmodel import (
     ValidationError,
     Word,
     default_invoice_schema,
-    make_phrase,
     parse_document,
     read_annotations,
     read_documents,
@@ -54,12 +53,6 @@ def test_box_accessors():
     assert b.width == pytest.approx(0.2)
     assert b.height == pytest.approx(0.4)
     assert b.center == (pytest.approx(0.2), pytest.approx(0.4))
-
-
-def test_box_union():
-    a = BBox(0.1, 0.1, 0.2, 0.2)
-    b = BBox(0.15, 0.05, 0.3, 0.18)
-    assert a.union(b) == BBox(0.1, 0.05, 0.3, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -146,18 +139,17 @@ def test_word_rejects_padded_or_empty_text():
 
 
 def test_phrase_needs_distinct_words():
-    box = BBox(0, 0, 0.1, 0.1)
     with pytest.raises(ValidationError):
-        Phrase((), "", box)
+        Phrase(())
     with pytest.raises(ValidationError):
-        Phrase((1, 1), "x x", box)
+        Phrase((1, 1))
 
 
 # --- slotted records ----------------------------------------------------------
 
 def _slotted_records():
     box = BBox(0.1, 0.2, 0.3, 0.22)
-    return box, Word(0, "a", box), Phrase((0,), "a", box)
+    return box, Word(0, "a", box), Phrase((0,))
 
 
 def test_records_are_slotted():
@@ -181,7 +173,7 @@ def test_replaced_records_are_checked_and_equal():
     assert dataclasses.replace(box) == box and dataclasses.replace(box) is not box
     assert dataclasses.replace(box, x1=0.5) == BBox(0.1, 0.2, 0.5, 0.22)
     assert dataclasses.replace(word, text="b") == Word(0, "b", box)
-    assert dataclasses.replace(phrase, word_ids=(0, 1)) == Phrase((0, 1), "a", box)
+    assert dataclasses.replace(phrase, word_ids=(0, 1)) == Phrase((0, 1))
     with pytest.raises(ValidationError, match="x1 < x0"):
         dataclasses.replace(box, x1=0.05)
     with pytest.raises(ValidationError, match="surrounding whitespace"):
@@ -194,7 +186,7 @@ def test_replaced_records_are_checked_and_equal():
                          ids=["deepcopy", "pickle"])
 def test_copied_records_are_equal(copy_of):
     doc = make_doc(_BOX_WORDS)
-    doc = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [2, 0]),))
+    doc = dataclasses.replace(doc, phrases=(Phrase((2, 0)),))
     for record in (*_slotted_records(), doc, doc.words[1], doc.phrases[0]):
         twin = copy_of(record)
         assert type(twin) is type(record)
@@ -219,10 +211,8 @@ def test_document_requires_word_i_to_have_id_i():
 
 def test_document_rejects_phrase_sharing_a_word():
     doc = make_doc([("a", 0.0, 0.0, 0.1, 0.02), ("b", 0.2, 0.0, 0.3, 0.02)])
-    p1 = Phrase((0,), "a", doc.words[0].box)
-    p2 = Phrase((0, 1), "a b", doc.words[0].box.union(doc.words[1].box))
     with pytest.raises(ValidationError):
-        Document(doc.doc_id, 1000, 1000, doc.words, (p1, p2))
+        Document(doc.doc_id, 1000, 1000, doc.words, (Phrase((0,)), Phrase((0, 1))))
 
 
 # --- reading order ----------------------------------------------------------
@@ -445,14 +435,6 @@ def test_components_of_a_long_chain():
 _HELLO_WORLD = [("world", 0.30, 0.10, 0.40, 0.12), ("hello", 0.10, 0.10, 0.20, 0.12)]
 
 
-def test_make_phrase_keeps_member_order_and_unions_boxes():
-    doc = make_doc(_HELLO_WORLD)
-    ph = make_phrase(doc.words, [1, 0])
-    assert ph.word_ids == (1, 0)
-    assert ph.text == "hello world"
-    assert ph.box == BBox(0.10, 0.10, 0.40, 0.12)
-
-
 # --- JSONL documents --------------------------------------------------------
 
 def _record(words, page=1000):
@@ -567,10 +549,7 @@ def test_document_round_trip_with_phrases():
     doc = make_doc(
         [("hello", 0.1, 0.1, 0.2, 0.12), ("world", 0.22, 0.1, 0.3, 0.12)]
     )
-    doc = Document(
-        doc.doc_id, doc.page_width, doc.page_height, doc.words,
-        (make_phrase(doc.words, [0, 1]),),
-    )
+    doc = Document(doc.doc_id, doc.page_width, doc.page_height, doc.words, (Phrase((0, 1)),))
     again = parse_document(serialize_document(doc))
     assert again == doc
 
@@ -579,9 +558,9 @@ def test_grouped_record_lists_phrase_words_in_reading_order():
     record = json.loads(_record([{"text": t, "box": list(b)} for t, *b in _HELLO_WORLD]))
     record["phrases"] = [{"word_ids": [0, 1]}]
     doc = parse_document(json.dumps(record))
-    assert doc.phrases[0].word_ids == (1, 0)
-    assert doc.phrases[0].text == "hello world"
+    assert doc.phrases == (Phrase((1, 0)),)
     assert doc.members == ((1, 0),)
+    assert bootstrap.PhraseRows(doc).texts == ["hello world"]
 
 
 def test_grouped_record_keeps_the_order_it_worked_out(monkeypatch):
@@ -603,7 +582,7 @@ def test_grouped_record_reads_its_word_boxes_once(monkeypatch):
     record["phrases"] = [{"word_ids": [0]}]
     doc = parse_document(json.dumps(record))
     assert len(read) == 1
-    assert doc.phrases == (Phrase((0,), "a", BBox(0.1, 0.1, 0.2, 0.2)),)
+    assert doc.phrases == (Phrase((0,)),)
 
 
 # --- the word box array -----------------------------------------------------
@@ -661,7 +640,7 @@ def test_document_boxes_stay_out_of_equality_hash_and_repr():
                          ids=["deepcopy", "pickle"])
 def test_copied_document_keeps_read_only_boxes(copy_of):
     doc = make_doc(_BOX_WORDS)
-    doc = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [2, 0]),))
+    doc = dataclasses.replace(doc, phrases=(Phrase((2, 0)),))
     twin = copy_of(doc)
     assert twin == doc
     _assert_boxes_are_the_word_rows(twin)
@@ -697,8 +676,7 @@ def test_replace_works_out_the_layout_anew():
     assert (doc.order, doc.members) == ((1, 0, 2), ((1, 0), (2,)))
     moved = dataclasses.replace(doc, words=make_doc(_LAYOUT_WORDS[::-1]).words)
     assert (moved.order, moved.members) == ((1, 2, 0), ((1, 2), (0,)))
-    phrases = (make_phrase(doc.words, [2]), make_phrase(doc.words, [1]),
-               make_phrase(doc.words, [0]))
+    phrases = (Phrase((2,)), Phrase((1,)), Phrase((0,)))
     grouped = dataclasses.replace(doc, phrases=phrases)
     assert (grouped.order, grouped.members) == ((1, 0, 2), ((2,), (1,), (0,)))
     assert dataclasses.replace(grouped, phrases=None).members == ((1, 0), (2,))
@@ -735,7 +713,7 @@ def test_replace_rebuilds_document_boxes():
     moved = dataclasses.replace(doc, words=make_doc(_BOX_WORDS[::-1]).words)
     assert moved.boxes is not doc.boxes
     _assert_boxes_are_the_word_rows(moved)
-    grouped = dataclasses.replace(doc, phrases=(make_phrase(doc.words, [0]),))
+    grouped = dataclasses.replace(doc, phrases=(Phrase((0,)),))
     _assert_boxes_are_the_word_rows(grouped)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(doc, boxes=np.zeros((3, 4)))
@@ -760,7 +738,7 @@ def test_document_boxes_equal_the_word_rows_at_every_construction_site(schema):
 
 def test_word_boxes_are_read_once_per_document(schema, monkeypatch):
     # the constructor builds the box array; no stage on a document walks
-    # its word boxes again
+    # its word boxes again, and a phrase has no box of its own to walk
     real, read = docmodel._boxes, []
 
     def boxes(items):
@@ -769,7 +747,6 @@ def test_word_boxes_are_read_once_per_document(schema, monkeypatch):
         return real(items)
 
     monkeypatch.setattr(docmodel, "_boxes", boxes)
-    monkeypatch.setattr(bootstrap, "_boxes", boxes)
     docs, _, _ = generate(preset_config("noisy-bench", 4, 0), schema)
     assert read == [{"Word"}] * 4
     read.clear()
@@ -784,7 +761,7 @@ def test_word_boxes_are_read_once_per_document(schema, monkeypatch):
     assert read == [{"Word"}] * 4
     read.clear()
     bootstrap_corpus(grouped, schema)
-    assert read == [{"Phrase"}] * 4  # the phrase boxes, which have no array
+    assert read == []
 
 
 # --- schema -----------------------------------------------------------------

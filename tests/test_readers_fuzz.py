@@ -102,15 +102,31 @@ _annotation_row = _record({
         st.one_of(_slot(st.text(max_size=6)), st.none(), st.integers()),
     )),
 })
+# field slots also see the values a lenient reader would coerce: a string,
+# float or boolean field_id, a null or integer name, and keys as a bare
+# string or holding an integer
 _schema = _record({
     "fields": _slot(st.lists(_record({
-        "field_id": _slot(st.integers(1, 3)),
-        "name": _slot(st.sampled_from(["f", "g"])),
-        "keys": _slot(st.lists(_slot(st.sampled_from(["total", "Key"])), max_size=2)),
+        "field_id": _slot(st.one_of(st.integers(1, 3), st.sampled_from(["1", 1.0, True]))),
+        "name": _slot(st.sampled_from(["f", "g", None, 1])),
+        "keys": _slot(st.one_of(
+            st.lists(_slot(st.sampled_from(["total", "Key"])), max_size=2),
+            st.sampled_from(["total", [1]]),
+        )),
         "allowed_types": _slot(
             st.lists(_slot(st.sampled_from(["number", "date", "x"])), max_size=2)
         ),
     }), max_size=3)),
+})
+# one field whose slots hold only valid or coercible values: _schema
+# almost never builds a schema with fields that the reader accepts
+_one_field_schema = st.fixed_dictionaries({
+    "fields": st.fixed_dictionaries({
+        "field_id": st.sampled_from([1, "1", 1.0, True]),
+        "name": st.sampled_from(["f", None, 1]),
+        "keys": st.sampled_from([["total"], "total", [1]]),
+        "allowed_types": st.just(["number"]),
+    }).map(lambda field: [field]),
 })
 
 
@@ -166,7 +182,7 @@ def test_read_annotations_fails_only_with_typed_errors(rows):
 
 # schema_from_json_dict reads no file, so it affords more examples
 @settings(FUZZ, max_examples=600)
-@given(_schema)
+@given(st.one_of(_schema, _one_field_schema))
 def test_schema_from_json_dict_fails_only_with_typed_errors(raw):
     try:
         schema = schema_from_json_dict(raw)
