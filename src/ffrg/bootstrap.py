@@ -17,6 +17,7 @@ typed only when it lies in some located key's zone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,14 +71,16 @@ class FieldExtraction:
             raise ValueError("value phrase cannot be the key phrase")
 
 
-def _char_counts(texts: Sequence[str], chars: np.ndarray) -> np.ndarray:
-    """Per text, how many times it holds each of the sorted code points."""
+def _char_counts(texts: Sequence[str], chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per text, how many times it holds each of the sorted code points,
+    and its length."""
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    owner = np.arange(len(texts)).repeat([len(t) for t in texts])
+    owner = np.arange(len(texts)).repeat(lengths)
     col = np.minimum(chars.searchsorted(codes), len(chars) - 1)
     known = chars[col] == codes
     counts = np.bincount(owner[known] * len(chars) + col[known], minlength=len(texts) * len(chars))
-    return counts.reshape(len(texts), len(chars))
+    return counts.reshape(len(texts), len(chars)), lengths
 
 
 @functools.lru_cache(maxsize=16)
@@ -90,14 +93,33 @@ def _key_slots(key_lists: tuple[tuple[str, ...], ...]):
     and where each key list starts among the keys."""
     keys = [k for ks in key_lists for k in ks]
     chars = np.array(sorted({ord(ch) for k in keys for ch in k}), dtype=np.uint32)
-    counts = _char_counts(keys, chars)
+    counts, lengths = _char_counts(keys, chars)
     width = counts.max(axis=0)
     slot_char = np.repeat(np.arange(len(chars)), width)
     slot_t = np.arange(1, len(slot_char) + 1) - np.repeat(np.cumsum(width) - width, width)
     rows = (counts[:, slot_char] >= slot_t).astype(np.float64)
-    lengths = np.array([len(k) for k in keys], dtype=np.float64)
     starts = np.cumsum([0] + [len(ks) for ks in key_lists[:-1]])
-    return chars, slot_char, slot_t, rows.T, lengths, starts
+    return chars, slot_char, slot_t, rows.T, lengths.astype(np.float64), starts
+
+
+def _bound_columns(texts: Sequence[str],
+                   key_lists: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """key_bounds side by side: one (texts × keys) array, a column per key of
+    every list in turn, and where each key list's columns start."""
+    chars, slot_char, slot_t, key_rows, len_k, starts = _key_slots(tuple(key_lists))
+    texts = [t.strip().lower() for t in texts]
+    counts, lengths = _char_counts(texts, chars)
+    c = (counts[:, slot_char] >= slot_t).astype(np.float64) @ key_rows
+    # in place, in the order of (c/len_p + c/len_k + 1)/3; an empty text
+    # holds no character, so c is 0 and its bound 0
+    bound = c / np.maximum(lengths, 1).astype(np.float64)[:, None]
+    bound += c / len_k
+    bound += 1.0
+    bound /= 3.0
+    boost = bound > JW_BOOST_THRESHOLD
+    bound[boost] += JW_MAX_PREFIX * JW_PREFIX_SCALE * (1.0 - bound[boost])
+    bound[c == 0.0] = 0.0
+    return bound, starts
 
 
 def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> list[np.ndarray]:
@@ -113,38 +135,32 @@ def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> li
     """
     if not key_lists:
         return []
-    chars, slot_char, slot_t, key_rows, len_k, starts = _key_slots(tuple(key_lists))
-    texts = [t.strip().lower() for t in texts]
-    counts = _char_counts(texts, chars)
-    c = (counts[:, slot_char] >= slot_t).astype(np.float64) @ key_rows
-    # an empty text holds no character, so c is 0 and its bound 0
-    len_p = np.array([max(len(t), 1) for t in texts], dtype=np.float64)[:, None]
-    jaro = (c / len_p + c / len_k + 1.0) / 3.0
-    max_boost = JW_MAX_PREFIX * JW_PREFIX_SCALE
-    jaro = np.where(jaro > JW_BOOST_THRESHOLD, jaro + max_boost * (1.0 - jaro), jaro)
-    return np.split(np.where(c > 0, jaro, 0.0), starts[1:], axis=1)
+    bound, starts = _bound_columns(texts, key_lists)
+    return np.split(bound, starts[1:], axis=1)
 
 
 def localize_key(
-    texts: Sequence[str], field: SchemaField, bound: np.ndarray
+    texts: Sequence[str], field: SchemaField, bound: np.ndarray,
+    top: Sequence[float], order: Sequence[int],
 ) -> tuple[int | None, float]:
     """Index and score of the phrase text most similar to one of the
     field's keys (1 - string_distance); ties go to the earlier phrase in
     reading order.
 
-    `bound` is the field's array of key_bounds, a column per key.  Phrases
-    are visited in descending order of their best key bound, and a
-    phrase's keys in descending order of their own; both sorts are stable,
-    so equal bounds stay in reading order.  Once there is a best exact
-    score, a key is scored only if its bound can still reach it: a key left
-    out scores below the best, so it can neither win nor tie.  The slack
-    absorbs the rounding of the bound's different expression.
+    `bound` is the field's array of key_bounds, a column per key, `top`
+    each phrase's best key bound and `order` the phrases by descending
+    `top`, a stable sort, so equal bounds stay in reading order;
+    extract_document works out both for all fields at once.  A phrase's
+    keys are visited in descending order of their own bound, also stably.
+    Once there is a best exact score, a key is scored only if its bound
+    can still reach it: a key left out scores below the best, so it can
+    neither win nor tie.  The slack absorbs the rounding of the bound's
+    different expression.
     """
     keys = field.keys
-    top = bound.max(axis=1)
     best_i: int | None = None
     best_score = 0.0
-    for i in (-top).argsort(kind="stable").tolist():
+    for i in order:
         if best_i is not None and top[i] + BOUND_SLACK < best_score:
             break
         row = bound[i].tolist()
@@ -183,10 +199,11 @@ def geometric_score(key: tuple[float, float], value: tuple[float, float],
     return _gaussian(dist, MU_D, p.sigma_d) + p.alpha * angle_term
 
 
-def _in_zone(boxes: np.ndarray, key: tuple[float, float]) -> np.ndarray:
+def _in_zone(boxes: np.ndarray, key) -> np.ndarray:
     """Per candidate box (row x0, y0, x1, y1), whether the key center sits
     left of its right edge and within a band from ZONE_ABOVE candidate-heights
-    above to ZONE_BELOW below."""
+    above to ZONE_BELOW below.  `key` is a centre (x, y), or columns of
+    centres (x, y) for a (keys × candidates) mask."""
     kx, ky = key
     _, y0, x1, y1 = boxes.T
     h = y1 - y0
@@ -199,8 +216,10 @@ def _union_rows(word_boxes: np.ndarray, members: Sequence[Sequence[int]]) -> np.
     coordinates, so a -0.0 and +0.0 tie keeps the earlier word's zero."""
     if not members:
         return np.zeros((0, 4))
-    rows = word_boxes[[w for ids in members for w in ids]]
-    starts = np.cumsum([0] + [len(ids) for ids in members[:-1]])
+    lengths = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    rows = word_boxes[np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
+                                  count=int(lengths.sum()))]
+    starts = np.cumsum(lengths) - lengths
     out = np.concatenate([np.minimum.reduceat(rows[:, :2], starts, axis=0),
                           np.maximum.reduceat(rows[:, 2:], starts, axis=0)], axis=1)
     # only a zero can have an equal of other bits, so only zeros are redone
@@ -216,9 +235,10 @@ class PhraseRows:
     is worked out on first use."""
 
     def __init__(self, doc: Document):
-        words = doc.words
+        words = [w.text for w in doc.words]
         self.members = doc.members
-        self.texts = [" ".join([words[w].text for w in ids]) for ids in self.members]
+        self.texts = [words[ids[0]] if len(ids) == 1 else " ".join([words[w] for w in ids])
+                      for ids in self.members]
         self.boxes = _union_rows(doc.boxes, self.members)
         self.centres = ((self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0).tolist()
         self._types: list[frozenset | None] = [None] * len(self.texts)
@@ -232,31 +252,34 @@ class PhraseRows:
 
 
 def extract_field(
-    rows: PhraseRows, field: SchemaField, p: RuleParams, *, bound: np.ndarray
+    rows: PhraseRows, field: SchemaField, p: RuleParams,
+    key: tuple[int | None, float], zone: np.ndarray | None,
 ) -> FieldExtraction:
-    """Locate the field's key, then the best typed candidate near it.
+    """The best typed candidate near the field's located key.
 
-    `bound` is the field's array of key_bounds over the phrase texts, which
-    extract_document works out once for all fields.  Only the phrases in
-    the key's zone are typed.
+    `key` is localize_key's (index, score) and `zone` the key's row of
+    _in_zone over the phrase boxes (None when no key was found), which
+    extract_document works out for all fields at once.  Only the phrases
+    in the zone are typed.
     """
-    key_i, key_s = localize_key(rows.texts, field, bound)
+    key_i, key_s = key
     if key_i is None:
         return FieldExtraction(field.field_id, None, None, 0.0, None)
 
     centre = rows.centres[key_i]
     best_i: int | None = None
     best_score = 0.0
-    for i in _in_zone(rows.boxes, centre).nonzero()[0].tolist():
+    for i in zone.nonzero()[0].tolist():
         if i == key_i or not rows.types(i) & field.allowed_types:
             continue
         s = key_s * geometric_score(centre, rows.centres[i], p)
         if best_i is None or s > best_score:
             best_i, best_score = i, s
-    key = Phrase(rows.members[key_i])
+    key_phrase = Phrase(rows.members[key_i])
     if best_i is None or best_score <= p.theta_v:
-        return FieldExtraction(field.field_id, key, None, key_s, None)
-    return FieldExtraction(field.field_id, key, Phrase(rows.members[best_i]), key_s, best_score)
+        return FieldExtraction(field.field_id, key_phrase, None, key_s, None)
+    return FieldExtraction(field.field_id, key_phrase, Phrase(rows.members[best_i]), key_s,
+                           best_score)
 
 
 def resolve_conflicts(extractions: list[FieldExtraction]) -> list[FieldExtraction]:
@@ -291,10 +314,27 @@ def extract_document(
     schema: FieldSchema,
     p: RuleParams = RuleParams(),
 ) -> list[FieldExtraction]:
-    """Per-field extractions for one document, cross-field conflicts resolved."""
+    """Per-field extractions for one document, cross-field conflicts resolved.
+
+    The facts every field needs come from one pass over the page: each
+    phrase's best key bound per field (a max over the field's columns,
+    exact), each field's phrase order by descending best bound (one stable
+    sort) and, once every key is located, each located key's zone (one
+    keys × phrases mask).
+    """
+    fields = schema.fields
+    if not fields:
+        return []
     rows = PhraseRows(doc)
-    bounds = key_bounds(rows.texts, [f.keys for f in schema.fields])
-    extractions = [extract_field(rows, f, p, bound=b) for f, b in zip(schema.fields, bounds)]
+    bound, starts = _bound_columns(rows.texts, [f.keys for f in fields])
+    tops = np.maximum.reduceat(bound, starts, axis=1)
+    orders = np.argsort(-tops, axis=0, kind="stable").T.tolist()
+    keys = [localize_key(rows.texts, f, b, top, order) for f, b, top, order
+            in zip(fields, np.split(bound, starts[1:], axis=1), tops.T, orders)]
+    centres = np.array([rows.centres[i] for i, _ in keys if i is not None]).reshape(-1, 2)
+    zones = iter(_in_zone(rows.boxes, (centres[:, :1], centres[:, 1:])))
+    extractions = [extract_field(rows, f, p, key, None if key[0] is None else next(zones))
+                   for f, key in zip(fields, keys)]
     return resolve_conflicts(extractions)
 
 

@@ -265,6 +265,14 @@ def _noise_texts(texts: Sequence[str], rate: float, rng: np.random.Generator) ->
     return out
 
 
+def _clamp(v: np.ndarray, lo, hi: float = 1.0) -> np.ndarray:
+    """min(max(v, lo), hi) element-wise, keeping the argument Python's min
+    and max keep when they compare equal (so a -0.0 against a +0.0 bound
+    stays -0.0)."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
 def _overlaps(box, others, margin_x=0.02, margin_y=0.012) -> bool:
     x0, y0, x1, y1 = box
     for ox0, oy0, ox1, oy1 in others:
@@ -295,7 +303,7 @@ def generate_document(
 
     items: list[_Item] = []
     gold: dict[str, str] = {}
-    anchors: list[tuple[_Item, str]] = []
+    anchors: list[tuple[_Item, str, float]] = []  # key, relation, key centre x
 
     n_header = int(rng.integers(2, 5))
     picks = rng.integers(0, len(_HEADER_POOL), size=n_header)
@@ -311,17 +319,17 @@ def generate_document(
         key_texts = _key_display(f.name, f.keys, cfg, rng)
         value_texts = _gen_value(f.name, f.allowed_types, rng)
         key_item = _layout_line(key_texts, col, row_y)
+        kcx = key_item.center()[0]
         if relation == "key-left":
             value_item = _layout_line(value_texts, key_item.x1 + KV_GAP_RIGHT, row_y)
         else:
-            kcx = key_item.center()[0]
             vx = max(0.01, kcx - _phrase_width(value_texts) / 2.0)
             value_item = _layout_line(value_texts, vx, row_y + CHAR_H + KV_GAP_BELOW)
         value_item.field_id = field_id
         value_item.is_value = True
         items.append(key_item)
         items.append(value_item)
-        anchors.append((key_item, relation))
+        anchors.append((key_item, relation, kcx))
 
     occupied = [b for it in items for b in it.boxes]
     for _ in range(cfg.distractor_density):
@@ -331,12 +339,12 @@ def generate_document(
         # A slice of distractors lands beside a real key, in the geometric
         # direction orthogonal to its value, so they genuinely compete.
         if anchors and rng.random() < _TARGETED_FRACTION:
-            key_item, relation = anchors[int(rng.integers(0, len(anchors)))]
+            key_item, relation, kcx = anchors[int(rng.integers(0, len(anchors)))]
             kb = key_item.boxes
             # lo + (hi - lo) * rng.random() draws what rng.uniform(lo, hi) draws
             if relation == "key-left":
                 gap = 0.01 + (0.10 - 0.01) * rng.random()
-                x = max(0.01, key_item.center()[0] - w / 2.0)
+                x = max(0.01, kcx - w / 2.0)
                 y = max(b[3] for b in kb) + gap
             else:
                 gap = 0.015 + (0.12 - 0.015) * rng.random()
@@ -361,26 +369,30 @@ def generate_document(
                     occupied.append(box)
                     break
 
+    # jitter moves an item as a unit; grouping adjacency within a phrase
+    # survives, key-value geometry wobbles.  One draw of a (dx, dy) row per
+    # item is the stream of one draw of two per item; without jitter the
+    # shift is +0.0, which still turns a -0.0 coordinate into +0.0.
+    if cfg.bbox_jitter > 0.0:
+        shift = rng.normal(0.0, cfg.bbox_jitter, (len(items), 2))
+    else:
+        shift = np.zeros((len(items), 2))
+    moved = np.array([b for it in items for b in it.boxes]) + np.tile(
+        shift.repeat([len(it.boxes) for it in items], axis=0), 2)
+    x0 = _clamp(moved[:, 0], 0.0)
+    y0 = _clamp(moved[:, 1], 0.0)
+    boxes = iter(np.stack([x0, y0, _clamp(moved[:, 2], x0), _clamp(moved[:, 3], y0)],
+                          axis=1).tolist())
     words: list[Word] = []
     positives: dict[int, int] = {}
     noisy = iter(_noise_texts([t for it in items for t in it.texts], cfg.char_noise_rate,
                               noise_rng))
     for it in items:
-        # jitter moves an item as a unit; grouping adjacency within a
-        # phrase survives, key-value geometry wobbles
-        if cfg.bbox_jitter > 0.0:
-            dx, dy = (float(v) for v in rng.normal(0.0, cfg.bbox_jitter, 2))
-        else:
-            dx = dy = 0.0
-        for box in it.boxes:
+        for _ in it.boxes:
             wid = len(words)
             if it.is_value:
                 positives[wid] = it.field_id
-            x0 = min(max(box[0] + dx, 0.0), 1.0)
-            y0 = min(max(box[1] + dy, 0.0), 1.0)
-            x1 = min(max(box[2] + dx, x0), 1.0)
-            y1 = min(max(box[3] + dy, y0), 1.0)
-            words.append(Word(wid, next(noisy), BBox(x0, y0, x1, y1)))
+            words.append(Word(wid, next(noisy), BBox(*next(boxes))))
         if it.is_value:
             # Gold is the pre-noise value text: truth capture precedes
             # corruption, so noisy renderings miss under exact match.

@@ -28,7 +28,7 @@ from ffrg.bootstrap import (
 )
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
-    BBox, Document, Phrase, SchemaField, default_invoice_schema, parse_document,
+    BBox, Document, FieldSchema, Phrase, SchemaField, default_invoice_schema, parse_document,
     read_documents, write_documents,
 )
 from ffrg.grouping import group_document, group_words
@@ -72,12 +72,25 @@ def _phrase_text(doc, phrase):
 MONEY_FIELD = SchemaField(1, "amount", ("total",), frozenset({DataType.MONEY, DataType.NUMBER}))
 
 
-def _extract_field(doc, field):
-    """extract_field on the document's phrases, with the key bounds that
-    extract_document works out for it."""
-    rows = PhraseRows(doc)
+def _localize(texts, field, bound):
+    """localize_key with the search order worked out from the field's own
+    bound, one field at a time."""
+    top = bound.max(axis=1)
+    return localize_key(texts, field, bound, top, (-top).argsort(kind="stable").tolist())
+
+
+def _field_pass(rows, field, p=RuleParams()):
+    """extract_field on phrase rows, its key and zone worked out one field at
+    a time."""
     (bound,) = key_bounds(rows.texts, [field.keys])
-    return extract_field(rows, field, RuleParams(), bound=bound)
+    key_i, key_s = _localize(rows.texts, field, bound)
+    zone = None if key_i is None else bootstrap._in_zone(rows.boxes, rows.centres[key_i])
+    return extract_field(rows, field, p, (key_i, key_s), zone)
+
+
+def _extract_field(doc, field):
+    """extract_field on the document's phrases."""
+    return _field_pass(PhraseRows(doc), field)
 
 
 # --- key localization -------------------------------------------------------
@@ -93,26 +106,26 @@ def test_key_score_takes_best_key(schema):
     # "purchase order number" in the key list lifts long paraphrases
     for text in ("PO Number", "Purchase Order Number"):
         assert key_score(text, field) == pytest.approx(1.0)
-        _, s = localize_key([text], field, key_bounds([text], [field.keys])[0])
+        _, s = _localize([text], field, key_bounds([text], [field.keys])[0])
         assert s.hex() == key_score(text, field).hex()
 
 
 def test_localize_key_is_argmax_without_threshold():
     texts = ["zebra", "Totol", "quux"]
-    best, s = localize_key(texts, MONEY_FIELD, key_bounds(texts, [MONEY_FIELD.keys])[0])
+    best, s = _localize(texts, MONEY_FIELD, key_bounds(texts, [MONEY_FIELD.keys])[0])
     assert best == 1
     assert 0.7 < s < 1.0  # a poor match still wins; no cutoff applies
 
 
 def test_localize_key_tie_prefers_earlier_phrase():
     texts = ["Total", "Total"]
-    best, s = localize_key(texts, MONEY_FIELD, key_bounds(texts, [MONEY_FIELD.keys])[0])
+    best, s = _localize(texts, MONEY_FIELD, key_bounds(texts, [MONEY_FIELD.keys])[0])
     assert best == 0
     assert s == pytest.approx(1.0)
 
 
 def test_localize_key_empty_input():
-    assert localize_key([], MONEY_FIELD, key_bounds([], [MONEY_FIELD.keys])[0]) == (None, 0.0)
+    assert _localize([], MONEY_FIELD, key_bounds([], [MONEY_FIELD.keys])[0]) == (None, 0.0)
 
 
 # The pruned search against an exhaustive scan.  Texts come from a small
@@ -172,7 +185,7 @@ def _exhaustive_first_max(texts, field):
 @example(["xat", "totak", "Totam", "totam"], _FIELDS[0])
 @example(["totak", "totam", "xat"], _FIELDS[5])
 def test_localize_key_equals_exhaustive_first_max(texts, field):
-    best, s = localize_key(texts, field, key_bounds(texts, [field.keys])[0])
+    best, s = _localize(texts, field, key_bounds(texts, [field.keys])[0])
     want_i, want = _exhaustive_first_max(texts, field)
     assert best == want_i
     assert s.hex() == want.hex()
@@ -340,6 +353,141 @@ def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
     assert sorted(calls["phrase"]) == sorted(made)
     n_keys = sum(len(f.keys) for f in schema.fields)
     assert 0 < calls["jaro"] < len(rows.texts) * n_keys
+
+
+# --- the page pass ----------------------------------------------------------
+
+def _page_pass(doc, schema, monkeypatch):
+    """extract_document on the page, with the arguments and result of every
+    localize_key and extract_field call it makes."""
+    located, fielded = [], []
+
+    def locate(texts, field, bound, top, order):
+        key = localize_key(texts, field, bound, top, order)
+        located.append((field, bound, top, order, key))
+        return key
+
+    def field_pass(rows, field, p, key, zone):
+        fielded.append((field, key, zone))
+        return extract_field(rows, field, p, key, zone)
+
+    with monkeypatch.context() as m:
+        m.setattr(bootstrap, "localize_key", locate)
+        m.setattr(bootstrap, "extract_field", field_pass)
+        extract_document(doc, schema)
+    return located, fielded
+
+
+def _assert_page_pass_equals_the_field_oracle(doc, schema, monkeypatch):
+    # per field: its columns of the side-by-side bounds, each phrase's best
+    # bound, the search order by that bound (a stable argsort) and the
+    # located key's zone, each against the field worked out on its own
+    located, fielded = _page_pass(doc, schema, monkeypatch)
+    rows = PhraseRows(doc)
+    assert [f for f, *_ in located] == [f for f, *_ in fielded] == list(schema.fields)
+    for (field, bound, top, order, key), (_, field_key, zone) in zip(located, fielded):
+        (own,) = key_bounds(rows.texts, [field.keys])
+        assert _hex_rows([bound]) == _hex_rows([own])
+        want_top = own.max(axis=1)
+        assert [float(t).hex() for t in top] == [t.hex() for t in want_top.tolist()]
+        assert list(order) == (-want_top).argsort(kind="stable").tolist()
+        assert field_key == key == _localize(rows.texts, field, own)
+        if key[0] is None:
+            assert zone is None
+        else:
+            want_zone = bootstrap._in_zone(rows.boxes, rows.centres[key[0]])
+            assert zone.tolist() == want_zone.tolist()
+
+
+_EDGE_KEYS = ["Total", "Tax", "Date", "Invoice", "Due", "PO", "Amount"]
+_EDGE_VALUES = ["$12.00", "1.20", "2021-03-04", "48113", "INV-48113", "hello", "Total", "Tax"]
+
+
+def _edge_page(rng):
+    """Candidates on a coarse grid (repeated texts, so tied bounds; up to 40
+    of them, past the size below which an unstable sort keeps ties in
+    order), and point-sized key words on a candidate's zone edges or one
+    float past them, each word its own phrase."""
+    candidates = []
+    for _ in range(int(rng.integers(1, 40))):
+        x0, y0 = (float(v) for v in rng.choice([0.1, 0.25, 0.3, 0.5, 0.52], size=2))
+        w, h = float(rng.choice([0.0, 0.02, 0.06])), float(rng.choice([0.0, 0.01, 0.02]))
+        candidates.append((str(rng.choice(_EDGE_VALUES)), x0, y0, x0 + w, y0 + h))
+    keys = []
+    for text in rng.choice(_EDGE_KEYS, size=int(rng.integers(1, 6))).tolist():
+        _, cx0, cy0, cx1, cy1 = candidates[int(rng.integers(len(candidates)))]
+        top = cy0 - bootstrap.ZONE_ABOVE * (cy1 - cy0)
+        bottom = cy1 + bootstrap.ZONE_BELOW * (cy1 - cy0)
+        x = float(rng.choice([0.0, -0.0, cx0, cx1, math.nextafter(cx1, 2.0)]))
+        y = float(rng.choice([top, bottom, math.nextafter(top, -1.0),
+                              math.nextafter(bottom, 2.0), (cy0 + cy1) / 2.0]))
+        keys.append((text, x, y, x, y))
+    return _one_phrase_a_word(make_doc(keys + candidates))
+
+
+def test_page_pass_equals_the_field_oracle_on_random_pages(schema, monkeypatch):
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        page = _edge_page(rng)
+        _assert_page_pass_equals_the_field_oracle(page, schema, monkeypatch)
+        # the same words grouped, which merges some keys into candidates
+        words = make_doc([(w.text, *w.box.as_list()) for w in page.words])
+        _assert_page_pass_equals_the_field_oracle(words, schema, monkeypatch)
+
+
+def test_page_pass_equals_the_field_oracle_on_pages_without_keys(schema, monkeypatch):
+    # no phrase at all, words that no phrase holds (no key is located on
+    # either), and phrases holding no key character (keys scored 0)
+    empty = make_doc([])
+    unheld = make_doc([("Total", 0.1, 0.1, 0.16, 0.12), ("$1.00", 0.3, 0.1, 0.36, 0.12)],
+                      phrases=())
+    no_key_characters = make_doc(_DEGENERATE["no_key_characters"][0])
+    for page in (empty, unheld):
+        located, fielded = _page_pass(page, schema, monkeypatch)
+        assert [key for *_, key in located] == [(None, 0.0)] * schema.n_fields
+        assert [zone for *_, zone in fielded] == [None] * schema.n_fields
+        assert extract_document(page, schema) == [
+            FieldExtraction(f.field_id, None, None, 0.0, None) for f in schema.fields]
+    located, _ = _page_pass(no_key_characters, schema, monkeypatch)
+    assert {key for *_, key in located} == {(0, 0.0)}
+    for page in (empty, unheld, no_key_characters):
+        _assert_page_pass_equals_the_field_oracle(page, schema, monkeypatch)
+
+
+def test_a_schema_without_fields_extracts_nothing():
+    # a schema file may list no fields; the page pass then has no columns
+    doc = make_doc(_DEGENERATE["one_line"][0])
+    assert extract_document(doc, FieldSchema(())) == []
+    assert bootstrap_corpus([doc], FieldSchema(()))[1] == {"doc": {}}
+
+
+def test_page_pass_calls_each_field_function_once_a_field(schema, monkeypatch):
+    # localize_key and extract_field run once per field, and geometric_score
+    # once per typed candidate in a located key's zone
+    (doc,), _, _ = generate(preset_config("noisy-bench", 1, 0), schema)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("localize_key", "extract_field", "geometric_score"):
+        monkeypatch.setattr(bootstrap, name, counted(name, getattr(bootstrap, name)))
+    extract_document(doc, schema)
+
+    rows = PhraseRows(doc)
+    scored = 0
+    for field in schema.fields:
+        (bound,) = key_bounds(rows.texts, [field.keys])
+        key_i, _ = _localize(rows.texts, field, bound)
+        zone = bootstrap._in_zone(rows.boxes, rows.centres[key_i]).nonzero()[0].tolist()
+        scored += sum(i != key_i and bool(datatypes.type_of(rows.texts[i]) & field.allowed_types)
+                      for i in zone)
+    assert scored > schema.n_fields
+    assert calls == {"localize_key": schema.n_fields, "extract_field": schema.n_fields,
+                     "geometric_score": scored}
 
 
 # --- geometric scoring ------------------------------------------------------
@@ -531,8 +679,7 @@ def test_extract_field_skips_the_key_before_typing_it(monkeypatch):
         return datatypes.type_of(text)
 
     monkeypatch.setattr(bootstrap, "type_of", type_of)
-    (bound,) = key_bounds(rows.texts, [MONEY_FIELD.keys])
-    e = extract_field(rows, MONEY_FIELD, RuleParams(), bound=bound)
+    e = _field_pass(rows, MONEY_FIELD)
     assert e.key_phrase == doc.phrases[0] and e.value_phrase == doc.phrases[1]
     assert typed == ["$12.00", "hello"]
     assert rows._types[0] is None

@@ -66,9 +66,36 @@ _word = _record({
         st.lists(st.booleans(), min_size=4, max_size=4),
     ),
 })
+# a valid word: padded text, and a box in page units or in pixels
+_valid_word = st.fixed_dictionaries({
+    "text": st.sampled_from(["a", "Total", " 12.00", "Tax "]),
+    "box": st.one_of(
+        st.tuples(st.lists(st.floats(0, 1), min_size=2, max_size=2).map(sorted),
+                  st.lists(st.floats(0, 1), min_size=2, max_size=2).map(sorted)),
+        st.tuples(st.lists(st.integers(2, 1000), min_size=2, max_size=2).map(sorted),
+                  st.lists(st.integers(2, 1000), min_size=2, max_size=2).map(sorted)),
+    ).map(lambda xy: [xy[0][0], xy[1][0], xy[0][1], xy[1][1]]),
+})
+
+
+@st.composite
+def _valid_document(draw, phrases: bool):
+    """A record the reader accepts; its phrases are disjoint runs of a
+    shuffle of the word ids, some runs left out."""
+    words = draw(st.lists(_valid_word, min_size=int(phrases), max_size=5))
+    record = {"doc_id": draw(st.text(max_size=4)), "page_width": 1000, "page_height": 1000,
+              "words": words}
+    if phrases:
+        ids = draw(st.permutations(range(len(words))))
+        cuts = sorted(set(draw(st.lists(st.integers(1, len(ids)), max_size=3))) | {len(ids)})
+        runs = [ids[a:b] for a, b in zip([0] + cuts, cuts)]
+        record["phrases"] = [{"word_ids": r} for r in runs if draw(st.integers(0, 3)) != 1]
+    return record
+
+
 # header slots also see the values a lenient reader would coerce: null or
 # an object for doc_id, and a float or a boolean for a page size
-_document = _record(
+_document = st.one_of(_valid_document(phrases=False), _valid_document(phrases=True), _record(
     {
         "doc_id": _slot(st.one_of(st.text(max_size=4), st.none(), st.integers())),
         "page_width": _slot(st.one_of(st.integers(1, 2000), st.floats(1, 2000), st.booleans())),
@@ -79,7 +106,7 @@ _document = _record(
         _record({"word_ids": _slot(st.lists(_slot(st.integers(0, 4)), max_size=3))}),
         max_size=3,
     ))},
-)
+))
 # a well-formed page whose only faults can be in its words
 _page = st.fixed_dictionaries({
     "doc_id": st.just("d"),
@@ -88,13 +115,31 @@ _page = st.fixed_dictionaries({
     "words": st.lists(_word, min_size=1, max_size=3),
 })
 _doc_id = _slot(st.sampled_from(["d", "e"]))
-_label_row = _record({
+_valid_label_row = st.fixed_dictionaries({
+    "doc_id": st.sampled_from(["d", "e", "f"]),
+    "labels": st.lists(st.lists(st.integers(0, 8), min_size=2, max_size=2), max_size=3),
+    "provenance": st.sampled_from(["bootstrap", "truth"]),
+})
+_label_row = st.one_of(_valid_label_row, _record({
     "doc_id": _doc_id,
     "labels": _slot(st.lists(
         _slot(st.lists(_slot(st.integers(0, 8)), min_size=2, max_size=2)), max_size=3,
     )),
     "provenance": _slot(st.sampled_from(["bootstrap", "truth"])),
-})
+}))
+
+
+def _one_provenance(rows):
+    return [dict(row, provenance=rows[0]["provenance"]) for row in rows]
+
+
+# a file of rows from any branch, or of valid rows with distinct doc_ids
+# and one provenance, which the reader accepts
+_label_file = st.one_of(
+    st.lists(_valid_label_row, min_size=1, max_size=3,
+             unique_by=lambda row: row["doc_id"]).map(_one_provenance),
+    st.lists(_label_row, min_size=1, max_size=3),
+)
 _annotation_row = _record({
     "doc_id": _doc_id,
     "fields": _slot(st.dictionaries(
@@ -152,13 +197,18 @@ def test_parse_document_fails_only_with_typed_errors(record):
     assert type(record["doc_id"]) is str and doc.doc_id == record["doc_id"]
     for size in ("page_width", "page_height"):
         assert type(record[size]) is int and getattr(doc, size) == record[size]
-    for raw, word in zip(record["words"], doc.words):
+    for raw, word in zip(record["words"], doc.words, strict=True):
         assert type(raw["text"]) is str and word.text == raw["text"].strip()
         assert all(type(v) in (int, float) for v in raw["box"])
+    if record.get("phrases") is None:
+        assert doc.phrases is None
+    else:
+        assert sorted(sorted(p["word_ids"]) for p in record["phrases"]) == sorted(
+            sorted(p.word_ids) for p in doc.phrases)
 
 
 @FUZZ
-@given(st.lists(_label_row, min_size=1, max_size=3))
+@given(_label_file)
 def test_read_labels_fails_only_with_typed_errors(rows):
     try:
         labels = _read_rows(read_labels, rows)
@@ -167,6 +217,15 @@ def test_read_labels_fails_only_with_typed_errors(rows):
     assert labels.doc_ids() == sorted(row["doc_id"] for row in rows)
     assert all(row["provenance"] == labels.provenance for row in rows)
     assert type(labels.provenance) is str
+    for row in rows:
+        # a later pair for a word overrides an earlier one; class 0 clears it
+        want = {}
+        for wid, cls in row["labels"]:
+            if cls:
+                want[wid] = cls
+            else:
+                want.pop(wid, None)
+        assert labels.positives(row["doc_id"]) == want
 
 
 @FUZZ

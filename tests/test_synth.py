@@ -15,6 +15,7 @@ from ffrg.synth import (
     _UNKNOWN_KEYS,
     PRESETS,
     SynthConfig,
+    _clamp,
     _noise_texts,
     corruption_report,
     generate,
@@ -167,6 +168,32 @@ def test_layout_draws_equal_numpys_uniform_and_choice():
         pool = [c for c in _LETTERS_UPPER if c != "Q"]
         assert str(a.choice(pool)) == pool[int(b.integers(0, len(pool)))]
         assert b.bit_generator.state == a.bit_generator.state
+
+
+def test_jitter_rows_equal_one_draw_of_two_per_item():
+    for seed in range(50):
+        a, b = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+        n = seed % 9
+        per_item = [[float(v) for v in a.normal(0.0, 0.005, 2)] for _ in range(n)]
+        rows = b.normal(0.0, 0.005, (n, 2))
+        assert [[v.hex() for v in r] for r in per_item] == [
+            [v.hex() for v in r] for r in rows.tolist()]
+        assert b.bit_generator.state == a.bit_generator.state
+
+
+def test_clamp_keeps_what_pythons_min_and_max_keep():
+    # signed zeros against signed-zero bounds, values on and past both bounds,
+    # and lower bounds taken from another column, as x1 is clamped to x0
+    values = [-0.0, 0.0, -0.5, 1e-300, 0.3, 1.0, 1.5, -1e-300]
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        v = rng.choice(values, size=12)
+        lo = rng.choice([-0.0, 0.0, 0.3, 1.0], size=12)
+        for bound in (0.0, -0.0, lo):
+            got = _clamp(v, bound).tolist()
+            bounds = [bound] * len(v) if np.isscalar(bound) else bound.tolist()
+            want = [min(max(x, b), 1.0) for x, b in zip(v.tolist(), bounds)]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 # --- truth bookkeeping ---------------------------------------------------------
