@@ -3,16 +3,18 @@ that must catch it.
 
 Each row names a mutant, the file it changes, the exact old text (which
 must occur exactly once in that file), the new text and the test node ids
-to run.  The script copies src/ and tests/ to a temporary directory for
-each mutant, applies it there, runs its tests, and reports the mutants
-that survive (their tests pass).  It writes nothing in the repository.
+to run.  The script first runs every row's tests on an unmutated copy of
+src/, tests/ and pyproject.toml and stops unless they pass there, so a
+test that fails on the copy whatever the mutant (one that reads a file
+left out of the copy) cannot count as a catch.  It then copies the tree
+afresh for each mutant, applies it, runs its tests, and reports the
+mutants that survive (their tests pass).  It writes nothing in the
+repository.
 
 Usage:
-    python scripts/mutants.py            # every mutant
-    python scripts/mutants.py NAME ...   # the named mutants
-    python scripts/mutants.py --check    # only check that each old text occurs once
+    python scripts/mutants.py
 
-Exit status 0 when every mutant run is caught, 1 otherwise.
+Exit status 0 when every mutant is caught, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -102,53 +104,59 @@ def _copy_tree(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def run(mutant: Mutant) -> tuple[bool, str]:
-    """(caught, summary line of pytest) for one mutant on a fresh copy."""
+def _pytest(tests: tuple[str, ...], mutant: Mutant | None) -> tuple[int, str]:
+    """(exit status, summary line) of pytest on `tests` in a fresh copy of
+    the tree, with `mutant` applied unless it is None."""
     with tempfile.TemporaryDirectory(prefix="ffrg-mutant-") as d:
         _copy_tree(d)
-        path = os.path.join(d, mutant.path)
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            path = os.path.join(d, mutant.path)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=os.path.join(d, "src"), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
             cwd=d, env=env, capture_output=True, text=True,
         )
     lines = proc.stdout.strip().splitlines()
-    summary = lines[-1] if lines else proc.stderr.strip()[-200:]
+    return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(caught, summary line of pytest) for one mutant on a fresh copy."""
+    status, summary = _pytest(mutant.tests, mutant)
     # 1: a test failed; 2: collection failed, as when the mutant breaks an
-    # import; anything else (a test id not found, nothing collected) is a
-    # fault of the row, not a catch
-    if proc.returncode not in (0, 1, 2):
-        raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode} ({summary})")
-    return proc.returncode != 0, summary
+    # import (the unmutated copy collected the same tests); anything else
+    # is a fault of the row, not a catch
+    if status not in (0, 1, 2):
+        raise SystemExit(f"{mutant.name}: pytest exited {status} ({summary})")
+    return status != 0, summary
 
 
-def main(argv: list[str]) -> int:
-    check_only = "--check" in argv
-    names = [a for a in argv if a != "--check"]
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    if names and len(chosen) != len(names):
-        known = {m.name for m in MUTANTS}
-        raise SystemExit(f"unknown mutants: {sorted(set(names) - known)}")
-    stale = [(m.name, n) for m in chosen if (n := occurrences(m)) != 1]
+def main() -> int:
+    stale = [(m.name, n) for m in MUTANTS if (n := occurrences(m)) != 1]
     for name, n in stale:
         print(f"STALE {name}: old text occurs {n} times")
-    if stale or check_only:
-        return 1 if stale else 0
+    if stale:
+        return 1
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    status, summary = _pytest(tests, None)
+    if status != 0:
+        raise SystemExit(f"the rows' tests do not pass on the unmutated copy: {summary}")
+    print(f"unmutated copy: {summary}", flush=True)
     survivors = []
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         caught, summary = run(m)
         print(f"{'caught' if caught else 'SURVIVED'}  {m.name}  "
               f"({time.perf_counter() - start:.1f} s: {summary})", flush=True)
         if not caught:
             survivors.append(m.name)
-    print(f"caught {len(chosen) - len(survivors)}/{len(chosen)}")
+    print(f"caught {len(MUTANTS) - len(survivors)}/{len(MUTANTS)}")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -104,8 +104,17 @@ def _key_slots(key_lists: tuple[tuple[str, ...], ...]):
 
 def _bound_columns(texts: Sequence[str],
                    key_lists: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """key_bounds side by side: one (texts × keys) array, a column per key of
-    every list in turn, and where each key list's columns start."""
+    """Upper bounds on each key's similarity 1 - string_distance: one
+    (texts × keys) array, a column per key of every list in turn, and
+    where each key list's columns start.
+
+    Jaro matches pair equal characters, so their count m is at most c, the
+    overlap of the two character multisets, and Jaro is at most
+    (c/len_p + c/len_k + 1)/3 (0 when c is 0).  A bound above the boost
+    threshold takes the largest Winkler boost, four prefix characters.
+    Keys are lowercase and trimmed; each phrase text is normalized once.
+    c comes from one product of 0/1 matrices, exact in small integers.
+    """
     chars, slot_char, slot_t, key_rows, len_k, starts = _key_slots(tuple(key_lists))
     texts = [t.strip().lower() for t in texts]
     counts, lengths = _char_counts(texts, chars)
@@ -122,23 +131,6 @@ def _bound_columns(texts: Sequence[str],
     return bound, starts
 
 
-def key_bounds(texts: Sequence[str], key_lists: Sequence[tuple[str, ...]]) -> list[np.ndarray]:
-    """Upper bounds on each key's similarity 1 - string_distance: per key
-    list, a (texts × keys) array.
-
-    Jaro matches pair equal characters, so their count m is at most c, the
-    overlap of the two character multisets, and Jaro is at most
-    (c/len_p + c/len_k + 1)/3 (0 when c is 0).  A bound above the boost
-    threshold takes the largest Winkler boost, four prefix characters.
-    Keys are lowercase and trimmed; each phrase text is normalized once.
-    c comes from one product of 0/1 matrices, exact in small integers.
-    """
-    if not key_lists:
-        return []
-    bound, starts = _bound_columns(texts, key_lists)
-    return np.split(bound, starts[1:], axis=1)
-
-
 def localize_key(
     texts: Sequence[str], field: SchemaField, bound: np.ndarray,
     top: Sequence[float], order: Sequence[int],
@@ -147,7 +139,7 @@ def localize_key(
     field's keys (1 - string_distance); ties go to the earlier phrase in
     reading order.
 
-    `bound` is the field's array of key_bounds, a column per key, `top`
+    `bound` is the field's columns of _bound_columns, a column per key, `top`
     each phrase's best key bound and `order` the phrases by descending
     `top`, a stable sort, so equal bounds stay in reading order;
     extract_document works out both for all fields at once.  A phrase's

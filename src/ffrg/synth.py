@@ -265,12 +265,12 @@ def _noise_texts(texts: Sequence[str], rate: float, rng: np.random.Generator) ->
     return out
 
 
-def _clamp(v: np.ndarray, lo, hi: float = 1.0) -> np.ndarray:
-    """min(max(v, lo), hi) element-wise, keeping the argument Python's min
+def _clamp(v: np.ndarray, lo) -> np.ndarray:
+    """min(max(v, lo), 1.0) element-wise, keeping the argument Python's min
     and max keep when they compare equal (so a -0.0 against a +0.0 bound
     stays -0.0)."""
     v = np.where(lo > v, lo, v)
-    return np.where(hi < v, hi, v)
+    return np.where(1.0 < v, 1.0, v)
 
 
 def _overlaps(box, others, margin_x=0.02, margin_y=0.012) -> bool:

@@ -22,7 +22,6 @@ from ffrg.bootstrap import (
     extract_document,
     extract_field,
     geometric_score,
-    key_bounds,
     localize_key,
     resolve_conflicts,
 )
@@ -77,6 +76,15 @@ def _localize(texts, field, bound):
     bound, one field at a time."""
     top = bound.max(axis=1)
     return localize_key(texts, field, bound, top, (-top).argsort(kind="stable").tolist())
+
+
+def key_bounds(texts, key_lists):
+    """Each key list's own columns of bootstrap._bound_columns: per list, a
+    (texts × keys) array."""
+    if not key_lists:
+        return []
+    bound, starts = bootstrap._bound_columns(texts, key_lists)
+    return np.split(bound, starts[1:], axis=1)
 
 
 def _field_pass(rows, field, p=RuleParams()):

@@ -79,9 +79,10 @@ _valid_word = st.fixed_dictionaries({
 
 
 @st.composite
-def _valid_document(draw, phrases: bool):
-    """A record the reader accepts; its phrases are disjoint runs of a
-    shuffle of the word ids, some runs left out."""
+def _valid_document(draw):
+    """A record the reader accepts, with or without phrases; its phrases
+    are disjoint runs of a shuffle of the word ids, some runs left out."""
+    phrases = draw(st.booleans())
     words = draw(st.lists(_valid_word, min_size=int(phrases), max_size=5))
     record = {"doc_id": draw(st.text(max_size=4)), "page_width": 1000, "page_height": 1000,
               "words": words}
@@ -95,7 +96,7 @@ def _valid_document(draw, phrases: bool):
 
 # header slots also see the values a lenient reader would coerce: null or
 # an object for doc_id, and a float or a boolean for a page size
-_document = st.one_of(_valid_document(phrases=False), _valid_document(phrases=True), _record(
+_document = st.one_of(_valid_document(), _record(
     {
         "doc_id": _slot(st.one_of(st.text(max_size=4), st.none(), st.integers())),
         "page_width": _slot(st.one_of(st.integers(1, 2000), st.floats(1, 2000), st.booleans())),
@@ -120,21 +121,21 @@ _valid_label_row = st.fixed_dictionaries({
     "labels": st.lists(st.lists(st.integers(0, 8), min_size=2, max_size=2), max_size=3),
     "provenance": st.sampled_from(["bootstrap", "truth"]),
 })
-_label_row = st.one_of(_valid_label_row, _record({
+_label_row = _record({
     "doc_id": _doc_id,
     "labels": _slot(st.lists(
         _slot(st.lists(_slot(st.integers(0, 8)), min_size=2, max_size=2)), max_size=3,
     )),
     "provenance": _slot(st.sampled_from(["bootstrap", "truth"])),
-}))
+})
 
 
 def _one_provenance(rows):
     return [dict(row, provenance=rows[0]["provenance"]) for row in rows]
 
 
-# a file of rows from any branch, or of valid rows with distinct doc_ids
-# and one provenance, which the reader accepts
+# a file of rows that may hold faults, or of valid rows with distinct
+# doc_ids and one provenance, which the reader accepts
 _label_file = st.one_of(
     st.lists(_valid_label_row, min_size=1, max_size=3,
              unique_by=lambda row: row["doc_id"]).map(_one_provenance),
