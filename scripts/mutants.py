@@ -50,6 +50,13 @@ _PAGE_PASS_TESTS = (
     "tests/test_bootstrap.py::test_page_pass_equals_the_field_oracle_on_pages_without_keys",
 )
 _CLAMP_TESTS = ("tests/test_synth.py::test_clamp_keeps_what_pythons_min_and_max_keep",)
+_STEP_TESTS = (
+    "tests/test_model.py::test_step_matches_the_reference_step",
+    "tests/test_model.py::test_analytic_gradients_match_finite_differences",
+)
+_WIDE_TESTS = (
+    "tests/test_features.py::test_held_features_take_widths_up_to_what_a_uint16_column_indexes",
+)
 
 MUTANTS = (
     # the trunk cache (model.TrunkCache)
@@ -88,6 +95,33 @@ MUTANTS = (
            "v = np.where(lo > v, lo, v)", "v = np.maximum(v, lo)", _CLAMP_TESTS),
     Mutant("synth: the lower clamp taking the bound on a tie", "src/ffrg/synth.py",
            "v = np.where(lo > v, lo, v)", "v = np.where(lo >= v, lo, v)", _CLAMP_TESTS),
+    # the training step's backprop loop (model.branch_loss_and_grad)
+    Mutant("step: a >= ReLU mask", "src/ffrg/model.py",
+           "delta *= x > 0.0", "delta *= x >= 0.0", _STEP_TESTS),
+    Mutant("step: the trunk layer dropped", "src/ffrg/model.py",
+           'layers = [(("trunk.w", "trunk.b"), features)] if train_trunk else []',
+           "layers = []", _STEP_TESTS),
+    Mutant("step: the loop stops one layer early", "src/ffrg/model.py",
+           "for i in range(len(layers) - 1, -1, -1):", "for i in range(len(layers) - 1, 0, -1):",
+           _STEP_TESTS),
+    Mutant("step: a hidden layer without ReLU", "src/ffrg/model.py",
+           "inputs.append(np.maximum(z, 0.0, out=z))", "inputs.append(z)", _STEP_TESTS),
+    # a phrase's box row (bootstrap._union_rows)
+    Mutant("phrase box: the signed-zero redo dropped", "src/ffrg/bootstrap.py",
+           "for i, c in zip(*(out == 0.0).nonzero()):", "for i, c in ():",
+           ("tests/test_bootstrap.py::test_phrase_box_rows_keep_the_first_of_signed_zeros",)),
+    # the held corpus features (features.CorpusFeatures)
+    Mutant("held features: entries kept by value, not by bits", "src/ffrg/features.py",
+           "pos = np.flatnonzero(flat.view(np.uint64) != 0)", "pos = np.flatnonzero(flat != 0.0)",
+           ("tests/test_features.py::test_held_features_keep_negative_zero",)),
+    Mutant("held features: uint8 columns", "src/ffrg/features.py",
+           "cols.astype(np.uint16)", "cols.astype(np.uint8)", _WIDE_TESTS),
+    Mutant("held features: no width bound", "src/ffrg/features.py",
+           "if self.width > _MAX_WIDTH:", "if False:", _WIDE_TESTS),
+    # Jaro's window scan (similarity.jaro_similarity)
+    Mutant("jaro: a flagged character taken as a match", "src/ffrg/similarity.py",
+           "while j >= 0 and flags2[j]:", "while False:",
+           ("tests/test_similarity.py::test_window_scan_equals_the_index_loop_on_random_pairs",)),
 )
 
 

@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import fields
 from typing import Any, Callable
+from xml.sax.saxutils import escape
 
 from . import bootstrap as bs
 from . import docmodel as dm
@@ -137,7 +138,7 @@ def _doc_svg(doc: dm.Document, classes: dict[int, int] | None,
         )
         parts.append(
             f'<text x="{x:.1f}" y="{y + bh - 1:.1f}" font-size="{bh * 0.8:.1f}" '
-            f'font-family="monospace">{_xml_escape(word.text)}</text>'
+            f'font-family="monospace">{escape(word.text)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -149,10 +150,6 @@ def _svg_paths(svg_dir: str, docs: list[dm.Document]) -> list[str]:
         if doc.doc_id in ("", ".", "..") or os.path.basename(doc.doc_id) != doc.doc_id:
             raise dm.ValidationError(f"--svg: doc_id {doc.doc_id!r} is not a file name")
     return [os.path.join(svg_dir, f"{doc.doc_id}.svg") for doc in docs]
-
-
-def _xml_escape(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 # --- subcommands -----------------------------------------------------------

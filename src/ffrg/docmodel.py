@@ -13,7 +13,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,26 +43,42 @@ def _json_object(text: str, where: str) -> dict:
     return raw
 
 
-def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]]:
-    """(location, doc_id, values under keys) for each non-blank line of a
-    JSONL file of objects with a unique doc_id."""
+def _rows(path: str, kind: str, parse: Callable[[str, int], tuple[str, str, Any]]
+          ) -> Iterator[tuple[str, str, Any]]:
+    """parse(line, n)'s (location, doc_id, row) for each non-blank line n of
+    a UTF-8 JSONL file whose doc_ids must be unique; lines split on
+    universal newlines, and a line that is not UTF-8 is a ParseError."""
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
+    # bytes that do not decode come in as lone surrogates, which do not encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for n, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{kind} line {n}"
-            rec = _json_object(line, where)
             try:
-                doc_id, *values = (rec[k] for k in ("doc_id", *keys))
-            except KeyError as e:
-                raise ParseError(f"{where}: missing key {e}") from e
-            if not isinstance(doc_id, str):
-                raise ParseError(f"{where}: doc_id must be a string")
-            if doc_id in seen:
-                raise ValidationError(f"{where}: doc_id {doc_id!r} repeats line {seen[doc_id]}")
-            seen[doc_id] = n
-            yield where, doc_id, values
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ParseError(f"{kind} line {n}: not UTF-8 text") from e
+            if line.strip():
+                where, doc_id, row = parse(line, n)
+                if doc_id in seen:
+                    raise ValidationError(
+                        f"{where}: doc_id {doc_id!r} repeats line {seen[doc_id]}")
+                seen[doc_id] = n
+                yield where, doc_id, row
+
+
+def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]]:
+    """(location, doc_id, values under keys) for each record of a JSONL
+    file of objects with a unique doc_id."""
+    def parse(line: str, n: int) -> tuple[str, str, list]:
+        where = f"{kind} line {n}"
+        rec = _json_object(line, where)
+        try:
+            doc_id, *values = (rec[k] for k in ("doc_id", *keys))
+        except KeyError as e:
+            raise ParseError(f"{where}: missing key {e}") from e
+        if not isinstance(doc_id, str):
+            raise ParseError(f"{where}: doc_id must be a string")
+        return where, doc_id, values
+    return _rows(path, kind, parse)
 
 
 def _word_classes(pairs, where: str) -> list[list[int]]:
@@ -390,20 +406,13 @@ def serialize_document(doc: Document) -> str:
     return json.dumps(rec, ensure_ascii=False)
 
 
+def _document_row(line: str, n: int) -> tuple[str, str, Document]:
+    doc = parse_document(line, line_number=n)
+    return f"line {n}", doc.doc_id, doc
+
+
 def read_documents(path: str) -> list[Document]:
-    docs = []
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if line.strip():
-                doc = parse_document(line, line_number=n)
-                if doc.doc_id in first_line:
-                    raise ValidationError(
-                        f"line {n}: doc_id {doc.doc_id!r} repeats line {first_line[doc.doc_id]}"
-                    )
-                first_line[doc.doc_id] = n
-                docs.append(doc)
-    return docs
+    return [doc for _, _, doc in _rows(path, "documents", _document_row)]
 
 
 def write_documents(path: str, docs: Iterable[Document]) -> None:
@@ -507,7 +516,10 @@ def schema_from_json_dict(raw: dict) -> FieldSchema:
 def read_schema(path: str) -> FieldSchema:
     with open(path, "r", encoding="utf-8") as f:
         where = f"schema file {path}"
-        raw = _json_object(f.read(), where)
+        try:
+            raw = _json_object(f.read(), where)
+        except UnicodeDecodeError as e:  # from the read; json.loads takes text
+            raise ParseError(f"{where}: not UTF-8 text: {e}") from e
     try:
         return schema_from_json_dict(raw)
     except ValidationError as e:

@@ -9,6 +9,7 @@ in docs/checkpoint.md.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ class ModelParams:
     """Model dimensions and weights.
 
     Every tensor is a view into the one float64 buffer ``flat``, laid out
-    in tensor_keys order, so the tensors a training stage updates form one
+    in tensor_shapes order, so the tensors a training stage updates form one
     contiguous slice of it.  Update tensors in place, never by rebinding.
     """
 
@@ -46,8 +47,7 @@ class ModelParams:
         shapes = tensor_shapes(
             self.d_in, self.hidden, self.branch_hidden, self.n_fields, self.n_branches
         )
-        keys = tensor_keys(self.n_branches)
-        sizes = [math.prod(shapes[key]) for key in keys]
+        sizes = [math.prod(shape) for shape in shapes.values()]
         if (self.flat.shape != (sum(sizes),) or self.flat.dtype != np.float64
                 or not self.flat.flags.c_contiguous):
             raise ValidationError(
@@ -55,8 +55,8 @@ class ModelParams:
             )
         self.tensors, self.offsets = {}, {}
         off = 0
-        for key, size in zip(keys, sizes):
-            self.tensors[key] = self.flat[off : off + size].reshape(shapes[key])
+        for (key, shape), size in zip(shapes.items(), sizes):
+            self.tensors[key] = self.flat[off : off + size].reshape(shape)
             self.offsets[key] = off
             off += size
 
@@ -65,34 +65,28 @@ class ModelParams:
         return self.n_fields + 1
 
 
-def tensor_keys(n_branches: int) -> list[str]:
-    """Canonical tensor order; also the checkpoint block order."""
-    keys = ["trunk.w", "trunk.b", "branch1.out.w", "branch1.out.b"]
-    for k in range(2, n_branches + 1):
-        keys += [
-            f"branch{k}.hid.w",
-            f"branch{k}.hid.b",
-            f"branch{k}.out.w",
-            f"branch{k}.out.b",
-        ]
-    return keys
+@functools.cache
+def _layers(branch: int) -> tuple[tuple[str, str], ...]:
+    """(weights key, bias key) of each of a branch's layers, bottom up.
+
+    Branch 1 is one affine map from the trunk rows to the classes; each
+    branch k >= 2 puts one ReLU hidden layer below its output layer.
+    """
+    names = ("out",) if branch == 1 else ("hid", "out")
+    return tuple((f"branch{branch}.{name}.w", f"branch{branch}.{name}.b") for name in names)
 
 
 def tensor_shapes(
     d_in: int, hidden: int, branch_hidden: int, n_fields: int, n_branches: int
 ) -> dict[str, tuple[int, ...]]:
-    n_out = n_fields + 1
-    shapes: dict[str, tuple[int, ...]] = {
-        "trunk.w": (d_in, hidden),
-        "trunk.b": (hidden,),
-        "branch1.out.w": (hidden, n_out),
-        "branch1.out.b": (n_out,),
-    }
-    for k in range(2, n_branches + 1):
-        shapes[f"branch{k}.hid.w"] = (hidden, branch_hidden)
-        shapes[f"branch{k}.hid.b"] = (branch_hidden,)
-        shapes[f"branch{k}.out.w"] = (branch_hidden, n_out)
-        shapes[f"branch{k}.out.b"] = (n_out,)
+    """Each tensor's shape, in canonical order: the order of the parameter
+    buffer, of init_params' draws and of the checkpoint's blocks."""
+    shapes: dict[str, tuple[int, ...]] = {"trunk.w": (d_in, hidden), "trunk.b": (hidden,)}
+    for k in range(1, n_branches + 1):
+        layers = _layers(k)
+        widths = (hidden,) + (branch_hidden,) * (len(layers) - 1) + (n_fields + 1,)
+        for (w, b), fan_in, width in zip(layers, widths, widths[1:]):
+            shapes[w], shapes[b] = (fan_in, width), (width,)
     return shapes
 
 
@@ -119,9 +113,8 @@ def init_params(
         d_in, hidden, branch_hidden, n_fields, n_branches,
         np.zeros(size, dtype=np.float64), bytes(schema_digest),
     )
-    for key in tensor_keys(n_branches):
+    for key, shape in shapes.items():
         if not key.endswith(".b"):
-            shape = shapes[key]
             scale = 1.0 / np.sqrt(shape[0])
             params.tensors[key][...] = rng.normal(0.0, scale, size=shape)
     return params
@@ -165,23 +158,25 @@ def trunk_activations(
     return np.maximum(h, 0.0, out=h)
 
 
-def _head(
+def _forward(
     params: ModelParams, h: np.ndarray, branch: int
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """One branch over trunk rows: (its hidden-layer rows or None, probabilities)."""
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """One branch over trunk rows: (each layer's input rows, bottom up;
+    probabilities)."""
     t = params.tensors
-    if branch == 1:
-        return None, _softmax(_affine(h, t["branch1.out.w"], t["branch1.out.b"]))
-    h2 = _affine(h, t[f"branch{branch}.hid.w"], t[f"branch{branch}.hid.b"])
-    np.maximum(h2, 0.0, out=h2)
-    return h2, _softmax(_affine(h2, t[f"branch{branch}.out.w"], t[f"branch{branch}.out.b"]))
+    *hidden, (w_out, b_out) = _layers(branch)
+    inputs = [h]
+    for w, b in hidden:
+        z = _affine(inputs[-1], t[w], t[b])
+        inputs.append(np.maximum(z, 0.0, out=z))
+    return inputs, _softmax(_affine(inputs[-1], t[w_out], t[b_out]))
 
 
 def branch_probs(params: ModelParams, activations: np.ndarray, branch: int) -> np.ndarray:
     """(M, N+1) softmax probability rows for one branch over trunk activations."""
     if not 1 <= branch <= params.n_branches:
         raise ValidationError(f"branch {branch} out of range 1..{params.n_branches}")
-    return _head(params, activations, branch)[1]
+    return _forward(params, activations, branch)[1]
 
 
 # OpenBLAS sends a matmul whose M*N*K is at most this to a small-matrix
@@ -281,7 +276,7 @@ def branch_loss_and_grad(
                 raise ValidationError("label vector shape or class range invalid")
             picks[id(y)] = row_starts + y
 
-    h2, probs = _head(params, h, branch)
+    inputs, probs = _forward(params, h, branch)
 
     # a term that repeats (the rule labels at stage k >= 3) is worked out
     # once and added as often as it occurs, in order, so the sums keep their
@@ -301,25 +296,20 @@ def branch_loss_and_grad(
         loss += term_loss
         dlogits += contrib
 
-    # relu(a) > 0 exactly where a > 0, so the activations double as masks
+    # backprop top-down, with a trained trunk as one more layer at the
+    # bottom; relu(a) > 0 exactly where a > 0, so a layer's input rows (the
+    # ReLU output of the layer below) mask the gradient passed down to it
+    layers = [(("trunk.w", "trunk.b"), features)] if train_trunk else []
+    layers += zip(_layers(branch), inputs)
     grads: dict[str, np.ndarray] = {}
-    if branch == 1:
-        grads["branch1.out.w"] = h.T @ dlogits
-        grads["branch1.out.b"] = dlogits.sum(axis=0)
-        upstream, w_up = dlogits, t["branch1.out.w"]
-    else:
-        grads[f"branch{branch}.out.w"] = h2.T @ dlogits
-        grads[f"branch{branch}.out.b"] = dlogits.sum(axis=0)
-        da2 = dlogits @ t[f"branch{branch}.out.w"].T
-        da2 *= h2 > 0.0
-        grads[f"branch{branch}.hid.w"] = h.T @ da2
-        grads[f"branch{branch}.hid.b"] = da2.sum(axis=0)
-        upstream, w_up = da2, t[f"branch{branch}.hid.w"]
-    if train_trunk:
-        da1 = upstream @ w_up.T
-        da1 *= h > 0.0
-        grads["trunk.w"] = features.T @ da1
-        grads["trunk.b"] = da1.sum(axis=0)
+    delta = dlogits
+    for i in range(len(layers) - 1, -1, -1):
+        (w, b), x = layers[i]
+        grads[w] = x.T @ delta
+        grads[b] = delta.sum(axis=0)
+        if i:
+            delta = delta @ t[w].T
+            delta *= x > 0.0
     return loss, grads
 
 
@@ -348,7 +338,7 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place, over the keys in grads.
 
-    The keys must name one contiguous run of tensors in tensor_keys order
+    The keys must name one contiguous run of tensors in tensor_shapes order
     (each training stage's tensors do), so the update is a few in-place
     element-wise ops over one slice of the parameter buffer; element-wise
     IEEE arithmetic gives the same bits in any layout.
@@ -425,12 +415,11 @@ def load_model(path: str, schema: FieldSchema) -> ModelParams:
         raise ValidationError(f"{path}: checkpoint has no branches")
     # the header fixes the file size; checking it first keeps a corrupt
     # dimension from allocating its tensors
-    sizes = {
-        key: math.prod(shape)
-        for key, shape in tensor_shapes(d_in, hidden, branch_hidden, n_fields, 2).items()
-    }
-    first = sum(sizes[key] for key in tensor_keys(1))
-    weights = first + (n_branches - 1) * (sum(sizes.values()) - first)
+    one, two = (
+        sum(map(math.prod, tensor_shapes(d_in, hidden, branch_hidden, n_fields, k).values()))
+        for k in (1, 2)
+    )
+    weights = one + (n_branches - 1) * (two - one)
     if off + weights * 8 > len(blob):
         raise ValidationError(f"{path}: truncated checkpoint (weight blocks are cut short)")
     if off + weights * 8 < len(blob):

@@ -431,6 +431,19 @@ def test_inspect_colors_overlay_predictions(synth_dir, tmp_path):
     assert svgs[0] != svgs[1]  # word 0 takes field 1's color
 
 
+def test_svg_escapes_word_text(tmp_path):
+    docs = tmp_path / "docs.jsonl"
+    words = [{"text": 'a&b<c>"d', "box": [0.1, 0.1, 0.2, 0.2]}]
+    docs.write_text(json.dumps({**_DOC, "words": words}) + "\n")
+    values = tmp_path / "values.jsonl"
+    values.write_text(json.dumps({"doc_id": "d", "fields": {}}) + "\n")
+    assert run("inspect", "--pred", str(values), "--gold", str(values),
+               "--out", str(tmp_path / "o.jsonl"), "--docs", str(docs),
+               "--svg", str(tmp_path / "svg")) == 0
+    svg = (tmp_path / "svg" / "d.svg").read_text()
+    assert '>a&amp;b&lt;c&gt;"d</text>' in svg
+
+
 @pytest.mark.parametrize("doc_id", ["../escaped", "sub/escaped", "", ".", ".."])
 @pytest.mark.parametrize("command", ["inspect", "extract"])
 def test_svg_refuses_a_doc_id_that_is_not_a_file_name(
@@ -655,6 +668,9 @@ _FIELD = {"field_id": 1, "name": "f", "keys": ["k"], "allowed_types": ["number"]
         ("schema", {"fields": [{**_FIELD, "field_id": True}]}),
         ("schema", {"fields": [{**_FIELD, "name": None}]}),
         ("labels", {"doc_id": "d", "labels": [[0, 1]], "provenance": 5}),
+        # bytes that are not UTF-8
+        *(pytest.param(reader, b'{"doc_id": "d\xff"}', id=f"{reader}-not-utf8")
+          for reader in ("docs", "labels", "annotations", "overlay", "schema")),
     ],
 )
 def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys, caplog):
@@ -663,7 +679,7 @@ def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys
     good_values = tmp_path / "values.jsonl"
     good_values.write_text(json.dumps({"doc_id": "d", "fields": {}}) + "\n")
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(row) + "\n")
+    bad.write_bytes(row + b"\n" if isinstance(row, bytes) else (json.dumps(row) + "\n").encode())
     argv = {
         "docs": ["bootstrap", "--docs", str(bad), "--out", str(tmp_path / "l.jsonl")],
         "labels": ["train", "--docs", str(good_docs), "--labels", str(bad),

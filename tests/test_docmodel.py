@@ -34,6 +34,7 @@ from ffrg.docmodel import (
     read_annotations,
     read_documents,
     read_labels,
+    read_overlay,
     read_schema,
     reading_order,
     schema_from_json_dict,
@@ -543,6 +544,43 @@ def test_read_documents_rejects_a_repeated_doc_id(tmp_path):
     path.write_text("\n".join([first, other, "", first]) + "\n")
     with pytest.raises(ValidationError, match=r"line 4: doc_id 'd1' repeats line 1"):
         read_documents(str(path))
+
+
+@pytest.mark.parametrize("reader,kind", [
+    (read_documents, "documents"), (read_labels, "labels"),
+    (read_annotations, "annotations"), (read_overlay, "overlay"),
+])
+def test_jsonl_readers_reject_lines_that_are_not_utf8(tmp_path, reader, kind):
+    # the bad line lies past the first decoded chunk of the file
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b"\n" * 9999 + b'{"doc_id": "d\xff"}\n')
+    with pytest.raises(ParseError, match=f"^{kind} line 10000: not UTF-8 text$"):
+        reader(str(path))
+
+
+def test_read_schema_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_bytes(b'{"fields": [], "name": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+        read_schema(str(path))
+    assert str(exc.value).startswith(f"schema file {path}: ")
+
+
+def test_crlf_and_cr_documents_read_as_their_lf_twin(tmp_path):
+    first = _record([{"text": "Größe", "box": [0.1, 0.1, 0.2, 0.2]}])
+    records = [first, "", first.replace('"d1"', '"d2"')]
+    lf = tmp_path / "lf.jsonl"
+    lf.write_bytes("\n".join(records).encode() + b"\n")
+    want = read_documents(str(lf))
+    assert [doc.doc_id for doc in want] == ["d1", "d2"]
+    for newline in ("\r\n", "\r"):
+        twin = tmp_path / "twin.jsonl"
+        twin.write_bytes(newline.join(records).encode() + newline.encode())
+        assert read_documents(str(twin)) == want
+    # line numbers count the same lines
+    twin.write_bytes("\r\n".join([first, "", first]).encode())
+    with pytest.raises(ValidationError, match="^line 3: doc_id 'd1' repeats line 1$"):
+        read_documents(str(twin))
 
 
 def test_document_round_trip_with_phrases():

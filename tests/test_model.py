@@ -28,7 +28,6 @@ from ffrg.model import (
     init_params,
     load_model,
     save_model,
-    tensor_keys,
     tensor_shapes,
     trunk_activations,
 )
@@ -58,13 +57,17 @@ def _moments(state, params, key):
 
 
 def test_tensor_layout_covers_every_branch():
-    keys = tensor_keys(3)
-    assert keys[:4] == ["trunk.w", "trunk.b", "branch1.out.w", "branch1.out.b"]
-    assert "branch3.hid.w" in keys and len(keys) == 4 + 2 * 4
     shapes = tensor_shapes(10, 8, 6, 3, 3)
-    assert set(shapes) == set(keys)
+    assert list(shapes) == [
+        "trunk.w", "trunk.b", "branch1.out.w", "branch1.out.b",
+        "branch2.hid.w", "branch2.hid.b", "branch2.out.w", "branch2.out.b",
+        "branch3.hid.w", "branch3.hid.b", "branch3.out.w", "branch3.out.b",
+    ]
+    assert shapes["trunk.w"] == (10, 8)
+    assert shapes["branch1.out.w"] == (8, 4)
     assert shapes["branch2.hid.w"] == (8, 6)
     assert shapes["branch2.out.w"] == (6, 4)
+    assert shapes["branch3.out.b"] == (4,)
 
 
 def test_init_is_seeded_and_prefix_stable():
@@ -74,7 +77,7 @@ def test_init_is_seeded_and_prefix_stable():
         assert np.array_equal(a.tensors[key], b.tensors[key])
     # adding branches must not disturb the trunk or branch 1
     wide = init_params(10, 3, 5, DIGEST, hidden=8, branch_hidden=6, seed=5)
-    for key in tensor_keys(1):
+    for key in tensor_shapes(10, 8, 6, 3, 1):
         assert np.array_equal(wide.tensors[key], a.tensors[key])
     assert not np.array_equal(small_params(seed=6).tensors["trunk.w"], a.tensors["trunk.w"])
 
@@ -304,8 +307,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert (again.d_in, again.hidden, again.branch_hidden) == (552, 64, 64)
     assert (again.n_fields, again.n_branches) == (7, 3)
     assert again.schema_digest == DIGEST
-    for key in tensor_keys(3):
+    for key in params.tensors:
         assert np.array_equal(again.tensors[key], params.tensors[key])
+
+
+@pytest.mark.parametrize("n_branches", [1, 2, 3, 4, 5])
+def test_checkpoint_size_follows_the_tensor_shapes(tmp_path, n_branches):
+    params = init_params(7, 2, n_branches, DIGEST, hidden=5, branch_hidden=3, seed=n_branches)
+    path = tmp_path / "model.ffrg"
+    save_model(str(path), params)
+    shapes = tensor_shapes(7, 5, 3, 2, n_branches)
+    assert path.stat().st_size == HEADER_BYTES + 8 * sum(map(math.prod, shapes.values()))
+    again = load_model(str(path), default_invoice_schema())
+    assert again.n_branches == n_branches
+    assert list(again.tensors) == list(shapes)
+    assert np.array_equal(again.flat, params.flat)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
@@ -425,25 +441,32 @@ def _ref_adam_step(tensors, grads, state, lr):
         tensors[key] = tensors[key] - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
-# 2..12 classes: numpy's row sum changes its pairwise order at 8 and more
-@pytest.mark.parametrize("n_fields", [1, 2, 5, 7, 8, 11])
+# 2..12 classes: numpy's row sum changes its pairwise order at 8 and more;
+# a three-branch case is named by its field count alone
+@pytest.mark.parametrize("n_fields,n_branches", [
+    pytest.param(n, k, id=str(n) if k == 3 else f"{n}-K{k}")
+    for k in (3, 4) for n in (1, 2, 5, 7, 8, 11)
+])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])  # 0.0 makes -0.0 contributions
 @pytest.mark.parametrize("train_trunk", [True, False])
-def test_step_matches_the_reference_step(n_fields, beta, train_trunk):
+def test_step_matches_the_reference_step(n_fields, n_branches, beta, train_trunk):
     rng = np.random.default_rng([n_fields, int(beta * 10), train_trunk])
-    params = init_params(30, n_fields, 3, DIGEST, hidden=16, branch_hidden=12, seed=n_fields)
+    params = init_params(30, n_fields, n_branches, DIGEST, hidden=16, branch_hidden=12,
+                         seed=n_fields)
     ref = {key: arr.copy() for key, arr in params.tensors.items()}
     state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
     for step in range(20):
         m = int(rng.integers(1, 60))
         x = rng.normal(size=(m, 30))
-        y0, y1, y2 = (rng.integers(0, n_fields + 1, size=m) for _ in range(3))
-        # the stage-3 terms repeat the rule labels y0, one array object
-        targets = {1: [(1.0, y0)], 2: [(1.0, y1), (beta, y0)],
-                   3: [(1.0, y1), (beta, y0), (1.0, y2), (beta, y0)]}
+        y = [rng.integers(0, n_fields + 1, size=m) for _ in range(n_branches)]
+        # stage k's terms: each refined set 1..k-1, with the rule labels y[0]
+        # after each one, one array object repeated
+        targets = {1: [(1.0, y[0])]}
+        for k in range(2, n_branches + 1):
+            targets[k] = (targets[k - 1] if k > 2 else []) + [(1.0, y[k - 1]), (beta, y[0])]
         # a joint step trains every branch and the trunk; a frozen-trunk step
         # trains one branch, a different one each step
-        branches = (1, 2, 3) if train_trunk else (1 + step % 3,)
+        branches = tuple(targets) if train_trunk else (1 + step % n_branches,)
         h = trunk_activations(params, x)
         # a frozen-trunk step read from the trunk cache has no features
         feats = x if train_trunk or step % 2 == 0 else None
@@ -463,7 +486,7 @@ def test_step_matches_the_reference_step(n_fields, beta, train_trunk):
                 ref_grads[key] = ref_grads[key] + want[key] if key in ref_grads else want[key]
         adam_step(params, grads, state, lr=1e-2)
         _ref_adam_step(ref, ref_grads, ref_state, lr=1e-2)
-        for key in tensor_keys(3):
+        for key in params.tensors:
             assert np.array_equal(params.tensors[key], ref[key])
         for key in ref_state["m"]:
             m, v = _moments(state, params, key)
@@ -502,7 +525,8 @@ def _assert_flat_layout(params):
     assert flat.dtype == np.float64 and flat.flags.c_contiguous
     start = flat.__array_interface__["data"][0]
     off = 0
-    for key in tensor_keys(params.n_branches):
+    dims = (params.d_in, params.hidden, params.branch_hidden, params.n_fields, params.n_branches)
+    for key in tensor_shapes(*dims):
         arr = params.tensors[key]
         assert np.shares_memory(arr, flat)
         assert arr.__array_interface__["data"][0] == start + 8 * off
