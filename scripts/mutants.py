@@ -57,6 +57,22 @@ _STEP_TESTS = (
 _WIDE_TESTS = (
     "tests/test_features.py::test_held_features_take_widths_up_to_what_a_uint16_column_indexes",
 )
+_STAGE_CACHE_TESTS = (
+    "tests/test_progressive.py::test_trunk_cache_leaves_training_bit_identical",
+    "tests/test_progressive.py::test_cached_refinement_leaves_training_bit_identical",
+)
+_WINDOW_TESTS = (
+    "tests/test_docmodel.py::test_window_pairs_equal_the_bisect_loop",
+    "tests/test_docmodel.py::test_window_pairs_equal_the_bisect_loop_on_ties_and_signed_zeros",
+)
+_SLOTTED_TESTS = ("tests/test_docmodel.py::test_records_are_slotted",)
+_HELD_LAYOUT_TESTS = (
+    "tests/test_features.py::test_held_features_store_row_counts_uint16_columns_and_float64_values",
+)
+_HELD_FILL_TESTS = ("tests/test_features.py::test_held_batches_are_the_dense_concatenation",)
+_JARO_SCAN_TESTS = (
+    "tests/test_similarity.py::test_window_scan_equals_the_index_loop_on_random_pairs",
+)
 
 MUTANTS = (
     # the trunk cache (model.TrunkCache)
@@ -69,6 +85,8 @@ MUTANTS = (
            "if self._small(len(row_index)):", "if self._small(len(docs)):", _TRUNK_TESTS),
     Mutant("trunk: a document never takes its own pass", "src/ffrg/model.py",
            "if self._small(hi - lo):", "if False:", _TRUNK_TESTS),
+    Mutant("trunk: a batch never takes its own pass", "src/ffrg/model.py",
+           "if self._small(len(row_index)):", "if False:", _TRUNK_TESTS),
     # the rule extractor's page pass (bootstrap.extract_document)
     Mutant("page pass: unstable search order", "src/ffrg/bootstrap.py",
            'orders = np.argsort(-tops, axis=0, kind="stable")',
@@ -95,17 +113,50 @@ MUTANTS = (
            "v = np.where(lo > v, lo, v)", "v = np.maximum(v, lo)", _CLAMP_TESTS),
     Mutant("synth: the lower clamp taking the bound on a tie", "src/ffrg/synth.py",
            "v = np.where(lo > v, lo, v)", "v = np.where(lo >= v, lo, v)", _CLAMP_TESTS),
+    # synthesis's bulk noise draws (synth._noise_texts)
+    Mutant("synth: the generator state not restored at a hit", "src/ffrg/synth.py",
+           "rng.bit_generator.state = state", "pass",
+           ("tests/test_synth.py::test_document_noise_pass_equals_the_per_character_loop",)),
     # the training step's backprop loop (model.branch_loss_and_grad)
     Mutant("step: a >= ReLU mask", "src/ffrg/model.py",
            "delta *= x > 0.0", "delta *= x >= 0.0", _STEP_TESTS),
     Mutant("step: the trunk layer dropped", "src/ffrg/model.py",
-           'layers = [(("trunk.w", "trunk.b"), features)] if train_trunk else []',
+           'layers = [(("trunk.w", "trunk.b"), features)] if features is not None else []',
            "layers = []", _STEP_TESTS),
     Mutant("step: the loop stops one layer early", "src/ffrg/model.py",
            "for i in range(len(layers) - 1, -1, -1):", "for i in range(len(layers) - 1, 0, -1):",
            _STEP_TESTS),
     Mutant("step: a hidden layer without ReLU", "src/ffrg/model.py",
            "inputs.append(np.maximum(z, 0.0, out=z))", "inputs.append(z)", _STEP_TESTS),
+    # progressive training's stage loop (progressive.train)
+    Mutant("stage loop: a joint stage keeps a stale cache", "src/ffrg/progressive.py",
+           "if not frozen:", "if stage == 1:", _STAGE_CACHE_TESTS),
+    Mutant("stage loop: a frozen stage trains every branch", "src/ffrg/progressive.py",
+           "branches = [stage] if frozen else range(1, stage + 1)",
+           "branches = range(1, stage + 1)",
+           ("tests/test_progressive.py::test_first_branch_is_frozen_after_stage_one",
+            "tests/test_progressive.py::test_k1_is_the_first_stage_of_k3")),
+    Mutant("stage loop: a frozen stage rebuilds the cache", "src/ffrg/progressive.py",
+           "if not frozen:", "if True:", _STAGE_CACHE_TESTS),
+    # reading order's and grouping's y-window (docmodel._near_in_y) and links
+    Mutant("window: an unstable sort by centre y", "src/ffrg/docmodel.py",
+           'by_y = yc.argsort(kind="stable")', "by_y = yc.argsort()", _WINDOW_TESTS),
+    Mutant("grouping: np.hypot deciding a link", "src/ffrg/grouping.py",
+           "    link = np.array([word_distance(words[a], words[b]) <= eps\n"
+           "                     for a, b in zip(i.tolist(), j.tolist())], dtype=bool)",
+           "    link = np.hypot(np.maximum(np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j]),"
+           " 0.0),\n                    VERTICAL_PENALTY * np.abs(yc[i] - yc[j])) <= eps",
+           ("tests/test_grouping.py::test_a_link_at_eps_follows_word_distance_not_an_array_hypot",)),
+    # slotted records (docmodel.BBox, Word, Phrase)
+    Mutant("records: BBox without slots", "src/ffrg/docmodel.py",
+           "@dataclass(frozen=True, slots=True)\nclass BBox", "@dataclass(frozen=True)\nclass BBox",
+           _SLOTTED_TESTS),
+    Mutant("records: Word without slots", "src/ffrg/docmodel.py",
+           "@dataclass(frozen=True, slots=True)\nclass Word", "@dataclass(frozen=True)\nclass Word",
+           _SLOTTED_TESTS),
+    Mutant("records: Phrase without slots", "src/ffrg/docmodel.py",
+           "@dataclass(frozen=True, slots=True)\nclass Phrase",
+           "@dataclass(frozen=True)\nclass Phrase", _SLOTTED_TESTS),
     # a phrase's box row (bootstrap._union_rows)
     Mutant("phrase box: the signed-zero redo dropped", "src/ffrg/bootstrap.py",
            "for i, c in zip(*(out == 0.0).nonzero()):", "for i, c in ():",
@@ -118,10 +169,29 @@ MUTANTS = (
            "cols.astype(np.uint16)", "cols.astype(np.uint8)", _WIDE_TESTS),
     Mutant("held features: no width bound", "src/ffrg/features.py",
            "if self.width > _MAX_WIDTH:", "if False:", _WIDE_TESTS),
+    Mutant("held features: the width bound off by one", "src/ffrg/features.py",
+           "if self.width > _MAX_WIDTH:", "if self.width >= _MAX_WIDTH:", _WIDE_TESTS),
+    Mutant("held features: int32 columns", "src/ffrg/features.py",
+           "cols.astype(np.uint16)", "cols.astype(np.int32)", _HELD_LAYOUT_TESTS),
+    Mutant("held features: int64 row counts", "src/ffrg/features.py",
+           ".astype(count_type)", ".astype(np.int64)", _HELD_LAYOUT_TESTS),
+    Mutant("held features: float32 values", "src/ffrg/features.py",
+           "flat[pos]))", "flat[pos].astype(np.float32)))", _HELD_LAYOUT_TESTS),
+    Mutant("held features: row starts restarting per document", "src/ffrg/features.py",
+           "at += (np.arange(len(counts)) * self.width).repeat(counts)",
+           "at += np.concatenate([(np.arange(len(c)) * self.width).repeat(c) for c, _, _ in picked])",
+           _HELD_FILL_TESTS),
+    Mutant("held features: row counts cut to each document's first row", "src/ffrg/features.py",
+           "counts = np.concatenate(counts)", "counts = np.concatenate([c[:1] for c in counts])",
+           _HELD_FILL_TESTS),
     # Jaro's window scan (similarity.jaro_similarity)
     Mutant("jaro: a flagged character taken as a match", "src/ffrg/similarity.py",
-           "while j >= 0 and flags2[j]:", "while False:",
-           ("tests/test_similarity.py::test_window_scan_equals_the_index_loop_on_random_pairs",)),
+           "while j >= 0 and flags2[j]:", "while False:", _JARO_SCAN_TESTS),
+    Mutant("jaro: the skip scan running past the window", "src/ffrg/similarity.py",
+           "j = s2.find(ch, j + 1, hi)", "j = s2.find(ch, j + 1)", _JARO_SCAN_TESTS),
+    Mutant("jaro: the window starting one late", "src/ffrg/similarity.py",
+           "lo = i - search_range if i > search_range else 0",
+           "lo = i - search_range + 1 if i > search_range else 0", _JARO_SCAN_TESTS),
 )
 
 

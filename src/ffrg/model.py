@@ -239,7 +239,6 @@ def branch_loss_and_grad(
     features: np.ndarray | None,
     targets: Sequence[tuple[float, np.ndarray]],
     branch: int,
-    train_trunk: bool,
     *,
     activations: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -247,15 +246,13 @@ def branch_loss_and_grad(
 
     targets is a list of (weight, labels) pairs where labels is an int
     array of classes in 0..N; the loss is sum_j weight_j * meanCE(s_branch,
-    labels_j).  Gradients cover the branch tensors, plus the trunk when
-    train_trunk is set.  activations are the trunk rows of the batch
-    (trunk_activations); features may be None unless the trunk trains,
-    whose gradient needs them.
+    labels_j).  activations are the trunk rows of the batch
+    (trunk_activations).  Gradients cover the branch tensors, plus the
+    trunk when the features behind the activations are given; a step on
+    a frozen trunk passes None.
     """
     t = params.tensors
     h = activations
-    if features is None and train_trunk:
-        raise ValidationError("a trained trunk needs the features behind its activations")
     if h.ndim != 2 or h.shape[1] != params.hidden or (
         features is not None and features.shape[0] != h.shape[0]
     ):
@@ -296,10 +293,10 @@ def branch_loss_and_grad(
         loss += term_loss
         dlogits += contrib
 
-    # backprop top-down, with a trained trunk as one more layer at the
-    # bottom; relu(a) > 0 exactly where a > 0, so a layer's input rows (the
-    # ReLU output of the layer below) mask the gradient passed down to it
-    layers = [(("trunk.w", "trunk.b"), features)] if train_trunk else []
+    # backprop top-down, the trunk joining at the bottom when its features
+    # are given; relu(a) > 0 exactly where a > 0, so a layer's input rows
+    # (the ReLU output of the layer below) mask the gradient passed down to it
+    layers = [(("trunk.w", "trunk.b"), features)] if features is not None else []
     layers += zip(_layers(branch), inputs)
     grads: dict[str, np.ndarray] = {}
     delta = dlogits

@@ -163,13 +163,12 @@ def train(
 ) -> TrainResult:
     """Stage-wise training; deterministic for a fixed config and seed.
 
-    A step that trains the trunk takes one trunk pass over its batch,
-    shared by the branches it trains.  Every refinement, and with two-step
-    training every step of stages 2..K, reads its trunk rows from a
-    TrunkCache.  Two-step training freezes the trunk after stage 1, so one
-    cache serves every later stage; single-step training builds one per
-    refinement from the current weights.  ``threads`` is accepted and not
-    read.
+    Each stage k trains, then refines branch k into label rows for the
+    stages after it.  A step that trains the trunk takes one trunk pass
+    over its batch, shared by the branches it trains.  Every refinement,
+    and every step of a frozen stage (k >= 2 under two-step training),
+    reads its trunk rows from a TrunkCache, rebuilt after any stage that
+    trained the trunk.  ``threads`` is accepted and not read.
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
@@ -197,16 +196,12 @@ def train(
     if not trainable:
         raise ValidationError("corpus has no words to train on")
 
-    refined: dict[int, LabelSet] = {}
-    stage_losses: list[list[float]] = []
-    cache: TrunkCache | None = None
-
-    def run_stage(stage: int, frozen: TrunkCache | None) -> None:
-        # Per-stage work: which branches get gradient updates, on what terms.
-        if stage == 1 or not cfg.two_step:
-            specs = [(b, _branch_terms(b, cfg.beta), True) for b in range(1, stage + 1)]
-        else:
-            specs = [(stage, _branch_terms(stage, cfg.beta), False)]
+    def run_stage(stage: int, frozen: bool) -> list[float]:
+        """One stage's epochs; returns each epoch's mean batch loss.  A frozen
+        stage trains its own branch alone on cached trunk rows; any other
+        trains the trunk and branches 1..stage on a fresh trunk pass."""
+        branches = [stage] if frozen else range(1, stage + 1)
+        terms = {b: _branch_terms(b, cfg.beta) for b in branches}
         epochs = cfg.epochs_step1 if stage == 1 else cfg.epochs_step2
         shuffle_rng = np.random.default_rng([cfg.seed, 1, stage])
         state = AdamState()
@@ -220,43 +215,40 @@ def train(
                 # drop the last step's batch before building this one, so
                 # that two batches are never held at once
                 x = h = None
-                if frozen is None:
+                if frozen:
+                    h = cache.batch(batch, rows)
+                else:
                     # one trunk pass, shared by every branch of the step
                     x = features.batch(batch)
                     h = trunk_activations(params, x)
-                else:
-                    h = frozen.batch(batch, rows)
                 y = {src: np.take(ys, rows) for src, ys in y_by_source.items()}
                 loss = 0.0
                 grads: dict[str, np.ndarray] = {}
-                for branch, terms, train_trunk in specs:
-                    targets = [(w, y[src]) for w, src in terms]
-                    l, g = branch_loss_and_grad(
-                        params, x, targets, branch, train_trunk, activations=h
-                    )
+                for branch in branches:
+                    targets = [(w, y[src]) for w, src in terms[branch]]
+                    l, g = branch_loss_and_grad(params, x, targets, branch, activations=h)
                     loss += l
                     for key, val in g.items():
                         grads[key] = grads[key] + val if key in grads else val
                 adam_step(params, grads, state, cfg.lr)
                 batch_losses.append(loss)
             epoch_losses.append(float(np.mean(batch_losses)))
-        stage_losses.append(epoch_losses)
+        return epoch_losses
 
-    def refine(branch: int) -> LabelSet:
-        nonlocal cache
-        if cache is None or not cfg.two_step:
-            cache = TrunkCache(params, features, cfg.batch_docs)
-        probs = [branch_probs(params, cache.document(i), branch) for i in range(len(docs))]
-        return refine_labels(docs, probs, n_fields, cfg.refine_threshold,
-                             f"refined@branch_{branch}")
-
+    refined: dict[int, LabelSet] = {}
+    stage_losses: list[list[float]] = []
     for stage in range(1, cfg.n_branches + 1):
-        if stage >= 2:
-            # one-shot refinement from the previous branch over the train set
-            refined[stage - 1] = refine(stage - 1)
-            y_by_source[stage - 1] = _label_rows(docs, refined[stage - 1], offsets)
-        run_stage(stage, cache if cfg.two_step else None)
-    refined[cfg.n_branches] = refine(cfg.n_branches)
+        frozen = cfg.two_step and stage > 1
+        stage_losses.append(run_stage(stage, frozen))
+        if not frozen:
+            cache = TrunkCache(params, features, cfg.batch_docs)
+        # one-shot refinement of this branch over the train set
+        refined[stage] = refine_labels(
+            docs, [branch_probs(params, cache.document(i), stage) for i in range(len(docs))],
+            n_fields, cfg.refine_threshold, f"refined@branch_{stage}",
+        )
+        if stage < cfg.n_branches:
+            y_by_source[stage] = _label_rows(docs, refined[stage], offsets)
     return TrainResult(params, refined, stage_losses)
 
 

@@ -134,19 +134,11 @@ class _Item:
     """One laid-out phrase: word texts plus per-word boxes."""
     texts: list[str]
     boxes: list[tuple[float, float, float, float]]
-    field_id: int = 0  # 0 for non-value items
-    is_value: bool = False
+    field_id: int = 0  # the field of a value item, 0 for any other
 
     @property
     def x1(self) -> float:
         return self.boxes[-1][2]
-
-    def center(self) -> tuple[float, float]:
-        x0 = min(b[0] for b in self.boxes)
-        y0 = min(b[1] for b in self.boxes)
-        x1 = max(b[2] for b in self.boxes)
-        y1 = max(b[3] for b in self.boxes)
-        return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
 def _layout_line(texts: Sequence[str], x: float, y: float) -> _Item:
@@ -319,14 +311,13 @@ def generate_document(
         key_texts = _key_display(f.name, f.keys, cfg, rng)
         value_texts = _gen_value(f.name, f.allowed_types, rng)
         key_item = _layout_line(key_texts, col, row_y)
-        kcx = key_item.center()[0]
+        kcx = (key_item.boxes[0][0] + key_item.x1) / 2.0  # a line runs left to right
         if relation == "key-left":
             value_item = _layout_line(value_texts, key_item.x1 + KV_GAP_RIGHT, row_y)
         else:
             vx = max(0.01, kcx - _phrase_width(value_texts) / 2.0)
             value_item = _layout_line(value_texts, vx, row_y + CHAR_H + KV_GAP_BELOW)
         value_item.field_id = field_id
-        value_item.is_value = True
         items.append(key_item)
         items.append(value_item)
         anchors.append((key_item, relation, kcx))
@@ -390,10 +381,10 @@ def generate_document(
     for it in items:
         for _ in it.boxes:
             wid = len(words)
-            if it.is_value:
+            if it.field_id:
                 positives[wid] = it.field_id
             words.append(Word(wid, next(noisy), BBox(*next(boxes))))
-        if it.is_value:
+        if it.field_id:
             # Gold is the pre-noise value text: truth capture precedes
             # corruption, so noisy renderings miss under exact match.
             gold[schema.field_by_id(it.field_id).name] = " ".join(it.texts)

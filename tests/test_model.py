@@ -43,10 +43,11 @@ def small_params(seed=0, n_branches=3, n_fields=3):
 
 
 def _loss(params, x, targets, branch, train_trunk):
-    """branch_loss_and_grad over a fresh trunk pass, as training takes it
-    when a batch is not read from the trunk cache."""
+    """branch_loss_and_grad over a fresh trunk pass of x, given the features
+    only when the trunk trains."""
     h = trunk_activations(params, x)
-    return branch_loss_and_grad(params, x, targets, branch, train_trunk, activations=h)
+    return branch_loss_and_grad(params, x if train_trunk else None, targets, branch,
+                                activations=h)
 
 
 def _moments(state, params, key):
@@ -150,16 +151,14 @@ def test_precomputed_activations_reject_a_trained_trunk(rng):
     x = rng.normal(size=(4, 10))
     y = rng.integers(0, 4, size=4)
     h = trunk_activations(params, x)
-    # the trunk gradient needs the features behind the activations
     with pytest.raises(ValidationError):
-        branch_loss_and_grad(params, None, [(1.0, y)], 2, True, activations=h)
+        branch_loss_and_grad(params, None, [(1.0, y)], 2, activations=h[:, :5])
+    # the features of a trained trunk must be those behind the activations
     with pytest.raises(ValidationError):
-        branch_loss_and_grad(params, None, [(1.0, y)], 2, False, activations=h[:, :5])
-    with pytest.raises(ValidationError):
-        branch_loss_and_grad(params, x[:3], [(1.0, y)], 2, True, activations=h)
+        branch_loss_and_grad(params, x[:3], [(1.0, y)], 2, activations=h)
     # given both, a trained trunk takes the activations as its own pass
     want_loss, want = _ref_branch_loss_and_grad(params.tensors, x, [(1.0, y)], 2, True)
-    loss, got = branch_loss_and_grad(params, x, [(1.0, y)], 2, True, activations=h)
+    loss, got = branch_loss_and_grad(params, x, [(1.0, y)], 2, activations=h)
     assert loss == want_loss and sorted(got) == sorted(want)
     for key in want:
         assert np.array_equal(got[key], want[key])
@@ -184,9 +183,7 @@ def test_cached_trunk_step_is_bit_identical(schema):
         ]
         for branch in (1, 2, 3):
             want_loss, want = _loss(params, x, targets, branch, False)
-            loss, got = branch_loss_and_grad(
-                params, None, targets, branch, False, activations=h
-            )
+            loss, got = branch_loss_and_grad(params, None, targets, branch, activations=h)
             assert loss == want_loss
             assert sorted(got) == sorted(want)
             for key in want:
@@ -468,12 +465,12 @@ def test_step_matches_the_reference_step(n_fields, n_branches, beta, train_trunk
         # trains one branch, a different one each step
         branches = tuple(targets) if train_trunk else (1 + step % n_branches,)
         h = trunk_activations(params, x)
-        # a frozen-trunk step read from the trunk cache has no features
-        feats = x if train_trunk or step % 2 == 0 else None
+        # a frozen-trunk step is not given the features
+        feats = x if train_trunk else None
         grads, ref_grads = {}, {}
         for branch in branches:
             loss, got = branch_loss_and_grad(
-                params, feats, targets[branch], branch, train_trunk, activations=h
+                params, feats, targets[branch], branch, activations=h
             )
             want_loss, want = _ref_branch_loss_and_grad(
                 ref, x, targets[branch], branch, train_trunk

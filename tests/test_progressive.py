@@ -14,7 +14,7 @@ from ffrg.docmodel import (
 )
 from ffrg.features import CorpusFeatures, featurize_corpus
 from ffrg.grouping import group_document
-from ffrg.model import branch_probs, trunk_activations
+from ffrg.model import TrunkCache, branch_probs, trunk_activations
 from ffrg.progressive import (
     TrainConfig,
     _select_anchors,
@@ -276,12 +276,23 @@ class _OwnPasses:
 
 def _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg):
     """Training with the trunk cache equals training with own passes, in
-    both training modes."""
+    both training modes, and a cache is built only after a stage that
+    trained the trunk: once under two-step training, after every stage
+    under joint training."""
     labels, _ = bootstrap_corpus(docs, schema)
     features = featurize_corpus(docs)
     for two_step in (True, False):
         mode = TrainConfig(**{**cfg.__dict__, "two_step": two_step})
-        cached = train(docs, labels, schema, mode, features)
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return TrunkCache(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr("ffrg.progressive.TrunkCache", counted)
+            cached = train(docs, labels, schema, mode, features)
+        assert len(builds) == (1 if two_step else cfg.n_branches)
         with monkeypatch.context() as m:
             m.setattr("ffrg.progressive.TrunkCache", _OwnPasses)
             uncached = train(docs, labels, schema, mode, features)
