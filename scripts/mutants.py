@@ -128,6 +128,12 @@ MUTANTS = (
            _STEP_TESTS),
     Mutant("step: a hidden layer without ReLU", "src/ffrg/model.py",
            "inputs.append(np.maximum(z, 0.0, out=z))", "inputs.append(z)", _STEP_TESTS),
+    Mutant("step: a term's sum over the class count", "src/ffrg/model.py",
+           "np.add.reduce(np.log(flat[pick])) / m", "np.add.reduce(np.log(flat[pick])) / n_out",
+           _STEP_TESTS),
+    Mutant("step: the label check letting class N+1 through", "src/ffrg/model.py",
+           "y.max() >= n_out", "y.max() > n_out",
+           ("tests/test_model.py::test_loss_rejects_bad_labels",)),
     # progressive training's stage loop (progressive.train)
     Mutant("stage loop: a joint stage keeps a stale cache", "src/ffrg/progressive.py",
            "if not frozen:", "if stage == 1:", _STAGE_CACHE_TESTS),
@@ -157,6 +163,12 @@ MUTANTS = (
     Mutant("records: Phrase without slots", "src/ffrg/docmodel.py",
            "@dataclass(frozen=True, slots=True)\nclass Phrase",
            "@dataclass(frozen=True)\nclass Phrase", _SLOTTED_TESTS),
+    # the value threshold (bootstrap.extract_field)
+    Mutant("rules: a value at or below theta_v kept", "src/ffrg/bootstrap.py",
+           "if best_i is None or best_score <= p.theta_v:", "if best_i is None:",
+           ("tests/test_bootstrap.py::test_extract_field_rejects_below_threshold",
+            "tests/test_bootstrap.py::test_degenerate_pages_give_the_reference_values_without_warnings",
+            "tests/test_bootstrap.py::test_extract_document_equals_the_phrase_object_path_on_degenerate_pages")),
     # a phrase's box row (bootstrap._union_rows)
     Mutant("phrase box: the signed-zero redo dropped", "src/ffrg/bootstrap.py",
            "for i, c in zip(*(out == 0.0).nonzero()):", "for i, c in ():",

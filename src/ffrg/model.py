@@ -244,12 +244,12 @@ def branch_loss_and_grad(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted sum of mean cross-entropies for one branch, with gradients.
 
-    targets is a list of (weight, labels) pairs where labels is an int
-    array of classes in 0..N; the loss is sum_j weight_j * meanCE(s_branch,
-    labels_j).  activations are the trunk rows of the batch
-    (trunk_activations).  Gradients cover the branch tensors, plus the
-    trunk when the features behind the activations are given; a step on
-    a frozen trunk passes None.
+    targets is a non-empty list of (weight, labels) pairs where labels is
+    an integer array, signed or unsigned, of classes in 0..N; the loss is
+    sum_j weight_j * meanCE(s_branch, labels_j).  activations are the trunk
+    rows of the batch (trunk_activations).  Gradients cover the branch
+    tensors, plus the trunk when the features behind the activations are
+    given; a step on a frozen trunk passes None.
     """
     t = params.tensors
     h = activations
@@ -261,15 +261,16 @@ def branch_loss_and_grad(
             " and one row per feature row"
         )
     m = h.shape[0]
-    if m == 0:
-        raise ValidationError("cannot take a loss over zero words")
+    if m == 0 or not targets:
+        raise ValidationError("cannot take a loss over zero words or zero terms")
     n_out = params.n_classes
     # flat index of each row's labelled class, once per distinct label array
     row_starts = np.arange(0, m * n_out, n_out)
     picks: dict[int, np.ndarray] = {}
     for _, y in targets:
         if id(y) not in picks:
-            if y.shape != (m,) or y.min() < 0 or y.max() >= n_out:
+            # an unsigned array cannot hold a negative class
+            if y.shape != (m,) or y.max() >= n_out or (y.dtype.kind != "u" and y.min() < 0):
                 raise ValidationError("label vector shape or class range invalid")
             picks[id(y)] = row_starts + y
 
@@ -277,10 +278,13 @@ def branch_loss_and_grad(
 
     # a term that repeats (the rule labels at stage k >= 3) is worked out
     # once and added as often as it occurs, in order, so the sums keep their
-    # bits; dlogits starts at +0.0, so a -0.0 weight adds what 0.0 adds
+    # bits.  A term's loss is the plain sum that .mean() takes, over m.
+    # dlogits starts as the first contribution + 0.0, the bits that adding it
+    # to zeros gives, so a -0.0 weight adds what 0.0 adds
+    flat = probs.ravel()
     terms: dict[tuple[int, float], tuple[float, np.ndarray]] = {}
     loss = 0.0
-    dlogits = np.zeros_like(probs)
+    dlogits = None
     for weight, y in targets:
         key = (id(y), weight)
         if key not in terms:
@@ -288,10 +292,13 @@ def branch_loss_and_grad(
             contrib = probs.copy()
             contrib.ravel()[pick] -= 1.0
             contrib *= weight / m
-            terms[key] = (weight * float(-np.log(probs.ravel()[pick]).mean()), contrib)
+            terms[key] = (weight * float(-(np.add.reduce(np.log(flat[pick])) / m)), contrib)
         term_loss, contrib = terms[key]
         loss += term_loss
-        dlogits += contrib
+        if dlogits is None:
+            dlogits = contrib + 0.0
+        else:
+            dlogits += contrib
 
     # backprop top-down, the trunk joining at the bottom when its features
     # are given; relu(a) > 0 exactly where a > 0, so a layer's input rows

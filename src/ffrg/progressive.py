@@ -57,6 +57,8 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be finite")
         if self.beta < 0:
             raise ValidationError("beta must be non-negative")
+        if self.lr <= 0:
+            raise ValidationError("learning rate must be positive")
         if not 0.0 <= self.refine_threshold <= 1.0:
             raise ValidationError("refine threshold must lie in [0,1]")
         if min(self.epochs_step1, self.epochs_step2, self.batch_docs) < 1:
@@ -89,9 +91,12 @@ def loss_terms(n_branches: int, beta: float) -> list[tuple[int, int, float]]:
     return terms
 
 
-def _label_rows(docs: Sequence[Document], labels: LabelSet, offsets: np.ndarray) -> np.ndarray:
-    """The class of every word of the corpus, document i's words starting at offsets[i]."""
-    y = np.zeros(int(offsets[-1]), dtype=np.int64)
+def _label_rows(
+    docs: Sequence[Document], labels: LabelSet, offsets: np.ndarray, n_fields: int
+) -> np.ndarray:
+    """The class of every word of the corpus, document i's words starting at
+    offsets[i], in the smallest unsigned type that holds class n_fields."""
+    y = np.zeros(int(offsets[-1]), dtype=np.min_scalar_type(n_fields))
     for doc, lo in zip(docs, offsets.tolist()):
         for wid, cls in labels.positives(doc.doc_id).items():
             y[lo + wid] = cls
@@ -191,7 +196,7 @@ def train(
     # batches gather activations and labels with one corpus row index
     offsets = features.offsets
     doc_rows = [np.arange(offsets[i], offsets[i + 1]) for i in range(len(docs))]
-    y_by_source: dict[int, np.ndarray] = {0: _label_rows(docs, rule_labels, offsets)}
+    y_by_source: dict[int, np.ndarray] = {0: _label_rows(docs, rule_labels, offsets, n_fields)}
     trainable = [i for i in range(len(docs)) if len(docs[i].words) > 0]
     if not trainable:
         raise ValidationError("corpus has no words to train on")
@@ -248,7 +253,7 @@ def train(
             n_fields, cfg.refine_threshold, f"refined@branch_{stage}",
         )
         if stage < cfg.n_branches:
-            y_by_source[stage] = _label_rows(docs, refined[stage], offsets)
+            y_by_source[stage] = _label_rows(docs, refined[stage], offsets, n_fields)
     return TrainResult(params, refined, stage_losses)
 
 

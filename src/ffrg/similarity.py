@@ -73,5 +73,6 @@ def jaro_winkler(s1: str, s2: str) -> float:
 
 
 def string_distance(s1: str, s2: str) -> float:
-    """1 - Jaro-Winkler on trimmed, casefolded text; 0.0 means identical."""
+    """1 - Jaro-Winkler on trimmed, lowercased text (str.lower, so "ß" stays
+    "ß"; casefold would give "ss"); 0.0 means identical."""
     return 1.0 - jaro_winkler(s1.strip().lower(), s2.strip().lower())

@@ -277,6 +277,20 @@ def test_train_rejects_an_empty_layer(trained_dir, synth_dir, tmp_path, flag, va
     assert not (tmp_path / "model.ffrg").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-0.0", "-0.01"])
+def test_pipeline_rejects_a_learning_rate_that_is_not_positive(tmp_path, value, capsys, caplog):
+    # Adam at lr < 0 climbs the loss and at lr 0 never moves, yet both ran to exit 0
+    code = run(
+        "pipeline", "--preset", "clean", "--n", "6", "--seed", "0", "--branches", "2",
+        "--epochs-step1", "1", "--epochs-step2", "1", f"--lr={value}",
+        "--workdir", str(tmp_path / "w"),
+    )
+    assert code == 1
+    assert "learning rate must be positive" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "w" / "model.ffrg").exists()
+
+
 def test_pipeline_logs_stage_losses_and_anchors(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="ffrg")
     code = run(

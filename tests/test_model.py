@@ -138,10 +138,17 @@ def test_frozen_trunk_reports_no_trunk_gradient(rng):
 
 
 def test_loss_rejects_bad_labels(rng):
-    params = small_params()
+    params = small_params()  # classes 0..3
     x = rng.normal(size=(3, 10))
-    with pytest.raises(ValidationError):
-        _loss(params, x, [(1.0, np.array([0, 1, 4]))], 1, True)
+    good = np.array([0, 1, 3])
+    for targets in ([(1.0, np.array([0, 1, 4]))], [(1.0, np.array([0, -1, 3]))],
+                    # class N+1 in an unsigned array, in a row that is not the last
+                    [(1.0, np.array([0, 4, 1], dtype=np.uint8))],
+                    # the second distinct array is checked too
+                    [(1.0, good), (1.0, np.array([0, 4, 1])), (0.5, good)],
+                    [(1.0, good[:2])], []):
+        with pytest.raises(ValidationError):
+            _loss(params, x, targets, 1, True)
     with pytest.raises(ValidationError):
         _loss(params, np.zeros((0, 10)), [], 1, True)
 
@@ -452,10 +459,14 @@ def test_step_matches_the_reference_step(n_fields, n_branches, beta, train_trunk
                          seed=n_fields)
     ref = {key: arr.copy() for key, arr in params.tensors.items()}
     state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
-    for step in range(20):
-        m = int(rng.integers(1, 60))
+    # 20 small batches, then two at training sizes, where numpy's pairwise
+    # sum (above 128 values) runs in another order
+    for step, m in enumerate([None] * 20 + [129, 291]):
+        m = m or int(rng.integers(1, 60))
         x = rng.normal(size=(m, 30))
         y = [rng.integers(0, n_fields + 1, size=m) for _ in range(n_branches)]
+        if step % 2:  # training's label rows are of the smallest unsigned type
+            y = [ys.astype(np.min_scalar_type(n_fields)) for ys in y]
         # stage k's terms: each refined set 1..k-1, with the rule labels y[0]
         # after each one, one array object repeated
         targets = {1: [(1.0, y[0])]}

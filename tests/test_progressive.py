@@ -435,6 +435,13 @@ def test_config_validation():
         TrainConfig(epochs_step1=0)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.0, -1e-3, -5e-324])
+def test_config_rejects_a_learning_rate_that_is_not_positive(lr):
+    with pytest.raises(ValidationError, match="learning rate must be positive"):
+        TrainConfig(lr=lr)
+    TrainConfig(lr=5e-324)
+
+
 @pytest.mark.parametrize("name", ["beta", "refine_threshold", "lr"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_floats(name, value):
