@@ -163,6 +163,15 @@ MUTANTS = (
     Mutant("records: Phrase without slots", "src/ffrg/docmodel.py",
            "@dataclass(frozen=True, slots=True)\nclass Phrase",
            "@dataclass(frozen=True)\nclass Phrase", _SLOTTED_TESTS),
+    # a document's phrases as word-id tuples (docmodel.Document)
+    Mutant("document: the empty-phrase check dropped", "src/ffrg/docmodel.py",
+           "                if not ph:\n", "                if False:\n",
+           ("tests/test_docmodel.py::test_document_rejects_an_empty_phrase",)),
+    # conflict resolution (bootstrap.resolve_conflicts)
+    Mutant("conflicts: a tie going to the higher field_id", "src/ffrg/bootstrap.py",
+           "key=lambda e: (-e.value_score, e.field_id),",
+           "key=lambda e: (-e.value_score, -e.field_id),",
+           ("tests/test_bootstrap.py::test_conflict_tie_goes_to_lower_field_id",)),
     # the value threshold (bootstrap.extract_field)
     Mutant("rules: a value at or below theta_v kept", "src/ffrg/bootstrap.py",
            "if best_i is None or best_score <= p.theta_v:", "if best_i is None:",

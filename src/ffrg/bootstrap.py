@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .datatypes import type_of
-from .docmodel import Document, FieldSchema, LabelSet, Phrase, SchemaField
+from .docmodel import Document, FieldSchema, LabelSet, SchemaField
 from .similarity import (
     JW_BOOST_THRESHOLD,
     JW_MAX_PREFIX,
@@ -59,8 +59,8 @@ class RuleParams:
 @dataclass(frozen=True)
 class FieldExtraction:
     field_id: int
-    key_phrase: Phrase | None
-    value_phrase: Phrase | None
+    key_phrase: tuple[int, ...] | None
+    value_phrase: tuple[int, ...] | None
     key_score: float
     value_score: float | None
 
@@ -267,11 +267,10 @@ def extract_field(
         s = key_s * geometric_score(centre, rows.centres[i], p)
         if best_i is None or s > best_score:
             best_i, best_score = i, s
-    key_phrase = Phrase(rows.members[key_i])
+    key_phrase = rows.members[key_i]
     if best_i is None or best_score <= p.theta_v:
         return FieldExtraction(field.field_id, key_phrase, None, key_s, None)
-    return FieldExtraction(field.field_id, key_phrase, Phrase(rows.members[best_i]), key_s,
-                           best_score)
+    return FieldExtraction(field.field_id, key_phrase, rows.members[best_i], key_s, best_score)
 
 
 def resolve_conflicts(extractions: list[FieldExtraction]) -> list[FieldExtraction]:
@@ -287,7 +286,7 @@ def resolve_conflicts(extractions: list[FieldExtraction]) -> list[FieldExtractio
     claimed: set[int] = set()
     dropped: set[int] = set()
     for e in ranked:
-        wids = set(e.value_phrase.word_ids)
+        wids = set(e.value_phrase)
         if wids & claimed:
             dropped.add(e.field_id)
         else:
@@ -350,10 +349,9 @@ def bootstrap_corpus(
         for e in extract_document(doc, schema, p):
             if e.value_phrase is None:
                 continue
-            ids = e.value_phrase.word_ids
-            for wid in ids:
+            for wid in e.value_phrase:
                 labels.set_label(doc.doc_id, wid, e.field_id)
             fields[schema.field_by_id(e.field_id).name] = " ".join(
-                [doc.words[w].text for w in ids])
+                [doc.words[w].text for w in e.value_phrase])
         values[doc.doc_id] = fields
     return labels, values

@@ -25,7 +25,7 @@ from . import bootstrap as bs
 from . import docmodel as dm
 from .evaluation import normalize_value, score, write_report
 from .features import featurize, featurize_corpus
-from .grouping import GroupingConfig, group_document
+from .grouping import EPS_SCALE, group_document
 from .model import load_model, save_model
 from .progressive import (
     TrainConfig, check_threshold, ensemble_predict, extract_corpus, train, values_from_probs,
@@ -169,9 +169,8 @@ def _cmd_synth(opts: dict[str, Any]) -> int:
 
 def _cmd_group(opts: dict[str, Any]) -> int:
     _require(opts, "in_docs", "out")
-    cfg = GroupingConfig(eps_scale=opts["eps_scale"])
     docs = dm.read_documents(opts["in_docs"])
-    grouped = [group_document(d, cfg) for d in docs]
+    grouped = [group_document(d, opts["eps_scale"]) for d in docs]
     dm.write_documents(opts["out"], grouped)
     n = sum(len(d.phrases or ()) for d in grouped)
     log.info("grouped %d documents into %d phrases", len(grouped), n)
@@ -328,12 +327,14 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
 
 def _cmd_pipeline(opts: dict[str, Any]) -> int:
     _require(opts, "workdir")
+    # every option is checked before the first file is written
+    schema = _read_schema_opt(opts)
+    cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
+    tcfg = _train_config(opts)
     os.makedirs(opts["workdir"], exist_ok=True)
     p = lambda name: os.path.join(opts["workdir"], name)
-    schema = _read_schema_opt(opts)
     dm.write_schema(p("schema.json"), schema)
 
-    cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
     docs, gold, truth = generate(cfg, schema)
     dm.write_documents(p("docs.jsonl"), docs)
     dm.write_annotations(p("gold.jsonl"), gold)
@@ -349,7 +350,6 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
         noise["word_precision"], noise["word_recall"],
     )
 
-    tcfg = _train_config(opts)
     features = featurize_corpus(docs)
     result = train(docs, labels, schema, tcfg, features)
     save_model(p("model.ffrg"), result.params)
@@ -378,6 +378,18 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
 
 # --- argument wiring ---------------------------------------------------------
 
+def _field_options(record: type, *keys: str) -> dict[str, Any]:
+    """Options that mirror a config record's fields, all of them or those
+    named, with the fields' defaults.  TrainConfig's n_branches is the
+    option branches, and its two_step is single_step, negated."""
+    out = {}
+    for f in fields(record):
+        key = {"n_branches": "branches", "two_step": "single_step"}.get(f.name, f.name)
+        if not keys or key in keys:
+            out[key] = not f.default if key == "single_step" else f.default
+    return out
+
+
 # One row per subcommand: runner, help line and option defaults.  A default
 # of None means "must be provided by flag or config" or "off".  The keys are
 # the config-file vocabulary; each key is also a flag (see _flag), typed by
@@ -388,15 +400,13 @@ _COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]
               dict(preset="clean", n=100, seed=0, schema=None,
                    out_docs=None, out_gold=None, out_truth=None)),
     "group": (_cmd_group, "attach density-grouped phrases to documents",
-              dict(in_docs=None, out=None, eps_scale=0.8)),
+              dict(in_docs=None, out=None, eps_scale=EPS_SCALE)),
     "bootstrap": (_cmd_bootstrap, "mine rule-based pseudo-labels and values",
                   dict(docs=None, schema=None, out=None, values=None,
-                       theta_v=0.1, alpha=4.0, sigma_d=0.5, sigma_a=0.5)),
+                       **_field_options(bs.RuleParams))),
     "train": (_cmd_train, "train the multi-branch token classifier",
               dict(docs=None, labels=None, schema=None, out=None,
-                   branches=3, beta=1.0, refine_threshold=0.1, epochs_step1=2,
-                   epochs_step2=2, seed=0, lr=1e-3, batch_docs=8, hidden=64,
-                   branch_hidden=64, single_step=False, refined_out=None)),
+                   **_field_options(TrainConfig), refined_out=None)),
     "extract": (_cmd_extract, "extract field values with a trained model",
                 dict(model=None, docs=None, schema=None, out=None,
                      threshold=0.1, overlay=None, svg=None)),
@@ -406,9 +416,9 @@ _COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]
                 dict(pred=None, gold=None, schema=None, out=None, docs=None,
                      overlay=None, svg=None)),
     "pipeline": (_cmd_pipeline, "synth + bootstrap + train + extract + eval",
-                 dict(threads=1, preset="clean", n=100, seed=0, schema=None,
-                      workdir="ffrg-pipeline", branches=3, beta=1.0,
-                      epochs_step1=2, epochs_step2=2, lr=1e-3, single_step=False)),
+                 dict(threads=1, preset="clean", n=100, schema=None, workdir="ffrg-pipeline",
+                      **_field_options(TrainConfig, "branches", "beta", "epochs_step1",
+                                       "epochs_step2", "seed", "lr", "single_step"))),
 }
 
 

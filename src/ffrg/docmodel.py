@@ -90,9 +90,9 @@ def _word_classes(pairs, where: str) -> list[list[int]]:
     return pairs
 
 
-# A corpus keeps one word, one box and part of a phrase resident per word
-# for a whole run, so these records are slotted: none carries a __dict__.
-# Document keeps its own, which its cached layout properties need.
+# A corpus keeps one word and one box resident per word for a whole run,
+# so these records are slotted: none carries a __dict__.  Document keeps
+# its own, which its cached layout properties need.
 @dataclass(frozen=True, slots=True)
 class BBox:
     x0: float
@@ -126,10 +126,6 @@ class BBox:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
     def as_list(self) -> list[float]:
         return [self.x0, self.y0, self.x1, self.y1]
 
@@ -149,6 +145,8 @@ class Word:
 
 @dataclass(frozen=True, slots=True)
 class Phrase:
+    """A phrase as grouping.group_words returns it, slotted like the
+    records above; elsewhere a phrase is its bare tuple of word ids."""
     word_ids: tuple[int, ...]
 
     def __post_init__(self):
@@ -164,7 +162,7 @@ class Document:
     page_width: int
     page_height: int
     words: tuple[Word, ...]
-    phrases: tuple[Phrase, ...] | None = None
+    phrases: tuple[tuple[int, ...], ...] | None = None
     # the word boxes as read-only rows x0, y0, x1, y1, row i for word i
     boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -180,14 +178,16 @@ class Document:
         if self.phrases is not None:
             seen: set[int] = set()
             for ph in self.phrases:
-                for wid in ph.word_ids:
+                if not ph:
+                    raise ValidationError(f"document {self.doc_id}: phrase has no words")
+                for wid in ph:
                     if wid < 0 or wid >= len(self.words):
                         raise ValidationError(
                             f"document {self.doc_id}: phrase references missing word {wid}"
                         )
                     if wid in seen:
                         raise ValidationError(
-                            f"document {self.doc_id}: word {wid} belongs to two phrases"
+                            f"document {self.doc_id}: word {wid} is listed twice in the phrases"
                         )
                     seen.add(wid)
 
@@ -208,7 +208,7 @@ class Document:
         """Each phrase's word ids: the document's own phrases when it has
         them, otherwise those of grouping.phrase_members at its defaults."""
         if self.phrases is not None:
-            return tuple(ph.word_ids for ph in self.phrases)
+            return self.phrases
         from . import grouping  # grouping imports this module
         return grouping.phrase_members(self)
 
@@ -370,8 +370,8 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
 
 
 def _parse_phrases(doc_id: str, words: tuple[Word, ...], order: list[int],
-                   raw_phrases) -> tuple[Phrase, ...]:
-    """Phrases from their wire form, in reading order as group_words gives
+                   raw_phrases) -> tuple[tuple[int, ...], ...]:
+    """Phrases from their wire form, in reading order as phrase_members gives
     them: ``order`` is the words' reading order."""
     if not isinstance(raw_phrases, list):
         raise ParseError(f"phrases of {doc_id} must be a list")
@@ -386,10 +386,10 @@ def _parse_phrases(doc_id: str, words: tuple[Word, ...], order: list[int],
         for wid in ids:
             if not 0 <= wid < len(words):
                 raise ValidationError(f"phrase {k} of {doc_id} references missing word {wid}")
-        phrases.append(Phrase(tuple(sorted(ids, key=rank.__getitem__))))
+        phrases.append(tuple(sorted(ids, key=rank.__getitem__)))
     # the rule extractor breaks ties by phrase order, so the order in the
     # file must not decide them
-    phrases.sort(key=lambda p: rank[p.word_ids[0]])
+    phrases.sort(key=lambda p: rank[p[0]])
     return tuple(phrases)
 
 
@@ -402,7 +402,7 @@ def serialize_document(doc: Document) -> str:
         "words": [{"text": w.text, "box": w.box.as_list()} for w in doc.words],
     }
     if doc.phrases is not None:
-        rec["phrases"] = [{"word_ids": list(p.word_ids)} for p in doc.phrases]
+        rec["phrases"] = [{"word_ids": list(p)} for p in doc.phrases]
     return json.dumps(rec, ensure_ascii=False)
 
 

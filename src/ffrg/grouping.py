@@ -9,7 +9,6 @@ mostly chains words along a line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +17,8 @@ from .docmodel import Document, Phrase, Word, _components, _near_in_y
 
 # weight of the vertical center offset against the horizontal gap
 VERTICAL_PENALTY = 3.0
-
-
-@dataclass(frozen=True)
-class GroupingConfig:
-    # eps is this fraction of the median word height in the document
-    eps_scale: float = 0.8
-
-    def __post_init__(self):
-        if not 0 < self.eps_scale < math.inf:
-            raise ValueError("eps_scale must be positive and finite")
+# eps is this fraction of the median word height in the document
+EPS_SCALE = 0.8
 
 
 def word_distance(a: Word, b: Word) -> float:
@@ -45,10 +36,12 @@ def word_distance(a: Word, b: Word) -> float:
     return math.hypot(gap, VERTICAL_PENALTY * dyc)
 
 
-def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
+def neighborhood_eps(doc: Document, eps_scale: float = EPS_SCALE) -> float:
     """eps_scale times the median word height, the median as
     statistics.median takes it: the middle height, or the two middle ones
     added and halved (a stable sort keeps a -0.0/+0.0 tie in word order)."""
+    if not 0 < eps_scale < math.inf:
+        raise ValueError("eps_scale must be positive and finite")
     n = len(doc.words)
     if not n:
         return 0.0
@@ -56,11 +49,10 @@ def neighborhood_eps(doc: Document, config: GroupingConfig) -> float:
     heights = np.sort(y1 - y0, kind="stable")
     lo, hi = float(heights[(n - 1) // 2]), float(heights[n // 2])
     median = hi if n % 2 else (lo + hi) / 2.0
-    return config.eps_scale * median
+    return eps_scale * median
 
 
-def phrase_members(doc: Document,
-                   config: GroupingConfig = GroupingConfig()) -> tuple[tuple[int, ...], ...]:
+def phrase_members(doc: Document, eps_scale: float = EPS_SCALE) -> tuple[tuple[int, ...], ...]:
     """Cluster words into phrases; returns each phrase's word ids.
 
     A phrase lists its words in reading order, and phrases come in the
@@ -68,7 +60,7 @@ def phrase_members(doc: Document,
     """
     words = doc.words
     n = len(words)
-    eps = neighborhood_eps(doc, config)
+    eps = neighborhood_eps(doc, eps_scale)
     x0, y0, x1, y1 = doc.boxes.T
     yc = (y0 + y1) / 2.0
     # a pair within eps is within eps / VERTICAL_PENALTY in centre y
@@ -88,13 +80,12 @@ def phrase_members(doc: Document,
     return tuple(map(tuple, members.values()))
 
 
-def group_words(doc: Document, config: GroupingConfig = GroupingConfig()) -> tuple[Phrase, ...]:
-    """The phrases of phrase_members, in its order."""
-    return tuple(Phrase(ids) for ids in phrase_members(doc, config))
+def group_words(doc: Document, eps_scale: float = EPS_SCALE) -> tuple[Phrase, ...]:
+    """The phrases of phrase_members, in its order, as Phrase records."""
+    return tuple(Phrase(ids) for ids in phrase_members(doc, eps_scale))
 
 
-def group_document(doc: Document, config: GroupingConfig = GroupingConfig()) -> Document:
+def group_document(doc: Document, eps_scale: float = EPS_SCALE) -> Document:
     """Return a copy of the document with phrases attached."""
-    return Document(
-        doc.doc_id, doc.page_width, doc.page_height, doc.words, group_words(doc, config)
-    )
+    return Document(doc.doc_id, doc.page_width, doc.page_height, doc.words,
+                    phrase_members(doc, eps_scale))

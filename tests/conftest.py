@@ -15,6 +15,11 @@ def make_doc(entries, doc_id="doc", page=1000, phrases=None):
     return Document(doc_id, page, page, words, phrases)
 
 
+def box_center(box):
+    """The centre (x, y) of a box."""
+    return ((box.x0 + box.x1) / 2.0, (box.y0 + box.y1) / 2.0)
+
+
 def random_doc(rng, n_words, doc_id="rand"):
     """Random small document; box sizes echo rendered text proportions."""
     entries = []

@@ -169,7 +169,7 @@ def page_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
 def grouped_page(page: dm.Document) -> dm.Document:
     """The page carrying its phrases in reversed order, every third left
     out, so that the rule extractor reads the document's own phrases."""
-    phrases = grouping.group_words(page)[::-1]
+    phrases = grouping.phrase_members(page)[::-1]
     kept = tuple(ph for k, ph in enumerate(phrases) if k % 3 != 1)
     return dm.Document(f"{page.doc_id}-grouped", page.page_width, page.page_height,
                        page.words, kept)
@@ -180,7 +180,7 @@ def grouped_digest(page: dm.Document, schema: dm.FieldSchema) -> str:
     labels, values = bs.bootstrap_corpus([page], schema)
     return _sha(json.dumps({
         "extractions": [
-            [e.field_id, *(None if ph is None else list(ph.word_ids)
+            [e.field_id, *(None if ph is None else list(ph)
                            for ph in (e.key_phrase, e.value_phrase)),
              e.key_score.hex(), None if e.value_score is None else e.value_score.hex()]
             for e in bs.extract_document(page, schema)

@@ -20,7 +20,7 @@ import pytest
 
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.evaluation import score
-from ffrg.grouping import group_words
+from ffrg.grouping import EPS_SCALE, group_words
 from ffrg.progressive import loss_terms
 from ffrg.similarity import string_distance
 from ffrg.synth import corruption_report, generate, preset_config
@@ -174,15 +174,12 @@ def test_criterion_7_gradient_integrity():
 
 
 def test_criterion_8_grouping_oracle():
-    from ffrg.grouping import GroupingConfig
-
     rng = np.random.default_rng(77)
-    cfg = GroupingConfig()
     mismatches = 0
     for i in range(200):
         doc = random_doc(rng, int(rng.integers(1, 51)), doc_id=f"oracle-{i}")
-        got = {frozenset(ph.word_ids) for ph in group_words(doc, cfg)}
-        want = _components_by_union_find(doc, cfg)
+        got = {frozenset(ph.word_ids) for ph in group_words(doc, EPS_SCALE)}
+        want = _components_by_union_find(doc, EPS_SCALE)
         mismatches += got != want
     ok = mismatches == 0
     record_criterion(

@@ -1,6 +1,5 @@
 """Rule mining: key localization, geometric scoring, zones, conflicts."""
 
-import dataclasses
 import json
 import math
 import warnings
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import box_center, make_doc
 from ffrg import bootstrap, datatypes, similarity
 from ffrg.bootstrap import (
     FieldExtraction,
@@ -27,10 +26,10 @@ from ffrg.bootstrap import (
 )
 from ffrg.datatypes import DataType
 from ffrg.docmodel import (
-    BBox, Document, FieldSchema, Phrase, SchemaField, default_invoice_schema, parse_document,
+    BBox, Document, FieldSchema, SchemaField, default_invoice_schema, parse_document,
     read_documents, write_documents,
 )
-from ffrg.grouping import group_document, group_words
+from ffrg.grouping import group_document, phrase_members
 from ffrg.similarity import jaro_winkler
 from ffrg.synth import generate, preset_config
 
@@ -59,13 +58,13 @@ def _phrase_record(doc, ids):
 
 
 def _phrase_records(doc):
-    """The document's own phrases, or group_words' when it has none, as records."""
-    phrases = doc.phrases if doc.phrases is not None else group_words(doc)
-    return [_phrase_record(doc, p.word_ids) for p in phrases]
+    """The document's own phrases, or phrase_members' when it has none, as records."""
+    phrases = doc.phrases if doc.phrases is not None else phrase_members(doc)
+    return [_phrase_record(doc, ids) for ids in phrases]
 
 
 def _phrase_text(doc, phrase):
-    return " ".join(doc.words[w].text for w in phrase.word_ids)
+    return " ".join(doc.words[w].text for w in phrase)
 
 
 MONEY_FIELD = SchemaField(1, "amount", ("total",), frozenset({DataType.MONEY, DataType.NUMBER}))
@@ -314,11 +313,11 @@ def test_key_bounds_equal_the_bitmask_bounds_on_a_noisy_page(schema):
 
 def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
     # type_of runs at most once per phrase, only on phrases in some located
-    # key's zone, and a Phrase is built once for each key or value that
-    # extract_field returns
+    # key's zone, and each key or value that extract_field returns is one of
+    # the document's own word-id tuples, not a copy
     (doc,), _, _ = generate(preset_config("noisy-bench", 1, 0), schema)
     rows = PhraseRows(doc)
-    calls = {"type_of": [], "jaro": 0, "phrase": []}
+    calls = {"type_of": [], "jaro": 0}
 
     type_of, jaro_similarity = datatypes.type_of, similarity.jaro_similarity
 
@@ -330,12 +329,6 @@ def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
         calls["jaro"] += 1
         return jaro_similarity(*args)
 
-    built = Phrase.__post_init__
-
-    def phrase_made(self):
-        calls["phrase"].append(self.word_ids)
-        built(self)
-
     returned = []
 
     def field_pass(*args, **kwargs):
@@ -345,20 +338,19 @@ def test_extract_document_works_out_phrase_facts_once(schema, monkeypatch):
 
     monkeypatch.setattr(bootstrap, "type_of", typed)
     monkeypatch.setattr(similarity, "jaro_similarity", jaro)
-    monkeypatch.setattr(Phrase, "__post_init__", phrase_made)
     monkeypatch.setattr(bootstrap, "extract_field", field_pass)
     extract_document(doc, schema)
 
     zone = np.zeros(len(rows.texts), dtype=bool)
     for e in returned:
         if e.key_phrase is not None:
-            key_i = rows.members.index(e.key_phrase.word_ids)
+            key_i = rows.members.index(e.key_phrase)
             zone |= bootstrap._in_zone(rows.boxes, rows.centres[key_i])
     in_zone = Counter(t for t, z in zip(rows.texts, zone) if z)
     assert 0 < len(calls["type_of"]) <= zone.sum() < len(rows.texts)
     assert not Counter(calls["type_of"]) - in_zone
-    made = [p.word_ids for e in returned for p in (e.key_phrase, e.value_phrase) if p]
-    assert sorted(calls["phrase"]) == sorted(made)
+    made = [p for e in returned for p in (e.key_phrase, e.value_phrase) if p]
+    assert made and all(any(p is m for m in rows.members) for p in made)
     n_keys = sum(len(f.keys) for f in schema.fields)
     assert 0 < calls["jaro"] < len(rows.texts) * n_keys
 
@@ -547,7 +539,7 @@ def in_neighbor_zone(key, candidate):
     """Key center must sit left of the candidate's right edge and within a
     band from ZONE_ABOVE candidate-heights above to ZONE_BELOW below."""
     h = candidate.box.height
-    kx, ky = key.box.center
+    kx, ky = box_center(key.box)
     return (
         0.0 <= kx <= candidate.box.x1
         and candidate.box.y0 - bootstrap.ZONE_ABOVE * h <= ky
@@ -557,7 +549,7 @@ def in_neighbor_zone(key, candidate):
 
 def _zone_mask(key, candidates):
     boxes = np.array([c.box.as_list() for c in candidates], dtype=np.float64)
-    return bootstrap._in_zone(boxes, key.box.center).tolist()
+    return bootstrap._in_zone(boxes, box_center(key.box)).tolist()
 
 
 def _point(x, y):
@@ -635,7 +627,7 @@ def _line_doc():
 
 
 def _one_phrase_a_word(doc):
-    phrases = tuple(Phrase((w.id,)) for w in doc.words)
+    phrases = tuple((w.id,) for w in doc.words)
     return Document(doc.doc_id, doc.page_width, doc.page_height, doc.words, phrases)
 
 
@@ -695,15 +687,15 @@ def test_extract_field_skips_the_key_before_typing_it(monkeypatch):
 
 def test_extraction_invariants():
     with pytest.raises(ValueError):
-        FieldExtraction(1, Phrase((0,)), None, 1.0, 2.0)
+        FieldExtraction(1, (0,), None, 1.0, 2.0)
     with pytest.raises(ValueError):
-        FieldExtraction(1, Phrase((0,)), Phrase((0,)), 1.0, 2.0)
+        FieldExtraction(1, (0,), (0,), 1.0, 2.0)
 
 
 # --- conflict resolution ----------------------------------------------------
 
 def _extraction(field_id, value_ids, score):
-    return FieldExtraction(field_id, Phrase((99,)), Phrase(tuple(value_ids)), 1.0, score)
+    return FieldExtraction(field_id, (99,), tuple(value_ids), 1.0, score)
 
 
 def test_conflict_drops_weaker_claim_entirely():
@@ -834,7 +826,7 @@ def test_grouped_input_breaks_ties_in_reading_order_whatever_its_phrase_order(sc
     for phrases in ([[0], [1], [2], [3]], [[3], [2], [1], [0]], [[2], [3], [0], [1]]):
         record["phrases"] = [{"word_ids": ids} for ids in phrases]
         doc = parse_document(json.dumps(record))
-        assert [p.word_ids for p in doc.phrases] == [(0,), (1,), (2,), (3,)]
+        assert list(doc.phrases) == [(0,), (1,), (2,), (3,)]
         assert bootstrap_corpus([doc], schema)[1] == want
 
 
@@ -857,20 +849,19 @@ def _extract_document_by_phrase_objects(doc, schema, p=RuleParams()):
         for i, (ph, types_) in enumerate(zip(phrases, types)):
             if i == key_i or not types_ & field.allowed_types or not in_neighbor_zone(key, ph):
                 continue
-            s = key_s * geometric_score(key.box.center, ph.box.center, p)
+            s = key_s * geometric_score(box_center(key.box), box_center(ph.box), p)
             if best is None or s > best_score:
                 best, best_score = ph, s
         if best is None or best_score <= p.theta_v:
-            out.append(FieldExtraction(field.field_id, key, None, key_s, None))
+            out.append(FieldExtraction(field.field_id, key.word_ids, None, key_s, None))
         else:
-            out.append(FieldExtraction(field.field_id, key, best, key_s, best_score))
+            out.append(FieldExtraction(field.field_id, key.word_ids, best.word_ids, key_s,
+                                       best_score))
     return resolve_conflicts(out)
 
 
 def _extractions_hex(extractions):
-    return [(e.field_id, *(None if ph is None else ph.word_ids
-                           for ph in (e.key_phrase, e.value_phrase)),
-             e.key_score.hex(), None if e.value_score is None else e.value_score.hex())
+    return [(e.field_id, e.key_phrase, e.value_phrase, e.key_score.hex(), None if e.value_score is None else e.value_score.hex())
             for e in extractions]
 
 
@@ -887,14 +878,14 @@ def _assert_equals_the_phrase_object_path(doc, schema):
     assert _extractions_hex(got) == _extractions_hex(
         _extract_document_by_phrase_objects(doc, schema))
     if doc.phrases is not None:
-        own = {ph.word_ids for ph in doc.phrases}
-        assert all(ph.word_ids in own for e in got for ph in (e.key_phrase, e.value_phrase) if ph)
+        own = set(doc.phrases)
+        assert all(ph in own for e in got for ph in (e.key_phrase, e.value_phrase) if ph)
 
 
 def _reversed_phrases(doc, drop):
     """The document with its phrases in reversed order, every drop-th left
     out (none when drop is 0), so they need not cover every word."""
-    phrases = group_words(doc)[::-1]
+    phrases = phrase_members(doc)[::-1]
     kept = tuple(ph for k, ph in enumerate(phrases) if not drop or k % drop != 1)
     return Document(doc.doc_id, doc.page_width, doc.page_height, doc.words, kept)
 
@@ -930,7 +921,7 @@ def test_extract_document_equals_the_phrase_object_path_on_grouped_input(schema)
         for drop in (0, 2, 5):
             page = _reversed_phrases(doc, drop)
             if drop:
-                assert len({w for ph in page.phrases for w in ph.word_ids}) < len(doc.words)
+                assert len({w for ph in page.phrases for w in ph}) < len(doc.words)
             _assert_equals_the_phrase_object_path(page, schema)
 
 
@@ -959,8 +950,7 @@ def test_grouped_records_hold_word_ids_and_label_as_ungrouped(schema, tmp_path):
     assert back == grouped
     for doc in back:
         for phrase in doc.phrases:
-            assert [f.name for f in dataclasses.fields(phrase)] == ["word_ids"]
-            assert type(phrase.word_ids) is tuple
+            assert type(phrase) is tuple and all(type(w) is int for w in phrase)
     want = bootstrap_corpus(docs, schema)
     assert want[1] and any(want[1].values())
     assert bootstrap_corpus(grouped, schema) == want

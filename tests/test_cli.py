@@ -11,7 +11,7 @@ from ffrg.bootstrap import RuleParams, bootstrap_corpus
 from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
 from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
 from ffrg.features import featurize, featurize_corpus
-from ffrg.grouping import GroupingConfig
+from ffrg.grouping import EPS_SCALE
 from ffrg.model import load_model
 from ffrg.progressive import TrainConfig, ensemble_predict, extract_corpus, extract_values, train
 from ffrg.synth import PRESETS, generate, preset_config
@@ -114,6 +114,33 @@ def test_group_attaches_phrases(synth_dir, tmp_path):
     assert run("group", "--in", str(synth_dir / "docs.jsonl"), "--out", str(out)) == 0
     grouped = read_documents(str(out))
     assert all(d.phrases for d in grouped)
+
+
+@pytest.mark.parametrize("flag,config", [
+    (["--eps-scale", "0"], None), (["--eps-scale=-1"], None), ([], {"eps_scale": 0}),
+])
+def test_group_rejects_an_eps_scale_that_is_not_positive(synth_dir, tmp_path, flag, config,
+                                                         capsys, caplog):
+    argv = ["group", "--in", str(synth_dir / "docs.jsonl"), "--out", str(tmp_path / "g.jsonl")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run(*argv, *flag) == 1
+    assert "eps_scale must be positive and finite" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "g.jsonl").exists()
+
+
+def test_bootstrap_refuses_a_word_twice_in_one_phrase(synth_dir, tmp_path, caplog):
+    lines = (synth_dir / "docs.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["phrases"] = [{"word_ids": [0, 1, 0]}]
+    lines[1] = json.dumps(rec)
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("\n".join(lines) + "\n")
+    assert run("bootstrap", "--docs", str(docs), "--out", str(tmp_path / "l.jsonl")) == 1
+    assert "line 2: document" in caplog.text and "word 0 is listed twice" in caplog.text
+    assert not (tmp_path / "l.jsonl").exists()
 
 
 def test_bootstrap_emits_labels_and_values(synth_dir, tmp_path):
@@ -288,7 +315,24 @@ def test_pipeline_rejects_a_learning_rate_that_is_not_positive(tmp_path, value, 
     assert code == 1
     assert "learning rate must be positive" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
-    assert not (tmp_path / "w" / "model.ffrg").exists()
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("flags,config,message", [
+    (["--branches", "0"], None, "need at least one branch"),
+    (["--epochs-step2", "0"], None, "epochs and batch size must be positive"),
+    (["--n", "-1"], None, "n_docs must be non-negative"),
+    ([], {"preset": "nope"}, "unknown preset 'nope'"),
+], ids=["branches", "epochs", "n", "preset"])
+def test_pipeline_checks_its_options_before_writing(tmp_path, flags, config, message, caplog):
+    # a refused option used to leave synthesis, the bootstrap and their files behind
+    argv = ["pipeline", "--n", "6", "--workdir", str(tmp_path / "w"), *flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run(*argv) == 1
+    assert message in caplog.text
+    assert not (tmp_path / "w").exists()
 
 
 def test_pipeline_logs_stage_losses_and_anchors(tmp_path, caplog):
@@ -602,7 +646,7 @@ def test_option_defaults_equal_the_config_defaults():
     train_defaults["branches"] = train_defaults.pop("n_branches")
     mirrored = {
         "bootstrap": {f.name: f.default for f in fields(RuleParams)},
-        "group": {f.name: f.default for f in fields(GroupingConfig)},
+        "group": {"eps_scale": EPS_SCALE},
         "train": train_defaults,
         "pipeline": train_defaults,
     }

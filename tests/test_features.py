@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_doc, random_doc
+from conftest import box_center, make_doc, random_doc
 from ffrg import features
 from ffrg.datatypes import DataType, type_of
 from ffrg.docmodel import Document, ValidationError
@@ -38,7 +38,7 @@ def test_shape_and_row_alignment():
     x = featurize(doc)
     assert x.shape == (2, FEATURE_DIM)
     # geometry slots carry each word's own center and size
-    cx, cy = doc.words[1].box.center
+    cx, cy = box_center(doc.words[1].box)
     geo = x[1, TRIGRAM_DIM + FLAG_DIM : BASE_DIM]
     assert geo == pytest.approx([cx, cy, 0.05, 0.02])
 
@@ -265,7 +265,7 @@ def _oracle_featurize(doc: Document) -> np.ndarray:
     for i, w in enumerate(doc.words):
         base[i, :TRIGRAM_DIM] = _oracle_trigram_block(w.text)
         base[i, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = _oracle_flag_block(w.text)
-        cx, cy = w.box.center
+        cx, cy = box_center(w.box)
         base[i, TRIGRAM_DIM + FLAG_DIM :] = (cx, cy, w.box.width, w.box.height)
         centers[i] = (cx, cy)
     out[:, :BASE_DIM] = base

@@ -10,10 +10,10 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import make_doc, random_doc
+from conftest import box_center, make_doc, random_doc
 from ffrg import grouping
 from ffrg.grouping import (
-    GroupingConfig,
+    EPS_SCALE,
     group_document,
     group_words,
     neighborhood_eps,
@@ -63,18 +63,17 @@ def test_eps_scales_with_median_height():
             ("c", 0.5, 0.10, 0.6, 0.16),
         ]
     )
-    cfg = GroupingConfig(eps_scale=0.5)
-    assert neighborhood_eps(doc, cfg) == pytest.approx(0.5 * 0.04)
+    assert neighborhood_eps(doc, 0.5) == pytest.approx(0.5 * 0.04)
 
 
-def _eps_by_statistics_median(doc, cfg):
+def _eps_by_statistics_median(doc, scale):
     heights = [w.box.height for w in doc.words]
-    return cfg.eps_scale * statistics.median(heights) if heights else 0.0
+    return scale * statistics.median(heights) if heights else 0.0
 
 
 def test_eps_equals_the_statistics_median_bit_for_bit():
     rng = np.random.default_rng(11)
-    cfg = GroupingConfig(eps_scale=0.8)
+    scale = 0.8
     for n in list(range(0, 9)) + [40, 41, 800, 801]:
         # distinct heights; dyadic ones, so y1 - y0 gives them exactly and
         # many tie; and all equal
@@ -83,14 +82,14 @@ def test_eps_equals_the_statistics_median_bit_for_bit():
                             (np.full(n, 0.25), np.full(n, 1.0 / 3.0))):
             doc = make_doc([("w", 0.1, float(y), 0.2, float(y + h))
                             for y, h in zip(y0, heights)])
-            assert neighborhood_eps(doc, cfg).hex() == _eps_by_statistics_median(doc, cfg).hex()
+            assert neighborhood_eps(doc, scale).hex() == _eps_by_statistics_median(doc, scale).hex()
     # a word with y0 = +0.0 and y1 = -0.0 has height -0.0, which ties +0.0:
     # the sign of the middle height is that of the middle zero in word order
     for n in (3, 4, 5, 8, 9, 17, 33):
         for _ in range(20):
             doc = make_doc([("w", 0.1, 0.0, 0.2, float(y1)) for y1 in rng.choice([-0.0, 0.0], n)])
-            want = _eps_by_statistics_median(doc, cfg)
-            assert neighborhood_eps(doc, cfg).hex() == want.hex()
+            want = _eps_by_statistics_median(doc, scale)
+            assert neighborhood_eps(doc, scale).hex() == want.hex()
 
 
 def _texts(doc, phrases):
@@ -124,30 +123,32 @@ def test_stacked_words_do_not_merge_across_lines():
 
 
 def test_grouping_config_rejects_nonpositive_values():
+    # neighborhood_eps reads eps_scale, so every grouping entry point checks it
+    doc = make_doc([("a", 0.1, 0.1, 0.2, 0.12)])
+    for value in (0.0, -1.0, float("nan"), float("inf")):
+        for fn in (neighborhood_eps, grouping.phrase_members, group_words, group_document):
+            with pytest.raises(ValueError, match="eps_scale must be positive and finite"):
+                fn(doc, value)
     with pytest.raises(ValueError):
-        GroupingConfig(eps_scale=0.0)
-    with pytest.raises(ValueError):
-        GroupingConfig(eps_scale=-1.0)
-    for value in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            GroupingConfig(eps_scale=value)
+        neighborhood_eps(make_doc([]), 0.0)
 
 
 def test_group_document_attaches_every_word_once():
     rng = np.random.default_rng(11)
     doc = group_document(random_doc(rng, 30))
-    seen = [wid for ph in doc.phrases for wid in ph.word_ids]
+    seen = [wid for ph in doc.phrases for wid in ph]
     assert sorted(seen) == list(range(30))
+    assert doc.members is doc.phrases
 
 
 def test_empty_document_groups_to_nothing():
     assert group_words(make_doc([])) == ()
 
 
-def _components_by_union_find(doc, cfg):
+def _components_by_union_find(doc, scale):
     """Transitive closure over the eps graph, pairwise and order-free."""
     words = sorted(doc.words, key=lambda w: w.id)
-    eps = neighborhood_eps(doc, cfg)
+    eps = neighborhood_eps(doc, scale)
     parent = list(range(len(words)))
 
     def find(i):
@@ -170,11 +171,11 @@ def _components_by_union_find(doc, cfg):
 
 def test_matches_union_find_oracle_on_random_documents():
     rng = np.random.default_rng(2024)
-    cfg = GroupingConfig()
+    scale = EPS_SCALE
     for trial in range(200):
         doc = random_doc(rng, int(rng.integers(1, 51)), doc_id=f"r{trial}")
-        got = {frozenset(p.word_ids) for p in group_words(doc, cfg)}
-        assert got == _components_by_union_find(doc, cfg), doc.doc_id
+        got = {frozenset(p.word_ids) for p in group_words(doc, scale)}
+        assert got == _components_by_union_find(doc, scale), doc.doc_id
 
 
 def test_phrases_come_out_in_reading_order():
@@ -192,7 +193,7 @@ def test_phrases_come_out_in_reading_order():
 def test_pair_offset_by_exactly_the_window_reach_groups():
     # heights 1/16 and eps_scale 3/4 make eps = 3/64 and its reach in
     # centre y, eps / VERTICAL_PENALTY = 1/64, exact; c sits just past b's
-    cfg = GroupingConfig(eps_scale=0.75)
+    scale = 0.75
     doc = make_doc(
         [
             ("b", 0.10, 0.265625, 0.20, 0.328125),
@@ -201,11 +202,11 @@ def test_pair_offset_by_exactly_the_window_reach_groups():
         ]
     )
     a, b = doc.words[2], doc.words[0]
-    assert grouping.VERTICAL_PENALTY * (b.box.center[1] - a.box.center[1]) == 0.046875
-    assert word_distance(a, b) == neighborhood_eps(doc, cfg) == 0.046875
-    assert {p.word_ids for p in group_words(doc, cfg)} == {(0, 2), (1,)}
-    assert {frozenset(p.word_ids) for p in group_words(doc, cfg)} == (
-        _components_by_union_find(doc, cfg))
+    assert grouping.VERTICAL_PENALTY * (box_center(b.box)[1] - box_center(a.box)[1]) == 0.046875
+    assert word_distance(a, b) == neighborhood_eps(doc, scale) == 0.046875
+    assert {p.word_ids for p in group_words(doc, scale)} == {(0, 2), (1,)}
+    assert {frozenset(p.word_ids) for p in group_words(doc, scale)} == (
+        _components_by_union_find(doc, scale))
 
 
 def test_pair_within_eps_only_after_rounding_groups():
@@ -218,9 +219,9 @@ def test_pair_within_eps_only_after_rounding_groups():
             ("b", 0.1, 0.002693500269437403, 0.2, 0.012644907780960984),
         ]
     )
-    eps = neighborhood_eps(doc, GroupingConfig())
+    eps = neighborhood_eps(doc, EPS_SCALE)
     a, b = doc.words
-    assert b.box.center[1] - a.box.center[1] > eps / grouping.VERTICAL_PENALTY
+    assert box_center(b.box)[1] - box_center(a.box)[1] > eps / grouping.VERTICAL_PENALTY
     assert word_distance(a, b) <= eps
     assert [p.word_ids for p in group_words(doc)] == [(0, 1)]
 
@@ -228,24 +229,24 @@ def test_pair_within_eps_only_after_rounding_groups():
 def test_words_tied_on_centre_y_group_along_the_row():
     # four rows: two share one centre, the others lie exactly one reach
     # (1/64) above and below; x positions repeat so pairs also tie in x
-    cfg = GroupingConfig(eps_scale=0.75)
+    scale = 0.75
     entries = []
     for k, y0 in enumerate((0.5, 0.484375, 0.5, 0.515625) * 3):
         x0 = (0.1, 0.4, 0.7)[k % 3]
         entries.append((f"w{k}", x0, y0, x0 + 0.05, y0 + 0.0625))
     doc = make_doc(entries)
-    got = {frozenset(p.word_ids) for p in group_words(doc, cfg)}
-    assert got == _components_by_union_find(doc, cfg)
+    got = {frozenset(p.word_ids) for p in group_words(doc, scale)}
+    assert got == _components_by_union_find(doc, scale)
     assert len(got) == 3  # one stack per x position
 
 
 def test_matches_union_find_oracle_on_large_pages():
     rng = np.random.default_rng(2025)
-    cfg = GroupingConfig()
+    scale = EPS_SCALE
     for n_words in (200, 400, 800):
         doc = random_doc(rng, n_words, doc_id=f"large-{n_words}")
-        got = {frozenset(p.word_ids) for p in group_words(doc, cfg)}
-        assert got == _components_by_union_find(doc, cfg), doc.doc_id
+        got = {frozenset(p.word_ids) for p in group_words(doc, scale)}
+        assert got == _components_by_union_find(doc, scale), doc.doc_id
 
 
 def test_a_link_at_eps_follows_word_distance_not_an_array_hypot():
@@ -256,12 +257,12 @@ def test_a_link_at_eps_follows_word_distance_not_an_array_hypot():
     b = [float.fromhex(v) for v in ("0x1.720023cdd2728p-3", "0x1.45ebc0f412b13p-3",
                                      "0x1.d8668a3438d8ep-3", "0x1.6e182baa7af32p-3")]
     doc = make_doc([("a", *a), ("b", *b)])
-    eps = neighborhood_eps(doc, GroupingConfig())
+    eps = neighborhood_eps(doc, EPS_SCALE)
     wa, wb = doc.words
     gap = wb.box.x0 - wa.box.x1
-    dyc = abs(wa.box.center[1] - wb.box.center[1])
+    dyc = abs(box_center(wa.box)[1] - box_center(wb.box)[1])
     assert word_distance(wa, wb) == math.hypot(gap, 3.0 * dyc) == eps
     assert np.hypot(gap, 3.0 * dyc) > eps
     assert [p.word_ids for p in group_words(doc)] == [(0, 1)]
     assert {frozenset(p.word_ids) for p in group_words(doc)} == _components_by_union_find(
-        doc, GroupingConfig())
+        doc, EPS_SCALE)

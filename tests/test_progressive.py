@@ -10,7 +10,7 @@ from conftest import make_doc
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg import docmodel, grouping
 from ffrg.docmodel import (
-    Phrase, ValidationError, default_invoice_schema, parse_document, serialize_document,
+    ValidationError, default_invoice_schema, parse_document, serialize_document,
 )
 from ffrg.features import CorpusFeatures, featurize_corpus
 from ffrg.grouping import group_document
@@ -473,7 +473,7 @@ def _value_doc():
             ("stray", 0.60, 0.1, 0.66, 0.12),
         ],
         doc_id="v",
-        phrases=(Phrase((0, 1, 2)), Phrase((3,))),
+        phrases=((0, 1, 2), (3,)),
     )
 
 
