@@ -70,6 +70,15 @@ _HELD_LAYOUT_TESTS = (
     "tests/test_features.py::test_held_features_store_row_counts_uint16_columns_and_float64_values",
 )
 _HELD_FILL_TESTS = ("tests/test_features.py::test_held_batches_are_the_dense_concatenation",)
+_TYPE_ORDER_TESTS = (
+    "tests/test_datatypes.py::test_date_detected",
+    "tests/test_datatypes.py::test_separator_date_is_not_a_number",
+)
+_TRIGRAM_TESTS = (
+    "tests/test_features.py::test_trigram_memo_stays_bounded_and_exact",
+    "tests/test_features.py::test_featurize_matches_per_word_oracle_on_random_documents",
+)
+_FLAG_TESTS = ("tests/test_features.py::test_flag_rows_match_the_oracle_at_every_length",)
 _JARO_SCAN_TESTS = (
     "tests/test_similarity.py::test_window_scan_equals_the_index_loop_on_random_pairs",
 )
@@ -205,6 +214,34 @@ MUTANTS = (
     Mutant("held features: row counts cut to each document's first row", "src/ffrg/features.py",
            "counts = np.concatenate(counts)", "counts = np.concatenate([c[:1] for c in counts])",
            _HELD_FILL_TESTS),
+    # the data-type rules as one alternation (datatypes.type_of); money and
+    # date match disjoint texts, so of the family orders only number before
+    # date can show
+    Mutant("type_of: number tried before date", "src/ffrg/datatypes.py",
+           '    (_DATE, r"\\d{1,2}[/-]',
+           '    (_NUMBER, r"#?\\d+(?:[-,./]\\d+)*", False),\n    (_DATE, r"\\d{1,2}[/-]',
+           _TYPE_ORDER_TESTS),
+    Mutant("type_of: the case-insensitive scope widened to the prefixed-number rule",
+           "src/ffrg/datatypes.py",
+           '(_NUMBER, r"[A-Za-z]{1,3}[-#:.]?\\d{3,}", False)',
+           '(_NUMBER, r"[A-Za-z]{1,3}[-#:.]?\\d{3,}", True)',
+           ("tests/test_datatypes.py::test_type_of_matches_the_regex_only_rules_on_edge_texts",)),
+    # featurize's text blocks (features.featurize, features._flag_rows)
+    Mutant("trigrams: a key without its middle code point", "src/ffrg/features.py",
+           "codes[:-2] << 2 * _CODE_BITS | codes[1:-1] << _CODE_BITS | codes[2:]",
+           "codes[:-2] << 2 * _CODE_BITS | codes[2:]", _TRIGRAM_TESTS),
+    Mutant("trigrams: the memo storing every miss past its bound", "src/ffrg/features.py",
+           "new, new_columns = new[:room], new_columns[:room]", "pass", _TRIGRAM_TESTS),
+    Mutant("flags: the counts taken over the padded text", "src/ffrg/features.py",
+           """chars = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<U1")""",
+           """chars = np.frombuffer(f"^{'$^'.join(texts)}$".encode("utf-32-le"), dtype="<U1")""",
+           _FLAG_TESTS),
+    Mutant("flags: whole-text isdigit read from the <U array", "src/ffrg/features.py",
+           "rows[:, 4] = n_digit == lens", "rows[:, 4] = np.char.isdigit(as_array)", _FLAG_TESTS),
+    # one softmax over the stacked branch logits (model._softmax)
+    Mutant("softmax: the sum over the middle axis", "src/ffrg/model.py",
+           "z /= z.sum(axis=-1, keepdims=True)", "z /= z.sum(axis=1, keepdims=True)",
+           ("tests/test_progressive.py::test_ensemble_is_the_branch_mean",)),
     # Jaro's window scan (similarity.jaro_similarity)
     Mutant("jaro: a flagged character taken as a match", "src/ffrg/similarity.py",
            "while j >= 0 and flags2[j]:", "while False:", _JARO_SCAN_TESTS),

@@ -25,7 +25,7 @@ from . import bootstrap as bs
 from . import docmodel as dm
 from .evaluation import normalize_value, score, write_report
 from .features import featurize, featurize_corpus
-from .grouping import EPS_SCALE, group_document
+from .grouping import EPS_SCALE, check_eps_scale, group_document
 from .model import load_model, save_model
 from .progressive import (
     TrainConfig, check_threshold, ensemble_predict, extract_corpus, train, values_from_probs,
@@ -169,6 +169,7 @@ def _cmd_synth(opts: dict[str, Any]) -> int:
 
 def _cmd_group(opts: dict[str, Any]) -> int:
     _require(opts, "in_docs", "out")
+    check_eps_scale(opts["eps_scale"])  # before reading: a file of no documents never reaches it
     docs = dm.read_documents(opts["in_docs"])
     grouped = [group_document(d, opts["eps_scale"]) for d in docs]
     dm.write_documents(opts["out"], grouped)

@@ -23,34 +23,10 @@ VALUE_TYPES = frozenset({DataType.NUMBER, DataType.DATE, DataType.MONEY})
 _CURRENCY_SYMBOL = r"[$€£¥]"
 _CURRENCY_CODE = r"(?:USD|EUR|GBP|CAD|AUD|JPY|CHF)"
 _AMOUNT = r"\d{1,3}(?:,\d{3})*(?:\.\d{1,2})?|\d+(?:\.\d{1,2})?"
-
-# Money with an explicit currency marker accepts any digit body; a bare
-# amount qualifies only when it shows grouping commas or two decimals.
-_MONEY_MARKED = re.compile(
-    rf"^-?(?:{_CURRENCY_SYMBOL}\s?|{_CURRENCY_CODE}\s?)(?:{_AMOUNT})$"
-    rf"|^-?(?:{_AMOUNT})\s?(?:{_CURRENCY_SYMBOL}|{_CURRENCY_CODE})$",
-    re.IGNORECASE,
-)
-_MONEY_BARE = re.compile(r"^-?(?:\d{1,3}(?:,\d{3})+(?:\.\d{1,2})?|\d+\.\d{2})$")
-
 _MONTHS = (
     "jan(?:uary)?|feb(?:ruary)?|mar(?:ch)?|apr(?:il)?|may|jun(?:e)?|jul(?:y)?"
     "|aug(?:ust)?|sep(?:tember)?|oct(?:ober)?|nov(?:ember)?|dec(?:ember)?"
 )
-# Dates require separators: bare integers like "2020" stay plain numbers.
-_DATE_PATTERNS = [
-    re.compile(r"^\d{1,2}[/-]\d{1,2}[/-]\d{2}(?:\d{2})?$"),
-    re.compile(r"^\d{4}-\d{1,2}-\d{1,2}$"),
-    re.compile(rf"^(?:{_MONTHS})\.?\s\d{{1,2}},?\s\d{{4}}$", re.IGNORECASE),
-    re.compile(rf"^\d{{1,2}}\s(?:{_MONTHS})\.?,?\s\d{{4}}$", re.IGNORECASE),
-    re.compile(rf"^\d{{1,2}}-(?:{_MONTHS})-\d{{2}}(?:\d{{2}})?$", re.IGNORECASE),
-]
-
-_NUMBER_PLAIN = re.compile(r"^#?\d+(?:[-,./]\d+)*$")
-# Invoice-number style: short alpha prefix glued to a digit run.
-_NUMBER_PREFIXED = re.compile(r"^[A-Za-z]{1,3}[-#:.]?\d{3,}$")
-# Every rule above needs a \d, so a text without one is OTHER.
-_DIGIT = re.compile(r"\d")
 
 # The only sets type_of returns.
 TYPE_SETS = _MONEY, _DATE, _NUMBER, _OTHER = (
@@ -60,17 +36,31 @@ TYPE_SETS = _MONEY, _DATE, _NUMBER, _OTHER = (
     frozenset({DataType.OTHER}),
 )
 
-
-def _is_money(text: str) -> bool:
-    return bool(_MONEY_MARKED.match(text) or _MONEY_BARE.match(text))
-
-
-def _is_date(text: str) -> bool:
-    return any(p.match(text) for p in _DATE_PATTERNS)
-
-
-def _is_number(text: str) -> bool:
-    return bool(_NUMBER_PLAIN.match(text) or _NUMBER_PREFIXED.match(text))
+# The rule table of docs/types.md in its order: (result, whole-text pattern,
+# case-insensitive).  Money with an explicit currency marker accepts any
+# digit body; a bare amount qualifies only when it shows grouping commas or
+# two decimals.  Dates require separators: bare integers like "2020" stay
+# plain numbers.  Invoice-number style: short alpha prefix glued to a digit
+# run; it stays case-sensitive, since under IGNORECASE [A-Za-z] would also
+# match "ſ" and the Kelvin sign.
+_RULES = (
+    (_MONEY, rf"-?(?:{_CURRENCY_SYMBOL}\s?|{_CURRENCY_CODE}\s?)(?:{_AMOUNT})", True),
+    (_MONEY, rf"-?(?:{_AMOUNT})\s?(?:{_CURRENCY_SYMBOL}|{_CURRENCY_CODE})", True),
+    (_MONEY, r"-?(?:\d{1,3}(?:,\d{3})+(?:\.\d{1,2})?|\d+\.\d{2})", False),
+    (_DATE, r"\d{1,2}[/-]\d{1,2}[/-]\d{2}(?:\d{2})?", False),
+    (_DATE, r"\d{4}-\d{1,2}-\d{1,2}", False),
+    (_DATE, rf"(?:{_MONTHS})\.?\s\d{{1,2}},?\s\d{{4}}", True),
+    (_DATE, rf"\d{{1,2}}\s(?:{_MONTHS})\.?,?\s\d{{4}}", True),
+    (_DATE, rf"\d{{1,2}}-(?:{_MONTHS})-\d{{2}}(?:\d{{2}})?", True),
+    (_NUMBER, r"#?\d+(?:[-,./]\d+)*", False),
+    (_NUMBER, r"[A-Za-z]{1,3}[-#:.]?\d{3,}", False),
+)
+# One alternation, one capturing group per rule: the first rule that matches
+# the whole text is the group that matched, so the table's order decides.
+_TYPE_PATTERN = re.compile("^(?:" + "|".join(
+    f"((?i:{pattern}))$" if folded else f"({pattern})$" for _, pattern, folded in _RULES
+) + ")")
+_TYPE_BY_GROUP = (None, *(types for types, _, _ in _RULES))
 
 
 def type_of(text: str) -> frozenset[DataType]:
@@ -83,12 +73,5 @@ def type_of(text: str) -> frozenset[DataType]:
     normalized = text.strip()
     if not normalized:
         raise ValueError("cannot type empty text")
-    if _DIGIT.search(normalized) is None:
-        return _OTHER
-    if _is_money(normalized):
-        return _MONEY
-    if _is_date(normalized):
-        return _DATE
-    if _is_number(normalized):
-        return _NUMBER
-    return _OTHER
+    m = _TYPE_PATTERN.match(normalized)
+    return _OTHER if m is None else _TYPE_BY_GROUP[m.lastindex]

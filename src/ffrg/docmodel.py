@@ -43,6 +43,15 @@ def _json_object(text: str, where: str) -> dict:
     return raw
 
 
+def _encodes(text: str) -> bool:
+    """Whether text encodes as UTF-8: False when it holds a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _rows(path: str, kind: str, parse: Callable[[str, int], tuple[str, str, Any]]
           ) -> Iterator[tuple[str, str, Any]]:
     """parse(line, n)'s (location, doc_id, row) for each non-blank line n of
@@ -52,10 +61,8 @@ def _rows(path: str, kind: str, parse: Callable[[str, int], tuple[str, str, Any]
     # bytes that do not decode come in as lone surrogates, which do not encode
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for n, line in enumerate(f, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as e:
-                raise ParseError(f"{kind} line {n}: not UTF-8 text") from e
+            if not _encodes(line):
+                raise ParseError(f"{kind} line {n}: not UTF-8 text")
             if line.strip():
                 where, doc_id, row = parse(line, n)
                 if doc_id in seen:
@@ -306,6 +313,8 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
         raise ParseError(f"{where}: missing document key {e}") from e
     if not isinstance(doc_id, str):
         raise ParseError(f"{where}: doc_id must be a string")
+    if not _encodes(doc_id):
+        raise ParseError(f"{where}: doc_id: not UTF-8 text")
     # bool is an int subclass, so the exact types are checked
     if type(page_w) is not int or type(page_h) is not int:
         raise ParseError(f"{where}: page dimensions of {doc_id} must be integers")
@@ -343,6 +352,11 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
             raise ValidationError(f"{word(idx)} has empty text")
         texts.append(text)
         rows.append(box)
+    # a JSON escape such as \ud800 decodes to a lone surrogate, which no
+    # writer can encode; one encode covers every text unless one fails
+    if not _encodes("".join(texts)):
+        bad = next(i for i, t in enumerate(texts) if not _encodes(t))
+        raise ParseError(f"{word(bad)}: not UTF-8 text")
 
     # NaN is not above 1.5, as with v > 1.5
     if any(map((1.5).__lt__, itertools.chain.from_iterable(rows))):

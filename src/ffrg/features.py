@@ -9,7 +9,6 @@ feature vectors are bitwise reproducible across platforms and runs.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Iterable, Sequence
 
@@ -30,21 +29,60 @@ _TYPE_ORDER = (DataType.NUMBER, DataType.DATE, DataType.MONEY, DataType.OTHER)
 _LENGTH_BUCKETS = ((1, 1), (2, 3), (4, 6), (7, 10), (11, 10**9))
 # Trigram memo bound; 1000 noisy-bench documents hold 6,138 distinct trigrams.
 _TRIGRAM_MEMO_SIZE = 2**14
+# A code point needs at most 21 bits, so three of them pack into one int64
+# key exactly; no real key reaches the memo's end marker.
+_CODE_BITS = 21
+_CODE_MASK = (1 << _CODE_BITS) - 1
+_END_KEY = np.iinfo(np.int64).max
 
 
-@functools.lru_cache(maxsize=_TRIGRAM_MEMO_SIZE)
-def _trigram_slot(trigram: str) -> int:
-    """Count column of a trigram: its bucket, plus TRIGRAM_DIM if its sign is +."""
+def _trigram_column(key: int) -> int:
+    """Count column of a trigram key: its bucket, plus TRIGRAM_DIM if its sign is +."""
+    trigram = "".join(map(chr, (key >> 2 * _CODE_BITS, key >> _CODE_BITS & _CODE_MASK,
+                                key & _CODE_MASK)))
     h = hashlib.blake2b(trigram.encode("utf-8"), digest_size=8, person=_HASH_PERSON).digest()
     value = int.from_bytes(h, "little")
     return value % TRIGRAM_DIM + TRIGRAM_DIM * ((value >> 8) & 1)
 
 
+class _TrigramMemo:
+    """The columns of the trigram keys seen so far, at most _TRIGRAM_MEMO_SIZE
+    of them, held as sorted keys (ending in _END_KEY) and their columns."""
+
+    def __init__(self):
+        self._keys = np.array([_END_KEY], dtype=np.int64)
+        self._columns = np.zeros(1, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self._keys) - 1
+
+    def columns(self, keys: np.ndarray) -> np.ndarray:
+        """The column of every key.  A key not held is hashed once per call,
+        and stored while the memo has room."""
+        at = self._keys.searchsorted(keys)
+        out = self._columns[at]
+        miss = self._keys[at] != keys
+        if not miss.any():
+            return out
+        new = sorted(set(keys[miss].tolist()))
+        new_columns = np.array(list(map(_trigram_column, new)), dtype=np.int64)
+        new = np.array(new, dtype=np.int64)
+        out[miss] = new_columns[new.searchsorted(keys[miss])]
+        room = _TRIGRAM_MEMO_SIZE - len(self)
+        if room > 0:
+            new, new_columns = new[:room], new_columns[:room]
+            at = self._keys.searchsorted(new)
+            self._keys = np.insert(self._keys, at, new)
+            self._columns = np.insert(self._columns, at, new_columns)
+        return out
+
+
+_TRIGRAM_MEMO = _TrigramMemo()
 # Type flags of each set type_of can return, and the length-bucket flags of
 # each length 0..11; lengths past 11 share the last row.
 _TYPE_FLAGS = {types: tuple(float(t in types) for t in _TYPE_ORDER) for types in TYPE_SETS}
-_LENGTH_FLAGS = tuple(
-    tuple(float(lo <= n <= hi) for lo, hi in _LENGTH_BUCKETS) for n in range(12)
+_LENGTH_FLAGS = np.array(
+    [[float(lo <= n <= hi) for lo, hi in _LENGTH_BUCKETS] for n in range(12)]
 )
 # Rows of the context accumulator summed per block, sized to stay in cache.
 _CONTEXT_BLOCK = 128
@@ -52,16 +90,36 @@ _CONTEXT_BLOCK = 128
 _MAX_WIDTH = 2**16
 
 
-def _flag_row(text: str) -> tuple[float, ...]:
-    n = len(text)
-    n_digit = sum(map(str.isdigit, text))
-    return (
-        float(text.isupper()), float(text.islower()), float(text.istitle()),
-        float(n_digit > 0), float(text.isdigit()), n_digit / n,
-        (n - sum(map(str.isalnum, text))) / n,
-        *_TYPE_FLAGS[type_of(text)],
-        *_LENGTH_FLAGS[min(n, 11)],
-    )
+def _flag_rows(texts: list[str], lens: np.ndarray) -> np.ndarray:
+    """The (M, 16) flag rows of the texts: case, digit and type flags, the
+    digit and non-alphanumeric shares, and the length bucket.
+
+    A ``<U`` array drops a text's trailing NULs, which leaves the case
+    predicates unchanged (NUL is uncased) but not ``isdigit``, so whole-text
+    ``isdigit`` is read from the per-character counts instead.
+    """
+    m = len(texts)
+    chars = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<U1")
+    starts = np.cumsum(lens) - lens
+    n_digit, n_alnum = np.add.reduceat(
+        np.stack((np.char.isdigit(chars), np.char.isalnum(chars))), starts, axis=1, dtype=np.intp)
+    as_array = np.array(texts)
+    rows = np.empty((m, FLAG_DIM), dtype=np.float64)
+    rows[:, 0] = np.char.isupper(as_array)
+    rows[:, 1] = np.char.islower(as_array)
+    rows[:, 2] = np.char.istitle(as_array)
+    rows[:, 3] = n_digit > 0
+    rows[:, 4] = n_digit == lens
+    rows[:, 5] = n_digit / lens
+    rows[:, 6] = (lens - n_alnum) / lens
+    # every type rule needs a \d, which is an isdigit character, so a text
+    # without one is OTHER
+    rows[:, 7:11] = _TYPE_FLAGS[frozenset({DataType.OTHER})]
+    has_digit = np.flatnonzero(n_digit).tolist()
+    if has_digit:
+        rows[has_digit, 7:11] = [_TYPE_FLAGS[type_of(texts[i])] for i in has_digit]
+    rows[:, 11:] = _LENGTH_FLAGS[np.minimum(lens, 11)]
+    return rows
 
 
 def _context_means(base: np.ndarray, near: np.ndarray, out: np.ndarray) -> None:
@@ -97,21 +155,25 @@ def featurize(doc: Document) -> np.ndarray:
     if m == 0:
         return out
 
-    # Each block is built for the whole document from plain lists.  Trigram
-    # counts are small integers: exact in any order.
+    # Each text block is built for the whole document from its code points.
     texts = [w.text for w in doc.words]
-    padded = [f"^{t}$" for t in texts]
-    slots = np.fromiter(
-        map(_trigram_slot, [p[j : j + 3] for p in padded for j in range(len(p) - 2)]),
-        dtype=np.int64,
-    )
-    slots += np.repeat(np.arange(0, 2 * TRIGRAM_DIM * m, 2 * TRIGRAM_DIM), list(map(len, texts)))
-    counts = np.bincount(slots, minlength=2 * TRIGRAM_DIM * m).reshape(m, 2, TRIGRAM_DIM)
+    lens = np.fromiter(map(len, texts), dtype=np.intp, count=m)
+    word = np.repeat(np.arange(m), lens)  # the word of each character, and of each trigram
     base = out[:, :BASE_DIM]
+    base[:, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = _flag_rows(texts, lens)
+
+    # Word i's trigrams start at its characters' positions in "^t0$^t1$...",
+    # shifted by the 2i pad characters before it.  Trigram counts are small
+    # integers: exact in any order.
+    padded = np.frombuffer(f"^{'$^'.join(texts)}$".encode("utf-32-le"), dtype=np.uint32)
+    codes = padded.astype(np.int64)
+    keys = codes[:-2] << 2 * _CODE_BITS | codes[1:-1] << _CODE_BITS | codes[2:]
+    slots = _TRIGRAM_MEMO.columns(keys[np.arange(len(word)) + 2 * word])
+    slots += 2 * TRIGRAM_DIM * word
+    counts = np.bincount(slots, minlength=2 * TRIGRAM_DIM * m).reshape(m, 2, TRIGRAM_DIM)
     trigrams = np.subtract(counts[:, 1], counts[:, 0], out=base[:, :TRIGRAM_DIM])
     norms = np.sqrt(np.einsum("ij,ij->i", trigrams, trigrams))[:, None]
     np.divide(trigrams, norms, out=trigrams, where=norms > 0.0)
-    base[:, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = list(map(_flag_row, texts))
     # centre, width and height, the IEEE operations of BBox's properties
     x0, y0, x1, y1 = doc.boxes.T
     cx, cy, width, height = base[:, TRIGRAM_DIM + FLAG_DIM :].T

@@ -36,12 +36,17 @@ def word_distance(a: Word, b: Word) -> float:
     return math.hypot(gap, VERTICAL_PENALTY * dyc)
 
 
+def check_eps_scale(eps_scale: float) -> None:
+    """Refuse a scale that is not positive and finite."""
+    if not 0 < eps_scale < math.inf:
+        raise ValueError("eps_scale must be positive and finite")
+
+
 def neighborhood_eps(doc: Document, eps_scale: float = EPS_SCALE) -> float:
     """eps_scale times the median word height, the median as
     statistics.median takes it: the middle height, or the two middle ones
     added and halved (a stable sort keeps a -0.0/+0.0 tie in word order)."""
-    if not 0 < eps_scale < math.inf:
-        raise ValueError("eps_scale must be positive and finite")
+    check_eps_scale(eps_scale)
     n = len(doc.words)
     if not n:
         return 0.0

@@ -130,18 +130,18 @@ def _affine(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row softmax of z, in place.
+    """Softmax of z over its last axis, in place.
 
     The row max is taken column by column, which is exact (a max does not
     round) and cheaper than a reduction over a short last axis; the row sum
     stays numpy's, whose pairwise order the bits depend on.
     """
-    top = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(top, z[:, j], out=top)
-    z -= top[:, None]
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    z -= top[..., None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -159,24 +159,36 @@ def trunk_activations(
 
 
 def _forward(
-    params: ModelParams, h: np.ndarray, branch: int
+    params: ModelParams, h: np.ndarray, branch: int, out: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One branch over trunk rows: (each layer's input rows, bottom up;
-    probabilities)."""
+    logits, into out if given)."""
     t = params.tensors
     *hidden, (w_out, b_out) = _layers(branch)
     inputs = [h]
     for w, b in hidden:
         z = _affine(inputs[-1], t[w], t[b])
         inputs.append(np.maximum(z, 0.0, out=z))
-    return inputs, _softmax(_affine(inputs[-1], t[w_out], t[b_out]))
+    return inputs, _affine(inputs[-1], t[w_out], t[b_out], out)
 
 
 def branch_probs(params: ModelParams, activations: np.ndarray, branch: int) -> np.ndarray:
     """(M, N+1) softmax probability rows for one branch over trunk activations."""
     if not 1 <= branch <= params.n_branches:
         raise ValidationError(f"branch {branch} out of range 1..{params.n_branches}")
-    return _forward(params, activations, branch)[1]
+    return _softmax(_forward(params, activations, branch)[1])
+
+
+def stacked_branch_probs(params: ModelParams, activations: np.ndarray) -> np.ndarray:
+    """(K, M, N+1) probability rows of every branch, branch k at [k - 1].
+
+    Each branch writes its logits into one buffer and one softmax runs over
+    it; softmax works row by row, so each slice has branch_probs' bits.
+    """
+    logits = np.empty((params.n_branches, activations.shape[0], params.n_classes))
+    for k in range(1, params.n_branches + 1):
+        _forward(params, activations, k, logits[k - 1])
+    return _softmax(logits)
 
 
 # OpenBLAS sends a matmul whose M*N*K is at most this to a small-matrix
@@ -274,7 +286,8 @@ def branch_loss_and_grad(
                 raise ValidationError("label vector shape or class range invalid")
             picks[id(y)] = row_starts + y
 
-    inputs, probs = _forward(params, h, branch)
+    inputs, logits = _forward(params, h, branch)
+    probs = _softmax(logits)
 
     # a term that repeats (the rule labels at stage k >= 3) is worked out
     # once and added as often as it occurs, in order, so the sums keep their

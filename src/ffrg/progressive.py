@@ -29,6 +29,7 @@ from .model import (
     branch_loss_and_grad,
     branch_probs,
     init_params,
+    stacked_branch_probs,
     trunk_activations,
 )
 
@@ -264,11 +265,12 @@ def check_threshold(threshold: float) -> None:
 
 
 def ensemble_predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Mean of the branch probability rows; rows still sum to one."""
-    h = trunk_activations(params, features)
-    acc = branch_probs(params, h, 1)
-    for k in range(2, params.n_branches + 1):
-        acc = acc + branch_probs(params, h, k)
+    """Mean of the branch probability rows, added in branch order; rows
+    still sum to one."""
+    probs = stacked_branch_probs(params, trunk_activations(params, features))
+    acc = probs[0]
+    for p in probs[1:]:
+        acc = acc + p
     return acc / params.n_branches
 
 

@@ -131,6 +131,35 @@ def test_group_rejects_an_eps_scale_that_is_not_positive(synth_dir, tmp_path, fl
     assert not (tmp_path / "g.jsonl").exists()
 
 
+def test_group_refuses_a_zero_eps_scale_on_a_file_of_no_documents(tmp_path, caplog):
+    (tmp_path / "empty.jsonl").write_text("")
+    out = tmp_path / "g.jsonl"
+    assert run("group", "--eps-scale", "0", "--in", str(tmp_path / "empty.jsonl"),
+               "--out", str(out)) == 1
+    assert "eps_scale must be positive and finite" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["text", "doc_id"])
+def test_group_refuses_a_lone_surrogate_and_writes_nothing(synth_dir, tmp_path, field,
+                                                           capsys, caplog):
+    lines = (synth_dir / "docs.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    if field == "text":
+        rec["words"][2]["text"] = "a\ud800"
+    else:
+        rec["doc_id"] = "d\udfff"
+    lines[1] = json.dumps(rec)  # ensure_ascii writes the surrogate as a \u escape
+    assert "\\ud800" in lines[1] or "\\udfff" in lines[1]
+    (tmp_path / "docs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "g.jsonl"
+    assert run("group", "--in", str(tmp_path / "docs.jsonl"), "--out", str(out)) == 1
+    where = "line 2: word 2 of " + rec["doc_id"] if field == "text" else "line 2: doc_id"
+    assert f"{where}: not UTF-8 text" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bootstrap_refuses_a_word_twice_in_one_phrase(synth_dir, tmp_path, caplog):
     lines = (synth_dir / "docs.jsonl").read_text().splitlines()
     rec = json.loads(lines[1])

@@ -1,9 +1,10 @@
 """Data-type tagging rules: positive cases, exclusions, and edge forms."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ffrg import datatypes
 from ffrg.datatypes import TYPE_SETS, VALUE_TYPES, DataType, type_of
 
 
@@ -85,34 +86,69 @@ def test_every_text_gets_exactly_one_tag_family(text):
         assert DataType.NUMBER in types
 
 
-# Reference: type_of as the rule regexes alone decide it, trying each rule
-# on every text.  type_of returns OTHER without trying them when the text
-# has no \d character, and must give the same answer.
+# Reference: the rule table of docs/types.md as separate patterns, tried
+# family by family in the table's order, each with its own flags.  type_of
+# runs them as one alternation and must give the same answer.
+_CURRENCY_SYMBOL = r"[$€£¥]"
+_CURRENCY_CODE = r"(?:USD|EUR|GBP|CAD|AUD|JPY|CHF)"
+_AMOUNT = r"\d{1,3}(?:,\d{3})*(?:\.\d{1,2})?|\d+(?:\.\d{1,2})?"
+_MONTHS = (
+    "jan(?:uary)?|feb(?:ruary)?|mar(?:ch)?|apr(?:il)?|may|jun(?:e)?|jul(?:y)?"
+    "|aug(?:ust)?|sep(?:tember)?|oct(?:ober)?|nov(?:ember)?|dec(?:ember)?"
+)
+_MONEY_MARKED = re.compile(
+    rf"^-?(?:{_CURRENCY_SYMBOL}\s?|{_CURRENCY_CODE}\s?)(?:{_AMOUNT})$"
+    rf"|^-?(?:{_AMOUNT})\s?(?:{_CURRENCY_SYMBOL}|{_CURRENCY_CODE})$",
+    re.IGNORECASE,
+)
+_MONEY_BARE = re.compile(r"^-?(?:\d{1,3}(?:,\d{3})+(?:\.\d{1,2})?|\d+\.\d{2})$")
+_DATE_PATTERNS = [
+    re.compile(r"^\d{1,2}[/-]\d{1,2}[/-]\d{2}(?:\d{2})?$"),
+    re.compile(r"^\d{4}-\d{1,2}-\d{1,2}$"),
+    re.compile(rf"^(?:{_MONTHS})\.?\s\d{{1,2}},?\s\d{{4}}$", re.IGNORECASE),
+    re.compile(rf"^\d{{1,2}}\s(?:{_MONTHS})\.?,?\s\d{{4}}$", re.IGNORECASE),
+    re.compile(rf"^\d{{1,2}}-(?:{_MONTHS})-\d{{2}}(?:\d{{2}})?$", re.IGNORECASE),
+]
+_NUMBER_PLAIN = re.compile(r"^#?\d+(?:[-,./]\d+)*$")
+_NUMBER_PREFIXED = re.compile(r"^[A-Za-z]{1,3}[-#:.]?\d{3,}$")
+_FAMILIES = (
+    ((_MONEY_MARKED, _MONEY_BARE), frozenset({DataType.MONEY, DataType.NUMBER})),
+    (tuple(_DATE_PATTERNS), frozenset({DataType.DATE})),
+    ((_NUMBER_PLAIN, _NUMBER_PREFIXED), frozenset({DataType.NUMBER})),
+)
+
+
 def _oracle_type_of(text):
     normalized = text.strip()
     if not normalized:
         raise ValueError("cannot type empty text")
-    if datatypes._is_money(normalized):
-        return frozenset({DataType.MONEY, DataType.NUMBER})
-    if datatypes._is_date(normalized):
-        return frozenset({DataType.DATE})
-    if datatypes._is_number(normalized):
-        return frozenset({DataType.NUMBER})
+    for patterns, types in _FAMILIES:
+        if any(p.match(normalized) for p in patterns):
+            return types
     return frozenset({DataType.OTHER})
 
 
 # Arabic-Indic digits are \d; superscript and circled digits are not,
-# although str.isdigit accepts them.
+# although str.isdigit accepts them.  Under IGNORECASE "ſ" matches s, the
+# Kelvin sign k and "İ" i, so they tell a case-insensitive scope from a
+# case-sensitive one; "\n" is \s, and $ matches before a final one.
 _PIECES = [
     "Jan", "March", "may", "Dec.", "INV", "PO", "USD", "eur", "$", "€", "£", "#", "-",
     "/", ".", ",", ":", " ", "0", "5", "12", "2020", "1,234", ".56",
-    "٣", "٤", "٢٠٢٠", "۱۲", "²", "①", "x",
+    "٣", "٤", "٢٠٢٠", "۱۲", "²", "①", "x", "ſ", "\u212a", "İ", "ı", "\n",
+    "ſep", "Auguſt", "UſD", "ſ:", "\u212a-", "İ#",
 ]
+_FUZZ_ALPHABET = list("0123456789٣٤۱²①$€-/.,:# \nsSkKiIaAbBuUdDjJeEpPtTnN") + [
+    "ſ", "\u212a", "İ", "ı"]
 
 
 @pytest.mark.parametrize("text", [
     "٣/٤/٢٠٢٠", "٢٠٢٠", "$٥٠.٠٠", "²", "①", "12²", "①/②/2020", "Jan", "March ,",
     "Jan 5, 2024", "n/a", " - ", "$", "USD",
+    # the prefixed-number rule is case-sensitive, the money and month rules are not
+    "ſ1234", "\u212a-1234", "İ:555", "ı5512", "ab1234", "AB-1234",
+    "UſD 12", "12 uſd", "5 Auguſt 2024", "ſep 5, 2024", "12-ſep-24",
+    "5\nJan\n2024", "$\n12", "12\n", "1,234.56\n", "٣٤٥ EUR", "$1²",
 ])
 def test_type_of_matches_the_regex_only_rules_on_edge_texts(text):
     assert type_of(text) == _oracle_type_of(text)
@@ -134,6 +170,7 @@ def test_blank_text_refused_like_the_regex_only_rules(text):
 
 @given(st.one_of(
     st.lists(st.sampled_from(_PIECES), min_size=1, max_size=6).map("".join),
+    st.text(alphabet=st.sampled_from(_FUZZ_ALPHABET), min_size=1, max_size=12),
     st.text(min_size=1, max_size=12),
 ))
 def test_type_of_matches_the_regex_only_rules(text):

@@ -987,3 +987,19 @@ def test_labels_round_trip(tmp_path):
     again = read_labels(str(path))
     assert again == labels
     assert again.covers("empty-doc")
+
+
+@pytest.mark.parametrize("text,doc_id,where", [
+    ("ab\ud800", "d1", "line 7: word 1 of d1"),
+    ("\udc00", "d1", "line 7: word 1 of d1"),
+    ("ok", "d\ud83d", "line 7: doc_id"),
+])
+def test_parse_document_refuses_a_lone_surrogate(text, doc_id, where):
+    rec = {"doc_id": doc_id, "page_width": 100, "page_height": 100, "words": [
+        {"text": "fine", "box": [1, 1, 2, 2]}, {"text": text, "box": [3, 1, 4, 2]}]}
+    line = json.dumps(rec)  # the surrogate travels as a \u escape
+    with pytest.raises(ParseError, match=f"^{where}: not UTF-8 text$"):
+        parse_document(line, 7)
+    # a surrogate pair is one character, not a lone surrogate
+    rec["words"][1]["text"], rec["doc_id"] = "\U0001F600", "d1"
+    assert parse_document(json.dumps(rec), 7).words[1].text == "\U0001F600"

@@ -281,13 +281,22 @@ def _oracle_featurize(doc: Document) -> np.ndarray:
 
 
 # Repeated texts of every type, 1-character texts and multi-byte characters;
-# the two trigrams of "db" cancel, so its trigram block is all zeros.
+# the two trigrams of "db" cancel, so its trigram block is all zeros.  A
+# text ending in NUL loses it in a ``<U`` array ("1\x00".isdigit() is
+# False, "1".isdigit() True); "ǅ" is titlecase; superscript digits are
+# isdigit but not \d.
 _TEXT_POOL = (
     "db", "Total", "TOTAL", "total:", "Invoice#", "9.00", "$1,234.56", "12/03/2021",
     "2021-03-04", "x", "7", "-", "€", "ü", "日本", "Ünïcode", "naïve-café", "Nº12",
-    "a" * 30,
+    "a" * 30, "1\x00", "\x00", "A\x00", "12\x00\x00", "ǅ", "ǅa", "Aǅ", "²", "x²", "12³",
+    "²³", "٣", "1",
 )
-_ALPHABET = list("aZ9.-,$€üß日本0") + ["😀"]
+_ALPHABET = list("aZ9.-,$€üß日本0ǅ²\x00") + ["😀"]
+
+
+def _pool_text(rng: np.random.Generator) -> str:
+    # drawn by index: rng.choice would pass through a <U array, which drops trailing NULs
+    return _TEXT_POOL[int(rng.integers(len(_TEXT_POOL)))]
 
 
 def _oracle_doc(rng: np.random.Generator, doc_id: str) -> Document:
@@ -299,9 +308,10 @@ def _oracle_doc(rng: np.random.Generator, doc_id: str) -> Document:
         spread = float(rng.choice([0.002, 0.03, 0.1, 0.6]))
         for _ in range(int(rng.integers(1, 20))):
             if rng.random() < 0.5:
-                text = str(rng.choice(_TEXT_POOL))
+                text = _pool_text(rng)
             else:
-                text = "".join(rng.choice(_ALPHABET, size=int(rng.integers(1, 9))))
+                size = int(rng.integers(1, 9))
+                text = "".join(_ALPHABET[i] for i in rng.integers(len(_ALPHABET), size=size))
             w, h = float(rng.uniform(0.0, 0.05)), float(rng.uniform(0.0, 0.02))
             x0 = float(np.clip(cx + rng.normal(0.0, spread), 0.0, 1.0 - w))
             y0 = float(np.clip(cy + rng.normal(0.0, spread), 0.0, 1.0 - h))
@@ -346,7 +356,7 @@ def test_crowded_page_across_accumulation_blocks_matches_the_oracle():
     isolated = iter([(x, y) for x in (0.5, 0.7, 0.9) for y in (0.3, 0.5, 0.7, 0.9)])
     entries = []
     for i in range(300):
-        text = str(rng.choice(_TEXT_POOL))
+        text = _pool_text(rng)
         x0, y0 = rng.uniform(0.0, 0.09, size=2)
         entries.append((text, x0, y0, x0 + 0.01, y0 + 0.01))
         if i % 25 == 0:
@@ -355,7 +365,7 @@ def test_crowded_page_across_accumulation_blocks_matches_the_oracle():
         if i % 20 == 0:
             entries.append((text, -0.0, y0, -0.0, y0 + 0.01))
     for x0 in np.linspace(0.1, 0.3, 40):
-        entries.append((str(rng.choice(_TEXT_POOL)), x0, 0.05, x0 + 0.01, 0.06))
+        entries.append((_pool_text(rng), x0, 0.05, x0 + 0.01, 0.06))
     page = make_doc(entries, doc_id="crowded")
 
     x = featurize(page)
@@ -370,19 +380,25 @@ def test_crowded_page_across_accumulation_blocks_matches_the_oracle():
 
 
 def test_flag_rows_match_the_oracle_at_every_length():
+    texts = []
     for n in range(1, 16):
+        texts += ["a" * n, "7" * n, ("Ab-1" * n)[:n], ("1" * n)[:-1] + "\x00", ("ǅ²" * n)[:n]]
+    doc = make_doc([(t, 0.05 * (i % 20), 0.05 * (i // 20), 0.05 * (i % 20) + 0.01,
+                     0.05 * (i // 20) + 0.01) for i, t in enumerate(texts)])
+    flags = featurize(doc)[:, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM]
+    for text, row in zip(texts, flags):
+        n = len(text)
         buckets = [float(lo <= n <= hi) for lo, hi in _LENGTH_BUCKETS]
         assert sum(buckets) == 1.0
-        for text in ("a" * n, ("7" * n), ("Ab-1" * n)[:n]):
-            row = np.array(features._flag_row(text), dtype=np.float64)
-            assert row.tobytes() == _oracle_flag_block(text).tobytes(), text
-            assert row[11:].tolist() == buckets
+        assert row.tobytes() == _oracle_flag_block(text).tobytes(), text
+        assert row[11:].tolist() == buckets
+    _assert_oracle_bits(doc)
 
 
-def test_trigram_memo_stays_bounded_and_exact():
-    memo = features._trigram_slot
+def test_trigram_memo_stays_bounded_and_exact(monkeypatch):
     bound = features._TRIGRAM_MEMO_SIZE
-    assert memo.cache_info().maxsize == bound
+    memo = features._TrigramMemo()
+    monkeypatch.setattr(features, "_TRIGRAM_MEMO", memo)
     rng = np.random.default_rng(5)
     letters = [chr(c) for c in range(0x3B1, 0x3B1 + 25)] + list("abcdefghijklmnopqrstuvwxy")
     doc = make_doc([
@@ -392,7 +408,16 @@ def test_trigram_memo_stays_bounded_and_exact():
     padded = [f"^{w.text}$" for w in doc.words]
     distinct = {p[j : j + 3] for p in padded for j in range(len(p) - 2)}
     assert len(distinct) > bound
-    memo.cache_clear()
     _assert_oracle_bits(doc)
-    info = memo.cache_info()
-    assert info.misses > bound and info.currsize <= bound
+    assert len(memo) == bound  # filled to the bound, and no further
+    _assert_oracle_bits(doc)  # a full memo still answers its misses
+    assert len(memo) == bound
+    # a key holds all three code points: trigrams that share two of them
+    # and differ in the other are separate entries
+    small = features._TrigramMemo()
+    monkeypatch.setattr(features, "_TRIGRAM_MEMO", small)
+    page = make_doc([(t, 0.1 * i, 0.1, 0.1 * i + 0.05, 0.12) for i, t in enumerate(
+        ["abc", "axc", "abx", "xbc", "\U0010ffff\U0010ffff", "a\x00c"])])
+    _assert_oracle_bits(page)
+    words = [f"^{w.text}$" for w in page.words]
+    assert len(small) == len({p[j : j + 3] for p in words for j in range(len(p) - 2)})

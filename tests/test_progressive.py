@@ -454,14 +454,16 @@ def test_config_rejects_non_finite_floats(name, value):
 def test_ensemble_is_the_branch_mean(rng):
     schema, docs, labels = _tiny_corpus()
     res = train(docs, labels, schema, TINY, featurize_corpus(docs))
-    x = rng.normal(size=(9, 552))
-    h = trunk_activations(res.params, x)
-    mean = (
-        branch_probs(res.params, h, 1) + branch_probs(res.params, h, 2)
-        + branch_probs(res.params, h, 3)
-    ) / 3.0
-    assert np.array_equal(ensemble_predict(res.params, x), mean)
-    assert np.allclose(ensemble_predict(res.params, x).sum(axis=1), 1.0, atol=1e-9)
+    # one softmax over the stacked branch logits gives each branch's own bits
+    for rows in (9, 0, 1, 40):
+        x = rng.normal(size=(rows, 552))
+        h = trunk_activations(res.params, x)
+        mean = (
+            branch_probs(res.params, h, 1) + branch_probs(res.params, h, 2)
+            + branch_probs(res.params, h, 3)
+        ) / 3.0
+        assert ensemble_predict(res.params, x).tobytes() == mean.tobytes()
+        assert np.allclose(ensemble_predict(res.params, x).sum(axis=1), 1.0, atol=1e-9)
 
 
 def _value_doc():
