@@ -49,6 +49,13 @@ _PAGE_PASS_TESTS = (
     "tests/test_bootstrap.py::test_page_pass_equals_the_field_oracle_on_random_pages",
     "tests/test_bootstrap.py::test_page_pass_equals_the_field_oracle_on_pages_without_keys",
 )
+_REPEAT_TESTS = (
+    "tests/test_bootstrap.py::test_page_pass_finds_the_first_max_on_pages_repeating_key_texts",
+    "tests/test_bootstrap.py::test_localize_key_equals_exhaustive_first_max",
+)
+_SCAN_COUNT_TESTS = (
+    "tests/test_bootstrap.py::test_key_search_scans_each_normalized_pair_once_and_no_identical_pair",
+)
 _CLAMP_TESTS = ("tests/test_synth.py::test_clamp_keeps_what_pythons_min_and_max_keep",)
 _STEP_TESTS = (
     "tests/test_model.py::test_step_matches_the_reference_step",
@@ -98,12 +105,31 @@ MUTANTS = (
            "if self._small(len(row_index)):", "if False:", _TRUNK_TESTS),
     # the rule extractor's page pass (bootstrap.extract_document)
     Mutant("page pass: unstable search order", "src/ffrg/bootstrap.py",
-           'orders = np.argsort(-tops, axis=0, kind="stable")',
-           "orders = np.argsort(-tops, axis=0)", _PAGE_PASS_TESTS),
+           'orders = np.argsort(-tops, axis=1, kind="stable")',
+           "orders = np.argsort(-tops, axis=1)", _PAGE_PASS_TESTS),
     Mutant("page pass: reduceat starts shifted by one key", "src/ffrg/bootstrap.py",
-           "tops = np.maximum.reduceat(bound, starts, axis=1)",
-           "tops = np.maximum.reduceat(bound, np.minimum(starts + 1, bound.shape[1] - 1), axis=1)",
+           "np.maximum.reduceat(np.ascontiguousarray(bound.T), starts, axis=0)",
+           "np.maximum.reduceat(np.ascontiguousarray(bound.T), "
+           "np.minimum(starts + 1, bound.shape[1] - 1), axis=0)",
            _PAGE_PASS_TESTS),
+    Mutant("page pass: a text sharing no key character keeps its bound of 1/3",
+           "src/ffrg/bootstrap.py", "np.copyto(bound, 0.0, where=c == 0.0)", "pass",
+           ("tests/test_bootstrap.py::test_key_bounds_equal_the_bitmask_bounds_on_odd_texts",)),
+    # the key search's skips (bootstrap.localize_key, similarity.jaro_winkler)
+    Mutant("key search: the identity shortcut taken on equal lengths", "src/ffrg/similarity.py",
+           "if s1 == s2:", "if len(s1) == len(s2):", ("tests/test_similarity.py::test_frozen_table",)),
+    Mutant("key search: the identity shortcut taken on a shared first character",
+           "src/ffrg/similarity.py", "if s1 == s2:", "if s1[:1] == s2[:1]:",
+           ("tests/test_similarity.py::test_frozen_table",)),
+    Mutant("key search: identical pairs scanned", "src/ffrg/similarity.py",
+           "if s1 == s2:", "if False:", _SCAN_COUNT_TESTS),
+    Mutant("key search: one repeated-text set shared by every field and page",
+           "src/ffrg/bootstrap.py", "seen: set[str] = set()",
+           'seen = localize_key.__dict__.setdefault("seen", set())', _REPEAT_TESTS),
+    Mutant("key search: a repeated phrase told by its bound row", "src/ffrg/bootstrap.py",
+           "text = texts[i].strip().lower()", "text = tuple(bound[i].tolist())", _REPEAT_TESTS),
+    Mutant("key search: a repeated phrase told by its raw text", "src/ffrg/bootstrap.py",
+           "text = texts[i].strip().lower()", "text = texts[i]", _SCAN_COUNT_TESTS),
     Mutant("page pass: the zone's right edge left out", "src/ffrg/bootstrap.py",
            "(0.0 <= kx) & (kx <= x1)", "(0.0 <= kx) & (kx < x1)",
            ("tests/test_bootstrap.py::test_zone_mask_equals_the_candidate_loop_on_its_edges",)),

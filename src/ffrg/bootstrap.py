@@ -125,9 +125,9 @@ def _bound_columns(texts: Sequence[str],
     bound += c / len_k
     bound += 1.0
     bound /= 3.0
-    boost = bound > JW_BOOST_THRESHOLD
-    bound[boost] += JW_MAX_PREFIX * JW_PREFIX_SCALE * (1.0 - bound[boost])
-    bound[c == 0.0] = 0.0
+    np.copyto(bound, bound + JW_MAX_PREFIX * JW_PREFIX_SCALE * (1.0 - bound),
+              where=bound > JW_BOOST_THRESHOLD)
+    np.copyto(bound, 0.0, where=c == 0.0)
     return bound, starts
 
 
@@ -147,14 +147,21 @@ def localize_key(
     Once there is a best exact score, a key is scored only if its bound
     can still reach it: a key left out scores below the best, so it can
     neither win nor tie.  The slack absorbs the rounding of the bound's
-    different expression.
+    different expression.  A phrase whose normalized text an earlier
+    phrase of the order had is skipped: it has the same bounds and
+    scores, and it comes later in reading order, so it cannot win a tie.
     """
     keys = field.keys
     best_i: int | None = None
     best_score = 0.0
+    seen: set[str] = set()
     for i in order:
         if best_i is not None and top[i] + BOUND_SLACK < best_score:
             break
+        text = texts[i].strip().lower()
+        if text in seen:
+            continue
+        seen.add(text)
         row = bound[i].tolist()
         for k in sorted(range(len(keys)), key=row.__getitem__, reverse=True):
             if best_i is not None and row[k] + BOUND_SLACK < best_score:
@@ -318,10 +325,11 @@ def extract_document(
         return []
     rows = PhraseRows(doc)
     bound, starts = _bound_columns(rows.texts, [f.keys for f in fields])
-    tops = np.maximum.reduceat(bound, starts, axis=1)
-    orders = np.argsort(-tops, axis=0, kind="stable").T.tolist()
+    # key-major, so each field's best bound is a max over contiguous rows
+    tops = np.maximum.reduceat(np.ascontiguousarray(bound.T), starts, axis=0)
+    orders = np.argsort(-tops, axis=1, kind="stable").tolist()
     keys = [localize_key(rows.texts, f, b, top, order) for f, b, top, order
-            in zip(fields, np.split(bound, starts[1:], axis=1), tops.T, orders)]
+            in zip(fields, np.split(bound, starts[1:], axis=1), tops, orders)]
     centres = np.array([rows.centres[i] for i, _ in keys if i is not None]).reshape(-1, 2)
     zones = iter(_in_zone(rows.boxes, (centres[:, :1], centres[:, 1:])))
     extractions = [extract_field(rows, f, p, key, None if key[0] is None else next(zones))

@@ -84,6 +84,8 @@ def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]
             raise ParseError(f"{where}: missing key {e}") from e
         if not isinstance(doc_id, str):
             raise ParseError(f"{where}: doc_id must be a string")
+        if not _encodes(doc_id):
+            raise ParseError(f"{where}: doc_id: not UTF-8 text")
         return where, doc_id, values
     return _rows(path, kind, parse)
 
@@ -639,6 +641,8 @@ def read_labels(path: str) -> LabelSet:
     for where, doc_id, (pairs, provenance) in _records(path, "labels", "labels", "provenance"):
         if not isinstance(provenance, str):
             raise ParseError(f"{where}: provenance must be a string")
+        if not _encodes(provenance):
+            raise ParseError(f"{where}: provenance: not UTF-8 text")
         if labels is None:
             labels, first = LabelSet(provenance), where
         elif provenance != labels.provenance:
@@ -677,6 +681,8 @@ def read_annotations(path: str) -> dict[str, dict[str, str]]:
         for name, value in fields.items():
             if not isinstance(value, str):
                 raise ParseError(f"{where}: value of field {name!r} must be a string")
+            if not _encodes(name + value):
+                raise ParseError(f"{where}: field {name!r}: not UTF-8 text")
         out[doc_id] = dict(fields)
     return out
 

@@ -3,6 +3,11 @@
 Jaro-Winkler with the standard parameters: prefix scale 0.1, prefix length
 capped at 4, and the prefix boost applied only when the Jaro score exceeds
 0.7.  Scores are in [0,1] with 1.0 for identical strings.
+
+An identical pair scores exactly 1.0 before any scan: the window scan
+matches each character of s to its own position, so every character
+matches with no transposition, (1 + 1 + 1)/3 is 1.0 and the boost adds
+p * 0.1 * 0.0.  jaro_winkler returns it without scanning.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ def jaro_similarity(s1: str, s2: str) -> float:
 
 def jaro_winkler(s1: str, s2: str) -> float:
     """Jaro score boosted toward 1.0 for strings sharing a short prefix."""
+    if s1 == s2:
+        return 1.0
     score = jaro_similarity(s1, s2)
     if score <= JW_BOOST_THRESHOLD:
         return score

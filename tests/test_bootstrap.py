@@ -461,6 +461,63 @@ def test_a_schema_without_fields_extracts_nothing():
     assert bootstrap_corpus([doc], FieldSchema(()))[1] == {"doc": {}}
 
 
+def _repeat_page(rng, schema):
+    """A page, one phrase a word, that repeats key texts at several phrases:
+    each key (most of them) two to four times in mixed case, an anagram of
+    it (the same bound, a lower score), and a near miss with one character
+    dropped in two cases, all in a random reading order."""
+    texts = []
+    for key in (k for f in schema.fields for k in f.keys):
+        cases = [key, key.upper(), key.title()]
+        if rng.random() < 0.7:
+            texts += [cases[int(c)] for c in rng.integers(3, size=int(rng.integers(2, 5)))]
+        texts.append("".join(rng.permutation(list(key))))
+        cut = int(rng.integers(len(key)))
+        miss = key[:cut] + key[cut + 1:]
+        texts += [miss, miss.upper()]
+    texts = [t.strip() or "x" for t in texts]
+    rng.shuffle(texts)
+    side = math.ceil(math.sqrt(len(texts)))
+    return _one_phrase_a_word(make_doc([
+        (t, 0.1 + 0.8 * (i % side) / side, 0.1 + 0.8 * (i // side) / side,
+         0.1 + 0.8 * (i % side) / side + 0.02, 0.1 + 0.8 * (i // side) / side + 0.01)
+        for i, t in enumerate(texts)]))
+
+
+def test_page_pass_finds_the_first_max_on_pages_repeating_key_texts(schema):
+    # repeated texts are skipped in the key search, identical pairs are not
+    # scanned; each field's key must still be the exhaustive first maximum
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        page = _repeat_page(rng, schema)
+        rows = PhraseRows(page)
+        for field, e in zip(schema.fields, extract_document(page, schema)):
+            want_i, want = _exhaustive_first_max(rows.texts, field)
+            assert e.key_phrase == rows.members[want_i], (field.name, rows.texts)
+            assert e.key_score.hex() == want.hex()
+
+
+def test_key_search_scans_each_normalized_pair_once_and_no_identical_pair(
+        schema, monkeypatch):
+    rng = np.random.default_rng(29)
+    jaro_similarity = similarity.jaro_similarity
+    scans = []
+
+    def jaro(s1, s2):
+        scans.append((s1, s2))
+        return jaro_similarity(s1, s2)
+
+    monkeypatch.setattr(similarity, "jaro_similarity", jaro)
+    keys = {k for f in schema.fields for k in f.keys}
+    assert len(keys) == sum(len(f.keys) for f in schema.fields)  # no key in two fields
+    for _ in range(60):
+        scans.clear()
+        extract_document(_repeat_page(rng, schema), schema)
+        assert scans and all(key in keys for _, key in scans)
+        assert max(Counter(scans).values()) == 1
+        assert all(text != key for text, key in scans)
+
+
 def test_page_pass_calls_each_field_function_once_a_field(schema, monkeypatch):
     # localize_key and extract_field run once per field, and geometric_score
     # once per typed candidate in a located key's zone

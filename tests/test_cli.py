@@ -758,6 +758,12 @@ _FIELD = {"field_id": 1, "name": "f", "keys": ["k"], "allowed_types": ["number"]
         # bytes that are not UTF-8
         *(pytest.param(reader, b'{"doc_id": "d\xff"}', id=f"{reader}-not-utf8")
           for reader in ("docs", "labels", "annotations", "overlay", "schema")),
+        # a lone surrogate from a \u escape, which no writer could encode
+        ("labels", {"doc_id": "d\ud800", "labels": [[0, 1]], "provenance": "bootstrap"}),
+        ("labels", {"doc_id": "d", "labels": [[0, 1]], "provenance": "boot\udfff"}),
+        ("annotations", {"doc_id": "d", "fields": {"total_amount": "12\ud800"}}),
+        ("annotations", {"doc_id": "d\udc00", "fields": {}}),
+        ("overlay", {"doc_id": "d\ud83d", "predictions": [[0, 1]]}),
     ],
 )
 def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys, caplog):

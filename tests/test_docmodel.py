@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 from bisect import bisect_right
 from pathlib import Path
 
@@ -1003,3 +1004,32 @@ def test_parse_document_refuses_a_lone_surrogate(text, doc_id, where):
     # a surrogate pair is one character, not a lone surrogate
     rec["words"][1]["text"], rec["doc_id"] = "\U0001F600", "d1"
     assert parse_document(json.dumps(rec), 7).words[1].text == "\U0001F600"
+
+
+_FINE = {"labels": {"doc_id": "d", "labels": [[0, 1]], "provenance": "bootstrap"},
+         "annotations": {"doc_id": "d", "fields": {"total": "12.00"}},
+         "overlay": {"doc_id": "d", "predictions": [[0, 1]]}}
+_READERS = {"labels": read_labels, "annotations": read_annotations, "overlay": read_overlay}
+
+
+@pytest.mark.parametrize("kind,change,what", [
+    ("labels", {"doc_id": "e\ud800"}, "doc_id"),
+    ("labels", {"provenance": "boot\udfff"}, "provenance"),
+    ("annotations", {"doc_id": "\udc00"}, "doc_id"),
+    ("annotations", {"fields": {"total": "12\ud800"}}, "field 'total'"),
+    ("annotations", {"fields": {"tot\ud800": "12"}}, "field 'tot\\ud800'"),
+    ("overlay", {"doc_id": "e\ud83d"}, "doc_id"),
+])
+def test_record_readers_refuse_a_lone_surrogate(tmp_path, kind, change, what):
+    # the surrogate travels as a \u escape; a writer could not encode it
+    read = _READERS[kind]
+    rows = [_FINE[kind], {**_FINE[kind], "doc_id": "e", **change}]
+    with pytest.raises(ParseError) as e:
+        read(_jsonl(tmp_path, rows))
+    assert str(e.value) == f"{kind} line 2: {what}: not UTF-8 text"
+    # a surrogate pair is one character, not a lone surrogate
+    line = re.sub(r"\\ud[89a-f]..", r"\\ud83d\\ude00", json.dumps(rows[1]))
+    path = tmp_path / "pair.jsonl"
+    path.write_text(line + "\n")
+    got = read(str(path))
+    assert len(got.doc_ids() if kind == "labels" else got) == 1

@@ -12,7 +12,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffrg.similarity import jaro_similarity, jaro_winkler, string_distance
 
@@ -177,6 +177,20 @@ def test_symmetric_and_bounded(s1, s2):
 def test_identity_scores_one(s):
     assert jaro_winkler(s, s) == 1.0
     assert string_distance(s + "x", s + "x") == 0.0
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.text(max_size=20), st.text(min_size=60, max_size=90)))
+@example("")
+@example("aaaaaaa")
+@example("abab aab")
+@example("straße größe İnvoice 😀")
+@example("invoice number " * 5)
+def test_a_string_scores_exactly_one_against_itself(s):
+    # jaro_winkler returns 1.0 for an identical pair without a scan; the
+    # scan itself, the index loop and the reference (boost included) agree
+    assert jaro_similarity(s, s) == _loop_jaro(s, s) == 1.0
+    assert jaro_winkler(s, s) == _ref_jaro_winkler(s, s) == 1.0
 
 
 @given(texts, texts)
