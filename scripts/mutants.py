@@ -73,6 +73,15 @@ _WINDOW_TESTS = (
     "tests/test_docmodel.py::test_window_pairs_equal_the_bisect_loop_on_ties_and_signed_zeros",
 )
 _SLOTTED_TESTS = ("tests/test_docmodel.py::test_records_are_slotted",)
+_GATE_ESCAPE_TESTS = (
+    "tests/test_docmodel.py::test_parse_document_refuses_a_lone_surrogate",
+    "tests/test_docmodel.py::test_record_readers_refuse_a_lone_surrogate",
+    "tests/test_docmodel.py::test_read_schema_refuses_a_lone_surrogate",
+)
+_GATE_RAW_TESTS = (
+    "tests/test_docmodel.py::test_jsonl_readers_reject_lines_that_are_not_utf8",
+    "tests/test_docmodel.py::test_read_schema_rejects_a_file_that_is_not_utf8",
+)
 _HELD_LAYOUT_TESTS = (
     "tests/test_features.py::test_held_features_store_row_counts_uint16_columns_and_float64_values",
 )
@@ -202,6 +211,22 @@ MUTANTS = (
     Mutant("document: the empty-phrase check dropped", "src/ffrg/docmodel.py",
            "                if not ph:\n", "                if False:\n",
            ("tests/test_docmodel.py::test_document_rejects_an_empty_phrase",)),
+    # the one gate between JSON text and the program's strings (docmodel._json_object)
+    Mutant("gate: the escape step dropped", "src/ffrg/docmodel.py",
+           'if "\\\\" in text:', "if False:", _GATE_ESCAPE_TESTS),
+    Mutant("gate: the escape step only for a lower-case \\ud", "src/ffrg/docmodel.py",
+           'if "\\\\" in text:', 'if "\\\\ud" in text:',
+           ("tests/test_docmodel.py::test_an_upper_case_escape_decodes_to_the_same_lone_surrogate",)),
+    Mutant("gate: the raw-text step dropped", "src/ffrg/docmodel.py",
+           '        text.encode("utf-8")\n        raw = json.loads(text)\n',
+           "        raw = json.loads(text)\n", _GATE_RAW_TESTS),
+    Mutant("gate: the raw-text step after the parse", "src/ffrg/docmodel.py",
+           '        text.encode("utf-8")\n        raw = json.loads(text)\n',
+           '        raw = json.loads(text)\n        text.encode("utf-8")\n',
+           ("tests/test_docmodel.py::test_a_byte_that_is_not_utf8_wins_over_malformed_json",)),
+    Mutant("gate: nesting too deep let through", "src/ffrg/docmodel.py",
+           "except (ValueError, RecursionError) as e:", "except ValueError as e:",
+           ("tests/test_docmodel.py::test_json_nested_past_the_recursion_limit_is_malformed",)),
     # conflict resolution (bootstrap.resolve_conflicts)
     Mutant("conflicts: a tie going to the higher field_id", "src/ffrg/bootstrap.py",
            "key=lambda e: (-e.value_score, e.field_id),",

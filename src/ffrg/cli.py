@@ -57,13 +57,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str | None, allowed: set[str]) -> dict[str, Any]:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            cfg = json.load(f)
-        except ValueError as e:  # malformed JSON, bad UTF-8 or an integer too long to read
-            raise dm.ParseError(f"config file {path}: malformed JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise dm.ValidationError(f"config file {path}: top level must be an object")
+    cfg = dm.read_json_file(path, "config")
     unknown = set(cfg) - allowed
     if unknown:
         raise dm.ValidationError(

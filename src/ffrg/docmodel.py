@@ -33,36 +33,41 @@ class ParseError(ValidationError):
 
 
 def _json_object(text: str, where: str) -> dict:
-    """One JSON object; ParseError naming where it came from otherwise."""
+    """The one gate between JSON text and the program's strings: one JSON
+    object whose every string encodes as UTF-8, so that a writer can write
+    it back; ParseError naming where it came from otherwise."""
     try:
+        # bytes that did not decode came in as lone surrogates
+        text.encode("utf-8")
         raw = json.loads(text)
-    except ValueError as e:  # malformed JSON or an integer too long to read
+        # once the text encodes, only a \u escape decodes to a lone surrogate;
+        # a search for its backslash is one memchr, for "\\u" a slower scan
+        if "\\" in text:
+            json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as e:  # a ValueError, so caught first
+        raise ParseError(f"{where}: not UTF-8 text") from e
+    except (ValueError, RecursionError) as e:  # malformed, too long an integer or too deep
         raise ParseError(f"{where}: malformed JSON: {e}") from e
     if not isinstance(raw, dict):
-        raise ParseError(f"{where}: record must be a JSON object")
+        raise ParseError(f"{where}: not a JSON object")
     return raw
 
 
-def _encodes(text: str) -> bool:
-    """Whether text encodes as UTF-8: False when it holds a lone surrogate."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+def read_json_file(path: str, kind: str) -> dict:
+    """The JSON object a UTF-8 file holds, through _json_object."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        return _json_object(f.read(), f"{kind} file {path}")
 
 
 def _rows(path: str, kind: str, parse: Callable[[str, int], tuple[str, str, Any]]
           ) -> Iterator[tuple[str, str, Any]]:
     """parse(line, n)'s (location, doc_id, row) for each non-blank line n of
-    a UTF-8 JSONL file whose doc_ids must be unique; lines split on
-    universal newlines, and a line that is not UTF-8 is a ParseError."""
+    a JSONL file whose doc_ids must be unique; lines split on universal
+    newlines, and bytes that are not UTF-8 come in as lone surrogates,
+    which _json_object refuses."""
     seen: dict[str, int] = {}
-    # bytes that do not decode come in as lone surrogates, which do not encode
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for n, line in enumerate(f, start=1):
-            if not _encodes(line):
-                raise ParseError(f"{kind} line {n}: not UTF-8 text")
             if line.strip():
                 where, doc_id, row = parse(line, n)
                 if doc_id in seen:
@@ -72,20 +77,24 @@ def _rows(path: str, kind: str, parse: Callable[[str, int], tuple[str, str, Any]
                 yield where, doc_id, row
 
 
+def _record(line: str, where: str, keys: Sequence[str]) -> tuple[dict, str, list]:
+    """A JSONL record's object, its string doc_id and its values under keys."""
+    raw = _json_object(line, where)
+    try:
+        doc_id, *values = (raw[k] for k in ("doc_id", *keys))
+    except KeyError as e:
+        raise ParseError(f"{where}: missing key {e}") from e
+    if not isinstance(doc_id, str):
+        raise ParseError(f"{where}: doc_id must be a string")
+    return raw, doc_id, values
+
+
 def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]]:
     """(location, doc_id, values under keys) for each record of a JSONL
     file of objects with a unique doc_id."""
     def parse(line: str, n: int) -> tuple[str, str, list]:
         where = f"{kind} line {n}"
-        rec = _json_object(line, where)
-        try:
-            doc_id, *values = (rec[k] for k in ("doc_id", *keys))
-        except KeyError as e:
-            raise ParseError(f"{where}: missing key {e}") from e
-        if not isinstance(doc_id, str):
-            raise ParseError(f"{where}: doc_id must be a string")
-        if not _encodes(doc_id):
-            raise ParseError(f"{where}: doc_id: not UTF-8 text")
+        _, doc_id, values = _record(line, where, keys)
         return where, doc_id, values
     return _rows(path, kind, parse)
 
@@ -307,16 +316,8 @@ def _reading_order(boxes: np.ndarray) -> list[int]:
 def parse_document(line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record; boxes auto-normalize from pixels."""
     where = f"line {line_number}" if line_number is not None else "input"
-    raw = _json_object(line, where)
-    try:
-        doc_id, page_w, page_h, raw_words = (
-            raw[k] for k in ("doc_id", "page_width", "page_height", "words"))
-    except KeyError as e:
-        raise ParseError(f"{where}: missing document key {e}") from e
-    if not isinstance(doc_id, str):
-        raise ParseError(f"{where}: doc_id must be a string")
-    if not _encodes(doc_id):
-        raise ParseError(f"{where}: doc_id: not UTF-8 text")
+    raw, doc_id, (page_w, page_h, raw_words) = _record(
+        line, where, ("page_width", "page_height", "words"))
     # bool is an int subclass, so the exact types are checked
     if type(page_w) is not int or type(page_h) is not int:
         raise ParseError(f"{where}: page dimensions of {doc_id} must be integers")
@@ -354,11 +355,6 @@ def parse_document(line: str, line_number: int | None = None) -> Document:
             raise ValidationError(f"{word(idx)} has empty text")
         texts.append(text)
         rows.append(box)
-    # a JSON escape such as \ud800 decodes to a lone surrogate, which no
-    # writer can encode; one encode covers every text unless one fails
-    if not _encodes("".join(texts)):
-        bad = next(i for i, t in enumerate(texts) if not _encodes(t))
-        raise ParseError(f"{word(bad)}: not UTF-8 text")
 
     # NaN is not above 1.5, as with v > 1.5
     if any(map((1.5).__lt__, itertools.chain.from_iterable(rows))):
@@ -530,16 +526,11 @@ def schema_from_json_dict(raw: dict) -> FieldSchema:
 
 
 def read_schema(path: str) -> FieldSchema:
-    with open(path, "r", encoding="utf-8") as f:
-        where = f"schema file {path}"
-        try:
-            raw = _json_object(f.read(), where)
-        except UnicodeDecodeError as e:  # from the read; json.loads takes text
-            raise ParseError(f"{where}: not UTF-8 text: {e}") from e
+    raw = read_json_file(path, "schema")
     try:
         return schema_from_json_dict(raw)
     except ValidationError as e:
-        raise type(e)(f"{where}: {e}") from e
+        raise type(e)(f"schema file {path}: {e}") from e
 
 
 def write_schema(path: str, schema: FieldSchema) -> None:
@@ -641,8 +632,6 @@ def read_labels(path: str) -> LabelSet:
     for where, doc_id, (pairs, provenance) in _records(path, "labels", "labels", "provenance"):
         if not isinstance(provenance, str):
             raise ParseError(f"{where}: provenance must be a string")
-        if not _encodes(provenance):
-            raise ParseError(f"{where}: provenance: not UTF-8 text")
         if labels is None:
             labels, first = LabelSet(provenance), where
         elif provenance != labels.provenance:
@@ -681,8 +670,6 @@ def read_annotations(path: str) -> dict[str, dict[str, str]]:
         for name, value in fields.items():
             if not isinstance(value, str):
                 raise ParseError(f"{where}: value of field {name!r} must be a string")
-            if not _encodes(name + value):
-                raise ParseError(f"{where}: field {name!r}: not UTF-8 text")
         out[doc_id] = dict(fields)
     return out
 

@@ -154,8 +154,7 @@ def test_group_refuses_a_lone_surrogate_and_writes_nothing(synth_dir, tmp_path, 
     (tmp_path / "docs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "g.jsonl"
     assert run("group", "--in", str(tmp_path / "docs.jsonl"), "--out", str(out)) == 1
-    where = "line 2: word 2 of " + rec["doc_id"] if field == "text" else "line 2: doc_id"
-    assert f"{where}: not UTF-8 text" in caplog.text
+    assert "line 2: not UTF-8 text" in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
@@ -764,6 +763,10 @@ _FIELD = {"field_id": 1, "name": "f", "keys": ["k"], "allowed_types": ["number"]
         ("annotations", {"doc_id": "d", "fields": {"total_amount": "12\ud800"}}),
         ("annotations", {"doc_id": "d\udc00", "fields": {}}),
         ("overlay", {"doc_id": "d\ud83d", "predictions": [[0, 1]]}),
+        # JSON nested past Python's recursion limit
+        *(pytest.param(reader, b'{"doc_id": "d", "fields": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+                       id=f"{reader}-too-deep")
+          for reader in ("docs", "labels", "annotations", "overlay", "schema")),
     ],
 )
 def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys, caplog):
@@ -788,3 +791,34 @@ def test_malformed_row_exits_one_without_traceback(tmp_path, reader, row, capsys
     assert run(*argv) == 1
     assert (f"schema file {bad}" if reader == "schema" else "line 1") in caplog.text
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"name": "tot\ud800"}, {"keys": ["tot\udfff"]}, {"allowed_types": ["number\ud83d"]},
+], ids=["name", "key", "allowed_type"])
+def test_bootstrap_refuses_a_schema_with_a_lone_surrogate_and_writes_nothing(
+        synth_dir, tmp_path, change, capsys, caplog):
+    schema = tmp_path / "s.json"
+    schema.write_text(json.dumps({"fields": [{**_FIELD, **change}]}))  # as a \u escape
+    out, values = tmp_path / "l.jsonl", tmp_path / "v.jsonl"
+    assert run("bootstrap", "--docs", str(synth_dir / "docs.jsonl"), "--schema", str(schema),
+               "--out", str(out), "--values", str(values)) == 1
+    assert f"schema file {schema}: not UTF-8 text" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not values.exists()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(json.dumps({"out_gold": "g\ud800.jsonl"}).encode(), id="escape-in-a-value"),
+    pytest.param(json.dumps({"n\udc00": 3}).encode(), id="escape-in-a-key"),
+    pytest.param(b'{"out_gold": "g\xff.jsonl"}', id="not-utf8"),
+])
+def test_synth_refuses_a_config_that_is_not_utf8_and_writes_nothing(
+        tmp_path, content, capsys, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert run("synth", "--config", str(cfg), "--n", "2",
+               "--out-docs", str(tmp_path / "d.jsonl")) == 1
+    assert f"config file {cfg}: not UTF-8 text" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -576,7 +576,9 @@ def test_jsonl_readers_reject_lines_that_are_not_utf8(tmp_path, reader, kind):
     # the bad line lies past the first decoded chunk of the file
     path = tmp_path / "rows.jsonl"
     path.write_bytes(b"\n" * 9999 + b'{"doc_id": "d\xff"}\n')
-    with pytest.raises(ParseError, match=f"^{kind} line 10000: not UTF-8 text$"):
+    # a document error names the bare line, the others their reader's kind too
+    where = "line" if kind == "documents" else f"{kind} line"
+    with pytest.raises(ParseError, match=f"^{where} 10000: not UTF-8 text$"):
         reader(str(path))
 
 
@@ -990,16 +992,18 @@ def test_labels_round_trip(tmp_path):
     assert again.covers("empty-doc")
 
 
-@pytest.mark.parametrize("text,doc_id,where", [
-    ("ab\ud800", "d1", "line 7: word 1 of d1"),
-    ("\udc00", "d1", "line 7: word 1 of d1"),
-    ("ok", "d\ud83d", "line 7: doc_id"),
+# each id ends with the slot that holds the surrogate; the message names
+# the line, as the one gate that refuses it knows no slot
+@pytest.mark.parametrize("text,doc_id", [
+    pytest.param("ab\ud800", "d1", id="ab\ud800-d1-line 7: word 1 of d1"),
+    pytest.param("\udc00", "d1", id="\udc00-d1-line 7: word 1 of d1"),
+    pytest.param("ok", "d\ud83d", id="ok-d\ud83d-line 7: doc_id"),
 ])
-def test_parse_document_refuses_a_lone_surrogate(text, doc_id, where):
+def test_parse_document_refuses_a_lone_surrogate(text, doc_id):
     rec = {"doc_id": doc_id, "page_width": 100, "page_height": 100, "words": [
         {"text": "fine", "box": [1, 1, 2, 2]}, {"text": text, "box": [3, 1, 4, 2]}]}
     line = json.dumps(rec)  # the surrogate travels as a \u escape
-    with pytest.raises(ParseError, match=f"^{where}: not UTF-8 text$"):
+    with pytest.raises(ParseError, match="^line 7: not UTF-8 text$"):
         parse_document(line, 7)
     # a surrogate pair is one character, not a lone surrogate
     rec["words"][1]["text"], rec["doc_id"] = "\U0001F600", "d1"
@@ -1012,24 +1016,75 @@ _FINE = {"labels": {"doc_id": "d", "labels": [[0, 1]], "provenance": "bootstrap"
 _READERS = {"labels": read_labels, "annotations": read_annotations, "overlay": read_overlay}
 
 
-@pytest.mark.parametrize("kind,change,what", [
-    ("labels", {"doc_id": "e\ud800"}, "doc_id"),
-    ("labels", {"provenance": "boot\udfff"}, "provenance"),
-    ("annotations", {"doc_id": "\udc00"}, "doc_id"),
-    ("annotations", {"fields": {"total": "12\ud800"}}, "field 'total'"),
-    ("annotations", {"fields": {"tot\ud800": "12"}}, "field 'tot\\ud800'"),
-    ("overlay", {"doc_id": "e\ud83d"}, "doc_id"),
+# each id ends with the slot that holds the surrogate, as in
+# test_parse_document_refuses_a_lone_surrogate
+@pytest.mark.parametrize("kind,change", [
+    pytest.param("labels", {"doc_id": "e\ud800"}, id="labels-change0-doc_id"),
+    pytest.param("labels", {"provenance": "boot\udfff"}, id="labels-change1-provenance"),
+    pytest.param("annotations", {"doc_id": "\udc00"}, id="annotations-change2-doc_id"),
+    pytest.param("annotations", {"fields": {"total": "12\ud800"}},
+                 id="annotations-change3-field 'total'"),
+    pytest.param("annotations", {"fields": {"tot\ud800": "12"}},
+                 id="annotations-change4-field 'tot\\ud800'"),
+    pytest.param("overlay", {"doc_id": "e\ud83d"}, id="overlay-change5-doc_id"),
 ])
-def test_record_readers_refuse_a_lone_surrogate(tmp_path, kind, change, what):
+def test_record_readers_refuse_a_lone_surrogate(tmp_path, kind, change):
     # the surrogate travels as a \u escape; a writer could not encode it
     read = _READERS[kind]
     rows = [_FINE[kind], {**_FINE[kind], "doc_id": "e", **change}]
     with pytest.raises(ParseError) as e:
         read(_jsonl(tmp_path, rows))
-    assert str(e.value) == f"{kind} line 2: {what}: not UTF-8 text"
+    assert str(e.value) == f"{kind} line 2: not UTF-8 text"
     # a surrogate pair is one character, not a lone surrogate
     line = re.sub(r"\\ud[89a-f]..", r"\\ud83d\\ude00", json.dumps(rows[1]))
     path = tmp_path / "pair.jsonl"
     path.write_text(line + "\n")
     got = read(str(path))
     assert len(got.doc_ids() if kind == "labels" else got) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"name": "tot\ud800"}, {"keys": ["tot\udfff"]}, {"allowed_types": ["number\ud83d"]},
+], ids=["name", "key", "allowed_type"])
+def test_read_schema_refuses_a_lone_surrogate(tmp_path, change):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"fields": [{**_FIELD, **change}]}))  # as a \u escape
+    with pytest.raises(ParseError) as e:
+        read_schema(str(path))
+    assert str(e.value) == f"schema file {path}: not UTF-8 text"
+
+
+def test_read_schema_takes_a_surrogate_pair(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"fields": [{**_FIELD, "name": "tot\U0001F600",
+                                            "keys": ["\U0001F600"]}]}))
+    (field,) = read_schema(str(path)).fields
+    assert (field.name, field.keys) == ("tot\U0001F600", ("\U0001F600",))
+
+
+def test_an_upper_case_escape_decodes_to_the_same_lone_surrogate():
+    line = ('{"doc_id": "d", "page_width": 10, "page_height": 10, '
+            '"words": [{"text": "a\\uDC00", "box": [1, 1, 2, 2]}]}')
+    with pytest.raises(ParseError, match="^line 3: not UTF-8 text$"):
+        parse_document(line, 3)
+
+
+def test_a_byte_that_is_not_utf8_wins_over_malformed_json(tmp_path):
+    # the text is refused before it is parsed, wherever the byte lies
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"doc_id": "d", "fields": {}, \xff\n')
+    with pytest.raises(ParseError, match="^annotations line 1: not UTF-8 text$"):
+        read_annotations(str(path))
+    path.write_bytes(b'{"fields": [\xff')
+    with pytest.raises(ParseError, match="^schema file .*: not UTF-8 text$"):
+        read_schema(str(path))
+
+
+def test_json_nested_past_the_recursion_limit_is_malformed(tmp_path):
+    deep = "[" * 5000 + "]" * 5000
+    with pytest.raises(ParseError, match="^line 1: malformed JSON: maximum recursion depth"):
+        parse_document('{"doc_id": "d", "words": ' + deep + "}", 1)
+    path = tmp_path / "schema.json"
+    path.write_text('{"fields": ' + deep + "}")
+    with pytest.raises(ParseError, match="^schema file .*: malformed JSON: maximum recursion"):
+        read_schema(str(path))

@@ -1,8 +1,10 @@
 """Fuzzed readers: given any JSON value in any slot, including
 infinities, integers too large for a float and integers too long for
-Python to read, a reader fails only with ParseError or ValidationError
-(ParseError is a ValidationError), and what it accepts it does not coerce.
-The checkpoint reader gets random bytes, truncations and byte flips."""
+Python to read, and strings holding lone surrogates, a reader fails only
+with ParseError or ValidationError (ParseError is a ValidationError), what
+it accepts it does not coerce, and every string it accepts encodes as
+UTF-8.  The checkpoint reader gets random bytes, truncations and byte
+flips."""
 
 import functools
 import json
@@ -19,11 +21,30 @@ from ffrg.docmodel import (
     parse_document,
     read_annotations,
     read_labels,
-    schema_from_json_dict,
+    read_schema,
 )
 from ffrg.model import HEADER_BYTES, ModelParams, init_params, load_model, save_model
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# st.text() never draws a surrogate (hypothesis leaves out category Cs); a
+# JSON \u escape can still carry one, so half the texts may hold them
+_surrogates = st.characters(categories=["Cs"])
+
+
+def _text(max_size: int):
+    return st.one_of(st.text(max_size=max_size),
+                     st.text(st.one_of(st.characters(), _surrogates), max_size=max_size))
+
+
+def _encodes(*texts: str) -> bool:
+    """Whether the texts encode as UTF-8: none holds a lone surrogate."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
 
 # json.dumps cannot write an integer past Python's 4300-digit string limit,
 # so a marker string stands for one and _dumps writes it out in digits
@@ -38,12 +59,12 @@ _scalars = st.one_of(
     st.integers(),
     _extreme,
     st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=6),
+    _text(6),
 )
 _any_json = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    | st.dictionaries(_text(4), inner, max_size=4),
     max_leaves=8,
 )
 
@@ -58,7 +79,7 @@ def _record(required, optional=None):
 
 
 _word = _record({
-    "text": _slot(st.sampled_from(["a", "Total", "12.00", " "])),
+    "text": _slot(st.sampled_from(["a", "Total", "12.00", " ", "a\ud800"])),
     "box": st.one_of(
         _slot(st.lists(_slot(st.floats(0, 1200)), min_size=4, max_size=4)),
         # a string of four digits or four booleans must not pass as a box
@@ -84,7 +105,7 @@ def _valid_document(draw):
     are disjoint runs of a shuffle of the word ids, some runs left out."""
     phrases = draw(st.booleans())
     words = draw(st.lists(_valid_word, min_size=int(phrases), max_size=5))
-    record = {"doc_id": draw(st.text(max_size=4)), "page_width": 1000, "page_height": 1000,
+    record = {"doc_id": draw(_text(4)), "page_width": 1000, "page_height": 1000,
               "words": words}
     if phrases:
         ids = draw(st.permutations(range(len(words))))
@@ -98,7 +119,7 @@ def _valid_document(draw):
 # an object for doc_id, and a float or a boolean for a page size
 _document = st.one_of(_valid_document(), _record(
     {
-        "doc_id": _slot(st.one_of(st.text(max_size=4), st.none(), st.integers())),
+        "doc_id": _slot(st.one_of(_text(4), st.none(), st.integers())),
         "page_width": _slot(st.one_of(st.integers(1, 2000), st.floats(1, 2000), st.booleans())),
         "page_height": _slot(st.one_of(st.integers(1, 2000), st.floats(1, 2000), st.booleans())),
         "words": _slot(st.lists(_word, max_size=4)),
@@ -126,7 +147,7 @@ _label_row = _record({
     "labels": _slot(st.lists(
         _slot(st.lists(_slot(st.integers(0, 8)), min_size=2, max_size=2)), max_size=3,
     )),
-    "provenance": _slot(st.sampled_from(["bootstrap", "truth"])),
+    "provenance": _slot(st.sampled_from(["bootstrap", "truth", "boot\udfff"])),
 })
 
 
@@ -144,8 +165,8 @@ _label_file = st.one_of(
 _annotation_row = _record({
     "doc_id": _doc_id,
     "fields": _slot(st.dictionaries(
-        st.sampled_from(["total_amount", "inv_date"]),
-        st.one_of(_slot(st.text(max_size=6)), st.none(), st.integers()),
+        st.sampled_from(["total_amount", "inv_date", "tot\udc00"]),
+        st.one_of(_slot(_text(6)), st.none(), st.integers()),
     )),
 })
 # field slots also see the values a lenient reader would coerce: a string,
@@ -154,13 +175,14 @@ _annotation_row = _record({
 _schema = _record({
     "fields": _slot(st.lists(_record({
         "field_id": _slot(st.one_of(st.integers(1, 3), st.sampled_from(["1", 1.0, True]))),
-        "name": _slot(st.sampled_from(["f", "g", None, 1])),
+        "name": _slot(st.sampled_from(["f", "g", "f\ud800", None, 1])),
         "keys": _slot(st.one_of(
-            st.lists(_slot(st.sampled_from(["total", "Key"])), max_size=2),
+            st.lists(_slot(st.sampled_from(["total", "Key", "tot\udfff"])), max_size=2),
             st.sampled_from(["total", [1]]),
         )),
         "allowed_types": _slot(
-            st.lists(_slot(st.sampled_from(["number", "date", "x"])), max_size=2)
+            st.lists(_slot(st.sampled_from(["number", "date", "x", "date\ud83d"])),
+                     max_size=2)
         ),
     }), max_size=3)),
 })
@@ -169,32 +191,48 @@ _schema = _record({
 _one_field_schema = st.fixed_dictionaries({
     "fields": st.fixed_dictionaries({
         "field_id": st.sampled_from([1, "1", 1.0, True]),
-        "name": st.sampled_from(["f", None, 1]),
-        "keys": st.sampled_from([["total"], "total", [1]]),
+        "name": st.sampled_from(["f", "f\ud800", None, 1]),
+        "keys": st.sampled_from([["total"], ["tot\udfff"], "total", [1]]),
         "allowed_types": st.just(["number"]),
     }).map(lambda field: [field]),
 })
 
 
-def _dumps(value) -> str:
-    return json.dumps(value).replace(json.dumps(_TOO_LONG), "9" * 5000)
+def _dumps(value, escape: bool = True) -> str:
+    """JSON text of value; escape=False writes non-ASCII characters, lone
+    surrogates among them, as themselves, not as \\u escapes."""
+    return json.dumps(value, ensure_ascii=escape).replace(json.dumps(_TOO_LONG), "9" * 5000)
 
 
-def _read_rows(reader, rows):
+def _as_read(value, escape: bool = True):
+    """value as a reader gets it: a high and a low surrogate drawn side by
+    side decode from their escapes as one character."""
+    return json.loads(_dumps(value, escape))
+
+
+def _read_file(reader, text: str, name: str):
+    """reader on a file holding text; a lone surrogate in text is written
+    as the bytes of its code point, which are not UTF-8."""
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "rows.jsonl")
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(_dumps(r) + "\n" for r in rows)
+        path = os.path.join(d, name)
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as f:
+            f.write(text)
         return reader(path)
 
 
+def _read_rows(reader, rows, escape: bool = True):
+    return _read_file(reader, "".join(_dumps(r, escape) + "\n" for r in rows), "rows.jsonl")
+
+
 @FUZZ
-@given(st.one_of(_document, _page))
-def test_parse_document_fails_only_with_typed_errors(record):
+@given(st.one_of(_document, _page), st.booleans())
+def test_parse_document_fails_only_with_typed_errors(record, escape):
     try:
-        doc = parse_document(_dumps(record), line_number=1)
+        doc = parse_document(_dumps(record, escape), line_number=1)
     except ValidationError:
         return
+    record = _as_read(record, escape)
+    assert _encodes(doc.doc_id, *(word.text for word in doc.words))
     assert type(record["doc_id"]) is str and doc.doc_id == record["doc_id"]
     for size in ("page_width", "page_height"):
         assert type(record[size]) is int and getattr(doc, size) == record[size]
@@ -209,12 +247,14 @@ def test_parse_document_fails_only_with_typed_errors(record):
 
 
 @FUZZ
-@given(_label_file)
-def test_read_labels_fails_only_with_typed_errors(rows):
+@given(_label_file, st.booleans())
+def test_read_labels_fails_only_with_typed_errors(rows, escape):
     try:
-        labels = _read_rows(read_labels, rows)
+        labels = _read_rows(read_labels, rows, escape)
     except ValidationError:
         return
+    rows = _as_read(rows, escape)
+    assert _encodes(labels.provenance, *labels.doc_ids())
     assert labels.doc_ids() == sorted(row["doc_id"] for row in rows)
     assert all(row["provenance"] == labels.provenance for row in rows)
     assert type(labels.provenance) is str
@@ -230,24 +270,28 @@ def test_read_labels_fails_only_with_typed_errors(rows):
 
 
 @FUZZ
-@given(st.lists(_annotation_row, min_size=1, max_size=3))
-def test_read_annotations_fails_only_with_typed_errors(rows):
+@given(st.lists(_annotation_row, min_size=1, max_size=3), st.booleans())
+def test_read_annotations_fails_only_with_typed_errors(rows, escape):
     try:
-        annotations = _read_rows(read_annotations, rows)
+        annotations = _read_rows(read_annotations, rows, escape)
     except ValidationError:
         return
+    rows = _as_read(rows, escape)
+    assert _encodes(*annotations, *(name + value for fields in annotations.values()
+                                    for name, value in fields.items()))
     for row in rows:
         assert type(row["doc_id"]) is str and annotations[row["doc_id"]] == row["fields"]
 
 
-# schema_from_json_dict reads no file, so it affords more examples
 @settings(FUZZ, max_examples=600)
-@given(st.one_of(_schema, _one_field_schema))
-def test_schema_from_json_dict_fails_only_with_typed_errors(raw):
+@given(st.one_of(_schema, _one_field_schema), st.booleans())
+def test_read_schema_fails_only_with_typed_errors(raw, escape):
     try:
-        schema = schema_from_json_dict(raw)
+        schema = _read_file(read_schema, _dumps(raw, escape), "schema.json")
     except ValidationError:
         return
+    raw = _as_read(raw, escape)
+    assert _encodes(*(f.name for f in schema.fields), *(k for f in schema.fields for k in f.keys))
     for f, field in zip(raw["fields"], schema.fields, strict=True):
         assert type(f["field_id"]) is int and f["name"] == field.name
         assert f["keys"] == list(field.keys)
@@ -305,7 +349,7 @@ def test_load_model_fails_only_with_validation_error(blob):
 
 # --- config files --------------------------------------------------------------
 
-_VALID = {int: st.integers(1, 5), float: st.floats(0, 2), str: st.text(max_size=4),
+_VALID = {int: st.integers(1, 5), float: st.floats(0, 2), str: _text(4),
           bool: st.booleans()}
 
 
@@ -319,20 +363,23 @@ def _config_for(command: str):
 
 
 @FUZZ
-@given(st.sampled_from(sorted(cli._COMMANDS)).flatmap(_config_for))
-def test_config_reader_fails_only_with_typed_errors(command_and_config):
+@given(st.sampled_from(sorted(cli._COMMANDS)).flatmap(_config_for), st.booleans())
+def test_config_reader_fails_only_with_typed_errors(command_and_config, escape):
     command, config = command_and_config
     defaults = cli._COMMANDS[command][2]
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "config.json")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(_dumps(config))
+
+    def resolve(path):
         args = cli.build_parser().parse_args([command, "--config", path])
         try:
-            opts = cli._resolve(args, defaults)
+            return cli._resolve(args, defaults)
         except ValidationError as e:
             assert path in str(e)
-            return
+
+    opts = _read_file(resolve, _dumps(config, escape), "config.json")
+    if opts is None:
+        return
+    config = _as_read(config, escape)
+    assert _encodes(*(v for v in opts.values() if type(v) is str))
     for key, default in defaults.items():
         value = opts[key]
         assert value is None or type(value) is cli._option_type(default)
