@@ -82,6 +82,7 @@ _GATE_RAW_TESTS = (
     "tests/test_docmodel.py::test_jsonl_readers_reject_lines_that_are_not_utf8",
     "tests/test_docmodel.py::test_read_schema_rejects_a_file_that_is_not_utf8",
 )
+_LABELSET_EQ_TESTS = ("tests/test_docmodel.py::test_labelset_equality_is_provenance_and_positives",)
 _HELD_LAYOUT_TESTS = (
     "tests/test_features.py::test_held_features_store_row_counts_uint16_columns_and_float64_values",
 )
@@ -227,6 +228,17 @@ MUTANTS = (
     Mutant("gate: nesting too deep let through", "src/ffrg/docmodel.py",
            "except (ValueError, RecursionError) as e:", "except ValueError as e:",
            ("tests/test_docmodel.py::test_json_nested_past_the_recursion_limit_is_malformed",)),
+    # label sets as a dataclass (docmodel.LabelSet)
+    Mutant("labels: compared without their provenance", "src/ffrg/docmodel.py",
+           "    provenance: str\n    _by_doc",
+           "    provenance: str = field(compare=False)\n    _by_doc", _LABELSET_EQ_TESTS),
+    Mutant("labels: compared without their positives", "src/ffrg/docmodel.py",
+           "field(init=False, default_factory=dict)",
+           "field(init=False, default_factory=dict, compare=False)", _LABELSET_EQ_TESTS),
+    # the report as its dataclass fields (evaluation.EvalReport)
+    Mutant("report: runs dropped", "src/ffrg/evaluation.py",
+           'return {"runs": 1, **asdict(self)}', "return asdict(self)",
+           ("tests/test_evaluation.py::test_report_bytes_on_the_hand_case",)),
     # conflict resolution (bootstrap.resolve_conflicts)
     Mutant("conflicts: a tie going to the higher field_id", "src/ffrg/bootstrap.py",
            "key=lambda e: (-e.value_score, e.field_id),",
@@ -293,6 +305,12 @@ MUTANTS = (
     Mutant("softmax: the sum over the middle axis", "src/ffrg/model.py",
            "z /= z.sum(axis=-1, keepdims=True)", "z /= z.sum(axis=1, keepdims=True)",
            ("tests/test_progressive.py::test_ensemble_is_the_branch_mean",)),
+    # the ensemble as one sum over the branch axis (progressive.ensemble_predict)
+    Mutant("ensemble: the first branch left out of the sum", "src/ffrg/progressive.py",
+           "return probs.sum(axis=0) / params.n_branches",
+           "return probs[1:].sum(axis=0) / params.n_branches",
+           ("tests/test_progressive.py::test_ensemble_is_the_branch_mean",
+            "tests/test_progressive.py::test_ensemble_is_the_branch_mean_at_any_branch_count")),
     # Jaro's window scan (similarity.jaro_similarity)
     Mutant("jaro: a flagged character taken as a match", "src/ffrg/similarity.py",
            "while j >= 0 and flags2[j]:", "while False:", _JARO_SCAN_TESTS),

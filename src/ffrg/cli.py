@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import fields
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 from xml.sax.saxutils import escape
 
 from . import bootstrap as bs
@@ -100,6 +100,18 @@ def _require(opts: dict[str, Any], *keys: str) -> None:
             raise dm.ValidationError(f"missing required option {_flag(k)}")
 
 
+def _distinct_outputs(opts: dict[str, Any], *keys: str,
+                      more: Iterable[tuple[str, str]] = ()) -> None:
+    """Refuse two outputs, option keys or (flag, path) pairs of more, that
+    name the same file: the later write would silently replace the earlier."""
+    seen: dict[str, str] = {}
+    for flag, path in [*((_flag(k), opts[k]) for k in keys if opts[k]), *more]:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise dm.ValidationError(f"{seen[real]} and {flag} name the same file {path}")
+        seen[real] = flag
+
+
 def _read_schema_opt(opts: dict[str, Any]) -> dm.FieldSchema:
     if opts.get("schema"):
         return dm.read_schema(opts["schema"])
@@ -150,6 +162,7 @@ def _svg_paths(svg_dir: str, docs: list[dm.Document]) -> list[str]:
 
 def _cmd_synth(opts: dict[str, Any]) -> int:
     _require(opts, "out_docs", "out_gold")
+    _distinct_outputs(opts, "out_docs", "out_gold", "out_truth")
     schema = _read_schema_opt(opts)
     cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
     docs, gold, truth = generate(cfg, schema)
@@ -174,6 +187,7 @@ def _cmd_group(opts: dict[str, Any]) -> int:
 
 def _cmd_bootstrap(opts: dict[str, Any]) -> int:
     _require(opts, "docs", "out")
+    _distinct_outputs(opts, "out", "values")
     schema = _read_schema_opt(opts)
     params = bs.RuleParams(**{f.name: opts[f.name] for f in fields(bs.RuleParams)})
     docs = dm.read_documents(opts["docs"])
@@ -195,15 +209,18 @@ def _train_config(opts: dict[str, Any]) -> TrainConfig:
 
 def _cmd_train(opts: dict[str, Any]) -> int:
     _require(opts, "docs", "labels", "out")
+    cfg = _train_config(opts)
+    refined = opts["refined_out"]
+    _distinct_outputs(opts, "out", more=(
+        ("--refined-out", f"{refined}{k}.jsonl") for k in range(1, cfg.n_branches + 1) if refined))
     schema = _read_schema_opt(opts)
     docs = dm.read_documents(opts["docs"])
     labels = dm.read_labels(opts["labels"])
-    cfg = _train_config(opts)
     result = train(docs, labels, schema, cfg, featurize_corpus(docs))
     save_model(opts["out"], result.params)
-    if opts["refined_out"]:
+    if refined:
         for k, labelset in sorted(result.refined.items()):
-            dm.write_labels(f"{opts['refined_out']}{k}.jsonl", labelset)
+            dm.write_labels(f"{refined}{k}.jsonl", labelset)
     log.info(
         "trained %d branches; final stage losses %s",
         cfg.n_branches,
@@ -214,31 +231,27 @@ def _cmd_train(opts: dict[str, Any]) -> int:
 
 def _cmd_extract(opts: dict[str, Any]) -> int:
     _require(opts, "model", "docs", "out")
+    _distinct_outputs(opts, "out", "overlay")
     schema = _read_schema_opt(opts)
     params = load_model(opts["model"], schema)
     docs = dm.read_documents(opts["docs"])
     svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
     check_threshold(opts["threshold"])
     # values and overlay classes read one probability matrix per document
-    values, overlay_rows = {}, []
+    values, predictions = {}, {}
     for doc in docs:
         probs = ensemble_predict(params, featurize(doc))
         values[doc.doc_id] = values_from_probs(doc, probs, schema, opts["threshold"])
-        positives = [[w, c] for w, c in enumerate(probs.argmax(axis=1).tolist()) if c > 0]
-        overlay_rows.append(
-            {"doc_id": doc.doc_id, "predictions": positives, "fields": values[doc.doc_id]}
-        )
+        predictions[doc.doc_id] = [
+            [w, c] for w, c in enumerate(probs.argmax(axis=1).tolist()) if c > 0]
     dm.write_annotations(opts["out"], values)
     if opts["overlay"]:
-        with open(opts["overlay"], "w", encoding="utf-8") as f:
-            for row in overlay_rows:
-                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        dm.write_overlay(opts["overlay"], predictions, values)
     if opts["svg"]:
         os.makedirs(opts["svg"], exist_ok=True)
-        for doc, row, path in zip(docs, overlay_rows, svg_paths):
-            classes = {w: c for w, c in row["predictions"]}
+        for doc, path in zip(docs, svg_paths):
             with open(path, "w", encoding="utf-8") as f:
-                f.write(_doc_svg(doc, classes, None))
+                f.write(_doc_svg(doc, dict(predictions[doc.doc_id]), None))
     n = sum(len(v) for v in values.values())
     log.info("extracted %d values from %d documents", n, len(docs))
     return 0
@@ -290,21 +303,20 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
     counts = {"correct": 0, "extractor-error": 0, "value-text-error": 0}
     # per document, each field's status by field_id, for the SVG pass
     by_doc: dict[str, dict[int, str]] = {}
-    with open(opts["out"], "w", encoding="utf-8") as f:
-        for doc_id in sorted(set(pred) | set(gold)):
-            by_field = by_doc[doc_id] = {}
-            for field in schema.fields:
-                p = pred.get(doc_id, {}).get(field.name)
-                g = gold.get(doc_id, {}).get(field.name)
-                status = field_status(p, g)
-                if status is None:
-                    continue
-                counts[status] += 1
-                by_field[field.field_id] = status
-                f.write(json.dumps(
-                    {"doc_id": doc_id, "field": field.name, "status": status,
-                     "pred": p, "gold": g},
-                    ensure_ascii=False) + "\n")
+    outcomes = []
+    for doc_id in sorted(set(pred) | set(gold)):
+        by_field = by_doc[doc_id] = {}
+        for field in schema.fields:
+            p = pred.get(doc_id, {}).get(field.name)
+            g = gold.get(doc_id, {}).get(field.name)
+            status = field_status(p, g)
+            if status is None:
+                continue
+            counts[status] += 1
+            by_field[field.field_id] = status
+            outcomes.append({"doc_id": doc_id, "field": field.name, "status": status,
+                             "pred": p, "gold": g})
+    dm.write_records(opts["out"], outcomes)
     if opts["svg"]:
         os.makedirs(opts["svg"], exist_ok=True)
         for doc, path in zip(docs, svg_paths):

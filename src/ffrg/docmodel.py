@@ -59,7 +59,7 @@ def read_json_file(path: str, kind: str) -> dict:
         return _json_object(f.read(), f"{kind} file {path}")
 
 
-def _rows(path: str, kind: str, parse: Callable[[str, int], tuple[str, str, Any]]
+def _rows(path: str, parse: Callable[[str, int], tuple[str, str, Any]]
           ) -> Iterator[tuple[str, str, Any]]:
     """parse(line, n)'s (location, doc_id, row) for each non-blank line n of
     a JSONL file whose doc_ids must be unique; lines split on universal
@@ -96,7 +96,14 @@ def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]
         where = f"{kind} line {n}"
         _, doc_id, values = _record(line, where, keys)
         return where, doc_id, values
-    return _rows(path, kind, parse)
+    return _rows(path, parse)
+
+
+def write_records(path: str, records: Iterable[dict]) -> None:
+    """A JSONL file of records, one JSON object a line, as _records reads them."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def _word_classes(pairs, where: str) -> list[list[int]]:
@@ -424,7 +431,7 @@ def _document_row(line: str, n: int) -> tuple[str, str, Document]:
 
 
 def read_documents(path: str) -> list[Document]:
-    return [doc for _, _, doc in _rows(path, "documents", _document_row)]
+    return [doc for _, _, doc in _rows(path, _document_row)]
 
 
 def write_documents(path: str, docs: Iterable[Document]) -> None:
@@ -493,12 +500,10 @@ class FieldSchema:
             ]
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     def digest(self) -> bytes:
         """32-byte identity of the schema, stored in model checkpoints."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).digest()
+        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).digest()
 
 
 def _strings(values, what: str) -> list[str]:
@@ -563,6 +568,7 @@ def default_invoice_schema() -> FieldSchema:
 
 # --- Label sets ------------------------------------------------------------
 
+@dataclass(repr=False)
 class LabelSet:
     """Word-level class assignments for one corpus pass.
 
@@ -571,9 +577,8 @@ class LabelSet:
     counts as covered.
     """
 
-    def __init__(self, provenance: str):
-        self.provenance = provenance
-        self._by_doc: dict[str, dict[int, int]] = {}
+    provenance: str
+    _by_doc: dict[str, dict[int, int]] = field(init=False, default_factory=dict)
 
     def add_document(self, doc_id: str) -> None:
         self._by_doc.setdefault(doc_id, {})
@@ -615,13 +620,6 @@ class LabelSet:
                         f"document {doc_id}: label class {cls} out of range 1..{n_fields}"
                     )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabelSet)
-            and self.provenance == other.provenance
-            and self._by_doc == other._by_doc
-        )
-
     def __repr__(self) -> str:
         n = sum(len(v) for v in self._by_doc.values())
         return f"LabelSet({self.provenance!r}, docs={len(self._by_doc)}, positives={n})"
@@ -649,15 +647,10 @@ def read_labels(path: str) -> LabelSet:
 
 
 def write_labels(path: str, labels: LabelSet) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id in labels.doc_ids():
-            pairs = sorted(labels.positives(doc_id).items())
-            rec = {
-                "doc_id": doc_id,
-                "labels": [[wid, cls] for wid, cls in pairs],
-                "provenance": labels.provenance,
-            }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_records(path, (
+        {"doc_id": doc_id, "labels": sorted(map(list, labels.positives(doc_id).items())),
+         "provenance": labels.provenance}
+        for doc_id in labels.doc_ids()))
 
 
 # --- Annotations (gold values and predictions share the format) ------------
@@ -675,14 +668,19 @@ def read_annotations(path: str) -> dict[str, dict[str, str]]:
 
 
 def write_annotations(path: str, annotations: dict[str, dict[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id in sorted(annotations):
-            rec = {"doc_id": doc_id, "fields": annotations[doc_id]}
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_records(path, ({"doc_id": doc_id, "fields": annotations[doc_id]}
+                          for doc_id in sorted(annotations)))
+
+
+def write_overlay(path: str, predictions: dict[str, list[list[int]]],
+                  values: dict[str, dict[str, str]]) -> None:
+    """An `extract --overlay` file: each document's positive [word, class] pairs and values."""
+    write_records(path, ({"doc_id": doc_id, "predictions": pairs, "fields": values[doc_id]}
+                          for doc_id, pairs in predictions.items()))
 
 
 def read_overlay(path: str) -> dict[str, dict[int, int]]:
-    """Per-document predicted word classes from an `extract --overlay` file."""
+    """Per-document predicted word classes from a write_overlay file."""
     return {
         doc_id: dict(_word_classes(pairs, where))
         for where, doc_id, (pairs,) in _records(path, "overlay", "predictions")

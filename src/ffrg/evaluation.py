@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .docmodel import FieldSchema, ValidationError
@@ -32,12 +32,6 @@ class FieldMetrics:
     fp: int
     fn: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -47,15 +41,11 @@ class EvalReport:
     macro_f1: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": 1,  # kept so that report.json keeps its shape
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "fields": {name: fm.to_json_dict() for name, fm in sorted(self.fields.items())},
-        }
+        # "runs" is kept so that report.json keeps its shape
+        return {"runs": 1, **asdict(self)}
 
     def to_json(self) -> str:
+        # sorted keys: the file's bytes do not depend on the field order
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 

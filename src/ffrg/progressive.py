@@ -268,10 +268,9 @@ def ensemble_predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Mean of the branch probability rows, added in branch order; rows
     still sum to one."""
     probs = stacked_branch_probs(params, trunk_activations(params, features))
-    acc = probs[0]
-    for p in probs[1:]:
-        acc = acc + p
-    return acc / params.n_branches
+    # the sum adds the slices in branch order; it pairs them only when a slice
+    # is one value, a one-class softmax of 1.0, which sums exactly in any order
+    return probs.sum(axis=0) / params.n_branches
 
 
 def extract_values(

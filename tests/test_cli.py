@@ -3,6 +3,7 @@
 import inspect
 import json
 import logging
+import os
 from dataclasses import fields
 
 import pytest
@@ -184,6 +185,69 @@ def test_bootstrap_emits_labels_and_values(synth_dir, tmp_path):
     assert len(labels.doc_ids()) == 6
     values = read_annotations(str(values_path))
     assert any(values.values())
+
+
+# --- two outputs of one command may not name one file ------------------------
+
+def _refused_before_reading(tmp_path, caplog, argv, kept, message):
+    """argv names no input that exists, so a refusal after reading would
+    exit 2; the pre-existing output kept keeps its bytes."""
+    kept.write_bytes(b"written before\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run(*argv) == 1
+    assert message in caplog.text
+    assert kept.read_bytes() == b"written before\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_synth_refuses_docs_and_gold_in_one_file(tmp_path, caplog):
+    out = tmp_path / "x.jsonl"
+    # a symlink names the same file by another path
+    (tmp_path / "link.jsonl").symlink_to(out)
+    _refused_before_reading(
+        tmp_path, caplog, ["synth", "--schema", str(tmp_path / "absent.json"),
+                           "--out-docs", str(out), "--out-gold", str(tmp_path / "link.jsonl")],
+        out, "--out-docs and --out-gold name the same file")
+
+
+def test_bootstrap_refuses_labels_and_values_in_one_file(tmp_path, caplog):
+    out = tmp_path / "l.jsonl"
+    same = tmp_path / "sub" / ".." / "l.jsonl"
+    _refused_before_reading(
+        tmp_path, caplog, ["bootstrap", "--docs", str(tmp_path / "absent.jsonl"),
+                           "--out", str(out), "--values", str(same)],
+        out, "--out and --values name the same file")
+
+
+def test_train_refuses_a_checkpoint_named_like_refined_labels(tmp_path, caplog):
+    out = tmp_path / "r2.jsonl"
+    _refused_before_reading(
+        tmp_path, caplog, ["train", "--docs", str(tmp_path / "absent.jsonl"),
+                           "--labels", str(tmp_path / "absent-labels.jsonl"),
+                           "--out", str(out), "--refined-out", str(tmp_path / "r")],
+        out, "--out and --refined-out name the same file")
+    # with two branches there is no r3.jsonl to collide with
+    assert run("train", "--docs", str(tmp_path / "absent.jsonl"),
+               "--labels", str(tmp_path / "absent-labels.jsonl"), "--branches", "2",
+               "--out", str(tmp_path / "r3.jsonl"), "--refined-out", str(tmp_path / "r")) == 2
+
+
+def test_extract_refuses_values_and_overlay_in_one_file(tmp_path, caplog):
+    out = tmp_path / "v.jsonl"
+    _refused_before_reading(
+        tmp_path, caplog, ["extract", "--model", str(tmp_path / "absent.ffrg"),
+                           "--docs", str(tmp_path / "absent.jsonl"),
+                           "--out", str(out), "--overlay", str(out)],
+        out, "--out and --overlay name the same file")
+
+
+def test_group_may_rewrite_its_input_in_place(synth_dir, tmp_path):
+    # group reads every document before it writes
+    docs = tmp_path / "d.jsonl"
+    docs.write_bytes((synth_dir / "docs.jsonl").read_bytes())
+    assert run("group", "--in", str(docs), "--out", str(tmp_path / "apart.jsonl")) == 0
+    assert run("group", "--in", str(docs), "--out", str(docs)) == 0
+    assert docs.read_bytes() == (tmp_path / "apart.jsonl").read_bytes()
 
 
 # --- train / extract / eval ---------------------------------------------------

@@ -41,6 +41,7 @@ from ffrg.docmodel import (
     schema_from_json_dict,
     serialize_document,
     write_labels,
+    write_overlay,
 )
 from ffrg.features import featurize
 from ffrg.grouping import group_document
@@ -918,6 +919,28 @@ def test_labelset_background_is_implicit():
     assert labels.covers("d1")
 
 
+def _labelset(provenance="x", positives=((0, 1), (4, 3)), registered=()):
+    labels = LabelSet(provenance)
+    for doc_id in registered:
+        labels.add_document(doc_id)
+    for wid, cls in positives:
+        labels.set_label("d1", wid, cls)
+    return labels
+
+
+def test_labelset_equality_is_provenance_and_positives():
+    assert _labelset() == _labelset()
+    assert _labelset() != _labelset(provenance="y")
+    assert _labelset() != _labelset(positives=((0, 1), (4, 2)))
+    assert _labelset() != _labelset(positives=((0, 1),))
+    # a registered document without positives is covered, so it counts
+    assert _labelset(registered=("d2",)) != _labelset()
+    assert _labelset(registered=("d2",)) == _labelset(registered=("d2",))
+    assert _labelset() != {"d1": {0: 1, 4: 3}}
+    assert repr(_labelset(registered=("d2",))) == "LabelSet('x', docs=2, positives=2)"
+    assert repr(LabelSet("empty")) == "LabelSet('empty', docs=0, positives=0)"
+
+
 def test_labelset_validate_checks_ranges():
     doc = make_doc([("a", 0.1, 0.1, 0.2, 0.12)], doc_id="d1")
     labels = LabelSet("test")
@@ -990,6 +1013,18 @@ def test_labels_round_trip(tmp_path):
     again = read_labels(str(path))
     assert again == labels
     assert again.covers("empty-doc")
+
+
+def test_overlay_round_trip(tmp_path):
+    # rows in the order of the predictions, not sorted as annotations are
+    path = tmp_path / "overlay.jsonl"
+    write_overlay(str(path), {"d2": [[0, 1], [3, 2]], "d1": []},
+                  {"d1": {}, "d2": {"total_amount": "1.00"}})
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        '{"doc_id": "d2", "predictions": [[0, 1], [3, 2]], "fields": {"total_amount": "1.00"}}',
+        '{"doc_id": "d1", "predictions": [], "fields": {}}',
+    ]
+    assert read_overlay(str(path)) == {"d2": {0: 1, 3: 2}, "d1": {}}
 
 
 # each id ends with the slot that holds the surrogate; the message names

@@ -3,7 +3,7 @@
 import pytest
 
 from ffrg.docmodel import ValidationError
-from ffrg.evaluation import normalize_value, score
+from ffrg.evaluation import normalize_value, score, write_report
 
 
 def test_normalization_folds_unicode_and_spaces():
@@ -94,3 +94,30 @@ def test_report_json_shape(schema):
     assert blob["macro_f1"] == 1.0
     assert blob["fields"]["inv_number"]["tp"] == 1
     assert sorted(blob["fields"]) == sorted(f.name for f in schema.fields)
+
+
+def _unscored(name):
+    return (f'    "{name}": {{\n      "f1": 0.0,\n      "fn": 0,\n      "fp": 0,\n'
+            f'      "precision": 0.0,\n      "recall": 0.0,\n      "tp": 0\n    }}')
+
+
+def test_report_bytes_on_the_hand_case(schema, tmp_path):
+    # criterion 10's case: every key sorted at indent 2, "runs" included
+    preds = {"d1": {"inv_number": "48113", "po_number": "PO-7"}, "d2": {"inv_number": "99"}}
+    gold = {"d1": {"inv_number": "48113", "po_number": "PO-7"}, "d2": {"po_number": "PO-9"}}
+    path = tmp_path / "report.json"
+    write_report(str(path), score(preds, gold, schema))
+    expected = (
+        '{\n  "fields": {\n'
+        + ",\n".join([
+            _unscored("due_amount"), _unscored("due_date"), _unscored("inv_date"),
+            '    "inv_number": {\n      "f1": 0.6666666666666666,\n      "fn": 0,\n'
+            '      "fp": 1,\n      "precision": 0.5,\n      "recall": 1.0,\n      "tp": 1\n    }',
+            '    "po_number": {\n      "f1": 0.6666666666666666,\n      "fn": 1,\n'
+            '      "fp": 0,\n      "precision": 1.0,\n      "recall": 0.5,\n      "tp": 1\n    }',
+            _unscored("total_amount"), _unscored("total_tax"),
+        ])
+        + '\n  },\n  "macro_f1": 0.6666666666666666,\n  "macro_precision": 0.75,\n'
+        '  "macro_recall": 0.75,\n  "runs": 1\n}\n'
+    )
+    assert path.read_text(encoding="utf-8") == expected

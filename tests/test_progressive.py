@@ -14,7 +14,7 @@ from ffrg.docmodel import (
 )
 from ffrg.features import CorpusFeatures, featurize_corpus
 from ffrg.grouping import group_document
-from ffrg.model import TrunkCache, branch_probs, trunk_activations
+from ffrg.model import TrunkCache, branch_probs, init_params, trunk_activations
 from ffrg.progressive import (
     TrainConfig,
     _select_anchors,
@@ -464,6 +464,19 @@ def test_ensemble_is_the_branch_mean(rng):
         ) / 3.0
         assert ensemble_predict(res.params, x).tobytes() == mean.tobytes()
         assert np.allclose(ensemble_predict(res.params, x).sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_branches", [1, 2, 5])
+def test_ensemble_is_the_branch_mean_at_any_branch_count(rng, n_branches):
+    params = init_params(30, 7, n_branches, bytes(32), hidden=16, branch_hidden=12, seed=4)
+    for rows in (9, 0, 1, 40, 129):
+        x = rng.normal(size=(rows, 30))
+        h = trunk_activations(params, x)
+        # the oracle: each branch's own rows, added in branch order
+        acc = branch_probs(params, h, 1)
+        for k in range(2, n_branches + 1):
+            acc = acc + branch_probs(params, h, k)
+        assert ensemble_predict(params, x).tobytes() == (acc / n_branches).tobytes()
 
 
 def _value_doc():
