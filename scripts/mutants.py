@@ -83,6 +83,16 @@ _GATE_RAW_TESTS = (
     "tests/test_docmodel.py::test_read_schema_rejects_a_file_that_is_not_utf8",
 )
 _LABELSET_EQ_TESTS = ("tests/test_docmodel.py::test_labelset_equality_is_provenance_and_positives",)
+_REPEATED_ID_TESTS = (
+    "tests/test_docmodel.py::test_read_documents_rejects_a_repeated_doc_id",
+    "tests/test_docmodel.py::test_read_labels_rejects_a_repeated_doc_id",
+    "tests/test_docmodel.py::test_read_annotations_rejects_a_repeated_doc_id",
+    "tests/test_docmodel.py::test_read_overlay_rejects_a_repeated_doc_id",
+)
+_DIGEST_TESTS = (
+    "tests/test_model.py::test_params_refuse_a_schema_digest_that_is_not_32_bytes",
+    "tests/test_model.py::test_a_refused_checkpoint_leaves_the_file_alone",
+)
 _HELD_LAYOUT_TESTS = (
     "tests/test_features.py::test_held_features_store_row_counts_uint16_columns_and_float64_values",
 )
@@ -235,6 +245,16 @@ MUTANTS = (
     Mutant("labels: compared without their positives", "src/ffrg/docmodel.py",
            "field(init=False, default_factory=dict)",
            "field(init=False, default_factory=dict, compare=False)", _LABELSET_EQ_TESTS),
+    # the one generator behind the JSONL readers (docmodel._records)
+    Mutant("readers: a repeated doc_id let through", "src/ffrg/docmodel.py",
+           "if doc_id in seen:", "if False:", _REPEATED_ID_TESTS),
+    # the collision refusal (cli._distinct_outputs) and the SVG paths (cli._svg_paths)
+    Mutant("svg: the SVG paths left out of the collision check", "src/ffrg/cli.py",
+           '_distinct_outputs(opts, *outputs, more=(("--svg", path) for path in paths))', "pass",
+           ("tests/test_cli.py::test_svg_files_join_the_collision_refusal",)),
+    # the checkpoint's digest size, known to the record alone (model.ModelParams)
+    Mutant("checkpoint: params without the digest-length check", "src/ffrg/model.py",
+           "if len(self.schema_digest) != 32:", "if False:", _DIGEST_TESTS),
     # the report as its dataclass fields (evaluation.EvalReport)
     Mutant("report: runs dropped", "src/ffrg/evaluation.py",
            'return {"runs": 1, **asdict(self)}', "return asdict(self)",

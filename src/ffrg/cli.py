@@ -118,8 +118,12 @@ def _read_schema_opt(opts: dict[str, Any]) -> dm.FieldSchema:
     return dm.default_invoice_schema()
 
 
-def _doc_svg(doc: dm.Document, classes: dict[int, int] | None,
-             statuses: dict[int, str] | None) -> str:
+def _field_color(cls: int) -> str:
+    return _FIELD_COLORS[(cls - 1) % len(_FIELD_COLORS)]
+
+
+def _doc_svg(doc: dm.Document, fills: dict[int, str]) -> str:
+    """The document's words as boxes, those in fills filled in their colour."""
     w, h = doc.page_width, doc.page_height
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
@@ -130,14 +134,9 @@ def _doc_svg(doc: dm.Document, classes: dict[int, int] | None,
         b = word.box
         x, y = b.x0 * w, b.y0 * h
         bw, bh = b.width * w, b.height * h
-        fill = "none"
-        stroke = "#999999"
-        if statuses and word.id in statuses:
-            fill = _STATUS_COLORS[statuses[word.id]]
-            stroke = fill
-        elif classes and classes.get(word.id, 0) > 0:
-            fill = _FIELD_COLORS[(classes[word.id] - 1) % len(_FIELD_COLORS)]
-            stroke = fill
+        fill = fills.get(word.id)
+        stroke = fill or "#999999"
+        fill = fill or "none"
         parts.append(
             f'<rect x="{x:.1f}" y="{y:.1f}" width="{bw:.1f}" height="{bh:.1f}" '
             f'fill="{fill}" fill-opacity="0.35" stroke="{stroke}"/>'
@@ -150,12 +149,28 @@ def _doc_svg(doc: dm.Document, classes: dict[int, int] | None,
     return "\n".join(parts)
 
 
-def _svg_paths(svg_dir: str, docs: list[dm.Document]) -> list[str]:
-    """Each document's SVG path inside svg_dir, checked before any is written."""
+def _svg_paths(opts: dict[str, Any], docs: list[dm.Document], *outputs: str) -> list[str]:
+    """Each document's SVG path inside --svg, none without it.  A doc_id
+    that is no file name, or a path that one of outputs (option keys) also
+    names, is refused, so before anything is written."""
+    if not opts["svg"]:
+        return []
     for doc in docs:
         if doc.doc_id in ("", ".", "..") or os.path.basename(doc.doc_id) != doc.doc_id:
             raise dm.ValidationError(f"--svg: doc_id {doc.doc_id!r} is not a file name")
-    return [os.path.join(svg_dir, f"{doc.doc_id}.svg") for doc in docs]
+    paths = [os.path.join(opts["svg"], f"{doc.doc_id}.svg") for doc in docs]
+    _distinct_outputs(opts, *outputs, more=(("--svg", path) for path in paths))
+    return paths
+
+
+def _write_svgs(opts: dict[str, Any], paths: list[str], docs: list[dm.Document],
+                fills: Callable[[dm.Document], dict[int, str]]) -> None:
+    """With --svg, each document's SVG at its path from _svg_paths, in fills(document)."""
+    if opts["svg"]:
+        os.makedirs(opts["svg"], exist_ok=True)
+        for path, doc in zip(paths, docs):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(_doc_svg(doc, fills(doc)))
 
 
 # --- subcommands -----------------------------------------------------------
@@ -210,17 +225,16 @@ def _train_config(opts: dict[str, Any]) -> TrainConfig:
 def _cmd_train(opts: dict[str, Any]) -> int:
     _require(opts, "docs", "labels", "out")
     cfg = _train_config(opts)
-    refined = opts["refined_out"]
-    _distinct_outputs(opts, "out", more=(
-        ("--refined-out", f"{refined}{k}.jsonl") for k in range(1, cfg.n_branches + 1) if refined))
+    refined = [f"{opts['refined_out']}{k}.jsonl"
+               for k in range(1, cfg.n_branches + 1)] if opts["refined_out"] else []
+    _distinct_outputs(opts, "out", more=(("--refined-out", path) for path in refined))
     schema = _read_schema_opt(opts)
     docs = dm.read_documents(opts["docs"])
     labels = dm.read_labels(opts["labels"])
     result = train(docs, labels, schema, cfg, featurize_corpus(docs))
     save_model(opts["out"], result.params)
-    if refined:
-        for k, labelset in sorted(result.refined.items()):
-            dm.write_labels(f"{refined}{k}.jsonl", labelset)
+    for k, path in enumerate(refined, start=1):
+        dm.write_labels(path, result.refined[k])
     log.info(
         "trained %d branches; final stage losses %s",
         cfg.n_branches,
@@ -235,7 +249,7 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
     schema = _read_schema_opt(opts)
     params = load_model(opts["model"], schema)
     docs = dm.read_documents(opts["docs"])
-    svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
+    svg_paths = _svg_paths(opts, docs, "out", "overlay")
     check_threshold(opts["threshold"])
     # values and overlay classes read one probability matrix per document
     values, predictions = {}, {}
@@ -247,11 +261,8 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
     dm.write_annotations(opts["out"], values)
     if opts["overlay"]:
         dm.write_overlay(opts["overlay"], predictions, values)
-    if opts["svg"]:
-        os.makedirs(opts["svg"], exist_ok=True)
-        for doc, path in zip(docs, svg_paths):
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(_doc_svg(doc, dict(predictions[doc.doc_id]), None))
+    _write_svgs(opts, svg_paths, docs, lambda doc: {
+        w: _field_color(c) for w, c in predictions[doc.doc_id]})
     n = sum(len(v) for v in values.values())
     log.info("extracted %d values from %d documents", n, len(docs))
     return 0
@@ -298,14 +309,13 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
     pred = dm.read_annotations(opts["pred"])
     gold = dm.read_annotations(opts["gold"])
     docs = dm.read_documents(opts["docs"]) if opts["svg"] else []
-    svg_paths = _svg_paths(opts["svg"], docs) if opts["svg"] else []
+    svg_paths = _svg_paths(opts, docs, "out")
     overlay = dm.read_overlay(opts["overlay"]) if opts["overlay"] else {}
     counts = {"correct": 0, "extractor-error": 0, "value-text-error": 0}
-    # per document, each field's status by field_id, for the SVG pass
-    by_doc: dict[str, dict[int, str]] = {}
+    # each (doc_id, field_id) outcome's colour, for the SVG pass
+    colors: dict[tuple[str, int], str] = {}
     outcomes = []
     for doc_id in sorted(set(pred) | set(gold)):
-        by_field = by_doc[doc_id] = {}
         for field in schema.fields:
             p = pred.get(doc_id, {}).get(field.name)
             g = gold.get(doc_id, {}).get(field.name)
@@ -313,18 +323,14 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
             if status is None:
                 continue
             counts[status] += 1
-            by_field[field.field_id] = status
+            colors[doc_id, field.field_id] = _STATUS_COLORS[status]
             outcomes.append({"doc_id": doc_id, "field": field.name, "status": status,
                              "pred": p, "gold": g})
     dm.write_records(opts["out"], outcomes)
-    if opts["svg"]:
-        os.makedirs(opts["svg"], exist_ok=True)
-        for doc, path in zip(docs, svg_paths):
-            classes = overlay.get(doc.doc_id, {})
-            by_field = by_doc.get(doc.doc_id, {})
-            statuses = {wid: by_field[cls] for wid, cls in classes.items() if cls in by_field}
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(_doc_svg(doc, classes, statuses))
+    # a predicted word whose field has an outcome takes the outcome's colour
+    _write_svgs(opts, svg_paths, docs, lambda doc: {
+        w: colors.get((doc.doc_id, c)) or _field_color(c)
+        for w, c in overlay.get(doc.doc_id, {}).items() if c > 0})
     log.info(
         "inspect: %d correct, %d extractor errors, %d value-text errors",
         counts["correct"], counts["extractor-error"], counts["value-text-error"],
@@ -333,7 +339,6 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
 
 
 def _cmd_pipeline(opts: dict[str, Any]) -> int:
-    _require(opts, "workdir")
     # every option is checked before the first file is written
     schema = _read_schema_opt(opts)
     cfg = preset_config(opts["preset"], opts["n"], opts["seed"])

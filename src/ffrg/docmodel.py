@@ -13,18 +13,14 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .datatypes import VALUE_TYPES, DataType
 
 
-class FfrgError(Exception):
-    """Base class for toolkit errors."""
-
-
-class ValidationError(FfrgError):
+class ValidationError(Exception):
     """Input violates a structural invariant."""
 
 
@@ -59,24 +55,6 @@ def read_json_file(path: str, kind: str) -> dict:
         return _json_object(f.read(), f"{kind} file {path}")
 
 
-def _rows(path: str, parse: Callable[[str, int], tuple[str, str, Any]]
-          ) -> Iterator[tuple[str, str, Any]]:
-    """parse(line, n)'s (location, doc_id, row) for each non-blank line n of
-    a JSONL file whose doc_ids must be unique; lines split on universal
-    newlines, and bytes that are not UTF-8 come in as lone surrogates,
-    which _json_object refuses."""
-    seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for n, line in enumerate(f, start=1):
-            if line.strip():
-                where, doc_id, row = parse(line, n)
-                if doc_id in seen:
-                    raise ValidationError(
-                        f"{where}: doc_id {doc_id!r} repeats line {seen[doc_id]}")
-                seen[doc_id] = n
-                yield where, doc_id, row
-
-
 def _record(line: str, where: str, keys: Sequence[str]) -> tuple[dict, str, list]:
     """A JSONL record's object, its string doc_id and its values under keys."""
     raw = _json_object(line, where)
@@ -89,14 +67,23 @@ def _record(line: str, where: str, keys: Sequence[str]) -> tuple[dict, str, list
     return raw, doc_id, values
 
 
-def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, list]]:
-    """(location, doc_id, values under keys) for each record of a JSONL
-    file of objects with a unique doc_id."""
-    def parse(line: str, n: int) -> tuple[str, str, list]:
-        where = f"{kind} line {n}"
-        _, doc_id, values = _record(line, where, keys)
-        return where, doc_id, values
-    return _rows(path, parse)
+def _records(path: str, kind: str, *keys: str) -> Iterator[tuple[str, str, dict, list]]:
+    """(location, doc_id, object, values under keys) for each non-blank line
+    of a JSONL file of objects with a unique doc_id; a location is
+    "<kind> line N", or "line N" when kind is empty.  Lines split on
+    universal newlines, and bytes that are not UTF-8 come in as lone
+    surrogates, which _json_object refuses."""
+    seen: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for n, line in enumerate(f, start=1):
+            if line.strip():
+                where = f"{kind} line {n}" if kind else f"line {n}"
+                raw, doc_id, values = _record(line, where, keys)
+                if doc_id in seen:
+                    raise ValidationError(
+                        f"{where}: doc_id {doc_id!r} repeats line {seen[doc_id]}")
+                seen[doc_id] = n
+                yield where, doc_id, raw, values
 
 
 def write_records(path: str, records: Iterable[dict]) -> None:
@@ -320,11 +307,19 @@ def _reading_order(boxes: np.ndarray) -> list[int]:
 
 # --- JSONL documents -------------------------------------------------------
 
+_DOCUMENT_KEYS = ("page_width", "page_height", "words")
+
+
 def parse_document(line: str, line_number: int | None = None) -> Document:
     """Parse one JSONL document record; boxes auto-normalize from pixels."""
     where = f"line {line_number}" if line_number is not None else "input"
-    raw, doc_id, (page_w, page_h, raw_words) = _record(
-        line, where, ("page_width", "page_height", "words"))
+    return _document(where, *_record(line, where, _DOCUMENT_KEYS))
+
+
+def _document(where: str, raw: dict, doc_id: str, values: list) -> Document:
+    """The document a record's object holds, its values under _DOCUMENT_KEYS
+    taken out; errors name where it came from."""
+    page_w, page_h, raw_words = values
     # bool is an int subclass, so the exact types are checked
     if type(page_w) is not int or type(page_h) is not int:
         raise ParseError(f"{where}: page dimensions of {doc_id} must be integers")
@@ -425,13 +420,9 @@ def serialize_document(doc: Document) -> str:
     return json.dumps(rec, ensure_ascii=False)
 
 
-def _document_row(line: str, n: int) -> tuple[str, str, Document]:
-    doc = parse_document(line, line_number=n)
-    return f"line {n}", doc.doc_id, doc
-
-
 def read_documents(path: str) -> list[Document]:
-    return [doc for _, _, doc in _rows(path, _document_row)]
+    return [_document(where, raw, doc_id, values)
+            for where, doc_id, raw, values in _records(path, "", *_DOCUMENT_KEYS)]
 
 
 def write_documents(path: str, docs: Iterable[Document]) -> None:
@@ -627,7 +618,7 @@ class LabelSet:
 
 def read_labels(path: str) -> LabelSet:
     labels, first = None, ""
-    for where, doc_id, (pairs, provenance) in _records(path, "labels", "labels", "provenance"):
+    for where, doc_id, _, (pairs, provenance) in _records(path, "labels", "labels", "provenance"):
         if not isinstance(provenance, str):
             raise ParseError(f"{where}: provenance must be a string")
         if labels is None:
@@ -657,7 +648,7 @@ def write_labels(path: str, labels: LabelSet) -> None:
 
 def read_annotations(path: str) -> dict[str, dict[str, str]]:
     out: dict[str, dict[str, str]] = {}
-    for where, doc_id, (fields,) in _records(path, "annotations", "fields"):
+    for where, doc_id, _, (fields,) in _records(path, "annotations", "fields"):
         if not isinstance(fields, dict):
             raise ParseError(f"{where}: fields must be a JSON object")
         for name, value in fields.items():
@@ -683,5 +674,5 @@ def read_overlay(path: str) -> dict[str, dict[int, int]]:
     """Per-document predicted word classes from a write_overlay file."""
     return {
         doc_id: dict(_word_classes(pairs, where))
-        for where, doc_id, (pairs,) in _records(path, "overlay", "predictions")
+        for where, doc_id, _, (pairs,) in _records(path, "overlay", "predictions")
     }

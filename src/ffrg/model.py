@@ -53,6 +53,8 @@ class ModelParams:
             raise ValidationError(
                 f"parameter buffer must be {sum(sizes)} contiguous float64 values"
             )
+        if len(self.schema_digest) != 32:
+            raise ValidationError("schema digest must be 32 bytes")
         self.tensors, self.offsets = {}, {}
         off = 0
         for (key, shape), size in zip(shapes.items(), sizes):
@@ -395,8 +397,6 @@ def save_model(path: str, params: ModelParams) -> None:
     """magic, schema digest, dims as LE uint32, float64-LE tensor blocks."""
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        if len(params.schema_digest) != 32:
-            raise ValidationError("schema digest must be 32 bytes")
         f.write(params.schema_digest)
         f.write(
             struct.pack(

@@ -75,6 +75,16 @@ def test_finite_float_flags_still_parse():
     assert len(_FLOAT_OPTIONS) == 11
 
 
+def test_a_float_flag_that_is_no_number_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--docs", str(tmp_path / "d.jsonl"), "--labels", str(tmp_path / "l.jsonl"),
+            "--out", str(tmp_path / "m.ffrg"), "--lr", "abc")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "invalid finite float value: 'abc'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- synth / group / bootstrap round trip ------------------------------------
 
 @pytest.fixture(scope="module")
@@ -248,6 +258,31 @@ def test_group_may_rewrite_its_input_in_place(synth_dir, tmp_path):
     assert run("group", "--in", str(docs), "--out", str(tmp_path / "apart.jsonl")) == 0
     assert run("group", "--in", str(docs), "--out", str(docs)) == 0
     assert docs.read_bytes() == (tmp_path / "apart.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("extract", "--out"), ("extract", "--overlay"), ("inspect", "--out"),
+])
+def test_svg_files_join_the_collision_refusal(trained_dir, synth_dir, tmp_path, command, flag,
+                                              caplog):
+    # an SVG path is known once the documents are read, so the refusal
+    # comes after reading (a missing --docs exits 2) and before any write
+    svg = tmp_path / "svg"
+    svg.mkdir()
+    kept = svg / "synth-3-00001.svg"
+    kept.write_bytes(b"written before\n")
+    outputs = {"--out": str(tmp_path / "out.jsonl"), flag: str(kept)}
+    gold = str(synth_dir / "gold.jsonl")
+    argv = {
+        "extract": ["extract", "--model", str(trained_dir / "model.ffrg")],
+        "inspect": ["inspect", "--pred", gold, "--gold", gold],
+    }[command] + [arg for pair in outputs.items() for arg in pair] + ["--svg", str(svg)]
+    assert run(*argv, "--docs", str(tmp_path / "absent.jsonl")) == 2
+    assert run(*argv, "--docs", str(synth_dir / "docs.jsonl")) == 1
+    assert f"{flag} and --svg name the same file {kept}" in caplog.text
+    assert kept.read_bytes() == b"written before\n"
+    assert os.listdir(svg) == [kept.name]
+    assert sorted(os.listdir(tmp_path)) == ["svg"]
 
 
 # --- train / extract / eval ---------------------------------------------------

@@ -225,6 +225,19 @@ def test_document_rejects_an_empty_phrase():
         Document(doc.doc_id, 1000, 1000, doc.words, ((0,), ()))
 
 
+@pytest.mark.parametrize("width,height", [(0, 1000), (1000, -1)])
+def test_document_rejects_a_page_dimension_that_is_not_positive(width, height):
+    doc = make_doc([("a", 0.0, 0.0, 0.1, 0.02)])
+    with pytest.raises(ValidationError, match="^document doc: page dimensions must be positive$"):
+        Document(doc.doc_id, width, height, doc.words)
+
+
+def test_document_rejects_a_phrase_naming_a_missing_word():
+    doc = make_doc([("a", 0.0, 0.0, 0.1, 0.02)])
+    with pytest.raises(ValidationError, match="^document doc: phrase references missing word 1$"):
+        Document(doc.doc_id, 1000, 1000, doc.words, ((0, 1),))
+
+
 def test_document_rejects_a_word_twice_in_one_phrase(tmp_path):
     doc = make_doc([("a", 0.0, 0.0, 0.1, 0.02), ("b", 0.2, 0.0, 0.3, 0.02)])
     message = "document doc: word 1 is listed twice in the phrases"
@@ -543,6 +556,29 @@ def test_parse_rejects_words_of_the_wrong_kind(word, message):
 def test_parse_rejects_header_values_of_the_wrong_kind(header, message):
     record = {**json.loads(_record([{"text": "a", "box": [0, 0, 0.1, 0.1]}])), **header}
     with pytest.raises(ParseError, match=f"line 3: {message}"):
+        parse_document(json.dumps(record), line_number=3)
+
+
+def test_parse_rejects_a_page_dimension_past_the_float_range():
+    record = {**json.loads(_record([{"text": "a", "box": [0, 0, 0.1, 0.1]}])),
+              "page_width": 10**400}
+    with pytest.raises(ParseError, match="^line 3: page dimensions must be finite integers: "):
+        parse_document(json.dumps(record), line_number=3)
+
+
+@pytest.mark.parametrize("header", [{"page_width": 0}, {"page_height": -5}])
+def test_parse_rejects_a_page_dimension_that_is_not_positive(header):
+    record = {**json.loads(_record([{"text": "a", "box": [0, 0, 0.1, 0.1]}])), **header}
+    with pytest.raises(ValidationError,
+                       match="^line 3: document d1: page dimensions must be positive$"):
+        parse_document(json.dumps(record), line_number=3)
+
+
+@pytest.mark.parametrize("phrases", [{"word_ids": [0]}, "0", 0])
+def test_parse_rejects_phrases_that_are_not_a_list(phrases):
+    record = {**json.loads(_record([{"text": "a", "box": [0, 0, 0.1, 0.1]}])),
+              "phrases": phrases}
+    with pytest.raises(ParseError, match="^line 3: phrases of d1 must be a list$"):
         parse_document(json.dumps(record), line_number=3)
 
 
@@ -874,6 +910,18 @@ def test_schema_rejects_bad_keys_and_types():
         SchemaField(1, "f", ("k",), frozenset())
 
 
+@pytest.mark.parametrize("names,message", [
+    ([""], "schema field has empty name"),
+    (["total", "total"], "duplicate field names in schema"),
+])
+def test_schema_file_refuses_an_empty_or_repeated_field_name(tmp_path, names, message):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"fields": [
+        {**_FIELD, "field_id": k, "name": name} for k, name in enumerate(names, start=1)]}))
+    with pytest.raises(ValidationError, match=f"^schema file {re.escape(str(path))}: {message}$"):
+        read_schema(str(path))
+
+
 _FIELD = {"field_id": 1, "name": "total", "keys": ["total"], "allowed_types": ["number"]}
 
 
@@ -994,6 +1042,12 @@ def test_read_labels_refuses_a_provenance_that_is_not_a_string(tmp_path, provena
         read_labels(_jsonl(tmp_path, rows))
 
 
+def test_read_labels_refuses_a_negative_class(tmp_path):
+    rows = [{"doc_id": "d", "labels": [[0, -1]], "provenance": "bootstrap"}]
+    with pytest.raises(ValidationError, match="^labels line 1: label class -1 out of range$"):
+        read_labels(_jsonl(tmp_path, rows))
+
+
 def test_read_annotations_rejects_a_repeated_doc_id(tmp_path):
     rows = [
         {"doc_id": "d", "fields": {"total_amount": "1.00"}},
@@ -1025,6 +1079,12 @@ def test_overlay_round_trip(tmp_path):
         '{"doc_id": "d1", "predictions": [], "fields": {}}',
     ]
     assert read_overlay(str(path)) == {"d2": {0: 1, 3: 2}, "d1": {}}
+
+
+def test_read_overlay_rejects_a_repeated_doc_id(tmp_path):
+    rows = [{"doc_id": "d", "predictions": [[0, 1]]}, {"doc_id": "d", "predictions": []}]
+    with pytest.raises(ValidationError, match=r"^overlay line 2: doc_id 'd' repeats line 1$"):
+        read_overlay(_jsonl(tmp_path, rows))
 
 
 # each id ends with the slot that holds the surrogate; the message names

@@ -168,6 +168,12 @@ def test_held_features_keep_the_width_they_are_given():
         CorpusFeatures([np.zeros((4, 1)), np.ones((2, 2))])
 
 
+def test_held_features_batch_no_documents_as_no_rows(rng):
+    held = CorpusFeatures([rng.normal(size=(3, 5)), rng.normal(size=(2, 5))])
+    rows = held.batch([])
+    assert rows.shape == (0, 5) and rows.dtype == np.float64
+
+
 def test_held_features_store_row_counts_uint16_columns_and_float64_values(rng):
     docs = [random_doc(rng, 9, doc_id="a"), make_doc([], doc_id="empty"),
             random_doc(rng, 4, doc_id="b")]

@@ -301,6 +301,16 @@ def test_adam_accumulates_moments():
     assert np.allclose(v, 1.0 - 0.999**2)
 
 
+def test_adam_step_with_no_gradients_only_counts_the_step():
+    params = small_params()
+    before = params.flat.copy()
+    state = AdamState()
+    adam_step(params, {}, state, lr=1e-2)
+    assert state.t == 1
+    assert np.array_equal(params.flat, before)
+    assert not state.m.any() and not state.v.any()
+
+
 # --- checkpoints ------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
@@ -361,6 +371,32 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(ValidationError):
         load_model(trailing, default_invoice_schema())
     assert blob[:5] == CHECKPOINT_MAGIC
+
+
+def test_checkpoint_rejects_a_header_with_no_branches(tmp_path):
+    params = small_params(n_branches=1)
+    path = tmp_path / "model.ffrg"
+    save_model(str(path), params)
+    blob = bytearray(path.read_bytes())
+    # the right digest, then d_in, hidden, branch_hidden, n_fields, n_branches = 0
+    blob[HEADER_BYTES - 4 : HEADER_BYTES] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValidationError, match="checkpoint has no branches$"):
+        load_model(str(path), default_invoice_schema())
+
+
+@pytest.mark.parametrize("size", [0, 31, 33])
+def test_params_refuse_a_schema_digest_that_is_not_32_bytes(size):
+    with pytest.raises(ValidationError, match="^schema digest must be 32 bytes$"):
+        init_params(10, 3, 1, bytes(size), hidden=8, branch_hidden=6)
+
+
+def test_a_refused_checkpoint_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "model.ffrg"
+    path.write_bytes(b"written before")
+    with pytest.raises(ValidationError, match="schema digest"):
+        save_model(str(path), init_params(10, 3, 1, DIGEST[:31], hidden=8, branch_hidden=6))
+    assert path.read_bytes() == b"written before"
 
 
 def test_checkpoint_rejects_truncation_at_every_offset(tmp_path):

@@ -260,6 +260,16 @@ def test_train_rejects_bad_inputs():
         train(docs, stray, schema, TINY, features)
 
 
+def test_train_refuses_a_corpus_without_words():
+    schema = default_invoice_schema()
+    docs = [docmodel.Document(doc_id, 1000, 1000, ()) for doc_id in ("a", "b")]
+    labels = docmodel.LabelSet("bootstrap")
+    for doc in docs:
+        labels.add_document(doc.doc_id)
+    with pytest.raises(ValidationError, match="^corpus has no words to train on$"):
+        train(docs, labels, schema, TINY, featurize_corpus(docs))
+
+
 class _OwnPasses:
     """The uncached reference: a TrunkCache stand-in that takes its own
     trunk pass for every request."""
@@ -565,3 +575,22 @@ def test_run_expansion_respects_phrase_boundaries(monkeypatch, schema):
     out = _patched_extract(monkeypatch, probs, schema, doc)
     # "stray" also argmaxes to the field but sits in another phrase
     assert out == {"inv_date": "Jan 5, 2024"}
+
+
+def test_extract_values_on_a_document_without_words_is_empty(schema):
+    params = init_params(4, schema.n_fields, 2, schema.digest(), hidden=3, branch_hidden=2)
+    doc = docmodel.Document("empty", 1000, 1000, ())
+    assert extract_values(params, doc, np.zeros((0, 4)), schema) == {}
+
+
+def test_an_anchor_outside_every_phrase_gives_its_own_text(monkeypatch, schema):
+    # a grouped document's phrases need not hold every word
+    doc = _value_doc()
+    doc = docmodel.Document(doc.doc_id, 1000, 1000, doc.words, ((0, 1, 2),))
+    date_cls = next(f.field_id for f in schema.fields if f.name == "inv_date")
+    probs = np.full((4, 8), 0.01)
+    probs[:, 0] = 1.0 - 0.07
+    for wid, p in [(2, 0.55), (3, 0.90)]:
+        probs[wid, 0] = 1.0 - p - 0.06
+        probs[wid, date_cls] = p
+    assert _patched_extract(monkeypatch, probs, schema, doc) == {"inv_date": "stray"}

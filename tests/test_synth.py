@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ffrg.bootstrap import bootstrap_corpus
+from ffrg.datatypes import DataType
 from ffrg.docmodel import SchemaField, FieldSchema, LabelSet, ValidationError
 from ffrg.synth import (
     _DIGITS,
@@ -110,6 +111,18 @@ def test_doc_id_format(schema):
 def test_empty_corpus(schema):
     docs, gold, truth = generate(small("clean", n=0), schema)
     assert docs == [] and gold == {} and truth.doc_ids() == []
+
+
+def test_a_paraphrased_key_outside_the_bundled_schema_is_its_title_and_a_colon():
+    number = frozenset({DataType.NUMBER})
+    schema = FieldSchema((SchemaField(1, "reference", ("ref no",), number),
+                          SchemaField(2, "account", ("account",), number),
+                          SchemaField(3, "region", ("region",), number)))
+    docs, _, _ = generate(SynthConfig(n_docs=4, seed=2, key_paraphrase_rate=1.0), schema)
+    for doc in docs:
+        texts = [w.text for w in doc.words]
+        assert {"Ref", "No:", "Account:", "Region:"} <= set(texts)
+        assert not {"No", "Account", "Region"} & set(texts)
 
 
 # --- rng draws ---------------------------------------------------------------
