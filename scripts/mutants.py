@@ -97,6 +97,10 @@ _HELD_LAYOUT_TESTS = (
     "tests/test_features.py::test_held_features_store_row_counts_uint16_columns_and_float64_values",
 )
 _HELD_FILL_TESTS = ("tests/test_features.py::test_held_batches_are_the_dense_concatenation",)
+_HELD_TABLE_TESTS = (
+    "tests/test_features.py::test_held_features_index_each_document_table_in_the_smallest_type",
+    "tests/test_features.py::test_held_batches_equal_the_dense_concatenation_in_any_order",
+)
 _TYPE_ORDER_TESTS = (
     "tests/test_datatypes.py::test_date_detected",
     "tests/test_datatypes.py::test_separator_date_is_not_a_number",
@@ -276,7 +280,7 @@ MUTANTS = (
            ("tests/test_bootstrap.py::test_phrase_box_rows_keep_the_first_of_signed_zeros",)),
     # the held corpus features (features.CorpusFeatures)
     Mutant("held features: entries kept by value, not by bits", "src/ffrg/features.py",
-           "pos = np.flatnonzero(flat.view(np.uint64) != 0)", "pos = np.flatnonzero(flat != 0.0)",
+           "pos = np.flatnonzero(bits != 0)", "pos = np.flatnonzero(x.ravel() != 0.0)",
            ("tests/test_features.py::test_held_features_keep_negative_zero",)),
     Mutant("held features: uint8 columns", "src/ffrg/features.py",
            "cols.astype(np.uint16)", "cols.astype(np.uint8)", _WIDE_TESTS),
@@ -289,13 +293,24 @@ MUTANTS = (
     Mutant("held features: int64 row counts", "src/ffrg/features.py",
            ".astype(count_type)", ".astype(np.int64)", _HELD_LAYOUT_TESTS),
     Mutant("held features: float32 values", "src/ffrg/features.py",
-           "flat[pos]))", "flat[pos].astype(np.float32)))", _HELD_LAYOUT_TESTS),
+           "table.view(np.float64)))", "table.view(np.float64).astype(np.float32)))",
+           _HELD_LAYOUT_TESTS),
     Mutant("held features: row starts restarting per document", "src/ffrg/features.py",
            "at += (np.arange(len(counts)) * self.width).repeat(counts)",
-           "at += np.concatenate([(np.arange(len(c)) * self.width).repeat(c) for c, _, _ in picked])",
+           "at += np.concatenate([(np.arange(len(c)) * self.width).repeat(c) for c, *_ in picked])",
            _HELD_FILL_TESTS),
     Mutant("held features: row counts cut to each document's first row", "src/ffrg/features.py",
            "counts = np.concatenate(counts)", "counts = np.concatenate([c[:1] for c in counts])",
+           _HELD_FILL_TESTS),
+    Mutant("held features: the value table built by value, merging NaN payloads",
+           "src/ffrg/features.py",
+           "np.unique(bits[pos], return_inverse=True)",
+           "np.unique(x.ravel()[pos], return_inverse=True)", _HELD_TABLE_TESTS),
+    Mutant("held features: the table index always uint8", "src/ffrg/features.py",
+           "index.astype(np.min_scalar_type(max(len(table) - 1, 0)))", "index.astype(np.uint8)",
+           _HELD_TABLE_TESTS),
+    Mutant("held features: the per-document table starts dropped", "src/ffrg/features.py",
+           "where += (np.cumsum(sizes) - sizes).repeat([len(i) for i in index])", "pass",
            _HELD_FILL_TESTS),
     # the data-type rules as one alternation (datatypes.type_of); money and
     # date match disjoint texts, so of the family orders only number before

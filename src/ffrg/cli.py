@@ -373,9 +373,11 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
         )
     for k, refined in sorted(result.refined.items()):
         kept = sum(len(refined.positives(doc.doc_id)) for doc in docs)
+        noise = corruption_report(docs, truth, refined)
         log.info(
-            "pipeline: branch %d kept %d anchors in %d documents (%.2f per document)",
-            k, kept, len(docs), kept / len(docs),
+            "pipeline: branch %d kept %d anchors in %d documents (%.2f per document),"
+            " word P=%.4f R=%.4f",
+            k, kept, len(docs), kept / len(docs), noise["word_precision"], noise["word_recall"],
         )
 
     values = extract_corpus(result.params, docs, schema, features)

@@ -191,16 +191,20 @@ class CorpusFeatures:
 
     Document i keeps, per row, the count of entries whose bits are nonzero
     (in the smallest unsigned type that holds the width), then those
-    entries' columns (uint16) and values in row-major order, so
-    -0.0 is kept and a filled batch is bit-equal to ``np.concatenate`` of
-    the dense matrices.  ``offsets[i]`` is document i's first row in corpus
-    order; ``width`` is the first matrix's (552 for an empty corpus), and a
-    uint16 column bounds it at 65,536.
+    entries' columns (uint16) in row-major order, a float64 table of their
+    distinct values, sorted by bits, and each entry's index into that table
+    (in the smallest unsigned type that holds the table's last index).  The
+    table is unique by bits, so -0.0 and every NaN payload are kept and a
+    filled batch is bit-equal to ``np.concatenate`` of the dense matrices.
+    ``offsets[i]`` is document i's first row in corpus order; ``width`` is
+    the first matrix's (552 for an empty corpus), and a uint16 column
+    bounds it at 65,536.
     """
 
     def __init__(self, matrices: Iterable[np.ndarray]):
         self.width = FEATURE_DIM
-        self._docs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (counts, cols, values)
+        # (counts, cols, index, table)
+        self._docs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         for x in matrices:
             if not self._docs and x.ndim == 2:
                 self.width = x.shape[1]
@@ -210,13 +214,15 @@ class CorpusFeatures:
                 count_type = np.min_scalar_type(self.width)
             if x.ndim != 2 or x.shape[1] != self.width:
                 raise ValidationError(f"feature matrix of shape {x.shape} is not {self.width} wide")
-            flat = x.ravel()
-            pos = np.flatnonzero(flat.view(np.uint64) != 0)
+            bits = x.ravel().view(np.uint64)
+            pos = np.flatnonzero(bits != 0)
             rows, cols = np.divmod(pos, self.width)
             counts = np.bincount(rows, minlength=x.shape[0]).astype(count_type)
-            self._docs.append((counts, cols.astype(np.uint16), flat[pos]))
+            table, index = np.unique(bits[pos], return_inverse=True)
+            index = index.astype(np.min_scalar_type(max(len(table) - 1, 0)))
+            self._docs.append((counts, cols.astype(np.uint16), index, table.view(np.float64)))
         self.offsets = np.zeros(len(self._docs) + 1, dtype=np.int64)
-        self.offsets[1:] = np.cumsum([len(counts) for counts, _, _ in self._docs])
+        self.offsets[1:] = np.cumsum([len(counts) for counts, *_ in self._docs])
         self.offsets.flags.writeable = False
 
     def __len__(self) -> int:
@@ -230,13 +236,18 @@ class CorpusFeatures:
         picked = [self._docs[i] for i in doc_indices]
         if not picked:
             return np.zeros((0, self.width), dtype=np.float64)
-        counts, cols, values = zip(*picked)
+        counts, cols, index, tables = zip(*picked)
         counts = np.concatenate(counts)
         # each kept entry's flat position: its column plus its row's start
         at = np.concatenate(cols, dtype=np.intp)
         at += (np.arange(len(counts)) * self.width).repeat(counts)
+        # each kept entry's place in the joined tables: its index plus its
+        # document's table start
+        where = np.concatenate(index, dtype=np.intp)
+        sizes = [len(t) for t in tables]
+        where += (np.cumsum(sizes) - sizes).repeat([len(i) for i in index])
         out = np.zeros((len(counts), self.width), dtype=np.float64)
-        out.reshape(-1)[at] = np.concatenate(values)
+        out.reshape(-1)[at] = np.take(np.concatenate(tables), where)
         return out
 
 

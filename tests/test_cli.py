@@ -15,7 +15,7 @@ from ffrg.features import featurize, featurize_corpus
 from ffrg.grouping import EPS_SCALE
 from ffrg.model import load_model
 from ffrg.progressive import TrainConfig, ensemble_predict, extract_corpus, extract_values, train
-from ffrg.synth import PRESETS, generate, preset_config
+from ffrg.synth import PRESETS, corruption_report, generate, preset_config
 
 
 def run(*argv):
@@ -474,6 +474,25 @@ def test_pipeline_logs_stage_losses_and_anchors(tmp_path, caplog):
     for k in (1, 2):
         assert f"pipeline: branch {k} kept " in caplog.text
     assert "anchors" in caplog.text
+
+
+def test_pipeline_logs_each_branch_refined_word_precision_and_recall(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="ffrg")
+    w = lambda name: str(tmp_path / "w" / name)
+    schedule = ("--branches", "3", "--epochs-step1", "2", "--epochs-step2", "2", "--seed", "1")
+    assert run("pipeline", "--preset", "noisy-bench", "--n", "8", *schedule,
+               "--workdir", w("")) == 0
+    lines = [r.getMessage() for r in caplog.records if " anchors in " in r.getMessage()]
+    # the staged train writes the refined labels the pipeline logged
+    assert run("train", "--docs", w("docs.jsonl"), "--labels", w("labels.jsonl"), *schedule,
+               "--out", str(tmp_path / "model.ffrg"),
+               "--refined-out", str(tmp_path / "refined")) == 0
+    docs, truth = read_documents(w("docs.jsonl")), read_labels(w("truth.jsonl"))
+    assert len(lines) == 3
+    for k, line in enumerate(lines, start=1):
+        noise = corruption_report(docs, truth, read_labels(str(tmp_path / f"refined{k}.jsonl")))
+        assert line.startswith(f"pipeline: branch {k} kept ")
+        assert line.endswith(f" word P={noise['word_precision']:.4f} R={noise['word_recall']:.4f}")
 
 
 def test_threads_argument_is_accepted_and_changes_nothing(tmp_path):

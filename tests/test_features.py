@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import box_center, make_doc, random_doc
 from ffrg import features
@@ -178,14 +179,58 @@ def test_held_features_store_row_counts_uint16_columns_and_float64_values(rng):
     docs = [random_doc(rng, 9, doc_id="a"), make_doc([], doc_id="empty"),
             random_doc(rng, 4, doc_id="b")]
     held = featurize_corpus(docs)
-    for doc, (counts, cols, values) in zip(docs, held._docs):
+    for doc, (counts, cols, index, table) in zip(docs, held._docs):
         dense = featurize(doc)
         kept = dense.view(np.uint64) != 0
         assert counts.dtype == np.uint16 and cols.dtype == np.uint16
-        assert values.dtype == np.float64
+        assert table.dtype == np.float64
         assert counts.tolist() == np.count_nonzero(kept, axis=1).tolist()
         assert cols.tolist() == kept.nonzero()[1].tolist()
-        assert values.tobytes() == dense[kept].tobytes()
+        bits = table.view(np.uint64)
+        assert np.all(bits[:-1] < bits[1:])  # sorted and unique by bits
+        assert table[index].tobytes() == dense[kept].tobytes()
+
+
+_NAN_PAYLOADS = (0x7FF8000000000001, 0xFFF4000000000002)
+
+
+@pytest.fixture(scope="module")
+def repetitive_matrices():
+    """Eight-wide matrices whose entries repeat heavily, among them -0.0 and
+    two NaN payloads; one with no rows; and three whose distinct nonzero
+    values number 256 (all a uint8 index reaches), 257 and 65,537 (one past
+    what a uint16 index reaches)."""
+    rng = np.random.default_rng(33)
+    pool = np.array([0.0, 0.0, 0.0, -0.0, 1.5, -2.25, 3.0]).view(np.uint64)
+    pool = np.concatenate([pool, np.array(_NAN_PAYLOADS, dtype=np.uint64)])
+    ms = [pool[rng.integers(len(pool), size=(n, 8))].view(np.float64) for n in (6, 1, 0, 13)]
+    for distinct in (256, 257, 65_537):
+        ms.append(np.resize(np.arange(1.0, distinct + 1), (distinct // 8 + 8, 8)))
+    return ms
+
+
+def test_held_features_index_each_document_table_in_the_smallest_type(repetitive_matrices):
+    ms = repetitive_matrices
+    found = np.concatenate([m.ravel() for m in ms[:4]]).view(np.uint64)
+    assert set(_NAN_PAYLOADS) <= set(found.tolist())
+    assert 0x8000000000000000 in found  # -0.0
+    held = CorpusFeatures(ms)
+    assert [len(table) for *_, table in held._docs[-3:]] == [256, 257, 65_537]
+    assert [index.dtype for _, _, index, _ in held._docs[-3:]] == [np.uint8, np.uint16, np.uint32]
+    # the two NaN payloads stay two table entries
+    assert np.isnan(held._docs[0][3]).sum() == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.integers(0, 6), max_size=10))
+@example([])
+def test_held_batches_equal_the_dense_concatenation_in_any_order(repetitive_matrices, ids):
+    ms = repetitive_matrices
+    held = CorpusFeatures(ms)
+    want = np.concatenate([ms[i] for i in ids]) if ids else np.zeros((0, 8))
+    got = held.batch(ids)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_held_features_take_widths_up_to_what_a_uint16_column_indexes():
@@ -209,11 +254,11 @@ def test_corpus_features_take_a_fraction_of_the_dense_bytes(schema):
     finally:
         tracemalloc.stop()
     assert len(held) == 200
-    # 8 bytes of value and 2 of column per kept entry: about 12.9% of the
-    # dense bytes held and 15.0% at peak, bounds that 4-byte flat
-    # positions (15.3% and 17.3%) would break
-    assert retained < 0.14 * dense_bytes, retained / dense_bytes
-    assert peak < 0.16 * dense_bytes, peak / dense_bytes
+    # 2 bytes of column and 2 of index per kept entry, and 8 per distinct
+    # value of its document: about 7.4% of the dense bytes held and 9.8% at
+    # peak, bounds that float64 values per entry (12.9% and 15.0%) break
+    assert retained < 0.085 * dense_bytes, retained / dense_bytes
+    assert peak < 0.11 * dense_bytes, peak / dense_bytes
 
 
 # Reference: featurize as it was written word by word, one numpy vector per
