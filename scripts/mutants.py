@@ -123,8 +123,6 @@ MUTANTS = (
            _TRUNK_TESTS),
     Mutant("trunk: a small batch judged by its document count", "src/ffrg/model.py",
            "if self._small(len(row_index)):", "if self._small(len(docs)):", _TRUNK_TESTS),
-    Mutant("trunk: a document never takes its own pass", "src/ffrg/model.py",
-           "if self._small(hi - lo):", "if False:", _TRUNK_TESTS),
     Mutant("trunk: a batch never takes its own pass", "src/ffrg/model.py",
            "if self._small(len(row_index)):", "if False:", _TRUNK_TESTS),
     # the rule extractor's page pass (bootstrap.extract_document)
@@ -249,6 +247,18 @@ MUTANTS = (
     Mutant("labels: compared without their positives", "src/ffrg/docmodel.py",
            "field(init=False, default_factory=dict)",
            "field(init=False, default_factory=dict, compare=False)", _LABELSET_EQ_TESTS),
+    Mutant("labels: add_document ignoring its pairs", "src/ffrg/docmodel.py",
+           "        for wid, cls in pairs:\n            self.set_label(doc_id, wid, cls)\n", "",
+           ("tests/test_docmodel.py::test_add_document_sets_its_pairs_as_the_set_label_loop_does",
+            "tests/test_docmodel.py::"
+            "test_add_document_sets_pairs_in_order_and_refuses_a_negative_class")),
+    Mutant("labels: validate without the coverage loop", "src/ffrg/docmodel.py",
+           "if doc_id not in self._by_doc:", "if False:",
+           ("tests/test_progressive.py::test_train_refuses_labels_that_miss_a_document",)),
+    # the page size, checked before it scales pixel boxes (docmodel._document)
+    Mutant("reader: pixel boxes scaled before the page check", "src/ffrg/docmodel.py",
+           "    if page_w <= 0 or page_h <= 0:\n", "    if False:\n",
+           ("tests/test_docmodel.py::test_parse_checks_the_page_before_it_scales_pixel_boxes",)),
     # the one generator behind the JSONL readers (docmodel._records)
     Mutant("readers: a repeated doc_id let through", "src/ffrg/docmodel.py",
            "if doc_id in seen:", "if False:", _REPEATED_ID_TESTS),
@@ -256,6 +266,10 @@ MUTANTS = (
     Mutant("svg: the SVG paths left out of the collision check", "src/ffrg/cli.py",
            '_distinct_outputs(opts, *outputs, more=(("--svg", path) for path in paths))', "pass",
            ("tests/test_cli.py::test_svg_files_join_the_collision_refusal",)),
+    # the required options, marked in the option table (cli._COMMANDS, cli.main)
+    Mutant("options: main without the required-option check", "src/ffrg/cli.py",
+           "if default is _REQUIRED and opts[key] is None:", "if False:",
+           ("tests/test_cli.py::test_the_first_missing_required_option_is_named_before_anything_runs",)),
     # the checkpoint's digest size, known to the record alone (model.ModelParams)
     Mutant("checkpoint: params without the digest-length check", "src/ffrg/model.py",
            "if len(self.schema_digest) != 32:", "if False:", _DIGEST_TESTS),

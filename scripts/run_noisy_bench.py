@@ -2,7 +2,7 @@
 
 Runs the protocol in tests/noisy_bench.py, the one the acceptance tests
 check README against, and prints README's word-label sentence and
-benchmark table to paste.  With --out, also writes a JSON blob with each
+benchmark tables to paste.  With --out, also writes a JSON blob with each
 seed's figures and the numpy/BLAS build they hold for.
 
 Usage:
@@ -43,9 +43,10 @@ def main() -> None:
                 {
                     "seed": seed,
                     "core_seconds": float(bench.core_seconds[i]),
-                    "word_precision": float(bench.word_pr[i, 0]),
-                    "word_recall": float(bench.word_pr[i, 1]),
                     **{key: _prf(rows[i]) for key, rows in bench.runs.items()},
+                    # per label set: word precision, recall and labels per document
+                    "word_labels": {key: rows[i].tolist()
+                                    for key, rows in bench.label_figures.items()},
                 }
                 for i, seed in enumerate(noisy_bench.SEEDS)
             ],

@@ -352,14 +352,8 @@ def bootstrap_corpus(
     labels = LabelSet("bootstrap")
     values: dict[str, dict[str, str]] = {}
     for doc in docs:
-        labels.add_document(doc.doc_id)
-        fields: dict[str, str] = {}
-        for e in extract_document(doc, schema, p):
-            if e.value_phrase is None:
-                continue
-            for wid in e.value_phrase:
-                labels.set_label(doc.doc_id, wid, e.field_id)
-            fields[schema.field_by_id(e.field_id).name] = " ".join(
-                [doc.words[w].text for w in e.value_phrase])
-        values[doc.doc_id] = fields
+        found = [e for e in extract_document(doc, schema, p) if e.value_phrase is not None]
+        labels.add_document(doc.doc_id, ((w, e.field_id) for e in found for w in e.value_phrase))
+        values[doc.doc_id] = {schema.field_by_id(e.field_id).name: " ".join(
+            [doc.words[w].text for w in e.value_phrase]) for e in found}
     return labels, values

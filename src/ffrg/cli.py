@@ -90,14 +90,8 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
         elif key in cfg:
             out[key] = _config_value(raw["config"], key, cfg[key], _option_type(default))
         else:
-            out[key] = default
+            out[key] = None if default is _REQUIRED else default
     return out
-
-
-def _require(opts: dict[str, Any], *keys: str) -> None:
-    for k in keys:
-        if opts[k] is None:
-            raise dm.ValidationError(f"missing required option {_flag(k)}")
 
 
 def _distinct_outputs(opts: dict[str, Any], *keys: str,
@@ -176,7 +170,6 @@ def _write_svgs(opts: dict[str, Any], paths: list[str], docs: list[dm.Document],
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_synth(opts: dict[str, Any]) -> int:
-    _require(opts, "out_docs", "out_gold")
     _distinct_outputs(opts, "out_docs", "out_gold", "out_truth")
     schema = _read_schema_opt(opts)
     cfg = preset_config(opts["preset"], opts["n"], opts["seed"])
@@ -190,7 +183,6 @@ def _cmd_synth(opts: dict[str, Any]) -> int:
 
 
 def _cmd_group(opts: dict[str, Any]) -> int:
-    _require(opts, "in_docs", "out")
     check_eps_scale(opts["eps_scale"])  # before reading: a file of no documents never reaches it
     docs = dm.read_documents(opts["in_docs"])
     grouped = [group_document(d, opts["eps_scale"]) for d in docs]
@@ -201,7 +193,6 @@ def _cmd_group(opts: dict[str, Any]) -> int:
 
 
 def _cmd_bootstrap(opts: dict[str, Any]) -> int:
-    _require(opts, "docs", "out")
     _distinct_outputs(opts, "out", "values")
     schema = _read_schema_opt(opts)
     params = bs.RuleParams(**{f.name: opts[f.name] for f in fields(bs.RuleParams)})
@@ -223,7 +214,6 @@ def _train_config(opts: dict[str, Any]) -> TrainConfig:
 
 
 def _cmd_train(opts: dict[str, Any]) -> int:
-    _require(opts, "docs", "labels", "out")
     cfg = _train_config(opts)
     refined = [f"{opts['refined_out']}{k}.jsonl"
                for k in range(1, cfg.n_branches + 1)] if opts["refined_out"] else []
@@ -244,7 +234,6 @@ def _cmd_train(opts: dict[str, Any]) -> int:
 
 
 def _cmd_extract(opts: dict[str, Any]) -> int:
-    _require(opts, "model", "docs", "out")
     _distinct_outputs(opts, "out", "overlay")
     schema = _read_schema_opt(opts)
     params = load_model(opts["model"], schema)
@@ -269,7 +258,6 @@ def _cmd_extract(opts: dict[str, Any]) -> int:
 
 
 def _cmd_eval(opts: dict[str, Any]) -> int:
-    _require(opts, "pred", "gold", "report")
     schema = _read_schema_opt(opts)
     pred = dm.read_annotations(opts["pred"])
     gold = dm.read_annotations(opts["gold"])
@@ -298,7 +286,6 @@ def field_status(pred: str | None, gold: str | None) -> str | None:
 
 
 def _cmd_inspect(opts: dict[str, Any]) -> int:
-    _require(opts, "pred", "gold", "out")
     if opts["svg"] and not opts["docs"]:
         raise dm.ValidationError("--svg requires --docs for word geometry")
     if opts["overlay"] and not opts["svg"]:
@@ -404,30 +391,33 @@ def _field_options(record: type, *keys: str) -> dict[str, Any]:
     return out
 
 
-# One row per subcommand: runner, help line and option defaults.  A default
-# of None means "must be provided by flag or config" or "off".  The keys are
-# the config-file vocabulary; each key is also a flag (see _flag), typed by
-# its default (see _option_type).  pipeline's first option is parsed and
-# never read.
+_REQUIRED = object()
+
+# One row per subcommand: runner, help line and option defaults.  An option
+# with no default value is _REQUIRED, which resolves to None and which main
+# refuses to leave unset, or None, meaning "off".  The keys are the
+# config-file vocabulary; each key is also a flag (see _flag), typed by its
+# default (see _option_type).  pipeline's first option is parsed and never
+# read.
 _COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, Any]]] = {
     "synth": (_cmd_synth, "generate a synthetic corpus with gold annotations",
               dict(preset="clean", n=100, seed=0, schema=None,
-                   out_docs=None, out_gold=None, out_truth=None)),
+                   out_docs=_REQUIRED, out_gold=_REQUIRED, out_truth=None)),
     "group": (_cmd_group, "attach density-grouped phrases to documents",
-              dict(in_docs=None, out=None, eps_scale=EPS_SCALE)),
+              dict(in_docs=_REQUIRED, out=_REQUIRED, eps_scale=EPS_SCALE)),
     "bootstrap": (_cmd_bootstrap, "mine rule-based pseudo-labels and values",
-                  dict(docs=None, schema=None, out=None, values=None,
+                  dict(docs=_REQUIRED, schema=None, out=_REQUIRED, values=None,
                        **_field_options(bs.RuleParams))),
     "train": (_cmd_train, "train the multi-branch token classifier",
-              dict(docs=None, labels=None, schema=None, out=None,
+              dict(docs=_REQUIRED, labels=_REQUIRED, schema=None, out=_REQUIRED,
                    **_field_options(TrainConfig), refined_out=None)),
     "extract": (_cmd_extract, "extract field values with a trained model",
-                dict(model=None, docs=None, schema=None, out=None,
+                dict(model=_REQUIRED, docs=_REQUIRED, schema=None, out=_REQUIRED,
                      threshold=0.1, overlay=None, svg=None)),
     "eval": (_cmd_eval, "exact-match evaluation against gold annotations",
-             dict(pred=None, gold=None, schema=None, report=None, per_field=False)),
+             dict(pred=_REQUIRED, gold=_REQUIRED, schema=None, report=_REQUIRED, per_field=False)),
     "inspect": (_cmd_inspect, "per-field outcome report and optional SVG overlays",
-                dict(pred=None, gold=None, schema=None, out=None, docs=None,
+                dict(pred=_REQUIRED, gold=_REQUIRED, schema=None, out=_REQUIRED, docs=None,
                      overlay=None, svg=None)),
     "pipeline": (_cmd_pipeline, "synth + bootstrap + train + extract + eval",
                  dict(threads=1, preset="clean", n=100, schema=None, workdir="ffrg-pipeline",
@@ -441,7 +431,7 @@ def _flag(key: str) -> str:
 
 
 def _option_type(default: Any) -> type:
-    return str if default is None else type(default)
+    return str if default is None or default is _REQUIRED else type(default)
 
 
 def _finite_float(text: str) -> float:
@@ -487,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run, _, defaults = _COMMANDS[args.command]
         opts = _resolve(args, defaults)
+        for key, default in defaults.items():
+            if default is _REQUIRED and opts[key] is None:
+                raise dm.ValidationError(f"missing required option {_flag(key)}")
         return run(opts)
     except (dm.ValidationError, ValueError) as e:
         log.error("%s", e)

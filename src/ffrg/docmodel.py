@@ -571,8 +571,11 @@ class LabelSet:
     provenance: str
     _by_doc: dict[str, dict[int, int]] = field(init=False, default_factory=dict)
 
-    def add_document(self, doc_id: str) -> None:
+    def add_document(self, doc_id: str, pairs: Iterable[tuple[int, int]] = ()) -> None:
+        """Register doc_id, then set_label each (word, class) pair in order."""
         self._by_doc.setdefault(doc_id, {})
+        for wid, cls in pairs:
+            self.set_label(doc_id, wid, cls)
 
     def set_label(self, doc_id: str, word_id: int, cls: int) -> None:
         if cls < 0:
@@ -596,7 +599,11 @@ class LabelSet:
         return doc_id in self._by_doc
 
     def validate(self, docs: Iterable[Document], n_fields: int) -> None:
+        """Refuse labels that miss a document of docs or do not fit one."""
         by_id = {d.doc_id: d for d in docs}
+        for doc_id in by_id:
+            if doc_id not in self._by_doc:
+                raise ValidationError(f"labels do not cover document {doc_id}")
         for doc_id, labels in self._by_doc.items():
             if doc_id not in by_id:
                 raise ValidationError(f"labels reference unknown document {doc_id}")
@@ -627,11 +634,9 @@ def read_labels(path: str) -> LabelSet:
             raise ValidationError(
                 f"{where}: provenance {provenance!r} differs from {first}'s {labels.provenance!r}"
             )
-        labels.add_document(doc_id)
         pairs = _word_classes(pairs, where)
         try:
-            for wid, cls in pairs:
-                labels.set_label(doc_id, wid, cls)
+            labels.add_document(doc_id, pairs)
         except ValidationError as e:
             raise ValidationError(f"{where}: {e}") from e
     return labels if labels is not None else LabelSet("empty")

@@ -228,7 +228,6 @@ class TrunkCache:
             trunk_activations(params, block, out=rows[offsets[lo] : offsets[hi]])
             lo = hi
         self.rows = rows
-        self.offsets = offsets
 
     def _small(self, n_rows: int) -> bool:
         return n_rows * self._per_row <= SMALL_MATMUL
@@ -239,13 +238,6 @@ class TrunkCache:
         if self._small(len(row_index)):
             return trunk_activations(self.params, self.features.batch(docs))
         return np.take(self.rows, row_index, axis=0)
-
-    def document(self, i: int) -> np.ndarray:
-        """Document i's trunk rows."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        if self._small(hi - lo):
-            return trunk_activations(self.params, self.features[i])
-        return self.rows[lo:hi]
 
 
 def branch_loss_and_grad(

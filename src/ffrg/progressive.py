@@ -142,10 +142,8 @@ def refine_labels(
     """One anchor per field per document."""
     labels = LabelSet(provenance)
     for doc, probs in zip(docs, probs_per_doc):
-        labels.add_document(doc.doc_id)
         anchors = _select_anchors(probs, doc.order, n_fields, threshold)
-        for f, wid in anchors.items():
-            labels.set_label(doc.doc_id, wid, f)
+        labels.add_document(doc.doc_id, ((wid, f) for f, wid in anchors.items()))
     return labels
 
 
@@ -178,9 +176,6 @@ def train(
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
-    for doc in docs:
-        if not rule_labels.covers(doc.doc_id):
-            raise ValidationError(f"labels do not cover document {doc.doc_id}")
     n_fields = schema.n_fields
     rule_labels.validate(docs, n_fields)
     _check_features(docs, features)
@@ -250,7 +245,8 @@ def train(
             cache = TrunkCache(params, features, cfg.batch_docs)
         # one-shot refinement of this branch over the train set
         refined[stage] = refine_labels(
-            docs, [branch_probs(params, cache.document(i), stage) for i in range(len(docs))],
+            docs, [branch_probs(params, cache.batch([i], rows), stage)
+                   for i, rows in enumerate(doc_rows)],
             n_fields, cfg.refine_threshold, f"refined@branch_{stage}",
         )
         if stage < cfg.n_branches:

@@ -405,9 +405,7 @@ def generate(
         doc, gold, positives = generate_document(cfg, schema, i)
         docs.append(doc)
         annotations[doc.doc_id] = gold
-        truth.add_document(doc.doc_id)
-        for wid, field_id in positives.items():
-            truth.set_label(doc.doc_id, wid, field_id)
+        truth.add_document(doc.doc_id, positives.items())
     return docs, annotations, truth
 
 

@@ -39,7 +39,7 @@ VARIANTS = {
     "joint": ("K=3, no freeze", dict(n_branches=3, two_step=False)),
 }
 # criterion 3 times these with the corpus work before them; the ablations,
-# the rules score and the word-label P/R come after the timed span
+# the rules score and the word-label figures come after the timed span
 CORE = ("K1", "K3")
 RULES = "rules"
 
@@ -49,7 +49,10 @@ class BenchResult:
     """Per-seed figures, one row per seed in `SEEDS` order."""
 
     runs: dict[str, np.ndarray]  # RULES and each variant key -> (seeds, 3) macro P/R/F1
-    word_pr: np.ndarray  # (seeds, 2) mined word-label precision and recall
+    # RULES -> (seeds, 1, 3) for the mined labels, each variant key -> (seeds,
+    # branches, 3) for result.refined[k], k = 1..branches: word precision and
+    # recall against truth, and labels per document
+    label_figures: dict[str, np.ndarray]
     core_seconds: np.ndarray  # (seeds,) generate, bootstrap, featurize, K1 and K3
 
 
@@ -57,11 +60,18 @@ def _prf(report: EvalReport) -> tuple[float, float, float]:
     return report.macro_precision, report.macro_recall, report.macro_f1
 
 
+def _word_figures(docs, truth, labels) -> tuple[float, float, float]:
+    """A label set's word precision and recall against truth, and its
+    labels per document."""
+    report = corruption_report(docs, truth, labels)
+    return report["word_precision"], report["word_recall"], report["labeled_words"] / len(docs)
+
+
 def run(log: Callable[[str], None] | None = None) -> BenchResult:
-    """Every seed's rules row, variant rows, word-label P/R and core time."""
+    """Every seed's rules row, variant rows, word-label figures and core time."""
     schema = default_invoice_schema()
     runs: dict[str, list[tuple[float, float, float]]] = {key: [] for key in (RULES, *VARIANTS)}
-    word_pr = []
+    label_figures: dict[str, list] = {key: [] for key in (RULES, *VARIANTS)}
     core_seconds = []
     t_start = time.perf_counter()
     for seed in SEEDS:
@@ -70,34 +80,37 @@ def run(log: Callable[[str], None] | None = None) -> BenchResult:
         docs, gold, truth = generate(cfg, schema)
         labels, rule_values = bootstrap_corpus(docs, schema)
         features = featurize_corpus(docs)
+        label_sets = {RULES: {1: labels}}
 
         def variant(key: str) -> None:
             train_cfg = TrainConfig(seed=seed, **SCHEDULE, **VARIANTS[key][1])
             result = train(docs, labels, schema, train_cfg, features)
             values = extract_corpus(result.params, docs, schema, features)
             runs[key].append(_prf(score(values, gold, schema)))
+            label_sets[key] = result.refined
 
         for key in CORE:
             variant(key)
         core_seconds.append(time.perf_counter() - t0)
         runs[RULES].append(_prf(score(rule_values, gold, schema)))
-        noise = corruption_report(docs, truth, labels)
-        word_pr.append((noise["word_precision"], noise["word_recall"]))
         for key in VARIANTS:
             if key not in CORE:
                 variant(key)
+        for key, sets in label_sets.items():
+            label_figures[key].append([_word_figures(docs, truth, sets[k]) for k in sorted(sets)])
         if log is not None:
             log(f"seed {seed} done [{time.perf_counter() - t_start:.0f}s]")
     return BenchResult(
         {key: np.array(rows) for key, rows in runs.items()},
-        np.array(word_pr),
+        {key: np.array(rows) for key, rows in label_figures.items()},
         np.array(core_seconds),
     )
 
 
 def readme_lines(bench: BenchResult) -> list[str]:
-    """README's mined word-label sentence, table head and five rows."""
-    p, r = bench.word_pr.mean(axis=0)
+    """README's mined word-label sentence, its value-extraction table and
+    its word-label table, each table a head and one row per mean."""
+    p, r, _ = bench.label_figures[RULES][:, 0].mean(axis=0)
     lines = [
         f"Mined word labels across the five corpora: precision {p:.3f}, recall {r:.3f}.",
         "| variant        | P      | R      | F1     | F1 std |",
@@ -108,4 +121,13 @@ def readme_lines(bench: BenchResult) -> list[str]:
         arr = bench.runs[key]
         p, r, f1 = arr.mean(axis=0)
         lines.append(f"| {label:<14} | {p:.4f} | {r:.4f} | {f1:.4f} | {arr[:, 2].std():.4f} |")
+    lines += [
+        "",
+        "| word labels              | P      | R      | per doc |",
+        "| ------------------------ | ------ | ------ | ------- |",
+    ]
+    for key, label in labels.items():
+        name = "mined (rule bootstrap)" if key == RULES else label + " refined@{}"
+        for k, (p, r, per_doc) in enumerate(bench.label_figures[key].mean(axis=0), start=1):
+            lines.append(f"| {name.format(k):<24} | {p:.4f} | {r:.4f} | {per_doc:7.2f} |")
     return lines

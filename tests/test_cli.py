@@ -9,7 +9,9 @@ from dataclasses import fields
 import pytest
 
 from ffrg.bootstrap import RuleParams, bootstrap_corpus
-from ffrg.cli import _COMMANDS, _flag, _option_type, _resolve, build_parser, field_status, main
+from ffrg.cli import (
+    _COMMANDS, _REQUIRED, _flag, _option_type, _resolve, build_parser, field_status, main,
+)
 from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
 from ffrg.features import featurize, featurize_corpus
 from ffrg.grouping import EPS_SCALE
@@ -38,6 +40,37 @@ def test_unknown_flag_exits_one(capsys):
 
 def test_missing_required_option_is_a_usage_error(tmp_path):
     assert run("synth", "--out-docs", str(tmp_path / "d.jsonl")) == 1  # no gold path
+
+
+# each command's required options, in the order a missing one is named
+_REQUIRED_FLAGS = {
+    "synth": ["--out-docs", "--out-gold"],
+    "group": ["--in", "--out"],
+    "bootstrap": ["--docs", "--out"],
+    "train": ["--docs", "--labels", "--out"],
+    "extract": ["--model", "--docs", "--out"],
+    "eval": ["--pred", "--gold", "--report"],
+    "inspect": ["--pred", "--gold", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_FLAGS))
+def test_the_first_missing_required_option_is_named_before_anything_runs(
+        tmp_path, caplog, command):
+    flags = _REQUIRED_FLAGS[command]
+    assert [_flag(k) for k, d in _COMMANDS[command][2].items() if d is _REQUIRED] == flags
+    for k, missing in enumerate(flags):
+        caplog.clear()
+        given = [arg for flag in flags[:k] for arg in (flag, str(tmp_path / flag[2:]))]
+        assert run(command, *given) == 1
+        assert caplog.messages == [f"missing required option {missing}"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_config_error_is_named_before_a_missing_required_option(tmp_path, caplog):
+    (tmp_path / "cfg.json").write_text(json.dumps({"bogus": 1}))
+    assert run("synth", "--config", str(tmp_path / "cfg.json")) == 1
+    assert len(caplog.messages) == 1 and "unknown keys ['bogus']" in caplog.messages[0]
 
 
 def test_missing_input_file_is_an_io_error(tmp_path):

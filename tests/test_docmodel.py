@@ -574,6 +574,15 @@ def test_parse_rejects_a_page_dimension_that_is_not_positive(header):
         parse_document(json.dumps(record), line_number=3)
 
 
+@pytest.mark.parametrize("header", [{"page_width": 0}, {"page_height": -5}])
+def test_parse_checks_the_page_before_it_scales_pixel_boxes(header):
+    # pixel boxes are divided by the page size, which must not be 0 or below
+    record = {**json.loads(_record([{"text": "a", "box": [10, 10, 20, 20]}])), **header}
+    with pytest.raises(ValidationError,
+                       match="^line 3: document d1: page dimensions must be positive$"):
+        parse_document(json.dumps(record), line_number=3)
+
+
 @pytest.mark.parametrize("phrases", [{"word_ids": [0]}, "0", 0])
 def test_parse_rejects_phrases_that_are_not_a_list(phrases):
     record = {**json.loads(_record([{"text": "a", "box": [0, 0, 0.1, 0.1]}])),
@@ -967,6 +976,29 @@ def test_labelset_background_is_implicit():
     assert labels.covers("d1")
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=12))
+def test_add_document_sets_its_pairs_as_the_set_label_loop_does(pairs):
+    looped = LabelSet("x")
+    looped.add_document("d1")
+    for wid, cls in pairs:
+        looped.set_label("d1", wid, cls)
+    filled = LabelSet("x")
+    filled.add_document("d1", pairs)
+    assert filled == looped and filled.covers("d1")
+    assert list(filled.positives("d1").items()) == list(looped.positives("d1").items())
+
+
+def test_add_document_sets_pairs_in_order_and_refuses_a_negative_class():
+    labels = LabelSet("x")
+    # class 0 drops word 3's label, so its later label comes after word 1's
+    labels.add_document("d1", [(3, 2), (1, 1), (3, 0), (3, 1)])
+    assert list(labels.positives("d1").items()) == [(1, 1), (3, 1)]
+    with pytest.raises(ValidationError, match="^label class -1 out of range$"):
+        labels.add_document("d2", [(0, 1), (2, -1)])
+    assert labels.positives("d2") == {0: 1}  # the pairs before it are set
+
+
 def _labelset(provenance="x", positives=((0, 1), (4, 3)), registered=()):
     labels = LabelSet(provenance)
     for doc_id in registered:
@@ -998,9 +1030,13 @@ def test_labelset_validate_checks_ranges():
     with pytest.raises(ValidationError):
         labels.validate([doc], n_fields=7)
     bad = LabelSet("test")
+    bad.add_document("d1")
     bad.set_label("other", 0, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^labels reference unknown document other$"):
         bad.validate([doc], n_fields=7)
+    # a document left uncovered is refused first
+    with pytest.raises(ValidationError, match="^labels do not cover document d2$"):
+        bad.validate([doc, make_doc([("b", 0.1, 0.1, 0.2, 0.12)], doc_id="d2")], n_fields=7)
     high = LabelSet("test")
     high.set_label("d1", 0, 9)
     with pytest.raises(ValidationError):

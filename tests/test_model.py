@@ -183,7 +183,7 @@ def test_cached_trunk_step_is_bit_identical(schema):
         x = np.concatenate([feats[i] for i in batch], axis=0)
         h = cache.batch(
             batch,
-            np.concatenate([np.arange(cache.offsets[i], cache.offsets[i + 1]) for i in batch]),
+            np.concatenate([np.arange(feats.offsets[i], feats.offsets[i + 1]) for i in batch]),
         )
         targets = [
             (w, rng.integers(0, params.n_classes, size=x.shape[0])) for w in (1.0, 0.5)
@@ -204,14 +204,15 @@ def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
     features = featurize_corpus(docs)
     feats = [features[i][:1] for i in range(len(features))] * 40
     params = init_params(FEATURE_DIM, schema.n_fields, 2, schema.digest(), seed=1)
-    cache = TrunkCache(params, CorpusFeatures(feats), 8)
-    assert list(cache.offsets) == list(range(121))
+    held = CorpusFeatures(feats)
+    cache = TrunkCache(params, held, 8)
+    assert list(held.offsets) == list(range(121))
     whole = trunk_activations(params, np.concatenate(feats, axis=0))
     assert np.array_equal(cache.rows, whole)
     # a request that small gets its own trunk pass, bit for bit
     own = trunk_activations(params, np.concatenate(feats[:28], axis=0))
     assert cache.batch(range(28), np.arange(28)).tobytes() == own.tobytes()
-    assert cache.document(0).tobytes() == trunk_activations(params, feats[0]).tobytes()
+    assert cache.batch([0], np.arange(1)).tobytes() == trunk_activations(params, feats[0]).tobytes()
     assert np.array_equal(cache.batch(range(29), np.arange(29)), whole[:29])
 
 
@@ -226,7 +227,8 @@ def test_cached_document_rows_give_forward_probabilities(schema):
     cache = TrunkCache(params, feats, 8)
     for i, f in enumerate(feats):
         # short documents take their own pass, long ones read the blocked rows
-        h, own = cache.document(i), trunk_activations(params, f)
+        rows = np.arange(feats.offsets[i], feats.offsets[i + 1])
+        h, own = cache.batch([i], rows), trunk_activations(params, f)
         assert h.tobytes() == own.tobytes()
         for branch in (1, 2, 3):
             assert np.array_equal(branch_probs(params, h, branch), branch_probs(params, own, branch))

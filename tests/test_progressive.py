@@ -260,6 +260,15 @@ def test_train_rejects_bad_inputs():
         train(docs, stray, schema, TINY, features)
 
 
+def test_train_refuses_labels_that_miss_a_document():
+    schema, docs, labels = _tiny_corpus()
+    partial = docmodel.LabelSet("partial")
+    for doc in docs[:-1]:
+        partial.add_document(doc.doc_id, labels.positives(doc.doc_id).items())
+    with pytest.raises(ValidationError, match=f"^labels do not cover document {docs[-1].doc_id}$"):
+        train(docs, partial, schema, TINY, featurize_corpus(docs))
+
+
 def test_train_refuses_a_corpus_without_words():
     schema = default_invoice_schema()
     docs = [docmodel.Document(doc_id, 1000, 1000, ()) for doc_id in ("a", "b")]
@@ -279,9 +288,6 @@ class _OwnPasses:
 
     def batch(self, docs, row_index):
         return trunk_activations(self.params, self.features.batch(docs))
-
-    def document(self, i):
-        return trunk_activations(self.params, self.features[i])
 
 
 def _assert_cache_changes_nothing(monkeypatch, docs, schema, cfg):

@@ -383,4 +383,4 @@ def test_config_reader_fails_only_with_typed_errors(command_and_config, escape):
     for key, default in defaults.items():
         value = opts[key]
         assert value is None or type(value) is cli._option_type(default)
-        assert value == config.get(key, default)
+        assert value == config.get(key, None if default is cli._REQUIRED else default)
