@@ -205,11 +205,14 @@ MUTANTS = (
     Mutant("window: an unstable sort by centre y", "src/ffrg/docmodel.py",
            'by_y = yc.argsort(kind="stable")', "by_y = yc.argsort()", _WINDOW_TESTS),
     Mutant("grouping: np.hypot deciding a link", "src/ffrg/grouping.py",
-           "    link = np.array([word_distance(words[a], words[b]) <= eps\n"
-           "                     for a, b in zip(i.tolist(), j.tolist())], dtype=bool)",
-           "    link = np.hypot(np.maximum(np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j]),"
-           " 0.0),\n                    VERTICAL_PENALTY * np.abs(yc[i] - yc[j])) <= eps",
+           "link = np.array([math.hypot(g, d) <= eps"
+           " for g, d in zip(gap.tolist(), dy.tolist())], bool)",
+           "link = np.hypot(gap, dy) <= eps",
            ("tests/test_grouping.py::test_a_link_at_eps_follows_word_distance_not_an_array_hypot",)),
+    Mutant("grouping: no clamp on the horizontal gap", "src/ffrg/grouping.py",
+           "gap = np.maximum(np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j]), 0.0)",
+           "gap = np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j])",
+           ("tests/test_grouping.py::test_matches_union_find_oracle_on_large_pages",)),
     # slotted records (docmodel.BBox, Word, Phrase)
     Mutant("records: BBox without slots", "src/ffrg/docmodel.py",
            "@dataclass(frozen=True, slots=True)\nclass BBox", "@dataclass(frozen=True)\nclass BBox",
@@ -255,6 +258,10 @@ MUTANTS = (
     Mutant("labels: validate without the coverage loop", "src/ffrg/docmodel.py",
            "if doc_id not in self._by_doc:", "if False:",
            ("tests/test_progressive.py::test_train_refuses_labels_that_miss_a_document",)),
+    Mutant("labels: validate letting a repeated doc_id through", "src/ffrg/docmodel.py",
+           "if d.doc_id in by_id:", "if False:",
+           ("tests/test_docmodel.py::test_labelset_validate_refuses_a_corpus_that_repeats_a_document",
+            "tests/test_progressive.py::test_train_refuses_a_corpus_that_repeats_a_doc_id")),
     # the page size, checked before it scales pixel boxes (docmodel._document)
     Mutant("reader: pixel boxes scaled before the page check", "src/ffrg/docmodel.py",
            "    if page_w <= 0 or page_h <= 0:\n", "    if False:\n",
@@ -266,6 +273,10 @@ MUTANTS = (
     Mutant("svg: the SVG paths left out of the collision check", "src/ffrg/cli.py",
            '_distinct_outputs(opts, *outputs, more=(("--svg", path) for path in paths))', "pass",
            ("tests/test_cli.py::test_svg_files_join_the_collision_refusal",)),
+    # the SVG drawing (cli._doc_svg)
+    Mutant("svg: a box height scaled by the page width", "src/ffrg/cli.py",
+           "bw, bh = (x1 - x0) * w, (y1 - y0) * h", "bw, bh = (x1 - x0) * w, (y1 - y0) * w",
+           ("tests/test_cli.py::test_svg_draws_each_word_box_on_the_page",)),
     # the required options, marked in the option table (cli._COMMANDS, cli.main)
     Mutant("options: main without the required-option check", "src/ffrg/cli.py",
            "if default is _REQUIRED and opts[key] is None:", "if False:",
@@ -282,6 +293,17 @@ MUTANTS = (
            "key=lambda e: (-e.value_score, e.field_id),",
            "key=lambda e: (-e.value_score, -e.field_id),",
            ("tests/test_bootstrap.py::test_conflict_tie_goes_to_lower_field_id",)),
+    # the key and its value (bootstrap.localize_key, bootstrap.extract_field)
+    Mutant("key search: a tie going to the later phrase", "src/ffrg/bootstrap.py",
+           "(s == best_score and i < best_i)", "(s == best_score and i > best_i)", _REPEAT_TESTS),
+    Mutant("rules: the key's own phrase a value candidate", "src/ffrg/bootstrap.py",
+           "if i == key_i or not rows.types(i) & field.allowed_types:",
+           "if not rows.types(i) & field.allowed_types:",
+           ("tests/test_bootstrap.py::test_extract_field_never_reuses_key_as_value",
+            "tests/test_bootstrap.py::test_extract_field_skips_the_key_before_typing_it")),
+    Mutant("rules: a value tie going to the later phrase", "src/ffrg/bootstrap.py",
+           "if best_i is None or s > best_score:", "if best_i is None or s >= best_score:",
+           ("tests/test_bootstrap.py::test_extract_field_tie_goes_to_the_earlier_phrase",)),
     # the value threshold (bootstrap.extract_field)
     Mutant("rules: a value at or below theta_v kept", "src/ffrg/bootstrap.py",
            "if best_i is None or best_score <= p.theta_v:", "if best_i is None:",

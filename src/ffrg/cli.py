@@ -124,11 +124,10 @@ def _doc_svg(doc: dm.Document, fills: dict[int, str]) -> str:
         f'width="{w}" height="{h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
-    for word in doc.words:
-        b = word.box
-        x, y = b.x0 * w, b.y0 * h
-        bw, bh = b.width * w, b.height * h
-        fill = fills.get(word.id)
+    for wid, (word, (x0, y0, x1, y1)) in enumerate(zip(doc.words, doc.boxes.tolist())):
+        x, y = x0 * w, y0 * h
+        bw, bh = (x1 - x0) * w, (y1 - y0) * h
+        fill = fills.get(wid)
         stroke = fill or "#999999"
         fill = fill or "none"
         parts.append(

@@ -130,17 +130,6 @@ class BBox:
         if self.y1 < self.y0:
             raise ValidationError(f"box has y1 < y0 ({self.y1} < {self.y0})")
 
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    def as_list(self) -> list[float]:
-        return [self.x0, self.y0, self.x1, self.y1]
-
 
 @dataclass(frozen=True, slots=True)
 class Word:
@@ -413,7 +402,7 @@ def serialize_document(doc: Document) -> str:
         "doc_id": doc.doc_id,
         "page_width": doc.page_width,
         "page_height": doc.page_height,
-        "words": [{"text": w.text, "box": w.box.as_list()} for w in doc.words],
+        "words": [{"text": w.text, "box": b} for w, b in zip(doc.words, doc.boxes.tolist())],
     }
     if doc.phrases is not None:
         rec["phrases"] = [{"word_ids": list(p)} for p in doc.phrases]
@@ -599,8 +588,13 @@ class LabelSet:
         return doc_id in self._by_doc
 
     def validate(self, docs: Iterable[Document], n_fields: int) -> None:
-        """Refuse labels that miss a document of docs or do not fit one."""
-        by_id = {d.doc_id: d for d in docs}
+        """Refuse a corpus that repeats a doc_id, and labels that miss a
+        document of docs or do not fit one."""
+        by_id: dict[str, Document] = {}
+        for d in docs:
+            if d.doc_id in by_id:
+                raise ValidationError(f"corpus repeats document {d.doc_id}")
+            by_id[d.doc_id] = d
         for doc_id in by_id:
             if doc_id not in self._by_doc:
                 raise ValidationError(f"labels do not cover document {doc_id}")

@@ -12,28 +12,13 @@ import math
 
 import numpy as np
 
-from .docmodel import Document, Phrase, Word, _components, _near_in_y
+from .docmodel import Document, Phrase, _components, _near_in_y
 
 
 # weight of the vertical center offset against the horizontal gap
 VERTICAL_PENALTY = 3.0
 # eps is this fraction of the median word height in the document
 EPS_SCALE = 0.8
-
-
-def word_distance(a: Word, b: Word) -> float:
-    """Horizontal gap between boxes combined with penalized center offset.
-
-    The gap is zero when the x-projections overlap, so stacked words are
-    separated purely by their vertical offset.
-    """
-    gap = max(a.box.x0, b.box.x0) - min(a.box.x1, b.box.x1)
-    if gap < 0.0:
-        gap = 0.0
-    dyc = abs(
-        (a.box.y0 + a.box.y1) / 2.0 - (b.box.y0 + b.box.y1) / 2.0
-    )
-    return math.hypot(gap, VERTICAL_PENALTY * dyc)
 
 
 def check_eps_scale(eps_scale: float) -> None:
@@ -63,20 +48,20 @@ def phrase_members(doc: Document, eps_scale: float = EPS_SCALE) -> tuple[tuple[i
     A phrase lists its words in reading order, and phrases come in the
     reading order of their first words.
     """
-    words = doc.words
-    n = len(words)
+    n = len(doc.words)
     eps = neighborhood_eps(doc, eps_scale)
     x0, y0, x1, y1 = doc.boxes.T
     yc = (y0 + y1) / 2.0
     # a pair within eps is within eps / VERTICAL_PENALTY in centre y
     i, j = _near_in_y(yc, np.full(n, eps / VERTICAL_PENALTY))
-    # word_distance is at least either of its legs, so only pairs with both
-    # legs within eps can link, and word_distance decides those
-    maybe = (np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j]) <= eps) & (
-        VERTICAL_PENALTY * np.abs(yc[i] - yc[j]) <= eps)
-    i, j = i[maybe], j[maybe]
-    link = np.array([word_distance(words[a], words[b]) <= eps
-                     for a, b in zip(i.tolist(), j.tolist())], dtype=bool)
+    # a pair links when math.hypot of its horizontal gap (0 where the
+    # x-projections overlap) and penalized centre offset is within eps, which
+    # needs both legs within eps; np.hypot rounds some distances differently
+    gap = np.maximum(np.maximum(x0[i], x0[j]) - np.minimum(x1[i], x1[j]), 0.0)
+    dy = VERTICAL_PENALTY * np.abs(yc[i] - yc[j])
+    maybe = (gap <= eps) & (dy <= eps)
+    i, j, gap, dy = i[maybe], j[maybe], gap[maybe], dy[maybe]
+    link = np.array([math.hypot(g, d) <= eps for g, d in zip(gap.tolist(), dy.tolist())], bool)
     phrase = _components(n, i[link], j[link]).tolist()
 
     members: dict[int, list[int]] = {}

@@ -20,6 +20,11 @@ def box_center(box):
     return ((box.x0 + box.x1) / 2.0, (box.y0 + box.y1) / 2.0)
 
 
+def box_row(box):
+    """The coordinates of a box as the list x0, y0, x1, y1."""
+    return [box.x0, box.y0, box.x1, box.y1]
+
+
 def random_doc(rng, n_words, doc_id="rand"):
     """Random small document; box sizes echo rendered text proportions."""
     entries = []

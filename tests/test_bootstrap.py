@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_center, make_doc
+from conftest import box_center, box_row, make_doc
 from ffrg import bootstrap, datatypes, similarity
 from ffrg.bootstrap import (
     FieldExtraction,
@@ -431,7 +431,7 @@ def test_page_pass_equals_the_field_oracle_on_random_pages(schema, monkeypatch):
         page = _edge_page(rng)
         _assert_page_pass_equals_the_field_oracle(page, schema, monkeypatch)
         # the same words grouped, which merges some keys into candidates
-        words = make_doc([(w.text, *w.box.as_list()) for w in page.words])
+        words = make_doc([(w.text, *box_row(w.box)) for w in page.words])
         _assert_page_pass_equals_the_field_oracle(words, schema, monkeypatch)
 
 
@@ -595,7 +595,7 @@ def test_rule_params_reject_non_finite_values(name, value):
 def in_neighbor_zone(key, candidate):
     """Key center must sit left of the candidate's right edge and within a
     band from ZONE_ABOVE candidate-heights above to ZONE_BELOW below."""
-    h = candidate.box.height
+    h = candidate.box.y1 - candidate.box.y0
     kx, ky = box_center(key.box)
     return (
         0.0 <= kx <= candidate.box.x1
@@ -605,7 +605,7 @@ def in_neighbor_zone(key, candidate):
 
 
 def _zone_mask(key, candidates):
-    boxes = np.array([c.box.as_list() for c in candidates], dtype=np.float64)
+    boxes = np.array([box_row(c.box) for c in candidates], dtype=np.float64)
     return bootstrap._in_zone(boxes, box_center(key.box)).tolist()
 
 
@@ -636,7 +636,7 @@ def test_zone_mask_equals_the_candidate_loop_on_its_edges():
         _Phrase((3,), "4", BBox(0.2, 0.3, 0.2, 0.3)),
     ]
     for c in candidates:
-        h = c.box.height
+        h = c.box.y1 - c.box.y0
         top = c.box.y0 - bootstrap.ZONE_ABOVE * h
         bottom = c.box.y1 + bootstrap.ZONE_BELOW * h
         for x in (0.0, -0.0, c.box.x0, c.box.x1, math.nextafter(c.box.x1, 2.0)):
@@ -647,7 +647,7 @@ def test_zone_mask_equals_the_candidate_loop_on_its_edges():
                     assert _zone_mask(key, candidates) == want, (x, y)
     # centres exactly on the right edge and on both ends of the band count
     c = candidates[0]
-    h = c.box.height
+    h = c.box.y1 - c.box.y0
     for x, y in ((c.box.x1, 0.51), (0.55, c.box.y0 - 4.0 * h), (0.55, c.box.y1 + h)):
         assert _zone_mask(_point(x, y), [c]) == [True]
 
@@ -712,6 +712,14 @@ def test_extract_field_rejects_below_threshold():
     assert e.key_phrase is not None
     assert e.key_score == 0.0
     assert e.value_phrase is None
+
+
+def test_extract_field_tie_goes_to_the_earlier_phrase():
+    # two values on one box score the same; the first in reading order wins
+    doc = _one_phrase_a_word(make_doc([("Total", 0.10, 0.100, 0.16, 0.120),
+                                       ("$5.00", 0.30, 0.100, 0.38, 0.120),
+                                       ("$6.00", 0.30, 0.100, 0.38, 0.120)]))
+    assert _phrase_text(doc, _extract_field(doc, MONEY_FIELD).value_phrase) == "$5.00"
 
 
 def test_extract_field_never_reuses_key_as_value():
@@ -930,7 +938,7 @@ def _assert_equals_the_phrase_object_path(doc, schema):
     rows, records = PhraseRows(doc), _phrase_records(doc)
     assert rows.members == tuple(r.word_ids for r in records)
     assert _rows_hex(rows.texts, rows.boxes.tolist()) == _rows_hex(
-        [r.text for r in records], [r.box.as_list() for r in records])
+        [r.text for r in records], [box_row(r.box) for r in records])
     got = extract_document(doc, schema)
     assert _extractions_hex(got) == _extractions_hex(
         _extract_document_by_phrase_objects(doc, schema))
@@ -992,7 +1000,7 @@ def test_phrase_box_rows_keep_the_first_of_signed_zeros(first):
     assert rows.members == ((0, 1),)
     chain = _phrase_record(doc, (0, 1))
     assert _rows_hex(rows.texts, rows.boxes.tolist()) == _rows_hex(
-        ["Total $1.00"], [chain.box.as_list()])
+        ["Total $1.00"], [box_row(chain.box)])
     assert math.copysign(1.0, rows.boxes[0, 0]) == math.copysign(1.0, first)
 
 

@@ -10,9 +10,12 @@ import pytest
 
 from ffrg.bootstrap import RuleParams, bootstrap_corpus
 from ffrg.cli import (
-    _COMMANDS, _REQUIRED, _flag, _option_type, _resolve, build_parser, field_status, main,
+    _COMMANDS, _REQUIRED, _doc_svg, _flag, _option_type, _resolve, build_parser, field_status,
+    main,
 )
-from ffrg.docmodel import default_invoice_schema, read_annotations, read_documents, read_labels
+from ffrg.docmodel import (
+    BBox, Document, Word, default_invoice_schema, read_annotations, read_documents, read_labels,
+)
 from ffrg.features import featurize, featurize_corpus
 from ffrg.grouping import EPS_SCALE
 from ffrg.model import load_model
@@ -679,6 +682,24 @@ def test_svg_escapes_word_text(tmp_path):
                "--svg", str(tmp_path / "svg")) == 0
     svg = (tmp_path / "svg" / "d.svg").read_text()
     assert '>a&amp;b&lt;c&gt;"d</text>' in svg
+
+
+def test_svg_draws_each_word_box_on_the_page():
+    # a page wider than tall, so an x scaled by the height or a y by the
+    # width shows; word 1 is filled, word 0 only outlined
+    doc = Document("d", 800, 1000, (Word(0, "Total", BBox(0.1, 0.2, 0.25, 0.23)),
+                                    Word(1, "$5", BBox(0.5, 0.2, 0.6, 0.25))))
+    assert _doc_svg(doc, {1: "#4c78a8"}).splitlines() == [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 1000" width="800" height="1000">',
+        '<rect width="800" height="1000" fill="white"/>',
+        '<rect x="80.0" y="200.0" width="120.0" height="30.0" fill="none" fill-opacity="0.35"'
+        ' stroke="#999999"/>',
+        '<text x="80.0" y="229.0" font-size="24.0" font-family="monospace">Total</text>',
+        '<rect x="400.0" y="200.0" width="80.0" height="50.0" fill="#4c78a8" fill-opacity="0.35"'
+        ' stroke="#4c78a8"/>',
+        '<text x="400.0" y="249.0" font-size="40.0" font-family="monospace">$5</text>',
+        '</svg>',
+    ]
 
 
 @pytest.mark.parametrize("doc_id", ["../escaped", "sub/escaped", "", ".", ".."])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import box_row, make_doc
 from ffrg import bootstrap, docmodel, grouping, progressive
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.datatypes import DataType
@@ -40,6 +40,7 @@ from ffrg.docmodel import (
     reading_order,
     schema_from_json_dict,
     serialize_document,
+    write_documents,
     write_labels,
     write_overlay,
 )
@@ -50,12 +51,6 @@ from ffrg.synth import generate, preset_config
 
 
 # --- boxes and words --------------------------------------------------------
-
-def test_box_accessors():
-    b = BBox(0.1, 0.2, 0.3, 0.6)
-    assert b.width == pytest.approx(0.2)
-    assert b.height == pytest.approx(0.4)
-
 
 @pytest.mark.parametrize(
     "coords",
@@ -117,7 +112,7 @@ def _assert_box_check_agrees(box):
             BBox(*box)
         assert (type(got.value), str(got.value)) == (type(e), str(e))
     else:
-        assert BBox(*box).as_list() == list(box)
+        assert box_row(BBox(*box)) == list(box)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
@@ -290,7 +285,7 @@ def _reading_order_by_closure(doc):
         changed = False
         for a in words:
             for b in words:
-                near = abs(yc[a.id] - yc[b.id]) <= 0.5 * min(a.box.height, b.box.height)
+                near = abs(yc[a.id] - yc[b.id]) <= 0.5 * min(a.box.y1 - a.box.y0, b.box.y1 - b.box.y0)
                 if near and label[b.id] < label[a.id]:
                     label[a.id] = label[b.id]
                     changed = True
@@ -662,6 +657,16 @@ def test_document_round_trip_with_phrases():
     assert again == doc
 
 
+@pytest.mark.parametrize("box", [(0, 0, 1, 1), (False, False, True, True)])
+def test_written_documents_read_back_from_int_and_bool_boxes(tmp_path, box):
+    # a box of ints or bools writes as the floats Document.boxes holds
+    docs = [Document(f"d{k}", 1000, 1000, (Word(0, "a", BBox(*box)),)) for k in range(2)]
+    path = tmp_path / "docs.jsonl"
+    write_documents(str(path), docs)
+    assert '"box": [0.0, 0.0, 1.0, 1.0]' in path.read_text().splitlines()[0]
+    assert read_documents(str(path)) == docs
+
+
 def test_grouped_record_lists_phrase_words_in_reading_order():
     record = json.loads(_record([{"text": t, "box": list(b)} for t, *b in _HELLO_WORLD]))
     record["phrases"] = [{"word_ids": [0, 1]}]
@@ -714,7 +719,7 @@ def _assert_boxes_are_the_word_rows(doc):
     assert doc.boxes.shape == (len(doc.words), 4)
     assert not doc.boxes.flags.writeable
     assert _hex_box_rows(doc.boxes.tolist()) == _hex_box_rows(
-        [w.box.as_list() for w in doc.words])
+        [box_row(w.box) for w in doc.words])
 
 
 _BOX_WORDS = [("a", 0.1, 0.2, 0.3, 0.22), ("b", -0.0, 0.5, 0.0, 0.52), ("c", 0.4, 0.0, 1.0, 1.0)]
@@ -1041,6 +1046,16 @@ def test_labelset_validate_checks_ranges():
     high.set_label("d1", 0, 9)
     with pytest.raises(ValidationError):
         high.validate([doc], n_fields=7)
+
+
+def test_labelset_validate_refuses_a_corpus_that_repeats_a_document():
+    doc = make_doc([("a", 0.1, 0.1, 0.2, 0.12)], doc_id="d1")
+    labels = LabelSet("test")
+    labels.set_label("d1", 0, 1)
+    # a repeat is refused whether it is the same document or another
+    for twin in (doc, make_doc([("b", 0.3, 0.1, 0.4, 0.12)], doc_id="d1")):
+        with pytest.raises(ValidationError, match="^corpus repeats document d1$"):
+            labels.validate([doc, twin], n_fields=7)
 
 
 def _jsonl(tmp_path, rows):

@@ -317,7 +317,7 @@ def _oracle_featurize(doc: Document) -> np.ndarray:
         base[i, :TRIGRAM_DIM] = _oracle_trigram_block(w.text)
         base[i, TRIGRAM_DIM : TRIGRAM_DIM + FLAG_DIM] = _oracle_flag_block(w.text)
         cx, cy = box_center(w.box)
-        base[i, TRIGRAM_DIM + FLAG_DIM :] = (cx, cy, w.box.width, w.box.height)
+        base[i, TRIGRAM_DIM + FLAG_DIM :] = (cx, cy, w.box.x1 - w.box.x0, w.box.y1 - w.box.y0)
         centers[i] = (cx, cy)
     out[:, :BASE_DIM] = base
     diff = centers[:, None, :] - centers[None, :, :]

@@ -17,8 +17,18 @@ from ffrg.grouping import (
     group_document,
     group_words,
     neighborhood_eps,
-    word_distance,
 )
+
+
+def word_distance(a, b):
+    """The oracle of a link: the horizontal gap between two words' boxes
+    (zero where their x-projections overlap) combined by math.hypot with
+    their centre offset in y, penalized by VERTICAL_PENALTY."""
+    gap = max(a.box.x0, b.box.x0) - min(a.box.x1, b.box.x1)
+    if gap < 0.0:
+        gap = 0.0
+    dyc = abs((a.box.y0 + a.box.y1) / 2.0 - (b.box.y0 + b.box.y1) / 2.0)
+    return math.hypot(gap, grouping.VERTICAL_PENALTY * dyc)
 
 
 def test_distance_is_zero_only_at_overlap_on_a_line():
@@ -67,7 +77,7 @@ def test_eps_scales_with_median_height():
 
 
 def _eps_by_statistics_median(doc, scale):
-    heights = [w.box.height for w in doc.words]
+    heights = [w.box.y1 - w.box.y0 for w in doc.words]
     return scale * statistics.median(heights) if heights else 0.0
 
 

@@ -269,6 +269,19 @@ def test_train_refuses_labels_that_miss_a_document():
         train(docs, partial, schema, TINY, featurize_corpus(docs))
 
 
+def test_train_refuses_a_corpus_that_repeats_a_doc_id():
+    # labels keyed by doc_id cannot say which copy they mean: word 4 of the
+    # longer d would otherwise be labelled through the shorter one's rows
+    schema = default_invoice_schema()
+    docs = [make_doc([(f"w{k}", 0.02 * k, 0.1, 0.02 * k + 0.01, 0.12) for k in range(m)],
+                     doc_id=doc_id) for doc_id, m in (("d", 2), ("d", 5), ("e", 40))]
+    labels = docmodel.LabelSet("bootstrap")
+    labels.add_document("d", [(4, 1)])
+    labels.add_document("e")
+    with pytest.raises(ValidationError, match="^corpus repeats document d$"):
+        train(docs, labels, schema, TINY, featurize_corpus(docs))
+
+
 def test_train_refuses_a_corpus_without_words():
     schema = default_invoice_schema()
     docs = [docmodel.Document(doc_id, 1000, 1000, ()) for doc_id in ("a", "b")]
