@@ -158,6 +158,9 @@ MUTANTS = (
     Mutant("page pass: the zone's top edge left out", "src/ffrg/bootstrap.py",
            "(y0 - ZONE_ABOVE * h <= ky)", "(y0 - ZONE_ABOVE * h < ky)",
            ("tests/test_bootstrap.py::test_zone_mask_equals_the_candidate_loop_on_its_edges",)),
+    Mutant("page pass: the zone's bottom edge left out", "src/ffrg/bootstrap.py",
+           "(ky <= y1 + ZONE_BELOW * h)", "(ky < y1 + ZONE_BELOW * h)",
+           ("tests/test_bootstrap.py::test_zone_mask_equals_the_candidate_loop_on_its_edges",)),
     Mutant("page pass: no floor of 1 on the phrase length", "src/ffrg/bootstrap.py",
            "bound = c / np.maximum(lengths, 1).astype(np.float64)[:, None]",
            "bound = c / lengths.astype(np.float64)[:, None]",
@@ -188,6 +191,21 @@ MUTANTS = (
     Mutant("step: a term's sum over the class count", "src/ffrg/model.py",
            "np.add.reduce(np.log(flat[pick])) / m", "np.add.reduce(np.log(flat[pick])) / n_out",
            _STEP_TESTS),
+    Mutant("step: a joint step's later branch overwrites the trunk gradient",
+           "src/ffrg/model.py", 'if w == "trunk.w" and branch > 1:', "if False:",
+           ("tests/test_model.py::test_a_joint_step_sums_the_trunk_gradient_in_branch_order",
+            "tests/test_model.py::test_step_matches_the_reference_step")),
+    Mutant("step: a joint step's branch 1 adding to a stale trunk gradient",
+           "src/ffrg/model.py", 'if w == "trunk.w" and branch > 1:',
+           'if w == "trunk.w" and branch >= 1:',
+           ("tests/test_model.py::test_a_joint_step_sums_the_trunk_gradient_in_branch_order",)),
+    Mutant("step: the stage slice ends one tensor early", "src/ffrg/model.py",
+           "params.offsets[layers[-1][1]] + params.n_classes",
+           "params.offsets[layers[-1][1]]",
+           ("tests/test_model.py::test_a_stage_update_changes_its_slice_alone",)),
+    Mutant("step: a frozen stage's slice starting at the trunk", "src/ffrg/model.py",
+           'layers[0][0] if frozen else "trunk.w"', '"trunk.w"',
+           ("tests/test_model.py::test_a_stage_update_changes_its_slice_alone",)),
     Mutant("step: the label check letting class N+1 through", "src/ffrg/model.py",
            "y.max() >= n_out", "y.max() > n_out",
            ("tests/test_model.py::test_loss_rejects_bad_labels",)),
@@ -198,7 +216,8 @@ MUTANTS = (
            "branches = [stage] if frozen else range(1, stage + 1)",
            "branches = range(1, stage + 1)",
            ("tests/test_progressive.py::test_first_branch_is_frozen_after_stage_one",
-            "tests/test_progressive.py::test_k1_is_the_first_stage_of_k3")),
+            "tests/test_progressive.py::test_k1_is_the_first_stage_of_k3",
+            "tests/test_progressive.py::test_each_step_runs_its_stage_branches_in_order")),
     Mutant("stage loop: a frozen stage rebuilds the cache", "src/ffrg/progressive.py",
            "if not frozen:", "if True:", _STAGE_CACHE_TESTS),
     # reading order's and grouping's y-window (docmodel._near_in_y) and links

@@ -233,12 +233,12 @@ def _cmd_train(opts: dict[str, Any]) -> int:
 
 
 def _cmd_extract(opts: dict[str, Any]) -> int:
+    check_threshold(opts["threshold"])
     _distinct_outputs(opts, "out", "overlay")
     schema = _read_schema_opt(opts)
     params = load_model(opts["model"], schema)
     docs = dm.read_documents(opts["docs"])
     svg_paths = _svg_paths(opts, docs, "out", "overlay")
-    check_threshold(opts["threshold"])
     # values and overlay classes read one probability matrix per document
     values, predictions = {}, {}
     for doc in docs:

@@ -247,15 +247,17 @@ def branch_loss_and_grad(
     branch: int,
     *,
     activations: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
+    grad: ModelParams,
+) -> float:
     """Weighted sum of mean cross-entropies for one branch, with gradients.
 
     targets is a non-empty list of (weight, labels) pairs where labels is
     an integer array, signed or unsigned, of classes in 0..N; the loss is
     sum_j weight_j * meanCE(s_branch, labels_j).  activations are the trunk
-    rows of the batch (trunk_activations).  Gradients cover the branch
-    tensors, plus the trunk when the features behind the activations are
-    given; a step on a frozen trunk passes None.
+    rows of the batch (trunk_activations).  Gradients land in grad, laid out
+    like params: the branch tensors, plus the trunk when the features behind
+    the activations are given (a step on a frozen trunk passes None); branch
+    1 writes the trunk's and each later branch of a joint step adds to it.
     """
     t = params.tensors
     h = activations
@@ -312,16 +314,20 @@ def branch_loss_and_grad(
     # (the ReLU output of the layer below) mask the gradient passed down to it
     layers = [(("trunk.w", "trunk.b"), features)] if features is not None else []
     layers += zip(_layers(branch), inputs)
-    grads: dict[str, np.ndarray] = {}
+    g = grad.tensors
     delta = dlogits
     for i in range(len(layers) - 1, -1, -1):
         (w, b), x = layers[i]
-        grads[w] = x.T @ delta
-        grads[b] = delta.sum(axis=0)
+        if w == "trunk.w" and branch > 1:  # a later branch of a joint step
+            g[w] += x.T @ delta
+            g[b] += np.add.reduce(delta, axis=0)
+        else:
+            np.matmul(x.T, delta, out=g[w])
+            np.add.reduce(delta, axis=0, out=g[b])
         if i:
             delta = delta @ t[w].T
             delta *= x > 0.0
-    return loss, grads
+    return loss
 
 
 # --- Adam -------------------------------------------------------------------
@@ -345,32 +351,27 @@ class AdamState:
 
 
 def adam_step(
-    params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float
+    params: ModelParams, grad: ModelParams, state: AdamState, lr: float, branch: int, frozen: bool
 ) -> None:
-    """One bias-corrected Adam update, in place, over the keys in grads.
+    """One bias-corrected Adam update, in place, of the tensors a stage trains
+    (branch `branch` alone in a frozen stage, the trunk through it in a joint
+    one) from their gradients in grad.
 
-    The keys must name one contiguous run of tensors in tensor_shapes order
-    (each training stage's tensors do), so the update is a few in-place
-    element-wise ops over one slice of the parameter buffer; element-wise
-    IEEE arithmetic gives the same bits in any layout.
+    In tensor_shapes order they are one slice of params.flat, so the update
+    is a few in-place element-wise ops over that slice of params and grad;
+    element-wise IEEE arithmetic gives the same bits in any layout.
     """
-    keys = sorted(grads, key=params.offsets.__getitem__)
-    lo = hi = params.offsets[keys[0]] if keys else 0
-    for key in keys:
-        if params.offsets[key] != hi or grads[key].shape != params.tensors[key].shape:
-            raise ValidationError("adam_step needs gradients for one contiguous run of tensors")
-        hi += grads[key].size
+    layers = _layers(branch)  # the slice ends with the branch's output bias
+    span = slice(params.offsets[layers[0][0] if frozen else "trunk.w"],
+                 params.offsets[layers[-1][1]] + params.n_classes)
     if state.m is None:
         state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     state.t += 1
-    if not keys:
-        return
-    m, v = state.m[lo:hi], state.v[lo:hi]
-    g = np.concatenate([grads[key].ravel() for key in keys])
+    m, v, g = state.m[span], state.v[span], grad.flat[span]
     step = g * (1.0 - BETA1)
     m *= BETA1
     m += step
-    g *= g
+    g = g * g
     g *= 1.0 - BETA2
     v *= BETA2
     v += g
@@ -380,7 +381,7 @@ def adam_step(
     np.sqrt(g, out=g)
     g += EPSILON
     step /= g
-    params.flat[lo:hi] -= step
+    params.flat[span] -= step
 
 
 # --- Checkpoint I/O ---------------------------------------------------------

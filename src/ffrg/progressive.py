@@ -14,7 +14,7 @@ contiguous argmax run inside the anchor's phrase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -189,6 +189,7 @@ def train(
         branch_hidden=cfg.branch_hidden,
         seed=cfg.seed,
     )
+    grad = replace(params, flat=np.zeros_like(params.flat))
     # batches gather activations and labels with one corpus row index
     offsets = features.offsets
     doc_rows = [np.arange(offsets[i], offsets[i + 1]) for i in range(len(docs))]
@@ -224,14 +225,11 @@ def train(
                     h = trunk_activations(params, x)
                 y = {src: np.take(ys, rows) for src, ys in y_by_source.items()}
                 loss = 0.0
-                grads: dict[str, np.ndarray] = {}
                 for branch in branches:
                     targets = [(w, y[src]) for w, src in terms[branch]]
-                    l, g = branch_loss_and_grad(params, x, targets, branch, activations=h)
-                    loss += l
-                    for key, val in g.items():
-                        grads[key] = grads[key] + val if key in grads else val
-                adam_step(params, grads, state, cfg.lr)
+                    loss += branch_loss_and_grad(params, x, targets, branch,
+                                                 activations=h, grad=grad)
+                adam_step(params, grad, state, cfg.lr, stage, frozen)
                 batch_losses.append(loss)
             epoch_losses.append(float(np.mean(batch_losses)))
         return epoch_losses

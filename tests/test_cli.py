@@ -392,6 +392,15 @@ def test_extract_threshold_is_checked_without_documents(trained_dir, tmp_path, c
     assert "must lie in [0,1]" in caplog.text and not values.exists()
 
 
+def test_extract_threshold_is_checked_before_the_model_is_read(synth_dir, tmp_path, caplog):
+    values = tmp_path / "values.jsonl"
+    assert run(
+        "extract", "--model", str(tmp_path / "missing.ffrg"),
+        "--docs", str(synth_dir / "docs.jsonl"), "--out", str(values), "--threshold=1.5",
+    ) == 1
+    assert "extract threshold 1.5 must lie in [0,1]" in caplog.text and not values.exists()
+
+
 def test_extract_overlay_and_svg(trained_dir, synth_dir, tmp_path):
     overlay = tmp_path / "overlay.jsonl"
     svg_dir = tmp_path / "svg"

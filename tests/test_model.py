@@ -42,12 +42,25 @@ def small_params(seed=0, n_branches=3, n_fields=3):
     )
 
 
+def _grad_buffer(params, fill=0.0):
+    """A gradient buffer laid out like params, every value fill."""
+    return replace(params, flat=np.full_like(params.flat, fill))
+
+
+def _trained(grad, branch, train_trunk):
+    """grad's tensors of one branch, and of the trunk when it trains."""
+    return {key: g for key, g in grad.tensors.items()
+            if key.startswith(f"branch{branch}.") or (train_trunk and key.startswith("trunk."))}
+
+
 def _loss(params, x, targets, branch, train_trunk):
     """branch_loss_and_grad over a fresh trunk pass of x, given the features
-    only when the trunk trains."""
-    h = trunk_activations(params, x)
-    return branch_loss_and_grad(params, x if train_trunk else None, targets, branch,
-                                activations=h)
+    only when the trunk trains, into a zero buffer: (loss, the gradient of
+    each tensor the step trains)."""
+    h, grad = trunk_activations(params, x), _grad_buffer(params)
+    loss = branch_loss_and_grad(params, x if train_trunk else None, targets, branch,
+                                activations=h, grad=grad)
+    return loss, _trained(grad, branch, train_trunk)
 
 
 def _moments(state, params, key):
@@ -132,9 +145,13 @@ def test_frozen_trunk_reports_no_trunk_gradient(rng):
     params = small_params()
     x = rng.normal(size=(4, 10))
     y = rng.integers(0, 4, size=4)
-    _, grads = _loss(params, x, [(1.0, y)], 3, False)
-    assert "trunk.w" not in grads and "trunk.b" not in grads
-    assert set(grads) == {f"branch3.{n}" for n in ("hid.w", "hid.b", "out.w", "out.b")}
+    grad = _grad_buffer(params, np.nan)
+    branch_loss_and_grad(params, None, [(1.0, y)], 3, activations=trunk_activations(params, x),
+                         grad=grad)
+    # the step writes its branch's tensors whole and leaves every other alone
+    written = {key for key, g in grad.tensors.items() if not np.isnan(g).any()}
+    assert written == {f"branch3.{n}" for n in ("hid.w", "hid.b", "out.w", "out.b")}
+    assert all(np.isnan(g).all() for key, g in grad.tensors.items() if key not in written)
 
 
 def test_loss_rejects_bad_labels(rng):
@@ -158,14 +175,16 @@ def test_precomputed_activations_reject_a_trained_trunk(rng):
     x = rng.normal(size=(4, 10))
     y = rng.integers(0, 4, size=4)
     h = trunk_activations(params, x)
+    grad = _grad_buffer(params)
     with pytest.raises(ValidationError):
-        branch_loss_and_grad(params, None, [(1.0, y)], 2, activations=h[:, :5])
+        branch_loss_and_grad(params, None, [(1.0, y)], 2, activations=h[:, :5], grad=grad)
     # the features of a trained trunk must be those behind the activations
     with pytest.raises(ValidationError):
-        branch_loss_and_grad(params, x[:3], [(1.0, y)], 2, activations=h)
+        branch_loss_and_grad(params, x[:3], [(1.0, y)], 2, activations=h, grad=grad)
     # given both, a trained trunk takes the activations as its own pass
     want_loss, want = _ref_branch_loss_and_grad(params.tensors, x, [(1.0, y)], 2, True)
-    loss, got = branch_loss_and_grad(params, x, [(1.0, y)], 2, activations=h)
+    loss = branch_loss_and_grad(params, x, [(1.0, y)], 2, activations=h, grad=grad)
+    got = _trained(grad, 2, True)
     assert loss == want_loss and sorted(got) == sorted(want)
     for key in want:
         assert np.array_equal(got[key], want[key])
@@ -190,11 +209,11 @@ def test_cached_trunk_step_is_bit_identical(schema):
         ]
         for branch in (1, 2, 3):
             want_loss, want = _loss(params, x, targets, branch, False)
-            loss, got = branch_loss_and_grad(params, None, targets, branch, activations=h)
+            grad = _grad_buffer(params)
+            loss = branch_loss_and_grad(params, None, targets, branch, activations=h, grad=grad)
             assert loss == want_loss
-            assert sorted(got) == sorted(want)
             for key in want:
-                assert np.array_equal(got[key], want[key])
+                assert np.array_equal(grad.tensors[key], want[key])
 
 
 def test_trunk_cache_keeps_clear_of_the_small_kernel(schema):
@@ -279,23 +298,26 @@ def test_analytic_gradients_match_finite_differences(seed):
 def test_adam_first_step_closed_form():
     params = small_params()
     before = replace(params, flat=params.flat.copy())
-    g = np.full_like(params.tensors["trunk.b"], 0.5)
+    grad = _grad_buffer(params)
+    grad.tensors["trunk.b"][...] = 0.5
     state = AdamState()
-    adam_step(params, {"trunk.b": g}, state, lr=1e-2)
+    adam_step(params, grad, state, 1e-2, 1, False)
     # bias correction makes the first update lr * g / (|g| + eps)
     expected = before.tensors["trunk.b"] - 1e-2 * 0.5 / (0.5 + 1e-8)
     assert np.allclose(params.tensors["trunk.b"], expected, atol=1e-12)
     assert state.t == 1
-    # untouched tensors stay bitwise identical
-    assert np.array_equal(params.tensors["trunk.w"], before.tensors["trunk.w"])
+    # tensors with a zero gradient stay bitwise identical
+    for key in ("trunk.w", "branch1.out.w", "branch1.out.b"):
+        assert params.tensors[key].tobytes() == before.tensors[key].tobytes()
 
 
 def test_adam_accumulates_moments():
     params = small_params()
     state = AdamState()
-    g = np.ones_like(params.tensors["trunk.b"])
-    adam_step(params, {"trunk.b": g}, state, lr=1e-3)
-    adam_step(params, {"trunk.b": g}, state, lr=1e-3)
+    grad = _grad_buffer(params)
+    grad.tensors["trunk.b"][...] = 1.0
+    adam_step(params, grad, state, 1e-3, 1, False)
+    adam_step(params, grad, state, 1e-3, 1, False)
     assert state.t == 2
     assert state.m.shape == state.v.shape == params.flat.shape
     m, v = _moments(state, params, "trunk.b")
@@ -307,7 +329,7 @@ def test_adam_step_with_no_gradients_only_counts_the_step():
     params = small_params()
     before = params.flat.copy()
     state = AdamState()
-    adam_step(params, {}, state, lr=1e-2)
+    adam_step(params, _grad_buffer(params), state, 1e-2, 3, False)
     assert state.t == 1
     assert np.array_equal(params.flat, before)
     assert not state.m.any() and not state.v.any()
@@ -497,6 +519,8 @@ def test_step_matches_the_reference_step(n_fields, n_branches, beta, train_trunk
                          seed=n_fields)
     ref = {key: arr.copy() for key, arr in params.tensors.items()}
     state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    # one gradient buffer for every step, as in training
+    grad = _grad_buffer(params)
     # 20 small batches, then two at training sizes, where numpy's pairwise
     # sum (above 128 values) runs in another order
     for step, m in enumerate([None] * 20 + [129, 291]):
@@ -516,21 +540,20 @@ def test_step_matches_the_reference_step(n_fields, n_branches, beta, train_trunk
         h = trunk_activations(params, x)
         # a frozen-trunk step is not given the features
         feats = x if train_trunk else None
-        grads, ref_grads = {}, {}
+        ref_grads = {}
         for branch in branches:
-            loss, got = branch_loss_and_grad(
-                params, feats, targets[branch], branch, activations=h
+            loss = branch_loss_and_grad(
+                params, feats, targets[branch], branch, activations=h, grad=grad
             )
             want_loss, want = _ref_branch_loss_and_grad(
                 ref, x, targets[branch], branch, train_trunk
             )
             assert loss == want_loss
-            assert sorted(got) == sorted(want)
             for key in want:
-                assert np.array_equal(got[key], want[key])
-                grads[key] = grads[key] + got[key] if key in grads else got[key]
                 ref_grads[key] = ref_grads[key] + want[key] if key in ref_grads else want[key]
-        adam_step(params, grads, state, lr=1e-2)
+        for key in ref_grads:
+            assert np.array_equal(grad.tensors[key], ref_grads[key])
+        adam_step(params, grad, state, 1e-2, branches[-1], not train_trunk)
         _ref_adam_step(ref, ref_grads, ref_state, lr=1e-2)
         for key in params.tensors:
             assert np.array_equal(params.tensors[key], ref[key])
@@ -557,13 +580,52 @@ def test_repeated_and_zero_weight_terms_match_the_reference():
             assert np.array_equal(got[key], want[key])
 
 
-def test_adam_step_wants_one_contiguous_run_of_tensors():
+@pytest.mark.parametrize("frozen", [False, True], ids=["joint", "frozen"])
+def test_a_stage_update_changes_its_slice_alone(frozen):
+    # stage 2 of 3: a joint stage trains the trunk and branches 1 and 2, a
+    # frozen one branch 2 alone
     params = small_params()
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(13, 10))
+    y = rng.integers(0, 4, size=13)
     before = params.flat.copy()
-    g = {key: np.ones_like(params.tensors[key]) for key in ("trunk.b", "branch2.out.b")}
-    with pytest.raises(ValidationError):
-        adam_step(params, g, AdamState(), lr=1e-3)
-    assert np.array_equal(params.flat, before)
+    # NaN stands for the stale values a stage's steps do not write
+    grad = _grad_buffer(params, np.nan)
+    h = trunk_activations(params, x)
+    for branch in (2,) if frozen else (1, 2):
+        branch_loss_and_grad(params, None if frozen else x, [(1.0, y)], branch,
+                             activations=h, grad=grad)
+    adam_step(params, grad, AdamState(), 1e-3, 2, frozen)
+    # no stale value reached the weights
+    assert np.isfinite(params.flat).all()
+    trained = {key for key in params.tensors
+               if key.startswith("branch2.") or not (frozen or key.startswith("branch3."))}
+    for key, t in params.tensors.items():
+        lo = params.offsets[key]
+        old = before[lo : lo + t.size].reshape(t.shape)
+        if key in trained:
+            assert (t != old).any(), key
+        else:
+            assert t.tobytes() == old.tobytes(), key
+
+
+@pytest.mark.parametrize("n_branches", [2, 3])
+def test_a_joint_step_sums_the_trunk_gradient_in_branch_order(n_branches):
+    params = init_params(30, 5, n_branches, DIGEST, hidden=16, branch_hidden=12, seed=n_branches)
+    rng = np.random.default_rng(n_branches)
+    x = rng.normal(size=(129, 30))
+    targets = [(1.0, rng.integers(0, 6, size=129)), (0.5, rng.integers(0, 6, size=129))]
+    # a stale buffer: the first branch writes the trunk, it does not add
+    grad = _grad_buffer(params, np.nan)
+    h = trunk_activations(params, x)
+    want = {}
+    for branch in range(1, n_branches + 1):
+        branch_loss_and_grad(params, x, targets, branch, activations=h, grad=grad)
+        _, ref = _ref_branch_loss_and_grad(params.tensors, x, targets, branch, True)
+        for key in ("trunk.w", "trunk.b"):
+            want[key] = want[key] + ref[key] if key in want else ref[key]
+    for key in ("trunk.w", "trunk.b"):
+        assert grad.tensors[key].tobytes() == want[key].tobytes()
 
 
 def _assert_flat_layout(params):
@@ -594,7 +656,9 @@ def test_params_are_views_into_one_flat_buffer(tmp_path):
     _assert_flat_layout(again)
     assert np.array_equal(again.flat, params.flat)
     # a stage's update lands in the tensors through the shared buffer
-    adam_step(twin, {"trunk.b": np.ones(5)}, AdamState(), lr=0.5)
+    grad = _grad_buffer(twin)
+    grad.tensors["trunk.b"][...] = 1.0
+    adam_step(twin, grad, AdamState(), 0.5, 1, False)
     assert not np.array_equal(twin.tensors["trunk.b"], params.tensors["trunk.b"])
     assert np.array_equal(twin.tensors["trunk.b"], twin.flat[60:65])
     # a buffer that cannot hold the views is refused

@@ -33,3 +33,8 @@ def test_tests_of_the_row_exist(mutant):
 def test_mutant_names_are_unique():
     names = [m.name for m in mutants.MUTANTS]
     assert len(set(names)) == len(names)
+
+
+def test_no_two_rows_make_the_same_edit():
+    edits = [(m.path, m.old, m.new) for m in mutants.MUTANTS]
+    assert len(set(edits)) == len(edits)

@@ -1,6 +1,7 @@
 """Progressive ensemble: loss expansion, refinement rule, freezing, values."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import make_doc
 from ffrg.bootstrap import bootstrap_corpus
-from ffrg import docmodel, grouping
+from ffrg import docmodel, grouping, progressive
 from ffrg.docmodel import (
     ValidationError, default_invoice_schema, parse_document, serialize_document,
 )
@@ -231,6 +232,32 @@ def test_first_branch_is_frozen_after_stage_one():
     # stages 2..K never touch the trunk or branch 1
     for key in solo.params.tensors:
         assert np.array_equal(full.params.tensors[key], solo.params.tensors[key])
+
+
+@pytest.mark.parametrize("two_step", [True, False])
+def test_each_step_runs_its_stage_branches_in_order(monkeypatch, two_step):
+    # a joint step writes the trunk gradient at branch 1 and adds the later
+    # branches' to it, so branch 1 comes first; a frozen step runs its own
+    # branch alone, without the features
+    schema, docs, labels = _tiny_corpus()
+    features = featurize_corpus(docs)
+    calls = []
+    step = progressive.branch_loss_and_grad
+
+    def spy(params, feats, targets, branch, **kwargs):
+        calls.append((branch, feats is not None))
+        return step(params, feats, targets, branch, **kwargs)
+
+    monkeypatch.setattr(progressive, "branch_loss_and_grad", spy)
+    cfg = replace(TINY, two_step=two_step)
+    train(docs, labels, schema, cfg, features)
+    batches = -(-sum(len(doc.words) > 0 for doc in docs) // cfg.batch_docs)
+    want = []
+    for stage, epochs in ((1, cfg.epochs_step1), (2, cfg.epochs_step2), (3, cfg.epochs_step2)):
+        branches = [(stage, False)] if two_step and stage > 1 else [
+            (b, True) for b in range(1, stage + 1)]
+        want += branches * (epochs * batches)
+    assert calls == want
 
 
 def test_stage_bookkeeping_shapes():
