@@ -307,6 +307,21 @@ MUTANTS = (
     Mutant("report: runs dropped", "src/ffrg/evaluation.py",
            'return {"runs": 1, **asdict(self)}', "return asdict(self)",
            ("tests/test_evaluation.py::test_report_bytes_on_the_hand_case",)),
+    # the one walk over (document, field) pairs that eval and inspect read
+    # (evaluation.field_pairs, evaluation.score)
+    Mutant("walk: a value for an unknown field let through", "src/ffrg/evaluation.py",
+           'raise ValidationError(f"{kind} for unknown field {name!r} in {doc_id}")', "pass",
+           ("tests/test_evaluation.py::test_unknown_field_names_rejected",
+            "tests/test_cli.py::test_inspect_refuses_an_unknown_field_as_eval_does")),
+    Mutant("score: a mismatch counted only as a false positive", "src/ffrg/evaluation.py",
+           "if g is not None:", "if g is not None and p is None:",
+           ("tests/test_evaluation.py::test_wrong_string_counts_against_both_sides",
+            "tests/test_cli.py::test_inspect_rows_count_what_eval_counts")),
+    # the word-label report (evaluation.corruption_report)
+    Mutant("word report: precision and recall denominators swapped", "src/ffrg/evaluation.py",
+           "precision = _ratio(tp, n_pred)\n    recall = _ratio(tp, n_true)",
+           "precision = _ratio(tp, n_true)\n    recall = _ratio(tp, n_pred)",
+           ("tests/test_synth.py::test_corruption_report_counts",)),
     # conflict resolution (bootstrap.resolve_conflicts)
     Mutant("conflicts: a tie going to the higher field_id", "src/ffrg/bootstrap.py",
            "key=lambda e: (-e.value_score, e.field_id),",

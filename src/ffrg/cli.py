@@ -23,15 +23,14 @@ from xml.sax.saxutils import escape
 
 from . import bootstrap as bs
 from . import docmodel as dm
-from .evaluation import normalize_value, score, write_report
+from .evaluation import corruption_report, field_pairs, field_status, score, write_report
 from .features import featurize, featurize_corpus
 from .grouping import EPS_SCALE, check_eps_scale, group_document
 from .model import load_model, save_model
 from .progressive import (
     TrainConfig, check_threshold, ensemble_predict, extract_corpus, train, values_from_probs,
 )
-from .similarity import string_distance
-from .synth import generate, preset_config, corruption_report, PRESETS
+from .synth import generate, preset_config, PRESETS
 
 log = logging.getLogger("ffrg")
 
@@ -272,18 +271,6 @@ def _cmd_eval(opts: dict[str, Any]) -> int:
     return 0
 
 
-def field_status(pred: str | None, gold: str | None) -> str | None:
-    """Fig-4-style outcome class for one field of one document."""
-    if pred is None and gold is None:
-        return None
-    if pred is not None and gold is not None:
-        if normalize_value(pred) == normalize_value(gold):
-            return "correct"
-        if string_distance(pred, gold) <= 0.2:
-            return "value-text-error"
-    return "extractor-error"
-
-
 def _cmd_inspect(opts: dict[str, Any]) -> int:
     if opts["svg"] and not opts["docs"]:
         raise dm.ValidationError("--svg requires --docs for word geometry")
@@ -301,17 +288,12 @@ def _cmd_inspect(opts: dict[str, Any]) -> int:
     # each (doc_id, field_id) outcome's colour, for the SVG pass
     colors: dict[tuple[str, int], str] = {}
     outcomes = []
-    for doc_id in sorted(set(pred) | set(gold)):
-        for field in schema.fields:
-            p = pred.get(doc_id, {}).get(field.name)
-            g = gold.get(doc_id, {}).get(field.name)
-            status = field_status(p, g)
-            if status is None:
-                continue
-            counts[status] += 1
-            colors[doc_id, field.field_id] = _STATUS_COLORS[status]
-            outcomes.append({"doc_id": doc_id, "field": field.name, "status": status,
-                             "pred": p, "gold": g})
+    for doc_id, field, p, g in field_pairs(pred, gold, schema):
+        status = field_status(p, g)
+        counts[status] += 1
+        colors[doc_id, field.field_id] = _STATUS_COLORS[status]
+        outcomes.append({"doc_id": doc_id, "field": field.name, "status": status,
+                         "pred": p, "gold": g})
     dm.write_records(opts["out"], outcomes)
     # a predicted word whose field has an outcome takes the outcome's colour
     _write_svgs(opts, svg_paths, docs, lambda doc: {
@@ -358,8 +340,8 @@ def _cmd_pipeline(opts: dict[str, Any]) -> int:
             k, losses[0], losses[-1], len(losses), "" if len(losses) == 1 else "s",
         )
     for k, refined in sorted(result.refined.items()):
-        kept = sum(len(refined.positives(doc.doc_id)) for doc in docs)
         noise = corruption_report(docs, truth, refined)
+        kept = noise["labeled_words"]
         log.info(
             "pipeline: branch %d kept %d anchors in %d documents (%.2f per document),"
             " word P=%.4f R=%.4f",

@@ -299,10 +299,7 @@ def values_from_probs(
     by_word = {wid: ids for ids in doc.members for wid in ids}
     out: dict[str, str] = {}
     for f, anchor in sorted(anchors.items()):
-        ids = by_word.get(anchor)
-        if ids is None:
-            out[schema.field_by_id(f).name] = doc.words[anchor].text
-            continue
+        ids = by_word.get(anchor, (anchor,))
         pos = ids.index(anchor)
         lo = pos
         while lo > 0 and argmax[ids[lo - 1]] == f:

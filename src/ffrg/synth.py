@@ -407,29 +407,3 @@ def generate(
         annotations[doc.doc_id] = gold
         truth.add_document(doc.doc_id, positives.items())
     return docs, annotations, truth
-
-
-def corruption_report(
-    docs: Sequence[Document], truth: LabelSet, labels: LabelSet
-) -> dict[str, float]:
-    """Word-level precision/recall of a label set against generator truth."""
-    for doc in docs:
-        if not truth.covers(doc.doc_id) or not labels.covers(doc.doc_id):
-            raise ValidationError(f"label sets do not cover document {doc.doc_id}")
-    tp = n_pred = n_true = 0
-    for doc in docs:
-        t = truth.positives(doc.doc_id)
-        p = labels.positives(doc.doc_id)
-        n_true += len(t)
-        n_pred += len(p)
-        tp += sum(1 for wid, cls in p.items() if t.get(wid) == cls)
-    precision = tp / n_pred if n_pred else 0.0
-    recall = tp / n_true if n_true else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {
-        "word_precision": precision,
-        "word_recall": recall,
-        "word_f1": f1,
-        "labeled_words": n_pred,
-        "true_words": n_true,
-    }

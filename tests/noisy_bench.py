@@ -22,10 +22,10 @@ import numpy as np
 
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.docmodel import default_invoice_schema
-from ffrg.evaluation import EvalReport, score
+from ffrg.evaluation import EvalReport, corruption_report, score
 from ffrg.features import featurize_corpus
 from ffrg.progressive import TrainConfig, extract_corpus, train
-from ffrg.synth import corruption_report, generate, preset_config
+from ffrg.synth import generate, preset_config
 
 SEEDS = (0, 1, 2, 3, 4)
 N_DOCS = 1000

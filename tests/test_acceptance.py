@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from ffrg.bootstrap import bootstrap_corpus
-from ffrg.evaluation import score
+from ffrg.evaluation import corruption_report, score
 from ffrg.grouping import EPS_SCALE, group_words
 from ffrg.progressive import loss_terms
 from ffrg.similarity import string_distance
-from ffrg.synth import corruption_report, generate, preset_config
+from ffrg.synth import generate, preset_config
 
 import golden_digests
 import noisy_bench

@@ -10,17 +10,18 @@ import pytest
 
 from ffrg.bootstrap import RuleParams, bootstrap_corpus
 from ffrg.cli import (
-    _COMMANDS, _REQUIRED, _doc_svg, _flag, _option_type, _resolve, build_parser, field_status,
-    main,
+    _COMMANDS, _REQUIRED, _doc_svg, _flag, _option_type, _resolve, build_parser, main,
 )
 from ffrg.docmodel import (
     BBox, Document, Word, default_invoice_schema, read_annotations, read_documents, read_labels,
+    write_annotations,
 )
+from ffrg.evaluation import corruption_report, field_status
 from ffrg.features import featurize, featurize_corpus
 from ffrg.grouping import EPS_SCALE
 from ffrg.model import load_model
 from ffrg.progressive import TrainConfig, ensemble_predict, extract_corpus, extract_values, train
-from ffrg.synth import PRESETS, corruption_report, generate, preset_config
+from ffrg.synth import PRESETS, generate, preset_config
 
 
 def run(*argv):
@@ -636,7 +637,6 @@ def test_model_schema_guard(trained_dir, synth_dir, tmp_path):
 # --- inspect -----------------------------------------------------------------
 
 def test_field_status_classes():
-    assert field_status(None, None) is None
     assert field_status("48113", "48113") == "correct"
     assert field_status("48113", None) == "extractor-error"
     assert field_status(None, "48113") == "extractor-error"
@@ -662,6 +662,50 @@ def test_inspect_writes_outcomes(synth_dir, tmp_path):
     statuses = {r["status"] for r in rows}
     assert "extractor-error" in statuses  # every other document is all-miss
     assert any(r["doc_id"] == doc_id and r["field"] == some_field for r in rows)
+
+
+def test_inspect_rows_count_what_eval_counts(synth_dir, tmp_path):
+    # the rule values, with a near miss, a missed value and a value the
+    # gold lacks, so that every outcome class and both error sides occur
+    values, gold = str(tmp_path / "values.jsonl"), str(synth_dir / "gold.jsonl")
+    assert run("bootstrap", "--docs", str(synth_dir / "docs.jsonl"),
+               "--out", str(tmp_path / "labels.jsonl"), "--values", values) == 0
+    rule, gold_rows = read_annotations(values), read_annotations(gold)
+    first = sorted(rule)[0]
+    near, missed = sorted(rule[first])[:2]
+    rule[first][near] += "x"
+    del rule[first][missed]
+    doc_id, name = next((d, f.name) for d in sorted(gold_rows)
+                        for f in default_invoice_schema().fields if f.name not in gold_rows[d])
+    rule.setdefault(doc_id, {})[name] = "12"
+    write_annotations(values, rule)
+    assert run("eval", "--pred", values, "--gold", gold, "--report", str(tmp_path / "r.json")) == 0
+    assert run("inspect", "--pred", values, "--gold", gold, "--out", str(tmp_path / "o.jsonl")) == 0
+    report = json.loads((tmp_path / "r.json").read_text())["fields"]
+    rows = [json.loads(line) for line in (tmp_path / "o.jsonl").read_text().splitlines()]
+    assert {r["status"] for r in rows} == {"correct", "extractor-error", "value-text-error"}
+    for field, m in report.items():
+        wrong = [r for r in rows if r["field"] == field and r["status"] != "correct"]
+        assert m["tp"] == sum(r["field"] == field and r["status"] == "correct" for r in rows)
+        assert m["fp"] == sum(r["pred"] is not None for r in wrong)
+        assert m["fn"] == sum(r["gold"] is not None for r in wrong)
+
+
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_inspect_refuses_an_unknown_field_as_eval_does(synth_dir, tmp_path, side, caplog):
+    docs = str(synth_dir / "docs.jsonl")
+    doc_id = read_documents(docs)[0].doc_id
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"doc_id": doc_id, "fields": {"mystery": "x"}}) + "\n")
+    files = {"pred": str(synth_dir / "gold.jsonl"), "gold": str(synth_dir / "gold.jsonl"),
+             side: str(bad)}
+    inputs = ["--pred", files["pred"], "--gold", files["gold"]]
+    out, svg = tmp_path / "out.jsonl", tmp_path / "svg"
+    assert run("eval", *inputs, "--report", str(out)) == 1
+    assert run("inspect", *inputs, "--out", str(out), "--docs", docs, "--svg", str(svg)) == 1
+    kind = "prediction" if side == "pred" else "annotation"
+    assert caplog.text.count(f"{kind} for unknown field 'mystery' in {doc_id}") == 2
+    assert not out.exists() and not svg.exists()
 
 
 def test_inspect_colors_overlay_predictions(synth_dir, tmp_path):

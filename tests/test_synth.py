@@ -8,6 +8,7 @@ import pytest
 from ffrg.bootstrap import bootstrap_corpus
 from ffrg.datatypes import DataType
 from ffrg.docmodel import SchemaField, FieldSchema, LabelSet, ValidationError
+from ffrg.evaluation import corruption_report
 from ffrg.synth import (
     _DIGITS,
     _HEADER_POOL,
@@ -18,7 +19,6 @@ from ffrg.synth import (
     SynthConfig,
     _clamp,
     _noise_texts,
-    corruption_report,
     generate,
     generate_document,
     preset_config,
@@ -306,21 +306,24 @@ def test_clean_corpus_is_bootstrap_recoverable(schema):
 # --- corruption report ---------------------------------------------------------
 
 def test_corruption_report_counts():
-    doc = make_doc([(f"w{i}", 0.1 * i, 0.1, 0.1 * i + 0.05, 0.12) for i in range(4)])
+    # 3 labelled words against 4 true ones, so that precision and recall
+    # differ
+    doc = make_doc([(f"w{i}", 0.1 * i, 0.1, 0.1 * i + 0.05, 0.12) for i in range(5)])
     truth = LabelSet("truth")
     truth.set_label(doc.doc_id, 0, 1)
     truth.set_label(doc.doc_id, 1, 1)
     truth.set_label(doc.doc_id, 2, 2)
+    truth.set_label(doc.doc_id, 4, 2)
     labels = LabelSet("bootstrap")
     labels.set_label(doc.doc_id, 0, 1)  # hit
     labels.set_label(doc.doc_id, 2, 1)  # wrong class
     labels.set_label(doc.doc_id, 3, 2)  # spurious
     report = corruption_report([doc], truth, labels)
     assert report["labeled_words"] == 3
-    assert report["true_words"] == 3
+    assert report["true_words"] == 4
     assert report["word_precision"] == pytest.approx(1 / 3)
-    assert report["word_recall"] == pytest.approx(1 / 3)
-    assert report["word_f1"] == pytest.approx(1 / 3)
+    assert report["word_recall"] == pytest.approx(1 / 4)
+    assert report["word_f1"] == pytest.approx(2 / 7)
 
 
 def test_corruption_report_empty_labels():
